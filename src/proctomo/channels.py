@@ -127,6 +127,11 @@ def process_matrix(ch: KrausChannel, label: str | None = None) -> ProcessMatrix:
     return ProcessMatrix(x, label=label if label is not None else ch.label)
 
 
+def as_process_matrix(ch) -> ProcessMatrix:
+    """``ch`` itself if it is a ProcessMatrix, else the process matrix of its Kraus family."""
+    return ch if isinstance(ch, ProcessMatrix) else process_matrix(ch)
+
+
 def _validate_state(rho: np.ndarray, d: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):

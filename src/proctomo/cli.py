@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import io as pio
-from .channels import process_matrix
+from .channels import as_process_matrix
 from .metrics import error_report
 from .reconstruct import TwoStageReconstructor
 from .simulate import exact_record, ideal_probabilities, sample_record
@@ -76,9 +76,7 @@ def _cmd_reconstruct(args) -> int:
         + (", tp fallback" if est.tp_fallback else "")
     )
     if args.truth:
-        channel = make_channel(args.truth)
-        x_true = channel.mat if hasattr(channel, "mat") else process_matrix(channel).mat
-        rep = error_report(est.x_hat, x_true)
+        rep = error_report(est.x_hat, as_process_matrix(make_channel(args.truth)).mat)
         print(
             f"vs truth: frobenius error {rep.frob_error:.6g}, mse {rep.mse:.6g}, "
             f"fidelity {rep.fidelity:.6f}"

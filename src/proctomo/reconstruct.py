@@ -153,6 +153,8 @@ class TwoStageReconstructor:
             copies = record.copies_per_state
         else:
             freq = np.asarray(record, dtype=float)
+            if not np.all(np.isfinite(freq)):
+                raise ValueError("frequency matrix contains non-finite entries")
             copies = None
         a_hat = self.output_coefficients(freq)
         d_hat = self.process_least_squares(a_hat)

@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
-from .channels import cnot_channel, identity_channel, process_matrix, random_channel
+from .channels import (
+    KrausChannel,
+    ProcessMatrix,
+    as_process_matrix,
+    cnot_channel,
+    identity_channel,
+    random_channel,
+)
 from .ensembles import (
     InputEnsemble,
     cube_states,
@@ -41,6 +48,12 @@ def _split(spec: str) -> list:
     return parts
 
 
+def _need(parts: list, fields: int, form: str) -> None:
+    """Reject a spec with fewer than ``fields`` fields after its name."""
+    if len(parts) <= fields:
+        raise ValueError(f"spec {':'.join(parts)!r} is incomplete; expected {form}")
+
+
 def _load_typed(path, kinds):
     obj = pio.load_json(path)
     if not isinstance(obj, kinds):
@@ -53,14 +66,15 @@ def make_channel(spec: str):
     parts = _split(spec)
     name = parts[0].lower()
     if name == "file":
-        from .channels import KrausChannel, ProcessMatrix
-
+        _need(parts, 1, "file:path")
         return _load_typed(parts[1], (KrausChannel, ProcessMatrix))
     if name == "cnot":
         return cnot_channel()
     if name == "identity":
+        _need(parts, 1, "identity:d")
         return identity_channel(int(parts[1]))
     if name == "random":
+        _need(parts, 1, "random:d[:nontp][:seed]")
         d = int(parts[1])
         tp, seed = True, 0
         for tok in parts[2:]:
@@ -77,19 +91,20 @@ def make_ensemble(spec: str) -> InputEnsemble:
     cube-states:m | file:path."""
     parts = _split(spec)
     name = parts[0].lower()
-    if name == "file":
-        return _load_typed(parts[1], (InputEnsemble,))
-    if name == "sic":
-        return sic_states(int(parts[1]))
-    if name == "mub":
-        return mub_states(int(parts[1]))
-    if name == "natural":
-        return natural_basis_states(int(parts[1]))
     if name == "random":
+        _need(parts, 2, "random:d:M[:seed]")
         seed = int(parts[3]) if len(parts) > 3 else 0
         return random_states(int(parts[1]), int(parts[2]), seed=seed)
+    if name == "file":
+        _need(parts, 1, "file:path")
+        return _load_typed(parts[1], (InputEnsemble,))
     if name in ("cube-states", "cube_states"):
+        _need(parts, 1, "cube-states:m")
         return cube_states(int(parts[1]))
+    builders = {"sic": sic_states, "mub": mub_states, "natural": natural_basis_states}
+    if name in builders:
+        _need(parts, 1, f"{name}:d")
+        return builders[name](int(parts[1]))
     raise ValueError(f"unknown ensemble spec {spec!r}")
 
 
@@ -99,11 +114,14 @@ def make_povm(spec: str) -> PovmCollection:
     parts = _split(spec)
     name = parts[0].lower().replace("_", "-")
     if name == "file":
+        _need(parts, 1, "file:path")
         return _load_typed(parts[1], (PovmCollection,))
     base = name[: -len("-povm")] if name.endswith("-povm") else name
     if base == "cube":
+        _need(parts, 1, "cube-povm:m")
         return cube_povm(int(parts[1]))
     if base == "mub":
+        _need(parts, 1, "mub-povm:d")
         return mub_povm(int(parts[1]))
     if base == "sic":
         return sic_povm(int(parts[1]) if len(parts) > 1 else 4)
@@ -189,7 +207,7 @@ def run_scaling_study(cfg: ExperimentConfig) -> StudyResult:
     """
     channel = make_channel(cfg.channel)
     povm = make_povm(cfg.povm)
-    x_true = channel.mat if hasattr(channel, "mat") else process_matrix(channel).mat
+    x_true = as_process_matrix(channel).mat
     rows = []
     slopes = {}
     for ens_spec in cfg.ensembles:
@@ -259,7 +277,7 @@ def run_m_scaling_study(
     """
     channel = make_channel(channel_spec)
     povm = make_povm(povm_spec)
-    x_true = process_matrix(channel).mat
+    x_true = as_process_matrix(channel).mat
     rows, mse_means = [], []
     for ip, m in enumerate(num_states):
         t0 = time.perf_counter()
@@ -373,7 +391,7 @@ def oracle_check(seed: int = 0) -> list:
     err = frob(d_struct - d_dense)
     results.append(("structured-vs-dense-noisy", err <= 1e-10, f"dev {err:.2e}"))
 
-    x_true = process_matrix(channel).mat
+    x_true = as_process_matrix(channel).mat
     clean = exact_record(probs, povm)
     two_step, global_ls = dense_estimates(clean, ensemble, povm)
     err = max(frob(two_step - x_true), frob(global_ls - x_true))

@@ -5,6 +5,7 @@ from proctomo.channels import (
     KrausChannel,
     ProcessMatrix,
     apply_channel,
+    as_process_matrix,
     cnot_channel,
     cnot_matrix,
     identity_channel,
@@ -149,3 +150,10 @@ def test_process_matrix_rejects_invalid():
         ProcessMatrix(np.diag([1.0, 1.0, 1.0, -0.5]))
     with pytest.raises(ValueError):
         ProcessMatrix(2.0 * process_matrix(identity_channel(2)).mat)  # Tr_1 = 2I
+
+
+def test_as_process_matrix_passes_process_matrices_through():
+    ch = random_channel(2, tp=False, seed=4)
+    x = process_matrix(ch)
+    assert as_process_matrix(x) is x
+    assert np.array_equal(as_process_matrix(ch).mat, x.mat)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import proctomo.io as pio
 from proctomo.cli import main
@@ -140,3 +141,23 @@ def test_oracle_check_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design-audit", "sic"],
+        ["design-audit", "cube-povm"],
+        ["simulate", "--channel", "random"],
+        ["simulate", "--channel", "file"],
+        ["simulate", "--ensemble", "random:4"],
+    ],
+)
+def test_incomplete_specs_exit_2_without_traceback(argv, tmp_path, capsys):
+    if argv[0] == "simulate":
+        argv = argv + ["--output", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "expected" in err
+    assert "Traceback" not in err
+

@@ -244,3 +244,14 @@ def test_reconstructor_validates_shapes():
         rec.output_coefficients(np.zeros((3, 6)))
     with pytest.raises(ValueError):
         TwoStageReconstructor(mub_states(4), cube_povm(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimate_rejects_non_finite_raw_frequencies(bad):
+    rec = TwoStageReconstructor(mub_states(2), cube_povm(1))
+    freq = np.full((6, 6), 0.5)
+    freq[2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        rec.estimate(freq)
+    with pytest.raises(ValueError, match="shape"):
+        rec.estimate(np.full((6, 5), 0.5))

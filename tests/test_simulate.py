@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from proctomo.channels import identity_channel, process_matrix, random_channel
-from proctomo.ensembles import mub_states, natural_basis_states
+from proctomo.channels import cnot_channel, identity_channel, process_matrix, random_channel
+from proctomo.ensembles import mub_states, natural_basis_states, sic_states
 from proctomo.linalg import transpose_permutation, vec
-from proctomo.povms import cube_povm
+from proctomo.povms import PovmCollection, cube_povm, sic_povm
 from proctomo.reconstruct import dense_expansion_matrix
 from proctomo.simulate import (
     MeasurementRecord,
+    _cell_keys,
+    _entropy_words,
     exact_record,
     ideal_probabilities,
     sample_record,
@@ -126,3 +128,77 @@ def test_record_validation():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         ideal_probabilities(identity_channel(2), mub_states(4), cube_povm(1))
+
+
+def reference_record(probs, copies, povm, seed):
+    """Per-cell reference sampler: one SeedSequence-keyed Philox per (state, set)."""
+    m, ell = probs.shape
+    shots = copies // povm.num_sets
+    counts = np.zeros((m, ell), dtype=np.int64)
+    lost = np.zeros((m, povm.num_sets), dtype=np.int64)
+    for im in range(m):
+        for ij, sl in enumerate(povm.set_slices()):
+            p = np.clip(probs[im, sl], 0.0, None)
+            pfull = np.append(p, max(1.0 - p.sum(), 0.0))
+            pfull /= pfull.sum()
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(im, ij))
+            draw = np.random.Generator(np.random.Philox(ss)).multinomial(shots, pfull)
+            counts[im, sl] = draw[:-1]
+            lost[im, ij] = draw[-1]
+    return counts, lost, counts / shots
+
+
+def real_line_povm(n):
+    """n qubit elements (2/n)|psi_k><psi_k| with psi_k at angles pi k / n."""
+    out = []
+    for k in range(n):
+        v = np.array([np.cos(np.pi * k / n), np.sin(np.pi * k / n)], dtype=complex)
+        out.append(2.0 / n * np.outer(v, v.conj()))
+    return tuple(out)
+
+
+def unequal_sets_povm():
+    x, y, z = cube_povm(1).sets
+    return PovmCollection((x, real_line_povm(3), z, real_line_povm(9), y), label="unequal")
+
+
+SAMPLER_CASES = {
+    "tp": lambda: (random_channel(2, tp=True, seed=3), mub_states(2), cube_povm(1)),
+    "nontp-cube2": lambda: (random_channel(4, tp=False, seed=5), mub_states(4), cube_povm(2)),
+    "sic-povm": lambda: (cnot_channel(), sic_states(4), sic_povm(4)),
+    "unequal-sets": lambda: (random_channel(2, tp=False, seed=11), mub_states(2), unequal_sets_povm()),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_sampler_matches_per_cell_reference(case, seed):
+    ch, e, p = SAMPLER_CASES[case]()
+    probs = ideal_probabilities(ch, e, p)
+    copies = 90 * p.num_sets
+    rec = sample_record(probs, copies, p, seed=seed)
+    counts, lost, freq = reference_record(probs, copies, p, seed)
+    assert np.array_equal(rec.counts, counts)
+    assert np.array_equal(rec.lost_counts, lost)
+    assert np.array_equal(rec.freq, freq)
+
+
+def test_cell_keys_match_seed_sequence():
+    rng = np.random.default_rng(17)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**160 + 3]
+    seeds += [int(v) for v in rng.integers(0, 2**63, size=20)]
+    for seed in seeds:
+        states = rng.integers(0, 100_000, size=6)
+        sets = rng.integers(0, 1_000, size=6)
+        keys = _cell_keys(_entropy_words(seed), states, sets)
+        for key, im, ij in zip(keys, states, sets):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(im), int(ij)))
+            assert np.array_equal(key, ss.generate_state(2, np.uint64))
+
+
+def test_sampler_rejects_non_integer_seeds():
+    probs, p = np.full((4, 6), 0.5), cube_povm(1)
+    with pytest.raises(ValueError):
+        sample_record(probs, 600, p, seed=-1)
+    with pytest.raises(TypeError):
+        sample_record(probs, 600, p, seed=None)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import proctomo.io as pio
-from proctomo.channels import cnot_channel
+from proctomo.channels import cnot_channel, process_matrix, random_channel
 from proctomo.studies import (
     ExperimentConfig,
     make_channel,
     make_ensemble,
     make_povm,
+    run_m_scaling_study,
     run_scaling_study,
     trial_seed,
 )
@@ -82,3 +83,32 @@ def test_more_trials_shrink_std_of_mean():
     std4 = np.std([mean_mse(4, 10_000 + k) for k in range(reps)])
     std16 = np.std([mean_mse(16, 20_000 + k) for k in range(reps)])
     assert 0.3 <= std16 / std4 <= 0.8
+
+
+@pytest.mark.parametrize(
+    "factory, spec",
+    [
+        (make_channel, "random"),
+        (make_channel, "file"),
+        (make_channel, "identity"),
+        (make_ensemble, "random:4"),
+        (make_ensemble, "sic"),
+        (make_ensemble, "cube-states"),
+        (make_povm, "cube-povm"),
+        (make_povm, "file"),
+    ],
+)
+def test_incomplete_specs_name_the_expected_form(factory, spec):
+    with pytest.raises(ValueError, match="expected"):
+        factory(spec)
+
+
+def test_m_scaling_study_accepts_process_matrix_file(tmp_path):
+    path = tmp_path / "process.json"
+    pio.save_json(process_matrix(random_channel(2, tp=True, seed=5)), path)
+    kwargs = dict(d=2, num_states=(6, 8), copies_per_state=600, povm_spec="cube-povm:1", trials=2, seed=4)
+    from_file = run_m_scaling_study(channel_spec=f"file:{path}", **kwargs)
+    from_kraus = run_m_scaling_study(channel_spec="random:2:tp:5", **kwargs)
+    mse_file = [row[1] for row in from_file.rows]
+    mse_kraus = [row[1] for row in from_kraus.rows]
+    np.testing.assert_allclose(mse_file, mse_kraus, rtol=1e-9)
