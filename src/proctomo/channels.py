@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    check_psd,
     dagger,
     frob,
     haar_unitary,
@@ -90,11 +91,10 @@ class ProcessMatrix:
         d = int(round(np.sqrt(m.shape[0])))
         if m.ndim != 2 or m.shape != (d * d, d * d):
             raise ValueError(f"process matrix must be d^2 x d^2, got {m.shape}")
-        scale = max(frob(m), 1.0)
-        if frob(m - dagger(m)) > CHANNEL_ATOL * scale:
-            raise ValueError("process matrix is not Hermitian")
-        w, _ = hermitian_eig(m)
-        if w[-1] < -CHANNEL_ATOL * scale:
+        if not np.all(np.isfinite(m)):
+            raise ValueError("process matrix has non-finite entries")
+        w, _ = hermitian_eig(m)  # also checks Hermiticity, to HERMITIAN_RTOL * max(frob, 1)
+        if w[-1] < -CHANNEL_ATOL * max(frob(m), 1.0):
             raise ValueError(f"process matrix has negative eigenvalue {w[-1]:.3e}")
         f, _ = hermitian_eig(self.success_operator())
         if f[0] > 1.0 + CHANNEL_ATOL:
@@ -132,20 +132,6 @@ def as_process_matrix(ch) -> ProcessMatrix:
     return ch if isinstance(ch, ProcessMatrix) else process_matrix(ch)
 
 
-def _validate_state(rho: np.ndarray, d: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise ValueError(f"state has shape {rho.shape}, expected ({d}, {d})")
-    if frob(rho - dagger(rho)) > CHANNEL_ATOL:
-        raise ValueError("state is not Hermitian")
-    w = np.linalg.eigvalsh(hermitian_part(rho))
-    if w[0] < -CHANNEL_ATOL:
-        raise ValueError(f"state has negative eigenvalue {w[0]:.3e}")
-    if abs(np.trace(rho).real - 1.0) > CHANNEL_ATOL:
-        raise ValueError(f"state trace {np.trace(rho).real:.6g} != 1")
-    return rho
-
-
 def apply_channel(op, rho: np.ndarray) -> np.ndarray:
     """Output operator of the channel on a validated density matrix.
 
@@ -153,8 +139,10 @@ def apply_channel(op, rho: np.ndarray) -> np.ndarray:
     """
     if not isinstance(op, (KrausChannel, ProcessMatrix)):
         raise TypeError(f"cannot apply object of type {type(op).__name__}")
-    rho = _validate_state(rho, op.d)
-    return op.apply(rho)
+    rho = np.asarray(rho)
+    if rho.shape != (op.d, op.d):
+        raise ValueError(f"state has shape {rho.shape}, expected ({op.d}, {op.d})")
+    return op.apply(check_psd(rho, "state", CHANNEL_ATOL, unit_trace=True))
 
 
 def success_operator(x: ProcessMatrix) -> np.ndarray:

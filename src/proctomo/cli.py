@@ -8,6 +8,8 @@ design-audit, oracle-check.  Studies accept a JSON config file and/or flags
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -84,24 +86,11 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _load_config(args, keys) -> dict:
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text()))
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
 def _cmd_scaling_study(args) -> int:
-    merged = _load_config(
-        args, ["channel", "povm", "copies", "trials", "tp_prior", "seed", "output"]
-    )
-    if args.ensemble:
-        merged["ensembles"] = args.ensemble
-    cfg = ExperimentConfig(**merged)
+    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    # Every config field has a flag of the same dest; flags that were given win.
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     result = run_scaling_study(cfg)
     for line in result.format_lines():
         print(line)
@@ -111,16 +100,9 @@ def _cmd_scaling_study(args) -> int:
 
 
 def _cmd_m_scaling_study(args) -> int:
-    result = run_m_scaling_study(
-        d=args.dim,
-        num_states=tuple(args.num_states),
-        copies_per_state=args.copies_per_state,
-        povm_spec=args.povm,
-        channel_spec=args.channel,
-        trials=args.trials,
-        seed=args.seed,
-        output=args.output,
-    )
+    # Every study parameter has a flag of the same dest.
+    params = inspect.signature(run_m_scaling_study).parameters
+    result = run_m_scaling_study(**{name: getattr(args, name) for name in params})
     for line in result.format_lines():
         print(line)
     return 0
@@ -171,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling-study", help="MSE/infidelity versus total copies")
     p.add_argument("--config", default=None, help="JSON config file (flags override)")
     p.add_argument("--channel", default=None)
-    p.add_argument("--ensemble", action="append", default=None, help="repeatable")
+    p.add_argument("--ensemble", action="append", dest="ensembles", metavar="ENSEMBLE", help="repeatable")
     p.add_argument("--povm", default=None)
     p.add_argument("--copies", type=int, nargs="+", default=None)
     p.add_argument("--trials", type=int, default=None)
@@ -181,11 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scaling_study)
 
     p = sub.add_parser("m-scaling-study", help="MSE versus the number of random input states")
-    p.add_argument("--dim", type=int, default=4)
+    p.add_argument("--dim", type=int, default=4, dest="d", metavar="DIM")
     p.add_argument("--num-states", type=int, nargs="+", default=[16, 32, 64, 128])
     p.add_argument("--copies-per-state", type=int, default=90_000)
-    p.add_argument("--povm", default="cube-povm:2")
-    p.add_argument("--channel", default="random:4:tp:7")
+    p.add_argument("--povm", default="cube-povm:2", dest="povm_spec", metavar="POVM")
+    p.add_argument("--channel", default="random:4:tp:7", dest="channel_spec", metavar="CHANNEL")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)

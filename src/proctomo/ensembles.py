@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, frob, hermitian_part, vec
+from .linalg import check_psd, dagger, hermitian_part, vec
 
-STATE_ATOL = 1e-9
 RANK_RTOL = 1e-10
 ACHIEVE_RTOL = 1e-6
 
@@ -29,18 +28,6 @@ def _projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _check_state(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if frob(rho - dagger(rho)) > STATE_ATOL:
-        raise ValueError("ensemble state is not Hermitian")
-    w = np.linalg.eigvalsh(hermitian_part(rho))
-    if w[0] < -STATE_ATOL:
-        raise ValueError(f"ensemble state has negative eigenvalue {w[0]:.3e}")
-    if abs(np.trace(rho).real - 1.0) > STATE_ATOL:
-        raise ValueError("ensemble state does not have unit trace")
-    return rho
-
-
 @dataclass(frozen=True, eq=False)
 class InputEnsemble:
     """An informationally complete set of input density matrices."""
@@ -49,11 +36,12 @@ class InputEnsemble:
     label: str = ""
 
     def __post_init__(self):
-        states = tuple(_check_state(s) for s in self.states)
-        object.__setattr__(self, "states", states)
+        states = tuple(np.asarray(s, dtype=complex) for s in self.states)
         d = states[0].shape[0]
         if any(s.shape != (d, d) for s in states):
             raise ValueError("ensemble states must share one dimension")
+        check_psd(states, "ensemble state", atol=1e-9, unit_trace=True)
+        object.__setattr__(self, "states", states)
         if len(states) < d * d:
             raise ValueError(
                 f"need at least d^2={d * d} states for informational completeness, got {len(states)}"
@@ -231,37 +219,45 @@ def product_ensemble(parts) -> InputEnsemble:
         raise ValueError("need at least one part")
     if any(p.d != 2 for p in parts):
         raise ValueError("product ensembles are built from qubit parts only")
+    label = "x".join(p.label or "qubit" for p in parts)
+    return InputEnsemble(_kron_states(parts), label=label)
+
+
+def _kron_states(parts) -> tuple:
+    """All tensor products of one state from each part, first part slowest."""
     states = []
     for combo in itertools.product(*[p.states for p in parts]):
         acc = combo[0]
         for s in combo[1:]:
             acc = np.kron(acc, s)
         states.append(acc)
-    label = "x".join(p.label or "qubit" for p in parts)
-    return InputEnsemble(tuple(states), label=label)
+    return tuple(states)
 
 
 def cube_states(m: int) -> InputEnsemble:
     """m-fold tensor products of the qubit MUB family (6^m states)."""
     if m < 1:
         raise ValueError("need at least one qubit")
-    ens = product_ensemble([mub_states(2)] * m)
-    return InputEnsemble(ens.states, label=f"cube-states-{m}")
+    return InputEnsemble(_kron_states([mub_states(2)] * m), label=f"cube-states-{m}")
+
+
+def _gram_design(gram: np.ndarray, weight: float, target: np.ndarray, what: str):
+    """Descending spectrum of a design Gram matrix, its cost ``weight * Tr(gram^-1)``,
+    its condition number sqrt(max/min), and whether the spectrum attains ``target``."""
+    eigs = np.linalg.eigvalsh(hermitian_part(gram))[::-1]
+    if eigs[-1] <= RANK_RTOL * eigs[0]:
+        raise ValueError(f"{what} is singular")
+    achieves = bool(np.all(np.abs(eigs - target) <= ACHIEVE_RTOL * target))
+    return eigs, weight * float(np.sum(1.0 / eigs)), float(np.sqrt(eigs[0] / eigs[-1])), achieves
 
 
 def design_metrics_V(ensemble: InputEnsemble) -> EnsembleDesignReport:
     """Design cost, condition number and the spectrum of V* V^T."""
     d, m = ensemble.d, ensemble.num_states
     v = ensemble.parameterization()
-    gram = v.conj() @ v.T
-    eigs = np.linalg.eigvalsh(hermitian_part(gram))[::-1]
-    if eigs[-1] <= RANK_RTOL * eigs[0]:
-        raise ValueError("V* V^T is singular")
-    cost = m * float(np.sum(1.0 / eigs))
-    cond = float(np.sqrt(eigs[0] / eigs[-1]))
     target = np.full(d * d, m / (d * (d + 1.0)))
     target[0] = m / d
-    achieves = bool(np.all(np.abs(eigs - target) <= ACHIEVE_RTOL * target))
+    eigs, cost, cond, achieves = _gram_design(v.conj() @ v.T, m, target, "V* V^T")
     return EnsembleDesignReport(
         cost=cost,
         cond=cond,

@@ -17,6 +17,7 @@ import numpy as np
 from .channels import KrausChannel, ProcessMatrix
 from .ensembles import InputEnsemble
 from .povms import PovmCollection
+from .reconstruct import ProcessEstimate
 from .simulate import MeasurementRecord
 
 
@@ -112,7 +113,7 @@ def record_from_dict(obj: dict) -> MeasurementRecord:
     )
 
 
-def estimate_to_dict(est, include_intermediates: bool = False) -> dict:
+def estimate_to_dict(est: ProcessEstimate, include_intermediates: bool = False) -> dict:
     obj = {
         "kind": "estimate",
         "d": est.d,
@@ -138,9 +139,7 @@ def estimate_to_dict(est, include_intermediates: bool = False) -> dict:
     return obj
 
 
-def estimate_from_dict(obj: dict):
-    from .reconstruct import ProcessEstimate
-
+def estimate_from_dict(obj: dict) -> ProcessEstimate:
     diag = obj["diagnostics"]
     inter = obj.get("intermediates") or {}
 
@@ -170,6 +169,7 @@ _TO_DICT = {
     InputEnsemble: ensemble_to_dict,
     PovmCollection: povm_to_dict,
     MeasurementRecord: record_to_dict,
+    ProcessEstimate: estimate_to_dict,
 }
 
 _FROM_DICT = {
@@ -183,14 +183,11 @@ _FROM_DICT = {
 
 
 def save_json(obj, path, **kwargs) -> None:
-    from .reconstruct import ProcessEstimate
-
-    if isinstance(obj, ProcessEstimate):
-        Path(path).write_text(json.dumps(estimate_to_dict(obj, **kwargs), indent=1))
-        return
+    """Write ``obj`` as a JSON document; ``kwargs`` go to its converter
+    (``include_intermediates`` for estimates)."""
     for cls, conv in _TO_DICT.items():
         if isinstance(obj, cls):
-            Path(path).write_text(json.dumps(conv(obj), indent=1))
+            Path(path).write_text(json.dumps(conv(obj, **kwargs), indent=1))
             return
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 

@@ -150,6 +150,25 @@ def hermitian_eig(x: np.ndarray, check: bool = True):
     return w[::-1], u[:, ::-1]
 
 
+def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray:
+    """Return ``x`` (one matrix or a stack) as a complex array after checking that
+    each matrix is finite, Hermitian and PSD within ``atol``, and of unit trace if asked."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"{what} must be a square matrix, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} has non-finite entries")
+    xh = x.conj().swapaxes(-1, -2)
+    if np.any(np.linalg.norm(x - xh, axis=(-2, -1)) > atol):
+        raise ValueError(f"{what} is not Hermitian")
+    w = np.linalg.eigvalsh((x + xh) / 2)[..., 0].min()
+    if w < -atol:
+        raise ValueError(f"{what} has negative eigenvalue {w:.3e}")
+    if unit_trace and np.any(np.abs(np.trace(x, axis1=-2, axis2=-1).real - 1.0) > atol):
+        raise ValueError(f"{what} does not have unit trace")
+    return x
+
+
 def psd_sqrt(x: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 

@@ -16,20 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import ACHIEVE_RTOL, RANK_RTOL, _pauli_vector, _projector, mub_vectors, _sic_vectors_d4
-from .linalg import dagger, frob, hermitian_part
+from .ensembles import RANK_RTOL, _pauli_vector, _projector, _gram_design, mub_vectors, _sic_vectors_d4
+from .linalg import check_psd, dagger, frob
 
 POVM_ATOL = 1e-9
-
-
-def _check_element(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=complex)
-    if frob(p - dagger(p)) > POVM_ATOL:
-        raise ValueError("POVM element is not Hermitian")
-    w = np.linalg.eigvalsh(hermitian_part(p))
-    if w[0] < -POVM_ATOL:
-        raise ValueError(f"POVM element has negative eigenvalue {w[0]:.3e}")
-    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,13 +30,13 @@ class PovmCollection:
     label: str = ""
 
     def __post_init__(self):
-        sets = tuple(tuple(_check_element(p) for p in group) for group in self.sets)
+        flat = [np.asarray(p, dtype=complex) for group in self.sets for p in group]
+        check_psd(flat, "POVM element", POVM_ATOL)
+        sets = tuple(tuple(flat[sl]) for sl in self.set_slices())
         object.__setattr__(self, "sets", sets)
-        d = sets[0][0].shape[0]
-        eye = np.eye(d)
+        d = flat[0].shape[0]
         for j, group in enumerate(sets):
-            total = sum(group)
-            if frob(total - eye) > POVM_ATOL * d:
+            if frob(sum(group) - np.eye(d)) > POVM_ATOL * d:
                 raise ValueError(f"POVM set {j} does not sum to the identity")
         c = self.parameterization()
         sv = np.linalg.svd(c, compute_uv=False)
@@ -144,17 +134,11 @@ def design_metrics_C(povm: PovmCollection) -> PovmDesignReport:
     """Design cost, condition number and the spectrum of C^dag C."""
     d, j = povm.d, povm.num_sets
     c = povm.parameterization()
-    gram = dagger(c) @ c
-    eigs = np.linalg.eigvalsh(hermitian_part(gram))[::-1]
-    if eigs[-1] <= RANK_RTOL * eigs[0]:
-        raise ValueError("C^dag C is singular")
-    cost = j * float(np.sum(1.0 / eigs))
-    cond = float(np.sqrt(eigs[0] / eigs[-1]))
     s = float(sum(d / n for n in povm.set_sizes))
     rest = (j * d - s) / (d * d - 1.0)
     target = np.full(d * d, rest)
     target[0] = s
-    achieves = bool(np.all(np.abs(eigs - target) <= ACHIEVE_RTOL * target))
+    eigs, cost, cond, achieves = _gram_design(dagger(c) @ c, j, target, "C^dag C")
     return PovmDesignReport(
         cost=cost,
         cond=cond,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +42,21 @@ from .simulate import exact_record, ideal_probabilities, sample_record
 
 
 def _split(spec: str) -> list:
+    """Fields of ``name:a:b`` or ``name a b``.  A ``file`` spec keeps everything
+    after ``file:`` verbatim as its one field, so paths may hold spaces or colons."""
     parts = [tok for tok in spec.replace(" ", ":").split(":") if tok]
     if not parts:
         raise ValueError("empty spec string")
+    if parts[0].lower() == "file":
+        path = spec.lstrip()[len("file:"):]
+        return ["file", path] if path else ["file"]
     return parts
 
 
-def _need(parts: list, fields: int, form: str) -> None:
-    """Reject a spec with fewer than ``fields`` fields after its name."""
-    if len(parts) <= fields:
-        raise ValueError(f"spec {':'.join(parts)!r} is incomplete; expected {form}")
+def _need(parts: list, fields: int, form: str, most: int | None = None) -> None:
+    """Reject a spec without ``fields`` (up to ``most``) fields after its name."""
+    if not fields <= len(parts) - 1 <= (fields if most is None else most):
+        raise ValueError(f"spec {':'.join(parts)!r} has {len(parts) - 1} field(s); expected {form}")
 
 
 def _load_typed(path, kinds):
@@ -69,12 +74,13 @@ def make_channel(spec: str):
         _need(parts, 1, "file:path")
         return _load_typed(parts[1], (KrausChannel, ProcessMatrix))
     if name == "cnot":
+        _need(parts, 0, "cnot")
         return cnot_channel()
     if name == "identity":
         _need(parts, 1, "identity:d")
         return identity_channel(int(parts[1]))
     if name == "random":
-        _need(parts, 1, "random:d[:nontp][:seed]")
+        _need(parts, 1, "random:d[:nontp][:seed]", most=3)
         d = int(parts[1])
         tp, seed = True, 0
         for tok in parts[2:]:
@@ -92,7 +98,7 @@ def make_ensemble(spec: str) -> InputEnsemble:
     parts = _split(spec)
     name = parts[0].lower()
     if name == "random":
-        _need(parts, 2, "random:d:M[:seed]")
+        _need(parts, 2, "random:d:M[:seed]", most=3)
         seed = int(parts[3]) if len(parts) > 3 else 0
         return random_states(int(parts[1]), int(parts[2]), seed=seed)
     if name == "file":
@@ -124,6 +130,7 @@ def make_povm(spec: str) -> PovmCollection:
         _need(parts, 1, "mub-povm:d")
         return mub_povm(int(parts[1]))
     if base == "sic":
+        _need(parts, 0, "sic-povm[:4]", most=1)
         return sic_povm(int(parts[1]) if len(parts) > 1 else 4)
     raise ValueError(f"unknown POVM spec {spec!r}")
 
@@ -131,6 +138,26 @@ def make_povm(spec: str) -> PovmCollection:
 def trial_seed(global_seed: int, point: int, trial: int) -> int:
     ss = np.random.SeedSequence((global_seed, point, trial))
     return int(ss.generate_state(1)[0])
+
+
+def _check_sweep(trials, grid) -> None:
+    """A study needs at least one trial and a non-empty grid of positive values."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not grid or min(grid) < 1:
+        raise ValueError(f"the study grid must be non-empty and positive, got {list(grid)}")
+
+
+def _meta(config: dict, seed: int) -> dict:
+    """Table header: the config as sorted JSON, its short sha256, and the seed."""
+    blob = json.dumps(config, sort_keys=True)
+    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return {"config": blob, "config_sha256": digest, "seed": seed}
+
+
+# Config keys whose type is checked up front, so a JSON typo fails by name.
+# Plain types only: the table header is JSON, which takes no numpy scalars.
+_CONFIG_TYPES = {"channel": str, "povm": str, "trials": int, "tp_prior": bool, "seed": int}
 
 
 @dataclass
@@ -147,36 +174,30 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        for key, kind in _CONFIG_TYPES.items():
+            value = getattr(self, key)
+            # bool is an int too; only tp_prior takes one.
+            if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
+                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         if isinstance(self.ensembles, str):
             self.ensembles = (self.ensembles,)
         self.ensembles = tuple(self.ensembles)
         self.copies = tuple(int(n) for n in self.copies)
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not self.copies or min(self.copies) < 1:
-            raise ValueError("the copy schedule must contain positive totals")
+        _check_sweep(self.trials, self.copies)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         obj = json.loads(Path(path).read_text())
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path} does not hold a JSON object")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
         return cls(**obj)
 
     def to_meta(self) -> dict:
-        cfg = {
-            "channel": self.channel,
-            "ensembles": list(self.ensembles),
-            "povm": self.povm,
-            "copies": list(self.copies),
-            "trials": self.trials,
-            "tp_prior": self.tp_prior,
-            "seed": self.seed,
-        }
-        blob = json.dumps(cfg, sort_keys=True)
-        return {
-            "config": blob,
-            "config_sha256": hashlib.sha256(blob.encode()).hexdigest()[:16],
-            "seed": self.seed,
-        }
+        config = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output"}
+        return _meta(config, self.seed)
 
 
 @dataclass
@@ -198,6 +219,37 @@ class StudyResult:
         return lines
 
 
+def _run_study(meta, columns, scores, grid, trials, series, output) -> StudyResult:
+    """The study loop shared by the copy sweep and the state-count sweep.
+
+    ``series`` yields one ``(tag, prefix, trial)`` per swept curve, where
+    ``trial(ip, point, it)`` returns one value per name in ``scores``.  Rows
+    are ``[*prefix, point, mean, std, *other_means, seconds]`` for the first
+    score's mean and std and the other scores' means.  With two or more grid
+    points each score's means get a log-log slope, keyed ``score[tag]``.
+    """
+    _check_sweep(trials, grid)
+    rows, slopes = [], {}
+    for tag, prefix, trial in series:
+        curve = []
+        for ip, point in enumerate(grid):
+            t0 = time.perf_counter()
+            per_trial = [trial(ip, point, it) for it in range(trials)]
+            elapsed = time.perf_counter() - t0
+            # One 1-D reduction per score keeps the summation order of a plain list.
+            means = [float(np.mean(v)) for v in zip(*per_trial)]
+            std = float(np.std([v[0] for v in per_trial]))
+            rows.append([*prefix, point, means[0], std, *means[1:], elapsed])
+            curve.append(means)
+        if len(grid) > 1:
+            for name, ys in zip(scores, zip(*curve)):
+                slopes[f"{name}[{tag}]"] = loglog_slope(grid, ys)
+    result = StudyResult(columns=columns, rows=rows, meta=meta, slopes=slopes)
+    if output:
+        result.save(output)
+    return result
+
+
 def run_scaling_study(cfg: ExperimentConfig) -> StudyResult:
     """Mean MSE and infidelity versus the total number of copies.
 
@@ -208,56 +260,34 @@ def run_scaling_study(cfg: ExperimentConfig) -> StudyResult:
     channel = make_channel(cfg.channel)
     povm = make_povm(cfg.povm)
     x_true = as_process_matrix(channel).mat
-    rows = []
-    slopes = {}
-    for ens_spec in cfg.ensembles:
-        ensemble = make_ensemble(ens_spec)
+
+    def series(spec):
+        ensemble = make_ensemble(spec)
         m = ensemble.num_states
-        rec = TwoStageReconstructor(ensemble, povm)
-        probs = ideal_probabilities(channel, ensemble, povm)
-        mse_means, infid_means = [], []
-        for ip, total in enumerate(cfg.copies):
+        for total in cfg.copies:
             if total % m:
                 raise ValueError(
                     f"total copies {total} is not divisible by the {m} input states "
-                    f"of {ens_spec!r}; choose a multiple of {m}"
+                    f"of {spec!r}; choose a multiple of {m}"
                 )
-            per_state = total // m
-            t0 = time.perf_counter()
-            mses, infids = [], []
-            for it in range(cfg.trials):
-                record = sample_record(
-                    probs, per_state, povm, seed=trial_seed(cfg.seed, ip, it), keep_ideal=False
-                )
-                est = rec.estimate(record, tp_prior=cfg.tp_prior)
-                mses.append(squared_error(est.x_hat, x_true))
-                infids.append(infidelity(est.x_hat, x_true))
-            elapsed = time.perf_counter() - t0
-            mse_means.append(float(np.mean(mses)))
-            infid_means.append(float(np.mean(infids)))
-            rows.append(
-                [
-                    ensemble.label or ens_spec,
-                    total,
-                    mse_means[-1],
-                    float(np.std(mses)),
-                    infid_means[-1],
-                    elapsed,
-                ]
+        rec = TwoStageReconstructor(ensemble, povm)
+        probs = ideal_probabilities(channel, ensemble, povm)
+
+        def trial(ip, total, it):
+            record = sample_record(
+                probs, total // m, povm, seed=trial_seed(cfg.seed, ip, it), keep_ideal=False
             )
-        if len(cfg.copies) > 1:
-            label = ensemble.label or ens_spec
-            slopes[f"mse[{label}]"] = loglog_slope(cfg.copies, mse_means)
-            slopes[f"infidelity[{label}]"] = loglog_slope(cfg.copies, infid_means)
-    result = StudyResult(
-        columns=["ensemble", "total_copies", "mean_mse", "std_mse", "mean_infidelity", "runtime_s"],
-        rows=rows,
-        meta=cfg.to_meta(),
-        slopes=slopes,
+            est = rec.estimate(record, tp_prior=cfg.tp_prior)
+            return squared_error(est.x_hat, x_true), infidelity(est.x_hat, x_true)
+
+        label = ensemble.label or spec
+        return label, [label], trial
+
+    columns = ["ensemble", "total_copies", "mean_mse", "std_mse", "mean_infidelity", "runtime_s"]
+    return _run_study(
+        cfg.to_meta(), columns, ("mse", "infidelity"), cfg.copies, cfg.trials,
+        map(series, cfg.ensembles), cfg.output,
     )
-    if cfg.output:
-        result.save(cfg.output)
-    return result
 
 
 def run_m_scaling_study(
@@ -278,50 +308,27 @@ def run_m_scaling_study(
     channel = make_channel(channel_spec)
     povm = make_povm(povm_spec)
     x_true = as_process_matrix(channel).mat
-    rows, mse_means = [], []
-    for ip, m in enumerate(num_states):
-        t0 = time.perf_counter()
-        mses = []
-        for it in range(trials):
-            ens_seed = trial_seed(seed, ip, 2 * it)
-            ensemble = random_states(d, int(m), seed=ens_seed)
-            probs = ideal_probabilities(channel, ensemble, povm)
-            record = sample_record(
-                probs, copies_per_state, povm, seed=trial_seed(seed, ip, 2 * it + 1), keep_ideal=False
-            )
-            est = TwoStageReconstructor(ensemble, povm).estimate(record)
-            mses.append(squared_error(est.x_hat, x_true))
-        rows.append(
-            [int(m), float(np.mean(mses)), float(np.std(mses)), time.perf_counter() - t0]
+
+    def trial(ip, m, it):
+        ensemble = random_states(d, int(m), seed=trial_seed(seed, ip, 2 * it))
+        probs = ideal_probabilities(channel, ensemble, povm)
+        record = sample_record(
+            probs, copies_per_state, povm, seed=trial_seed(seed, ip, 2 * it + 1), keep_ideal=False
         )
-        mse_means.append(float(np.mean(mses)))
-    meta = {
-        "config": json.dumps(
-            {
-                "d": d,
-                "num_states": list(num_states),
-                "copies_per_state": copies_per_state,
-                "povm": povm_spec,
-                "channel": channel_spec,
-                "trials": trials,
-            },
-            sort_keys=True,
-        ),
-        "seed": seed,
+        return (squared_error(TwoStageReconstructor(ensemble, povm).estimate(record).x_hat, x_true),)
+
+    config = {
+        "d": d,
+        "num_states": list(num_states),
+        "copies_per_state": copies_per_state,
+        "povm": povm_spec,
+        "channel": channel_spec,
+        "trials": trials,
     }
-    meta["config_sha256"] = hashlib.sha256(meta["config"].encode()).hexdigest()[:16]
-    slopes = {}
-    if len(num_states) > 1:
-        slopes["mse[num_states]"] = loglog_slope(num_states, mse_means)
-    result = StudyResult(
-        columns=["num_states", "mean_mse", "std_mse", "runtime_s"],
-        rows=rows,
-        meta=meta,
-        slopes=slopes,
+    columns = ["num_states", "mean_mse", "std_mse", "runtime_s"]
+    return _run_study(
+        _meta(config, seed), columns, ("mse",), num_states, trials, [("num_states", [], trial)], output
     )
-    if output:
-        result.save(output)
-    return result
 
 
 def design_audit(spec: str) -> dict:
@@ -331,24 +338,14 @@ def design_audit(spec: str) -> dict:
     if name.endswith("-povm"):
         povm = make_povm(spec)
         rep = design_metrics_C(povm)
-        extra = {"sets": povm.num_sets, "elements": povm.num_elements, "top_eig_lower": rep.top_eig_lower}
+        extra = {"sets": povm.num_sets, "elements": povm.num_elements}
         label = povm.label
     else:
         ensemble = make_ensemble(spec)
         rep = design_metrics_V(ensemble)
         extra = {"states": ensemble.num_states}
         label = ensemble.label
-    out = {
-        "label": label,
-        "cost": rep.cost,
-        "cond": rep.cond,
-        "eigvals": rep.eigvals.tolist(),
-        "lower_cost": rep.lower_cost,
-        "lower_cond": rep.lower_cond,
-        "achieves": rep.achieves,
-    }
-    out.update(extra)
-    return out
+    return {"label": label, **asdict(rep), "eigvals": rep.eigvals.tolist(), **extra}
 
 
 def format_audit(report: dict) -> list:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import proctomo.io as pio
+from proctomo.channels import cnot_channel
 from proctomo.cli import main
+from proctomo.studies import run_m_scaling_study
 
 
 def test_design_audit_sic_states(capsys):
@@ -161,3 +163,57 @@ def test_incomplete_specs_exit_2_without_traceback(argv, tmp_path, capsys):
     assert err.startswith("error:") and "expected" in err
     assert "Traceback" not in err
 
+
+
+def test_file_spec_path_with_space(tmp_path, capsys):
+    folder = tmp_path / "sp ace"
+    folder.mkdir()
+    pio.save_json(cnot_channel(), folder / "ch.json")
+    assert main([
+        "simulate", "--channel", f"file:{folder / 'ch.json'}", "--ensemble", "mub:4",
+        "--povm", "cube-povm:2", "--copies", "2000", "--output", str(tmp_path / "rec.json"),
+    ]) == 0
+    assert "simulated" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["sic:4:99", "mub:4:x"])
+def test_design_audit_rejects_surplus_fields(spec, capsys):
+    assert main(["design-audit", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "expected" in err
+
+
+@pytest.mark.parametrize("cfg, key", [({"chanel": "cnot"}, "chanel"), ({"trials": "3"}, "trials")])
+def test_scaling_study_malformed_config_exits_2(cfg, key, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["scaling-study", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+def test_m_scaling_study_rejects_zero_trials(capsys):
+    assert main([
+        "m-scaling-study", "--dim", "2", "--num-states", "8", "--povm", "cube-povm:1",
+        "--channel", "random:2:tp:5", "--trials", "0",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trials" in err
+
+
+def test_m_scaling_study_flags_reach_the_study(tmp_path, capsys):
+    out_path = tmp_path / "m.tsv"
+    assert main([
+        "m-scaling-study", "--dim", "2", "--num-states", "6", "10",
+        "--copies-per-state", "500", "--povm", "cube-povm:1",
+        "--channel", "random:2:tp:5", "--trials", "3", "--seed", "23",
+        "--output", str(out_path),
+    ]) == 0
+    direct = run_m_scaling_study(
+        d=2, num_states=(6, 10), copies_per_state=500, povm_spec="cube-povm:1",
+        channel_spec="random:2:tp:5", trials=3, seed=23,
+    )
+    lines = out_path.read_text().splitlines()
+    assert f"# config\t{direct.meta['config']}" in lines
+    rows = [l.split("\t")[:-1] for l in lines if l and not l.startswith("#")][1:]
+    assert rows == [[str(r[0]), repr(r[1]), repr(r[2])] for r in direct.rows]

@@ -133,6 +133,13 @@ def test_cube_states_product_values():
     assert r.cond == pytest.approx(3.0, abs=1e-9)  # sqrt(3^2)
 
 
+def test_cube_states_equal_the_labelled_product():
+    prod = product_ensemble([mub_states(2)] * 2)
+    cube = cube_states(2)
+    assert cube.label == "cube-states-2" and prod.label == "mub-2xmub-2"
+    assert all(np.array_equal(a, b) for a, b in zip(cube.states, prod.states, strict=True))
+
+
 def test_product_metrics_multiply():
     a = random_states(2, 5, seed=1)
     b = random_states(2, 6, seed=2)

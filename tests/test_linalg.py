@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from proctomo.channels import ProcessMatrix, apply_channel, identity_channel
+from proctomo.ensembles import InputEnsemble, mub_states
 from proctomo.linalg import (
     Permutation,
+    check_psd,
     dagger,
     haar_unitary,
     hermitian_eig,
@@ -14,6 +17,7 @@ from proctomo.linalg import (
     unvec,
     vec,
 )
+from proctomo.povms import PovmCollection, cube_povm
 
 
 def random_complex(rng, shape):
@@ -193,3 +197,55 @@ def test_haar_unitary_is_unitary_and_seeded():
     u2 = haar_unitary(4, np.random.default_rng(10))
     assert np.array_equal(u1, u2)
     assert np.linalg.norm(u1 @ dagger(u1) - np.eye(4)) <= 1e-12
+
+
+def test_check_psd_single_and_stack():
+    rho = np.diag([0.75, 0.25]).astype(complex)
+    out = check_psd(rho, "state", 1e-9, unit_trace=True)
+    assert out.dtype == complex and np.array_equal(out, rho)
+    stack = check_psd([rho, np.eye(2) / 2, rho.T], "state", 1e-9, unit_trace=True)
+    assert stack.shape == (3, 2, 2)
+    # unit trace is only checked when asked for
+    check_psd(2 * rho, "element", 1e-9)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        (np.eye(2), "unit trace"),
+        (np.ones((2, 3)) / 3, "square"),
+        (np.diag([np.inf, 0.0]), "non-finite"),
+    ],
+)
+def test_check_psd_names_the_failure(bad, message):
+    with pytest.raises(ValueError, match=f"^state .*{message}"):
+        check_psd(bad, "state", 1e-9, unit_trace=True)
+    if np.shape(bad) == (2, 2):  # one bad matrix inside a stack
+        with pytest.raises(ValueError, match=f"^state .*{message}"):
+            check_psd([np.eye(2) / 2, bad, np.eye(2) / 2], "state", 1e-9, unit_trace=True)
+
+
+def test_check_psd_tolerance_is_absolute():
+    tiny = np.diag([1.0 + 5e-10, -5e-10])
+    check_psd(tiny, "state", 1e-9, unit_trace=True)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        check_psd(np.diag([1.0 + 2e-9, -2e-9]), "state", 1e-9)
+
+
+NAN2 = np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: InputEnsemble((NAN2,) + mub_states(2).states), id="ensemble-state"),
+        pytest.param(lambda: PovmCollection(((NAN2, np.eye(2)),) + cube_povm(1).sets), id="povm-element"),
+        pytest.param(lambda: apply_channel(identity_channel(2), NAN2), id="apply-channel"),
+        pytest.param(lambda: ProcessMatrix(np.full((4, 4), np.nan)), id="process-matrix"),
+    ],
+)
+def test_non_finite_matrices_rejected_by_name(build):
+    with pytest.raises(ValueError, match="non-finite"):
+        build()

@@ -112,3 +112,121 @@ def test_m_scaling_study_accepts_process_matrix_file(tmp_path):
     mse_file = [row[1] for row in from_file.rows]
     mse_kraus = [row[1] for row in from_kraus.rows]
     np.testing.assert_allclose(mse_file, mse_kraus, rtol=1e-9)
+
+
+@pytest.mark.parametrize("spec", ["sic:4:99", "mub:4:x", "random:4:20:3:1"])
+def test_surplus_ensemble_fields_rejected(spec):
+    with pytest.raises(ValueError, match="expected"):
+        make_ensemble(spec)
+
+
+def test_surplus_channel_fields_rejected():
+    with pytest.raises(ValueError, match="expected cnot"):
+        make_channel("cnot:3")
+
+
+def test_file_specs_keep_the_path_verbatim(tmp_path):
+    folder = tmp_path / "sp ace:dir"
+    folder.mkdir()
+    paths = {"ch": folder / "ch.json", "ens": folder / "ens.json", "povm": folder / "povm.json"}
+    pio.save_json(cnot_channel(), paths["ch"])
+    pio.save_json(make_ensemble("mub:2"), paths["ens"])
+    pio.save_json(make_povm("cube-povm:1"), paths["povm"])
+    assert make_channel(f"file:{paths['ch']}").label == "cnot"
+    assert make_ensemble(f"file:{paths['ens']}").label == "mub-2"
+    assert make_povm(f"file:{paths['povm']}").label == "cube-1"
+    assert make_povm(f"file {paths['povm']}").label == "cube-1"  # space-separated form
+
+
+def test_experiment_config_rejects_malformed_json(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"chanel": "cnot"}))
+    with pytest.raises(ValueError, match="chanel"):
+        ExperimentConfig.from_json(path)
+    path.write_text(json.dumps({"trials": "3"}))
+    with pytest.raises(ValueError, match="trials"):
+        ExperimentConfig.from_json(path)
+    path.write_text(json.dumps({"tp_prior": "false"}))  # a truthy string
+    with pytest.raises(ValueError, match="tp_prior"):
+        ExperimentConfig.from_json(path)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(seed=True)
+
+
+@pytest.mark.parametrize("trials, grid", [(0, (6, 8)), (2, ())])
+def test_m_scaling_study_checks_trials_and_grid(trials, grid):
+    with pytest.raises(ValueError, match="trials|grid"):
+        run_m_scaling_study(
+            d=2, num_states=grid, copies_per_state=600, povm_spec="cube-povm:1",
+            channel_spec="random:2:tp:5", trials=trials,
+        )
+
+
+# Study outputs recorded before the two studies shared one runner; rows,
+# slopes and the config header must stay bit-identical on these seeds.
+GOLDEN_SCALING = {
+    False: (
+        [
+            ["mub-2", 1200, 0.04980769818127808, 0.008390098663366926, 0.04184638153783793],
+            ["mub-2", 6000, 0.009351895365991455, 0.0019193792465799586, 0.013582896103438177],
+            ["sic-2", 1200, 0.05142015913619998, 0.007406411554619758, 0.05433019541465308],
+            ["sic-2", 6000, 0.008496869379267505, 0.004858144381148393, 0.01734321651315444],
+        ],
+        {
+            "mse[mub-2]": -1.0392389202578483,
+            "infidelity[mub-2]": -0.6991223209366817,
+            "mse[sic-2]": -1.1186094818707994,
+            "infidelity[sic-2]": -0.7094891313748489,
+        },
+        "91213697b7a600fb",
+    ),
+    True: (
+        [
+            ["mub-2", 1200, 0.2501548122448929, 0.04778137213867426, 0.06398398682324773],
+            ["mub-2", 6000, 0.23323995144412632, 0.01974413287298952, 0.03606734350681251],
+            ["sic-2", 1200, 0.25837323159273334, 0.025434499679791264, 0.07880710556962216],
+            ["sic-2", 6000, 0.21972985670923886, 0.003779855418648189, 0.040109055584516384],
+        ],
+        {
+            "mse[mub-2]": -0.043501036275664956,
+            "infidelity[mub-2]": -0.3561771459505439,
+            "mse[sic-2]": -0.10066017744228857,
+            "infidelity[sic-2]": -0.4196502554809666,
+        },
+        "c09ac471c18caaf6",
+    ),
+}
+
+
+@pytest.mark.parametrize("tp_prior", [False, True])
+def test_scaling_study_golden(tp_prior):
+    cfg = ExperimentConfig(
+        channel="random:2:nontp:3", ensembles=("mub:2", "sic:2"), povm="cube-povm:1",
+        copies=(1200, 6000), trials=3, tp_prior=tp_prior, seed=17,
+    )
+    result = run_scaling_study(cfg)
+    rows, slopes, sha = GOLDEN_SCALING[tp_prior]
+    assert [row[:-1] for row in result.rows] == rows
+    assert result.slopes == slopes
+    assert result.meta["config"] == (
+        '{"channel": "random:2:nontp:3", "copies": [1200, 6000], "ensembles": ["mub:2", "sic:2"], '
+        f'"povm": "cube-povm:1", "seed": 17, "tp_prior": {json.dumps(tp_prior)}, "trials": 3}}'
+    )
+    assert result.meta["config_sha256"] == sha
+
+
+def test_m_scaling_study_golden():
+    result = run_m_scaling_study(
+        d=2, num_states=(6, 10), copies_per_state=500, povm_spec="cube-povm:1",
+        channel_spec="random:2:tp:5", trials=3, seed=23,
+    )
+    assert [row[:-1] for row in result.rows] == [
+        [6, 0.118505774986457, 0.08396181400564148],
+        [10, 0.04643587023936104, 0.009255811091193427],
+    ]
+    assert result.slopes == {"mse[num_states]": -1.8340690517227833}
+    assert result.meta["config"] == (
+        '{"channel": "random:2:tp:5", "copies_per_state": 500, "d": 2, "num_states": [6, 10], '
+        '"povm": "cube-povm:1", "trials": 3}'
+    )
+    assert result.meta["config_sha256"] == "66a66748d0f54b25"
