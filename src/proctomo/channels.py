@@ -35,8 +35,8 @@ _SEED_DIAGS = ((0.5, 0.4), (0.1, 0.2))
 
 def _as_operator_stack(ops) -> np.ndarray:
     arr = np.asarray([np.asarray(a, dtype=complex) for a in ops])
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError("Kraus operators must be a list of square matrices of equal size")
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
+        raise ValueError("Kraus operators must be a list of non-empty square matrices of equal size")
     if not np.all(np.isfinite(arr)):
         raise ValueError("Kraus operators contain non-finite entries")
     return arr
@@ -70,7 +70,7 @@ class KrausChannel:
         return frob(self.contraction() - np.eye(self.d)) <= CHANNEL_ATOL * self.d
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """sum_i A_i rho A_i^dag, without input validation."""
+        """sum_i A_i rho A_i^dag for one matrix or a stack, without input validation."""
         rho = np.asarray(rho, dtype=complex)
         out = np.zeros_like(rho)
         for a in self.kraus:

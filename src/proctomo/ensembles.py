@@ -7,16 +7,19 @@ bounded below by d^4 + d^3 - d^2 and cond(V) by sqrt(d+1), with equality
 exactly when the eigenvalues are (M/d, M/(d(d+1)), ..., M/(d(d+1))).  SIC and
 MUB families attain both bounds; tensor products of optimal qubit families
 attain the multiplicative m-qubit bounds (20^m and sqrt(3^m)).
+
+Validation runs the thin SVD of V^T once: its singular values decide
+informational completeness, and the ensemble keeps the resulting
+pseudo-inverse pinv(V^T) for reconstruction.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_psd, dagger, hermitian_part, vec
+from .linalg import check_psd, hermitian_part, kron_stack, pinv_with_spectrum, vec
 
 RANK_RTOL = 1e-10
 ACHIEVE_RTOL = 1e-6
@@ -30,25 +33,32 @@ def _projector(psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class InputEnsemble:
-    """An informationally complete set of input density matrices."""
+    """An informationally complete set of input density matrices.
+
+    ``pinv`` is pinv(V^T), the d^2 x M pseudo-inverse kept from validation.
+    """
 
     states: tuple
     label: str = ""
+    pinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(np.asarray(s, dtype=complex) for s in self.states)
-        d = states[0].shape[0]
-        if any(s.shape != (d, d) for s in states):
-            raise ValueError("ensemble states must share one dimension")
+        if not states:
+            raise ValueError("an ensemble needs at least one state")
+        d = states[0].shape[0] if states[0].ndim == 2 else 0
+        if not d or any(s.shape != (d, d) for s in states):
+            raise ValueError("ensemble states must be square matrices sharing one dimension")
         check_psd(states, "ensemble state", atol=1e-9, unit_trace=True)
         object.__setattr__(self, "states", states)
         if len(states) < d * d:
             raise ValueError(
                 f"need at least d^2={d * d} states for informational completeness, got {len(states)}"
             )
-        sv = np.linalg.svd(self.parameterization(), compute_uv=False)
+        pinv, sv = pinv_with_spectrum(self.parameterization().T)
         if sv[-1] <= RANK_RTOL * sv[0]:
             raise ValueError("ensemble is not informationally complete (rank deficient V)")
+        object.__setattr__(self, "pinv", pinv)
 
     @property
     def d(self) -> int:
@@ -196,15 +206,18 @@ def natural_basis_states(d: int) -> InputEnsemble:
 
 def random_states(d: int, m: int, seed=None) -> InputEnsemble:
     """M random full-rank density matrices (normalized Wishart draws)."""
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
     if m < d * d:
         raise ValueError(f"need M >= d^2 = {d * d} states, got {m}")
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        states = []
-        for _ in range(m):
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            w = g @ dagger(g)
-            states.append(w / np.trace(w).real)
+        # The same normals, in the same order, as a real then an imaginary
+        # (d, d) draw per state.
+        z = rng.standard_normal((m, 2, d, d))
+        g = z[:, 0] + 1j * z[:, 1]
+        w = g @ g.conj().swapaxes(-1, -2)
+        states = w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
         try:
             return InputEnsemble(tuple(states), label=f"random-{d}-{m}")
         except ValueError:
@@ -225,13 +238,7 @@ def product_ensemble(parts) -> InputEnsemble:
 
 def _kron_states(parts) -> tuple:
     """All tensor products of one state from each part, first part slowest."""
-    states = []
-    for combo in itertools.product(*[p.states for p in parts]):
-        acc = combo[0]
-        for s in combo[1:]:
-            acc = np.kron(acc, s)
-        states.append(acc)
-    return tuple(states)
+    return tuple(kron_stack([np.asarray(p.states) for p in parts]))
 
 
 def cube_states(m: int) -> InputEnsemble:

@@ -194,10 +194,13 @@ def save_json(obj, path, **kwargs) -> None:
 
 def load_json(path):
     obj = json.loads(Path(path).read_text())
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind not in _FROM_DICT:
         raise ValueError(f"unknown document kind {kind!r} in {path}")
-    return _FROM_DICT[kind](obj)
+    try:
+        return _FROM_DICT[kind](obj)
+    except KeyError as exc:
+        raise ValueError(f"{kind} document {path} lacks the required field {exc.args[0]!r}") from None
 
 
 def record_to_text(r: MeasurementRecord) -> str:

@@ -26,6 +26,8 @@ HERMITIAN_RTOL = 1e-10
 # psd_sqrt; eigenvalues more negative than NEGATIVE_EIG_RTOL are an error.
 EIG_CLIP_RTOL = 1e-12
 NEGATIVE_EIG_RTOL = 1e-10
+# numpy's default pinv cutoff, relative to the largest singular value.
+PINV_RCOND = 1e-15
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -48,6 +50,37 @@ def vec(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"vec expects a non-empty matrix, got shape {a.shape}")
     return a.reshape(-1, order="F")
+
+
+def kron_stack(stacks) -> np.ndarray:
+    """Kronecker products of one matrix from each ``(n_i, r_i, c_i)`` stack, first
+    stack slowest, as an ``(n_1 ... n_k, r_1 ... r_k, c_1 ... c_k)`` stack.
+
+    Folds left with one broadcast multiply per stack, in np.kron's operand
+    order, so every entry is bit-identical to ``np.kron(np.kron(a, b), c)``.
+    """
+    acc = np.asarray(stacks[0])
+    for s in stacks[1:]:
+        s = np.asarray(s)
+        (n, r, c), (k, p, q) = acc.shape, s.shape
+        prod = np.multiply(acc[:, None, :, None, :, None], s[None, :, None, :, None, :])
+        acc = prod.reshape(n * k, r * p, c * q)
+    return acc
+
+
+def pinv_with_spectrum(a: np.ndarray):
+    """``(np.linalg.pinv(a), s)``: the pseudo-inverse at numpy's default cutoff and
+    the descending singular values ``s`` of ``a`` from the same thin SVD.
+
+    Mirrors numpy's ``pinv`` step by step, so the pseudo-inverse is
+    bit-identical to it and one SVD serves both a rank check and the solve.
+    """
+    a = np.asarray(a)
+    u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
+    large = s > PINV_RCOND * np.amax(s, axis=-1, keepdims=True)
+    inv = np.divide(1, s, where=large, out=s.copy())
+    inv[~large] = 0
+    return np.matmul(np.transpose(vt), np.multiply(inv[..., None], np.transpose(u))), s
 
 
 def unvec(v: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:

@@ -7,27 +7,34 @@ outcome probabilities Tr(P_l rho).  The design cost J * Tr((C^dag C)^-1) and
 cond(C) are bounded below in terms of s = sum_j d/n_j, with equality exactly
 when the spectrum of C^dag C is (s, (Jd-s)/(d^2-1), ...); MUB measurements
 attain both bounds.
+
+Validation runs the thin SVD of C once: its singular values decide
+informational completeness, and the collection keeps the resulting
+pseudo-inverse pinv(C) for reconstruction.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ensembles import RANK_RTOL, _pauli_vector, _projector, _gram_design, mub_vectors, _sic_vectors_d4
-from .linalg import check_psd, dagger, frob
+from .linalg import check_psd, dagger, frob, kron_stack, pinv_with_spectrum
 
 POVM_ATOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class PovmCollection:
-    """J complete POVM sets over one Hilbert space."""
+    """J complete POVM sets over one Hilbert space.
+
+    ``pinv`` is pinv(C), the d^2 x L pseudo-inverse kept from validation.
+    """
 
     sets: tuple
     label: str = ""
+    pinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         flat = [np.asarray(p, dtype=complex) for group in self.sets for p in group]
@@ -39,9 +46,10 @@ class PovmCollection:
             if frob(sum(group) - np.eye(d)) > POVM_ATOL * d:
                 raise ValueError(f"POVM set {j} does not sum to the identity")
         c = self.parameterization()
-        sv = np.linalg.svd(c, compute_uv=False)
+        pinv, sv = pinv_with_spectrum(c)
         if c.shape[0] < d * d or sv[-1] <= RANK_RTOL * sv[0]:
             raise ValueError("measurement is not informationally complete (rank deficient C)")
+        object.__setattr__(self, "pinv", pinv)
 
     @property
     def d(self) -> int:
@@ -93,17 +101,13 @@ def cube_povm(m: int, axes: tuple = ("x", "y", "z")) -> PovmCollection:
         raise ValueError("need at least one qubit")
     paulis = dict(zip("xyz", _pauli_vector()))
     eye = np.eye(2, dtype=complex)
-    single = {a: ((eye + paulis[a]) / 2, (eye - paulis[a]) / 2) for a in axes}
-    sets = []
-    for combo in itertools.product(axes, repeat=m):
-        group = []
-        for signs in itertools.product((0, 1), repeat=m):
-            op = single[combo[0]][signs[0]]
-            for a, s in zip(combo[1:], signs[1:]):
-                op = np.kron(op, single[a][s])
-            group.append(op)
-        sets.append(tuple(group))
-    return PovmCollection(tuple(sets), label=f"cube-{m}")
+    single = np.asarray([((eye + paulis[a]) / 2, (eye - paulis[a]) / 2) for a in axes])
+    # Products are indexed (axis_1, sign_1, ..., axis_m, sign_m); regroup them
+    # as (axis_1 ... axis_m) sets of (sign_1 ... sign_m) elements.
+    ops = kron_stack([single.reshape(-1, 2, 2)] * m).reshape((len(axes), 2) * m + (2**m, 2**m))
+    order = [*range(0, 2 * m, 2), *range(1, 2 * m, 2), 2 * m, 2 * m + 1]
+    sets = ops.transpose(order).reshape(len(axes) ** m, 2**m, 2**m, 2**m)
+    return PovmCollection(tuple(tuple(group) for group in sets), label=f"cube-{m}")
 
 
 def mub_povm(d: int) -> PovmCollection:

@@ -94,10 +94,11 @@ class TwoStageReconstructor:
         self.ensemble = ensemble
         self.povm = povm
         self.d = ensemble.d
-        # pinv gives the least-squares inverses via SVD, avoiding the squared
-        # conditioning of explicit normal equations.
-        self._povm_pinv = np.linalg.pinv(povm.parameterization())
-        self._state_pinv = np.linalg.pinv(ensemble.parameterization().T)
+        # The designs keep pinv(C) and pinv(V^T) from their rank checks: SVD-based
+        # least-squares inverses, avoiding the squared conditioning of explicit
+        # normal equations.
+        self._povm_pinv = povm.pinv
+        self._state_pinv = ensemble.pinv
         self._reshuffle = reshuffle_permutation(self.d).forward
 
     def output_coefficients(self, freq: np.ndarray) -> np.ndarray:

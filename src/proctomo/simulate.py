@@ -26,10 +26,12 @@ import numpy as np
 
 from .channels import KrausChannel, ProcessMatrix
 from .ensembles import InputEnsemble
-from .linalg import vec
 from .povms import PovmCollection
 
 PROB_ATOL = 1e-12
+# States per block of channel outputs and of derived cell keys; bounds the
+# memory of both.
+_STATE_BLOCK = 64
 
 
 @dataclass(eq=False)
@@ -91,11 +93,22 @@ def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) 
         raise ValueError(
             f"dimension mismatch: process d={process.d}, ensemble d={ensemble.d}, povm d={povm.d}"
         )
-    outputs = np.column_stack([vec(process.apply(rho)) for rho in ensemble.states])
-    probs = (povm.parameterization() @ outputs).T
-    if np.abs(probs.imag).max() > 1e-10:
-        raise ValueError("probabilities acquired a non-negligible imaginary part")
-    return probs.real
+    c = povm.parameterization()
+    d, m = process.d, ensemble.num_states
+    probs = np.empty((m, c.shape[0]))
+    for start in range(0, m, _STATE_BLOCK):
+        rhos = np.asarray(ensemble.states[start : start + _STATE_BLOCK])
+        if isinstance(process, KrausChannel):
+            outputs = process.apply(rhos)
+        else:
+            # A stacked einsum would change the summation order; apply per state.
+            outputs = np.asarray([process.apply(rho) for rho in rhos])
+        # Column k is vec(E(rho_k)), so C @ it holds Tr(P_l E(rho_k)).
+        block = c @ outputs.transpose(0, 2, 1).reshape(len(rhos), d * d).T
+        if np.abs(block.imag).max() > 1e-10:
+            raise ValueError("probabilities acquired a non-negligible imaginary part")
+        probs[start : start + len(rhos)] = block.real.T
+    return probs
 
 
 # Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
@@ -108,9 +121,6 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-
-# States per block of derived cell keys; bounds the key array's memory.
-_KEY_BLOCK = 64
 
 
 def _entropy_words(seed) -> list:
@@ -222,8 +232,8 @@ def sample_record(
     counts = np.zeros((m, ell), dtype=np.int64)
     lost = np.zeros((m, j), dtype=np.int64)
     grid_sets = np.arange(j)
-    for start in range(0, m, _KEY_BLOCK):
-        block = np.arange(start, min(start + _KEY_BLOCK, m))
+    for start in range(0, m, _STATE_BLOCK):
+        block = np.arange(start, min(start + _STATE_BLOCK, m))
         keys = _cell_keys(seed_words, block[:, None], grid_sets[None, :])
         for im, row_keys in zip(block, keys):
             row_keys = row_keys.tolist()

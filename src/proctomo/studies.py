@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -67,7 +68,7 @@ def _load_typed(path, kinds):
 
 
 def make_channel(spec: str):
-    """Channel factory: cnot | identity:d | random:d[:nontp][:seed] | file:path."""
+    """Channel factory: cnot | identity:d | random:d[:tp|nontp][:seed] | file:path."""
     parts = _split(spec)
     name = parts[0].lower()
     if name == "file":
@@ -80,15 +81,16 @@ def make_channel(spec: str):
         _need(parts, 1, "identity:d")
         return identity_channel(int(parts[1]))
     if name == "random":
-        _need(parts, 1, "random:d[:nontp][:seed]", most=3)
-        d = int(parts[1])
-        tp, seed = True, 0
-        for tok in parts[2:]:
-            if tok in ("tp", "nontp"):
-                tp = tok == "tp"
-            else:
-                seed = int(tok)
-        return random_channel(d, tp=tp, seed=seed)
+        form = "random:d[:tp|nontp][:seed]"
+        _need(parts, 1, form, most=3)
+        rest = parts[2:]
+        tp = True
+        if rest and rest[0] in ("tp", "nontp"):
+            tp = rest.pop(0) == "tp"
+        # What is left must be one seed: no second flag, no second seed.
+        if len(rest) > 1 or (rest and rest[0] in ("tp", "nontp")):
+            raise ValueError(f"spec {spec!r} does not match {form}; give each field once, in order")
+        return random_channel(int(parts[1]), tp=tp, seed=int(rest[0]) if rest else 0)
     raise ValueError(f"unknown channel spec {spec!r}")
 
 
@@ -181,6 +183,14 @@ class ExperimentConfig:
                 raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         if isinstance(self.ensembles, str):
             self.ensembles = (self.ensembles,)
+        specs, totals = self.ensembles, self.copies
+        if not isinstance(specs, (list, tuple)) or not all(isinstance(s, str) for s in specs):
+            raise ValueError(f"config key 'ensembles' must be a list of spec strings, got {specs!r}")
+        # A fractional total would otherwise be truncated; bool is an int too.
+        if not isinstance(totals, (list, tuple)) or not all(
+            isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in totals
+        ):
+            raise ValueError(f"config key 'copies' must be a list of integer totals, got {totals!r}")
         self.ensembles = tuple(self.ensembles)
         self.copies = tuple(int(n) for n in self.copies)
         _check_sweep(self.trials, self.copies)

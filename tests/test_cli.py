@@ -217,3 +217,25 @@ def test_m_scaling_study_flags_reach_the_study(tmp_path, capsys):
     assert f"# config\t{direct.meta['config']}" in lines
     rows = [l.split("\t")[:-1] for l in lines if l and not l.startswith("#")][1:]
     assert rows == [[str(r[0]), repr(r[1]), repr(r[2])] for r in direct.rows]
+
+
+@pytest.mark.parametrize(
+    "doc", [{"kind": "ensemble", "states": []}, {"kind": "ensemble"}, {"kind": "povm", "sets": []}]
+)
+def test_design_audit_of_a_malformed_file_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    assert main(["design-audit", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cfg", [{"copies": 1200}, {"copies": [1200.9]}, {"ensembles": [4]}])
+def test_scaling_study_config_with_mistyped_lists_exits_2(cfg, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["scaling-study", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and next(iter(cfg)) in err
+    assert "Traceback" not in err

@@ -14,6 +14,7 @@ from proctomo.ensembles import (
     random_states,
     sic_states,
 )
+from proctomo.linalg import dagger
 
 def pairwise_overlaps(states):
     return np.array([[np.trace(a @ b).real for b in states] for a in states])
@@ -193,3 +194,62 @@ def test_ensemble_rejects_rank_deficiency():
 def test_ensemble_rejects_invalid_states():
     with pytest.raises(ValueError):
         InputEnsemble((np.eye(2),) * 4)  # trace 2
+
+
+def kron_states_loop(parts):
+    """Oracle: one np.kron fold per combination, first part slowest."""
+    out = []
+    for combo in itertools.product(*[p.states for p in parts]):
+        acc = combo[0]
+        for s in combo[1:]:
+            acc = np.kron(acc, s)
+        out.append(acc)
+    return np.asarray(out)
+
+
+def random_states_loop(d, m, seed):
+    """Oracle: one Wishart draw and one normalization per state (first attempt)."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(m):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        w = g @ dagger(g)
+        states.append(w / np.trace(w).real)
+    return np.asarray(states)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cube_states_match_the_kron_loop(m):
+    assert np.array_equal(np.asarray(cube_states(m).states), kron_states_loop([mub_states(2)] * m))
+
+
+def test_product_ensemble_matches_the_kron_loop():
+    parts = [sic_states(2), mub_states(2), sic_states(2)]
+    assert np.array_equal(np.asarray(product_ensemble(parts).states), kron_states_loop(parts))
+
+
+@pytest.mark.parametrize(
+    "d, m, seed", [(2, 4, 0), (2, 9, 2**40), (3, 20, 1), (4, 128, 7), (8, 70, 2), (9, 90, 6), (16, 260, 3)]
+)
+def test_random_states_match_the_per_state_loop(d, m, seed):
+    assert np.array_equal(np.asarray(random_states(d, m, seed=seed).states), random_states_loop(d, m, seed))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: sic_states(4), lambda: cube_states(2), lambda: random_states(3, 30, seed=4)]
+)
+def test_ensemble_keeps_numpys_pinv(make):
+    e = make()
+    assert np.array_equal(e.pinv, np.linalg.pinv(e.parameterization().T))
+
+
+def test_rank_deficient_ensembles_still_raise():
+    zx = tuple(mub_states(2).states[:4])  # |0>, |1>, |+>, |->: no Y component
+    with pytest.raises(ValueError, match="rank deficient"):
+        InputEnsemble(zx)
+
+
+@pytest.mark.parametrize("states", [(), (1.0,), (np.ones(3),)])
+def test_empty_or_non_matrix_ensembles_raise_value_error(states):
+    with pytest.raises(ValueError):
+        InputEnsemble(states)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,35 @@ def test_load_rejects_unknown_kind(tmp_path):
 def test_save_rejects_unknown_type(tmp_path):
     with pytest.raises(TypeError):
         pio.save_json(object(), tmp_path / "x.json")
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"kind": "ensemble"}, "states"),
+        ({"kind": "povm", "label": "x"}, "sets"),
+        ({"kind": "channel"}, "kraus"),
+        ({"kind": "process", "mat": {"re": [[1.0]]}}, "im"),
+        ({"kind": "record", "set_sizes": [2]}, "freq"),
+    ],
+)
+def test_missing_fields_raise_value_error_naming_kind_and_field(tmp_path, doc, field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{doc['kind']} document .* field '{field}'"):
+        pio.load_json(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"ensemble"'])
+def test_non_object_documents_raise_value_error(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="unknown document kind"):
+        pio.load_json(path)
+
+
+def test_ensemble_document_without_states_is_a_value_error(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"kind": "ensemble", "states": []}))
+    with pytest.raises(ValueError, match="at least one state"):
+        pio.load_json(path)

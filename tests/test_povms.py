@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,41 @@ def test_povm_validation_errors():
     with pytest.raises(ValueError):
         # single projective set is informationally incomplete
         PovmCollection(((z, np.diag([0.0, 1.0]).astype(complex)),))
+
+
+def cube_povm_loop(m):
+    """Oracle: one np.kron fold per element, axes and then signs first-slowest."""
+    paulis = {
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+    eye = np.eye(2, dtype=complex)
+    single = {a: ((eye + paulis[a]) / 2, (eye - paulis[a]) / 2) for a in "xyz"}
+    sets = []
+    for combo in itertools.product("xyz", repeat=m):
+        group = []
+        for signs in itertools.product((0, 1), repeat=m):
+            op = single[combo[0]][signs[0]]
+            for a, s in zip(combo[1:], signs[1:]):
+                op = np.kron(op, single[a][s])
+            group.append(op)
+        sets.append(group)
+    return np.asarray(sets)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cube_povm_matches_the_kron_loop(m):
+    assert np.array_equal(np.asarray(cube_povm(m).sets), cube_povm_loop(m))
+
+
+@pytest.mark.parametrize("make", [lambda: cube_povm(2), lambda: mub_povm(4), lambda: sic_povm(4)])
+def test_povm_keeps_numpys_pinv(make):
+    p = make()
+    assert np.array_equal(p.pinv, np.linalg.pinv(p.parameterization()))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_rank_deficient_povms_still_raise(m):
+    with pytest.raises(ValueError, match="rank deficient"):
+        cube_povm(m, axes=("x", "z"))

@@ -255,3 +255,10 @@ def test_estimate_rejects_non_finite_raw_frequencies(bad):
         rec.estimate(freq)
     with pytest.raises(ValueError, match="shape"):
         rec.estimate(np.full((6, 5), 0.5))
+
+
+def test_reconstructor_pinvs_equal_numpys():
+    e, p = random_states(4, 40, seed=2), cube_povm(2)
+    rec = TwoStageReconstructor(e, p)
+    assert np.array_equal(rec._povm_pinv, np.linalg.pinv(p.parameterization()))
+    assert np.array_equal(rec._state_pinv, np.linalg.pinv(e.parameterization().T))

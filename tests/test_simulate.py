@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from proctomo.channels import cnot_channel, identity_channel, process_matrix, random_channel
-from proctomo.ensembles import mub_states, natural_basis_states, sic_states
-from proctomo.linalg import transpose_permutation, vec
+from proctomo.channels import KrausChannel, cnot_channel, identity_channel, process_matrix, random_channel
+from proctomo.ensembles import mub_states, natural_basis_states, random_states, sic_states
+from proctomo.linalg import dagger, transpose_permutation, vec
 from proctomo.povms import PovmCollection, cube_povm, sic_povm
 from proctomo.reconstruct import dense_expansion_matrix
 from proctomo.simulate import (
@@ -202,3 +202,32 @@ def test_sampler_rejects_non_integer_seeds():
         sample_record(probs, 600, p, seed=-1)
     with pytest.raises(TypeError):
         sample_record(probs, 600, p, seed=None)
+
+
+def ideal_probabilities_loop(process, ensemble, povm):
+    """Oracle: one channel output per state, column-stacked, then one C @ outputs."""
+    outputs = []
+    for rho in ensemble.states:
+        if isinstance(process, KrausChannel):
+            out = np.zeros_like(rho)
+            for a in process.kraus:
+                out += a @ rho @ dagger(a)
+        else:
+            out = process.apply(rho)
+        outputs.append(vec(out))
+    probs = (povm.parameterization() @ np.column_stack(outputs)).T
+    return probs.real
+
+
+@pytest.mark.parametrize("tp", [True, False])
+@pytest.mark.parametrize("d, m, qubits", [(4, 150, 2), (16, 300, 4)])
+def test_ideal_probabilities_match_the_per_state_loop(d, m, qubits, tp):
+    ch, e, p = random_channel(d, tp=tp, seed=d), random_states(d, m, seed=1), cube_povm(qubits)
+    probs = ideal_probabilities(ch, e, p)
+    assert np.array_equal(probs, ideal_probabilities_loop(ch, e, p))
+
+
+def test_ideal_probabilities_of_a_process_matrix_match_the_per_state_loop():
+    x = process_matrix(random_channel(4, tp=False, seed=2))
+    e, p = random_states(4, 130, seed=8), cube_povm(2)
+    assert np.array_equal(ideal_probabilities(x, e, p), ideal_probabilities_loop(x, e, p))

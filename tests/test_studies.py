@@ -230,3 +230,34 @@ def test_m_scaling_study_golden():
         '"povm": "cube-povm:1", "trials": 3}'
     )
     assert result.meta["config_sha256"] == "66a66748d0f54b25"
+
+
+@pytest.mark.parametrize("spec", ["random:2:7", "random:2:tp", "random:2:nontp:7", "random 2 tp 7"])
+def test_random_channel_fields_in_order_parse(spec):
+    assert make_channel(spec).d == 2
+
+
+@pytest.mark.parametrize(
+    "spec", ["random:2:3:5", "random:2:tp:nontp", "random:2:nontp:nontp", "random:2:5:tp", "random:2:7:nontp"]
+)
+def test_random_channel_fields_out_of_order_or_repeated_rejected(spec):
+    with pytest.raises(ValueError, match=r"random:d\[:tp\|nontp\]\[:seed\]"):
+        make_channel(spec)
+
+
+@pytest.mark.parametrize("copies", [[1200.9], [1200.0], [True], ["1200"], [600, None], 1200])
+def test_experiment_config_rejects_non_integer_copies(copies):
+    with pytest.raises(ValueError, match="'copies'"):
+        ExperimentConfig(copies=copies)
+
+
+@pytest.mark.parametrize("ensembles", [5, [5], ["mub:2", None]])
+def test_experiment_config_rejects_non_string_ensembles(ensembles):
+    with pytest.raises(ValueError, match="'ensembles'"):
+        ExperimentConfig(ensembles=ensembles)
+
+
+def test_experiment_config_keeps_integer_copies():
+    cfg = ExperimentConfig(copies=[np.int64(600), 1200])
+    assert cfg.copies == (600, 1200) and all(type(n) is int for n in cfg.copies)
+    assert cfg.to_meta() == ExperimentConfig(copies=(600, 1200)).to_meta()
