@@ -90,11 +90,11 @@ def record_to_dict(r: MeasurementRecord) -> dict:
         "set_sizes": list(r.set_sizes),
         "shots_per_set": r.shots_per_set,
         "seed": r.seed,
-        "freq": r.freq.tolist(),
+        "sampler": r.sampler,
     }
-    obj["counts"] = r.counts.tolist() if r.counts is not None else None
-    obj["lost_counts"] = r.lost_counts.tolist() if r.lost_counts is not None else None
-    obj["ideal"] = r.ideal.tolist() if r.ideal is not None else None
+    for key in ("freq", "counts", "lost_counts", "ideal"):
+        value = getattr(r, key)
+        obj[key] = None if value is None else value.tolist()
     return obj
 
 
@@ -110,6 +110,8 @@ def record_from_dict(obj: dict) -> MeasurementRecord:
         counts=arr("counts", np.int64),
         lost_counts=arr("lost_counts", np.int64),
         ideal=arr("ideal", float),
+        # Records written before the field existed were drawn by sampler 1.
+        sampler=obj.get("sampler", 1),
     )
 
 

@@ -7,14 +7,13 @@ explicit no-click outcome per cell: its counts are retained in the record but
 excluded from the frequency matrix, so frequencies stay unbiased estimates of
 Tr(E(rho_m) P_l).
 
-Every cell draws from a Philox generator keyed by
-SeedSequence(entropy=seed, spawn_key=(state, set)), so a cell's counts depend
-only on (seed, state, set): the record is independent of evaluation order,
-safe to produce in parallel, and bit-identical to the records of earlier
-versions.  The keys are derived with uint32 array arithmetic for blocks of
-states (mirroring numpy's SeedSequence algorithm, checked against it on every
-call), and one generator per call is re-keyed for each cell by resetting its
-state.
+A record is drawn from one Philox generator seeded by SeedSequence(seed):
+for each block of 64 states and each group of equally sized sets, one
+broadcast ``multinomial`` call draws every cell of the block.  A record is
+reproducible from (seed, probabilities), but a cell's counts depend on the
+cells drawn before it, so cells cannot be drawn separately.  Records carry
+``sampler=2``; records of the earlier per-cell sampler (version 1) are
+reproduced only by releases before it was replaced.
 """
 
 from __future__ import annotations
@@ -29,9 +28,11 @@ from .ensembles import InputEnsemble
 from .povms import PovmCollection
 
 PROB_ATOL = 1e-12
-# States per block of channel outputs and of derived cell keys; bounds the
+# States per block of channel outputs and of multinomial draws; bounds the
 # memory of both.
 _STATE_BLOCK = 64
+# Version of the sampling algorithm stamped on the records sample_record draws.
+SAMPLER = 2
 
 
 @dataclass(eq=False)
@@ -45,6 +46,8 @@ class MeasurementRecord:
     counts: np.ndarray | None = None
     lost_counts: np.ndarray | None = None
     ideal: np.ndarray | None = None
+    # Version of the sampler that drew ``counts``; None when nothing was drawn.
+    sampler: int | None = None
 
     def __post_init__(self):
         self.freq = np.asarray(self.freq, dtype=float)
@@ -71,18 +74,12 @@ class MeasurementRecord:
 
     @property
     def copies_per_state(self) -> int | None:
-        if self.shots_per_set is None:
-            return None
-        return self.shots_per_set * self.num_sets
+        return None if self.shots_per_set is None else self.shots_per_set * self.num_sets
 
     def survival_fractions(self) -> np.ndarray:
         """Per-(state, set) sums of recorded frequencies (1 for TP sampling)."""
-        out = np.empty((self.num_states, self.num_sets))
-        start = 0
-        for j, n in enumerate(self.set_sizes):
-            out[:, j] = self.freq[:, start : start + n].sum(axis=1)
-            start += n
-        return out
+        ends = np.cumsum(self.set_sizes)
+        return np.stack([self.freq[:, e - n : e].sum(axis=1) for n, e in zip(self.set_sizes, ends)], axis=1)
 
 
 def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) -> np.ndarray:
@@ -111,79 +108,6 @@ def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) 
     return probs
 
 
-# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-
-
-def _entropy_words(seed) -> list:
-    """uint32 words of a non-negative integer seed, least significant first."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    return words
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's word hash; every call advances its multiplier."""
-    const = init
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    return hashmix
-
-
-def _mix(x, y):
-    out = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return out ^ (out >> _XSHIFT)
-
-
-def _cell_keys(seed_words: list, states: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Philox keys of the broadcast (state, set) cells, with a trailing axis of 2.
-
-    Element-wise equal to
-    ``SeedSequence(entropy=seed, spawn_key=(state, set)).generate_state(2, np.uint64)``,
-    computed with uint32 array arithmetic instead of one object per cell.
-    """
-    # With a spawn key, short entropy is zero-padded to the pool size.
-    run = seed_words + [0] * (_POOL_SIZE - len(seed_words))
-    entropy = [np.full(1, w, dtype=np.uint32) for w in run]
-    entropy += [np.asarray(states, dtype=np.uint32), np.asarray(sets, dtype=np.uint32)]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    # mix_entropy: fill the pool, cross-mix it, then fold in the rest.
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state(2, np.uint64): four words, paired little-endian.
-    hash_out = _hasher(_INIT_B, _MULT_B)
-    words = [hash_out(value).astype(np.uint64) for value in pool]
-    keys = np.empty(words[0].shape + (2,), dtype=np.uint64)
-    keys[..., 0] = words[0] | (words[1] << np.uint64(32))
-    keys[..., 1] = words[2] | (words[3] << np.uint64(32))
-    return keys
-
-
 def sample_record(
     probs: np.ndarray,
     copies: int,
@@ -206,50 +130,33 @@ def sample_record(
     shots = int(copies) // j
     if shots < 1:
         raise ValueError(f"{copies} copies leave no shots for {j} POVM sets")
-    seed_words = _entropy_words(seed)
-    expected = np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)).generate_state(2, np.uint64)
-    if not np.array_equal(_cell_keys(seed_words, np.zeros(1), np.zeros(1))[0], expected):
-        raise RuntimeError(f"derived cell keys do not match numpy {np.__version__}'s SeedSequence")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
-    # Sets of equal size share one (sets, size) slab, so every row sum below
-    # reduces exactly the elements the per-cell sum over one set would.
-    slices = povm.set_slices()
-    by_size = {}
-    for ij, sl in enumerate(slices):
-        by_size.setdefault(sl.stop - sl.start, []).append(ij)
-    groups = [
-        (np.array(sets), np.array([np.arange(slices[i].start, slices[i].stop) for i in sets]))
-        for sets in by_size.values()
-    ]
+    # Sets of equal size share one (sets, size) slab of columns, drawn by one
+    # broadcast multinomial call per block of states.
+    sizes = povm.set_sizes
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    # Plain Python: the first np.unique/np.flatnonzero call adds ~0.9 MB of RSS.
+    for n in sorted(set(sizes)):
+        sets = np.array([ij for ij, size in enumerate(sizes) if size == n])
+        groups.append((sets, starts[sets, None] + np.arange(n)))
 
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    # A fresh generator's state (zero counter, empty buffer), held in lists,
-    # which the state setter reads faster than arrays.
-    fresh = bitgen.state
-    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
-    fresh["buffer"] = fresh["buffer"].tolist()
-    counts = np.zeros((m, ell), dtype=np.int64)
-    lost = np.zeros((m, j), dtype=np.int64)
-    grid_sets = np.arange(j)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    counts = np.empty((m, ell), dtype=np.int64)
+    lost = np.empty((m, j), dtype=np.int64)
     for start in range(0, m, _STATE_BLOCK):
-        block = np.arange(start, min(start + _STATE_BLOCK, m))
-        keys = _cell_keys(seed_words, block[:, None], grid_sets[None, :])
-        for im, row_keys in zip(block, keys):
-            row_keys = row_keys.tolist()
-            for sets, cols in groups:
-                p = np.clip(probs[im, cols], 0.0, None)
-                pfull = np.empty((p.shape[0], p.shape[1] + 1))
-                pfull[:, :-1] = p
-                pfull[:, -1] = np.maximum(1.0 - p.sum(axis=1), 0.0)
-                pfull /= pfull.sum(axis=1, keepdims=True)
-                draws = np.empty(pfull.shape, dtype=np.int64)
-                for k, ij in enumerate(sets):
-                    fresh["state"]["key"] = row_keys[ij]
-                    bitgen.state = fresh
-                    draws[k] = gen.multinomial(shots, pfull[k])
-                counts[im, cols] = draws[:, :-1]
-                lost[im, sets] = draws[:, -1]
+        rows = slice(start, start + _STATE_BLOCK)
+        for sets, cols in groups:
+            p = np.clip(probs[rows, cols], 0.0, None)
+            # each set's elements, then its no-click outcome, normalized per set
+            pfull = np.concatenate([p, np.maximum(1.0 - p.sum(axis=-1, keepdims=True), 0.0)], axis=-1)
+            pfull /= pfull.sum(axis=-1, keepdims=True)
+            draws = gen.multinomial(shots, pfull)
+            counts[rows, cols] = draws[..., :-1]
+            lost[rows, sets] = draws[..., -1]
     return MeasurementRecord(
         freq=counts / shots,
         set_sizes=povm.set_sizes,
@@ -258,6 +165,7 @@ def sample_record(
         counts=counts,
         lost_counts=lost,
         ideal=probs.copy() if keep_ideal else None,
+        sampler=SAMPLER,
     )
 
 

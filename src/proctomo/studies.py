@@ -60,6 +60,14 @@ def _need(parts: list, fields: int, form: str, most: int | None = None) -> None:
         raise ValueError(f"spec {':'.join(parts)!r} has {len(parts) - 1} field(s); expected {form}")
 
 
+def _int(spec: str, field: str, form: str) -> int:
+    """An integer spec field, or a ValueError naming the spec and its form."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"spec {spec!r} has a non-integer field {field!r}; expected {form}") from None
+
+
 def _load_typed(path, kinds):
     obj = pio.load_json(path)
     if not isinstance(obj, kinds):
@@ -79,7 +87,7 @@ def make_channel(spec: str):
         return cnot_channel()
     if name == "identity":
         _need(parts, 1, "identity:d")
-        return identity_channel(int(parts[1]))
+        return identity_channel(_int(spec, parts[1], "identity:d"))
     if name == "random":
         form = "random:d[:tp|nontp][:seed]"
         _need(parts, 1, form, most=3)
@@ -90,7 +98,8 @@ def make_channel(spec: str):
         # What is left must be one seed: no second flag, no second seed.
         if len(rest) > 1 or (rest and rest[0] in ("tp", "nontp")):
             raise ValueError(f"spec {spec!r} does not match {form}; give each field once, in order")
-        return random_channel(int(parts[1]), tp=tp, seed=int(rest[0]) if rest else 0)
+        seed = _int(spec, rest[0], form) if rest else 0
+        return random_channel(_int(spec, parts[1], form), tp=tp, seed=seed)
     raise ValueError(f"unknown channel spec {spec!r}")
 
 
@@ -100,19 +109,21 @@ def make_ensemble(spec: str) -> InputEnsemble:
     parts = _split(spec)
     name = parts[0].lower()
     if name == "random":
-        _need(parts, 2, "random:d:M[:seed]", most=3)
-        seed = int(parts[3]) if len(parts) > 3 else 0
-        return random_states(int(parts[1]), int(parts[2]), seed=seed)
+        form = "random:d:M[:seed]"
+        _need(parts, 2, form, most=3)
+        d, m = (_int(spec, field, form) for field in parts[1:3])
+        seed = _int(spec, parts[3], form) if len(parts) > 3 else 0
+        return random_states(d, m, seed=seed)
     if name == "file":
         _need(parts, 1, "file:path")
         return _load_typed(parts[1], (InputEnsemble,))
     if name in ("cube-states", "cube_states"):
         _need(parts, 1, "cube-states:m")
-        return cube_states(int(parts[1]))
+        return cube_states(_int(spec, parts[1], "cube-states:m"))
     builders = {"sic": sic_states, "mub": mub_states, "natural": natural_basis_states}
     if name in builders:
         _need(parts, 1, f"{name}:d")
-        return builders[name](int(parts[1]))
+        return builders[name](_int(spec, parts[1], f"{name}:d"))
     raise ValueError(f"unknown ensemble spec {spec!r}")
 
 
@@ -127,13 +138,13 @@ def make_povm(spec: str) -> PovmCollection:
     base = name[: -len("-povm")] if name.endswith("-povm") else name
     if base == "cube":
         _need(parts, 1, "cube-povm:m")
-        return cube_povm(int(parts[1]))
+        return cube_povm(_int(spec, parts[1], "cube-povm:m"))
     if base == "mub":
         _need(parts, 1, "mub-povm:d")
-        return mub_povm(int(parts[1]))
+        return mub_povm(_int(spec, parts[1], "mub-povm:d"))
     if base == "sic":
         _need(parts, 0, "sic-povm[:4]", most=1)
-        return sic_povm(int(parts[1]) if len(parts) > 1 else 4)
+        return sic_povm(_int(spec, parts[1], "sic-povm[:4]") if len(parts) > 1 else 4)
     raise ValueError(f"unknown POVM spec {spec!r}")
 
 
@@ -360,14 +371,13 @@ def design_audit(spec: str) -> dict:
 
 def format_audit(report: dict) -> list:
     eigs = ", ".join(f"{v:.6g}" for v in report["eigvals"])
-    lines = [
+    return [
         f"design audit: {report['label']}",
         f"  cost        {report['cost']:.6f}   (lower bound {report['lower_cost']:.6f})",
         f"  cond        {report['cond']:.6f}   (lower bound {report['lower_cond']:.6f})",
         f"  eigenvalues {eigs}",
         f"  achieves lower bounds: {'yes' if report['achieves'] else 'no'}",
     ]
-    return lines
 
 
 def oracle_check(seed: int = 0) -> list:

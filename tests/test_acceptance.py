@@ -162,8 +162,8 @@ def test_acceptance_6_state_count_scaling():
     heavy-tailed (its mean is orders of magnitude above the large-M trend)
     and the constrained estimator saturates.  The measured four-point slope
     is therefore far below the asymptotic -1 law, which this check encodes;
-    grids clear of the M = d*d corner do land in the window (printed below
-    as INFO).  Kept faithful to the stated grid; expected to fail.
+    grids clear of the M = d*d corner land in or near the window (printed
+    below as INFO).  Kept faithful to the stated grid; expected to fail.
     """
     result = run_m_scaling_study(
         d=4,

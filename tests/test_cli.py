@@ -176,6 +176,25 @@ def test_file_spec_path_with_space(tmp_path, capsys):
     assert "simulated" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["design-audit", "sic:x"], "sic:x"),
+        (["design-audit", "cube-povm", "x"], "cube-povm x"),
+        (["simulate", "--channel", "random:2:abc"], "random:2:abc"),
+        (["simulate", "--ensemble", "random:4:M"], "random:4:M"),
+        (["simulate", "--povm", "cube-povm:two"], "cube-povm:two"),
+    ],
+)
+def test_non_integer_spec_fields_exit_2_naming_the_spec(argv, spec, tmp_path, capsys):
+    if argv[0] == "simulate":
+        argv = argv + ["--output", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(spec) in err and "expected" in err
+    assert "Traceback" not in err and "invalid literal" not in err
+
+
 @pytest.mark.parametrize("spec", ["sic:4:99", "mub:4:x"])
 def test_design_audit_rejects_surplus_fields(spec, capsys):
     assert main(["design-audit", spec]) == 2

@@ -66,6 +66,28 @@ def test_record_json_round_trip(tmp_path):
     assert loaded.set_sizes == rec.set_sizes
 
 
+def test_record_sampler_stamp_round_trips(tmp_path):
+    rec, _, p = make_record()
+    exact = exact_record(rec.ideal, p)
+    assert (rec.sampler, exact.sampler) == (2, None)
+    for r in (rec, exact):
+        path = tmp_path / "record.json"
+        pio.save_json(r, path)
+        assert json.loads(path.read_text())["sampler"] == r.sampler
+        assert pio.load_json(path).sampler == r.sampler
+
+
+def test_record_without_sampler_field_loads_as_version_1(tmp_path):
+    rec, _, _ = make_record()
+    obj = pio.record_to_dict(rec)
+    del obj["sampler"]
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(obj))
+    loaded = pio.load_json(path)
+    assert loaded.sampler == 1
+    assert np.array_equal(loaded.counts, rec.counts)
+
+
 def test_record_text_round_trip():
     rec, _, _ = make_record()
     text = pio.record_to_text(rec)

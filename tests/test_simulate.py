@@ -6,14 +6,7 @@ from proctomo.ensembles import mub_states, natural_basis_states, random_states, 
 from proctomo.linalg import dagger, transpose_permutation, vec
 from proctomo.povms import PovmCollection, cube_povm, sic_povm
 from proctomo.reconstruct import dense_expansion_matrix
-from proctomo.simulate import (
-    MeasurementRecord,
-    _cell_keys,
-    _entropy_words,
-    exact_record,
-    ideal_probabilities,
-    sample_record,
-)
+from proctomo.simulate import SAMPLER, MeasurementRecord, exact_record, ideal_probabilities, sample_record
 
 
 def test_born_rule_row_for_computational_state():
@@ -73,13 +66,15 @@ def test_sampling_unbiased():
     ch = random_channel(2, tp=False, seed=6)
     e, p = mub_states(2), cube_povm(1)
     probs = ideal_probabilities(ch, e, p)
-    copies, reps = 900, 600
+    copies, reps = 900, 1200
     freqs = np.array(
         [sample_record(probs, copies, p, seed=80_000 + i, keep_ideal=False).freq for i in range(reps)]
     )
     se = np.sqrt(probs * (1 - probs) / (copies // p.num_sets) / reps)
     dev = np.abs(freqs.mean(axis=0) - probs)
-    assert np.all(dev <= 3 * np.maximum(se, 1e-4))
+    # 4 standard errors on each of the 36 cells: a family-wise false-alarm rate
+    # of about 0.2 %, and a smaller absolute bias bound than 3 errors at 600 reps
+    assert np.all(dev <= 4 * np.maximum(se, 1e-4))
 
 
 def test_sampling_deterministic_by_seed():
@@ -130,24 +125,6 @@ def test_dimension_mismatch_rejected():
         ideal_probabilities(identity_channel(2), mub_states(4), cube_povm(1))
 
 
-def reference_record(probs, copies, povm, seed):
-    """Per-cell reference sampler: one SeedSequence-keyed Philox per (state, set)."""
-    m, ell = probs.shape
-    shots = copies // povm.num_sets
-    counts = np.zeros((m, ell), dtype=np.int64)
-    lost = np.zeros((m, povm.num_sets), dtype=np.int64)
-    for im in range(m):
-        for ij, sl in enumerate(povm.set_slices()):
-            p = np.clip(probs[im, sl], 0.0, None)
-            pfull = np.append(p, max(1.0 - p.sum(), 0.0))
-            pfull /= pfull.sum()
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(im, ij))
-            draw = np.random.Generator(np.random.Philox(ss)).multinomial(shots, pfull)
-            counts[im, sl] = draw[:-1]
-            lost[im, ij] = draw[-1]
-    return counts, lost, counts / shots
-
-
 def real_line_povm(n):
     """n qubit elements (2/n)|psi_k><psi_k| with psi_k at angles pi k / n."""
     out = []
@@ -172,28 +149,72 @@ SAMPLER_CASES = {
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
 @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
-def test_sampler_matches_per_cell_reference(case, seed):
+def test_sampler_accounts_for_every_shot(case, seed):
     ch, e, p = SAMPLER_CASES[case]()
     probs = ideal_probabilities(ch, e, p)
     copies = 90 * p.num_sets
     rec = sample_record(probs, copies, p, seed=seed)
-    counts, lost, freq = reference_record(probs, copies, p, seed)
-    assert np.array_equal(rec.counts, counts)
-    assert np.array_equal(rec.lost_counts, lost)
-    assert np.array_equal(rec.freq, freq)
+    assert rec.shots_per_set == 90 and rec.sampler == SAMPLER
+    for j, sl in enumerate(p.set_slices()):
+        # the no-click column holds exactly the shots the set's elements missed
+        assert np.array_equal(rec.lost_counts[:, j], 90 - rec.counts[:, sl].sum(axis=1))
+    assert rec.counts.min() >= 0 and rec.lost_counts.min() >= 0
+    if ch.is_trace_preserving:
+        assert not rec.lost_counts.any()
+    np.testing.assert_array_equal(rec.freq, rec.counts / 90)
+    again = sample_record(probs, copies, p, seed=seed)
+    assert np.array_equal(again.counts, rec.counts)
+    assert np.array_equal(again.lost_counts, rec.lost_counts)
 
 
-def test_cell_keys_match_seed_sequence():
-    rng = np.random.default_rng(17)
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**160 + 3]
-    seeds += [int(v) for v in rng.integers(0, 2**63, size=20)]
-    for seed in seeds:
-        states = rng.integers(0, 100_000, size=6)
-        sets = rng.integers(0, 1_000, size=6)
-        keys = _cell_keys(_entropy_words(seed), states, sets)
-        for key, im, ij in zip(keys, states, sets):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(im), int(ij)))
-            assert np.array_equal(key, ss.generate_state(2, np.uint64))
+def test_counts_have_multinomial_moments():
+    # Every state repeated R times: rows of one state are R independent draws of
+    # one multinomial per set, so their sample moments estimate n q and
+    # n (diag q - q q^T) per set, with no covariance across sets.  q is a set's
+    # probabilities followed by its no-click probability.
+    ch = random_channel(2, tp=False, seed=6)
+    e, p = mub_states(2), unequal_sets_povm()
+    probs = ideal_probabilities(ch, e, p)
+    reps, shots = 3000, 40
+    rec = sample_record(np.repeat(probs, reps, axis=0), shots * p.num_sets, p, seed=12)
+    order = np.concatenate(
+        [np.r_[np.arange(sl.start, sl.stop), p.num_elements + j] for j, sl in enumerate(p.set_slices())]
+    )
+    full = np.concatenate([rec.counts, rec.lost_counts], axis=1)[:, order]
+    for k in range(e.num_states):
+        x = full[k * reps : (k + 1) * reps]
+        qs = [np.append(probs[k, sl], 1.0 - probs[k, sl].sum()) for sl in p.set_slices()]
+        mean = shots * np.concatenate(qs)
+        cov = np.zeros((len(mean), len(mean)))
+        at = 0
+        for q in qs:
+            cov[at : at + len(q), at : at + len(q)] = shots * (np.diag(q) - np.outer(q, q))
+            at += len(q)
+        assert np.all(np.abs(x.mean(axis=0) - mean) <= 5 * np.sqrt(np.diag(cov) / reps) + 1e-12)
+        # a sample covariance is the mean of the products of deviations; its
+        # standard error is their spread over sqrt(R)
+        dev = x - x.mean(axis=0)
+        products = dev[:, :, None] * dev[:, None, :]
+        se = products.std(axis=0) / np.sqrt(reps)
+        assert np.all(np.abs(products.mean(axis=0) - cov) <= 5 * se + 1e-12)
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 130])
+def test_records_cross_the_state_block_boundary(m):
+    # identical rows, so a generator restarted for each block of 64 states
+    # would repeat the first block's counts
+    ch, p = random_channel(2, tp=False, seed=9), cube_povm(1)
+    probs = np.repeat(ideal_probabilities(ch, mub_states(2), p)[:1], m, axis=0)
+    rec = sample_record(probs, 300, p, seed=2**40 + m)
+    for j, sl in enumerate(p.set_slices()):
+        assert np.array_equal(rec.counts[:, sl].sum(axis=1) + rec.lost_counts[:, j], np.full(m, 100))
+    again = sample_record(probs, 300, p, seed=2**40 + m)
+    assert np.array_equal(again.counts, rec.counts)
+    assert np.array_equal(again.lost_counts, rec.lost_counts)
+    assert not np.array_equal(sample_record(probs, 300, p, seed=m).counts, rec.counts)
+    if m > 64:
+        tail = m - 64
+        assert not np.array_equal(rec.counts[64:], rec.counts[:tail])
 
 
 def test_sampler_rejects_non_integer_seeds():

@@ -162,36 +162,37 @@ def test_m_scaling_study_checks_trials_and_grid(trials, grid):
         )
 
 
-# Study outputs recorded before the two studies shared one runner; rows,
-# slopes and the config header must stay bit-identical on these seeds.
+# Study outputs recorded with sampler 2 (one broadcast multinomial per block of
+# states); rows, slopes and the config header must stay bit-identical on these
+# seeds while the sampling stream is unchanged.
 GOLDEN_SCALING = {
     False: (
         [
-            ["mub-2", 1200, 0.04980769818127808, 0.008390098663366926, 0.04184638153783793],
-            ["mub-2", 6000, 0.009351895365991455, 0.0019193792465799586, 0.013582896103438177],
-            ["sic-2", 1200, 0.05142015913619998, 0.007406411554619758, 0.05433019541465308],
-            ["sic-2", 6000, 0.008496869379267505, 0.004858144381148393, 0.01734321651315444],
+            ["mub-2", 1200, 0.04401195993743128, 0.012851449059999652, 0.061392351624141805],
+            ["mub-2", 6000, 0.007559585278550715, 0.0031730526413502524, 0.018775365453305454],
+            ["sic-2", 1200, 0.0329034483875601, 0.018105086078535233, 0.03652649884744471],
+            ["sic-2", 6000, 0.004749304069244685, 0.0020267739870459553, 0.009490704849387152],
         ],
         {
-            "mse[mub-2]": -1.0392389202578483,
-            "infidelity[mub-2]": -0.6991223209366817,
-            "mse[sic-2]": -1.1186094818707994,
-            "infidelity[sic-2]": -0.7094891313748489,
+            "mse[mub-2]": -1.0945716319843148,
+            "infidelity[mub-2]": -0.7361201010045092,
+            "mse[sic-2]": -1.2026430817627551,
+            "infidelity[sic-2]": -0.8373886932022439,
         },
         "91213697b7a600fb",
     ),
     True: (
         [
-            ["mub-2", 1200, 0.2501548122448929, 0.04778137213867426, 0.06398398682324773],
-            ["mub-2", 6000, 0.23323995144412632, 0.01974413287298952, 0.03606734350681251],
-            ["sic-2", 1200, 0.25837323159273334, 0.025434499679791264, 0.07880710556962216],
-            ["sic-2", 6000, 0.21972985670923886, 0.003779855418648189, 0.040109055584516384],
+            ["mub-2", 1200, 0.23485838214231083, 0.02783889230594488, 0.08677171831690622],
+            ["mub-2", 6000, 0.2224195777764851, 0.005209810452262847, 0.042086396710136],
+            ["sic-2", 1200, 0.21469783182671554, 0.0264952291650533, 0.057346322806748194],
+            ["sic-2", 6000, 0.2294797165928896, 0.006327011332738058, 0.03196048474658375],
         ],
         {
-            "mse[mub-2]": -0.043501036275664956,
-            "infidelity[mub-2]": -0.3561771459505439,
-            "mse[sic-2]": -0.10066017744228857,
-            "infidelity[sic-2]": -0.4196502554809666,
+            "mse[mub-2]": -0.03381125473406759,
+            "infidelity[mub-2]": -0.4495707272652271,
+            "mse[sic-2]": 0.04137036788170902,
+            "infidelity[sic-2]": -0.3632376437001697,
         },
         "c09ac471c18caaf6",
     ),
@@ -221,10 +222,10 @@ def test_m_scaling_study_golden():
         channel_spec="random:2:tp:5", trials=3, seed=23,
     )
     assert [row[:-1] for row in result.rows] == [
-        [6, 0.118505774986457, 0.08396181400564148],
-        [10, 0.04643587023936104, 0.009255811091193427],
+        [6, 0.10081137899729598, 0.08362925749624207],
+        [10, 0.03886103027921183, 0.0013169866901792786],
     ]
-    assert result.slopes == {"mse[num_states]": -1.8340690517227833}
+    assert result.slopes == {"mse[num_states]": -1.8661148454716545}
     assert result.meta["config"] == (
         '{"channel": "random:2:tp:5", "copies_per_state": 500, "d": 2, "num_states": [6, 10], '
         '"povm": "cube-povm:1", "trials": 3}'
@@ -243,6 +244,27 @@ def test_random_channel_fields_in_order_parse(spec):
 def test_random_channel_fields_out_of_order_or_repeated_rejected(spec):
     with pytest.raises(ValueError, match=r"random:d\[:tp\|nontp\]\[:seed\]"):
         make_channel(spec)
+
+
+@pytest.mark.parametrize(
+    "factory, spec, form",
+    [
+        (make_channel, "identity:two", "identity:d"),
+        (make_channel, "random:x:tp", "random:d[:tp|nontp][:seed]"),
+        (make_channel, "random:2:abc", "random:d[:tp|nontp][:seed]"),
+        (make_ensemble, "sic:x", "sic:d"),
+        (make_ensemble, "random:4:M", "random:d:M[:seed]"),
+        (make_ensemble, "random:4:8:1.5", "random:d:M[:seed]"),
+        (make_ensemble, "cube-states:2.0", "cube-states:m"),
+        (make_povm, "cube-povm:x", "cube-povm:m"),
+        (make_povm, "mub-povm:four", "mub-povm:d"),
+        (make_povm, "sic-povm:x", "sic-povm[:4]"),
+    ],
+)
+def test_non_integer_spec_fields_name_the_spec_and_form(factory, spec, form):
+    with pytest.raises(ValueError) as info:
+        factory(spec)
+    assert repr(spec) in str(info.value) and f"expected {form}" in str(info.value)
 
 
 @pytest.mark.parametrize("copies", [[1200.9], [1200.0], [True], ["1200"], [600, None], 1200])
