@@ -147,6 +147,45 @@ SAMPLER_CASES = {
 }
 
 
+def reference_record(probs, copies, povm, seed):
+    """Per-cell reference sampler: one multinomial call per (state, set) cell.
+
+    Cells are drawn from one SeedSequence-seeded Philox in the order the
+    vectorized sampler visits them: blocks of 64 states, then groups of equally
+    sized sets by ascending size, then states, then the group's sets.
+    """
+    m, ell = probs.shape
+    shots = copies // povm.num_sets
+    slices = povm.set_slices()
+    counts = np.zeros((m, ell), dtype=np.int64)
+    lost = np.zeros((m, povm.num_sets), dtype=np.int64)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    for start in range(0, m, 64):
+        for n in sorted(set(povm.set_sizes)):
+            for im in range(start, min(start + 64, m)):
+                for ij in [ij for ij, size in enumerate(povm.set_sizes) if size == n]:
+                    p = np.clip(probs[im, slices[ij]], 0.0, None)
+                    pfull = np.append(p, max(1.0 - p.sum(), 0.0))
+                    pfull /= pfull.sum()
+                    draw = gen.multinomial(shots, pfull)
+                    counts[im, slices[ij]] = draw[:-1]
+                    lost[im, ij] = draw[-1]
+    return counts, lost, counts / shots
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_sampler_matches_per_cell_reference(case, seed):
+    ch, e, p = SAMPLER_CASES[case]()
+    probs = ideal_probabilities(ch, e, p)
+    copies = 90 * p.num_sets
+    rec = sample_record(probs, copies, p, seed=seed)
+    counts, lost, freq = reference_record(probs, copies, p, seed)
+    assert np.array_equal(rec.counts, counts)
+    assert np.array_equal(rec.lost_counts, lost)
+    assert np.array_equal(rec.freq, freq)
+
+
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
 @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
 def test_sampler_accounts_for_every_shot(case, seed):
