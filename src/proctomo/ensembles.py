@@ -8,18 +8,23 @@ exactly when the eigenvalues are (M/d, M/(d(d+1)), ..., M/(d(d+1))).  SIC and
 MUB families attain both bounds; tensor products of optimal qubit families
 attain the multiplicative m-qubit bounds (20^m and sqrt(3^m)).
 
-Validation runs the thin SVD of V^T once: its singular values decide
-informational completeness, and the ensemble keeps the resulting
-pseudo-inverse pinv(V^T) for reconstruction.
+Validation finds the singular values of V^T, which decide informational
+completeness, and the pseudo-inverse pinv(V^T), which the ensemble keeps for
+reconstruction.  Most ensembles get both from one thin SVD.  Product
+ensembles take them from their parts instead: pinv(V^T) is the vec-permuted
+Kronecker product of the parts' pseudo-inverses, and the singular values are
+the products of theirs, so no SVD of the product runs.  Every ensemble keeps
+its singular values, and the design metrics read the spectrum of V* V^T as
+their squares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linalg import check_psd, hermitian_part, kron_stack, pinv_with_spectrum, vec
+from .linalg import check_psd, kron_regroup, kron_stack, pinv_with_spectrum
 
 RANK_RTOL = 1e-10
 ACHIEVE_RTOL = 1e-6
@@ -35,30 +40,51 @@ def _projector(psi: np.ndarray) -> np.ndarray:
 class InputEnsemble:
     """An informationally complete set of input density matrices.
 
-    ``pinv`` is pinv(V^T), the d^2 x M pseudo-inverse kept from validation.
+    ``pinv`` is pinv(V^T), the d^2 x M pseudo-inverse kept from validation, and
+    ``singular_values`` the descending singular values of V^T.  ``parts``
+    (init only) are validated ensembles whose tensor products, first part
+    slowest, must equal ``states`` exactly; both are then taken from the parts,
+    and the states need no check of their own, since a tensor product of
+    states is a state.
     """
 
     states: tuple
     label: str = ""
+    parts: InitVar[tuple | None] = None
     pinv: np.ndarray = field(init=False, repr=False)
+    singular_values: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, parts):
         states = tuple(np.asarray(s, dtype=complex) for s in self.states)
         if not states:
             raise ValueError("an ensemble needs at least one state")
         d = states[0].shape[0] if states[0].ndim == 2 else 0
         if not d or any(s.shape != (d, d) for s in states):
             raise ValueError("ensemble states must be square matrices sharing one dimension")
-        check_psd(states, "ensemble state", atol=1e-9, unit_trace=True)
+        if parts is None:
+            check_psd(states, "ensemble state", atol=1e-9, unit_trace=True)
+        elif not (
+            parts
+            and all(isinstance(p, InputEnsemble) for p in parts)
+            and np.array_equal(np.asarray(states), _kron_states(parts))
+        ):
+            raise ValueError("ensemble states are not the tensor products of its parts")
         object.__setattr__(self, "states", states)
         if len(states) < d * d:
             raise ValueError(
                 f"need at least d^2={d * d} states for informational completeness, got {len(states)}"
             )
-        pinv, sv = pinv_with_spectrum(self.parameterization().T)
+        if parts is None:
+            pinv, sv = pinv_with_spectrum(self.parameterization().T)
+        else:
+            # V^T is the Kronecker product of the parts' V^T with its columns
+            # moved from vec(rho_1) x vec(rho_2) x ... order to vec(rho_1 x rho_2 x ...).
+            factors = [(p.pinv, p.singular_values) for p in parts]
+            pinv, sv = pinv_with_spectrum(factors, cols=kron_regroup([(p.d, p.d) for p in parts]))
         if sv[-1] <= RANK_RTOL * sv[0]:
             raise ValueError("ensemble is not informationally complete (rank deficient V)")
         object.__setattr__(self, "pinv", pinv)
+        object.__setattr__(self, "singular_values", sv)
 
     @property
     def d(self) -> int:
@@ -70,7 +96,8 @@ class InputEnsemble:
 
     def parameterization(self) -> np.ndarray:
         """V: d^2 x M matrix with columns vec(rho_m)."""
-        return np.column_stack([vec(s) for s in self.states])
+        # Entry (j d + i, m) of V is rho_m[i, j].
+        return np.asarray(self.states).transpose(2, 1, 0).reshape(self.d**2, -1)
 
 
 @dataclass(frozen=True)
@@ -233,25 +260,27 @@ def product_ensemble(parts) -> InputEnsemble:
     if any(p.d != 2 for p in parts):
         raise ValueError("product ensembles are built from qubit parts only")
     label = "x".join(p.label or "qubit" for p in parts)
-    return InputEnsemble(_kron_states(parts), label=label)
+    return InputEnsemble(tuple(_kron_states(parts)), label=label, parts=parts)
 
 
-def _kron_states(parts) -> tuple:
+def _kron_states(parts) -> np.ndarray:
     """All tensor products of one state from each part, first part slowest."""
-    return tuple(kron_stack([np.asarray(p.states) for p in parts]))
+    return kron_stack([np.asarray(p.states) for p in parts])
 
 
 def cube_states(m: int) -> InputEnsemble:
     """m-fold tensor products of the qubit MUB family (6^m states)."""
     if m < 1:
         raise ValueError("need at least one qubit")
-    return InputEnsemble(_kron_states([mub_states(2)] * m), label=f"cube-states-{m}")
+    parts = [mub_states(2)] * m
+    return InputEnsemble(tuple(_kron_states(parts)), label=f"cube-states-{m}", parts=parts)
 
 
-def _gram_design(gram: np.ndarray, weight: float, target: np.ndarray, what: str):
-    """Descending spectrum of a design Gram matrix, its cost ``weight * Tr(gram^-1)``,
-    its condition number sqrt(max/min), and whether the spectrum attains ``target``."""
-    eigs = np.linalg.eigvalsh(hermitian_part(gram))[::-1]
+def _gram_design(sv: np.ndarray, weight: float, target: np.ndarray, what: str):
+    """Descending spectrum of a design Gram matrix A^dag A from the singular values
+    ``sv`` of A, its cost ``weight * Tr((A^dag A)^-1)``, its condition number
+    sqrt(max/min), and whether the spectrum attains ``target``."""
+    eigs = sv**2
     if eigs[-1] <= RANK_RTOL * eigs[0]:
         raise ValueError(f"{what} is singular")
     achieves = bool(np.all(np.abs(eigs - target) <= ACHIEVE_RTOL * target))
@@ -261,10 +290,10 @@ def _gram_design(gram: np.ndarray, weight: float, target: np.ndarray, what: str)
 def design_metrics_V(ensemble: InputEnsemble) -> EnsembleDesignReport:
     """Design cost, condition number and the spectrum of V* V^T."""
     d, m = ensemble.d, ensemble.num_states
-    v = ensemble.parameterization()
     target = np.full(d * d, m / (d * (d + 1.0)))
     target[0] = m / d
-    eigs, cost, cond, achieves = _gram_design(v.conj() @ v.T, m, target, "V* V^T")
+    # V* V^T = (V^T)^dag V^T, so its eigenvalues are the squared singular values of V^T.
+    eigs, cost, cond, achieves = _gram_design(ensemble.singular_values, m, target, "V* V^T")
     return EnsembleDesignReport(
         cost=cost,
         cond=cond,

@@ -216,6 +216,7 @@ def record_to_text(r: MeasurementRecord) -> str:
         f"# copies_per_state\t{'' if copies is None else copies}",
         f"# shots_per_set\t{'' if r.shots_per_set is None else r.shots_per_set}",
         f"# seed\t{'' if r.seed is None else r.seed}",
+        f"# sampler\t{'' if r.sampler is None else r.sampler}",
     ]
     for row in r.freq:
         lines.append("\t".join(repr(float(v)) for v in row))
@@ -232,11 +233,14 @@ def record_from_text(text: str) -> MeasurementRecord:
             meta[key.strip()] = value.strip()
         else:
             rows.append([float(v) for v in line.split("\t")])
+    # As in record_from_dict, a table without a sampler line was drawn by sampler 1.
+    sampler = meta.get("sampler", "1")
     return MeasurementRecord(
         freq=np.asarray(rows, dtype=float),
         set_sizes=tuple(int(n) for n in meta["set_sizes"].split(",")),
         shots_per_set=int(meta["shots_per_set"]) if meta.get("shots_per_set") else None,
         seed=int(meta["seed"]) if meta.get("seed") else None,
+        sampler=int(sampler) if sampler else None,
     )
 
 

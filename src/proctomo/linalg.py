@@ -68,14 +68,40 @@ def kron_stack(stacks) -> np.ndarray:
     return acc
 
 
-def pinv_with_spectrum(a: np.ndarray):
-    """``(np.linalg.pinv(a), s)``: the pseudo-inverse at numpy's default cutoff and
-    the descending singular values ``s`` of ``a`` from the same thin SVD.
+def kron_regroup(pairs) -> np.ndarray:
+    """Index array taking a Kronecker index (a_1, b_1, ..., a_k, b_k), first digit
+    slowest and digit ranges ``pairs = [(A_1, B_1), ...]``, to the grouped index
+    (a_1 ... a_k, b_1 ... b_k): entry g is the Kronecker position of grouped position g.
 
-    Mirrors numpy's ``pinv`` step by step, so the pseudo-inverse is
-    bit-identical to it and one SVD serves both a rank check and the solve.
+    Two instances: vec(A_1 x ... x A_k) is vec(A_1) x ... x vec(A_k) read at
+    ``kron_regroup([(c_i, r_i)])``, and so is the row-major flattening with
+    ``kron_regroup([(r_i, c_i)])``.
     """
-    a = np.asarray(a)
+    shape = [n for pair in pairs for n in pair]
+    k = len(shape)
+    grid = np.arange(int(np.prod(shape))).reshape(shape)
+    return grid.transpose([*range(0, k, 2), *range(1, k, 2)]).reshape(-1)
+
+
+def pinv_with_spectrum(a, rows=None, cols=None):
+    """``(np.linalg.pinv(a), s)``: the pseudo-inverse at numpy's default cutoff and
+    the descending singular values ``s`` of ``a``.
+
+    For a matrix ``a`` both come from one thin SVD that mirrors numpy's ``pinv``
+    step by step, so the pseudo-inverse is bit-identical to it and one SVD
+    serves both a rank check and the solve.
+
+    ``a`` may instead be the ``(pinv, s)`` pairs of Kronecker factors A_i of the
+    matrix ``(A_1 x ... x A_k)[rows][:, cols]`` (index arrays, None for all).
+    Then no SVD runs: the pseudo-inverse is ``(pinv_1 x ... x pinv_k)[cols][:, rows]``
+    and ``s`` the sorted products of the factors' singular values.
+    """
+    if not isinstance(a, np.ndarray):
+        pinv = kron_stack([p[None] for p, _ in a])[0]
+        s = kron_stack([s[None, None] for _, s in a]).reshape(-1)
+        rows = slice(None) if rows is None else rows
+        cols = slice(None) if cols is None else cols
+        return pinv[cols][:, rows], np.sort(s)[::-1]
     u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
     large = s > PINV_RCOND * np.amax(s, axis=-1, keepdims=True)
     inv = np.divide(1, s, where=large, out=s.copy())

@@ -8,19 +8,24 @@ cond(C) are bounded below in terms of s = sum_j d/n_j, with equality exactly
 when the spectrum of C^dag C is (s, (Jd-s)/(d^2-1), ...); MUB measurements
 attain both bounds.
 
-Validation runs the thin SVD of C once: its singular values decide
-informational completeness, and the collection keeps the resulting
-pseudo-inverse pinv(C) for reconstruction.
+Validation finds the singular values of C, which decide informational
+completeness, and the pseudo-inverse pinv(C), which the collection keeps for
+reconstruction.  Most collections get both from one thin SVD.  Product
+collections (``cube_povm``) take them from their parts instead: pinv(C) is the
+permuted Kronecker product of the parts' pseudo-inverses, and the singular
+values are the products of theirs, so no SVD of the product runs.  Every
+collection keeps its singular values, and the design metrics read the
+spectrum of C^dag C as their squares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .ensembles import RANK_RTOL, _pauli_vector, _projector, _gram_design, mub_vectors, _sic_vectors_d4
-from .linalg import check_psd, dagger, frob, kron_stack, pinv_with_spectrum
+from .linalg import check_psd, frob, kron_regroup, kron_stack, pinv_with_spectrum
 
 POVM_ATOL = 1e-9
 
@@ -29,27 +34,54 @@ POVM_ATOL = 1e-9
 class PovmCollection:
     """J complete POVM sets over one Hilbert space.
 
-    ``pinv`` is pinv(C), the d^2 x L pseudo-inverse kept from validation.
+    ``pinv`` is pinv(C), the d^2 x L pseudo-inverse kept from validation, and
+    ``singular_values`` the descending singular values of C.  ``parts`` (init
+    only) are validated collections whose tensor products, grouped as
+    ``_kron_sets`` groups them, must equal ``sets`` exactly; both are then taken
+    from the parts, and the sets need no check of their own, since tensor
+    products of complete POVM sets are complete POVM sets.
     """
 
     sets: tuple
     label: str = ""
+    parts: InitVar[tuple | None] = None
     pinv: np.ndarray = field(init=False, repr=False)
+    singular_values: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, parts):
         flat = [np.asarray(p, dtype=complex) for group in self.sets for p in group]
-        check_psd(flat, "POVM element", POVM_ATOL)
-        sets = tuple(tuple(flat[sl]) for sl in self.set_slices())
-        object.__setattr__(self, "sets", sets)
+        if parts is None:
+            check_psd(flat, "POVM element", POVM_ATOL)
+            d = flat[0].shape[0]
+            for j, sl in enumerate(self.set_slices()):
+                if frob(sum(flat[sl]) - np.eye(d)) > POVM_ATOL * d:
+                    raise ValueError(f"POVM set {j} does not sum to the identity")
+        else:
+            if not parts or not all(isinstance(p, PovmCollection) for p in parts):
+                raise ValueError("POVM parts must be POVM collections")
+            grouped = _kron_sets(parts)
+            if self.set_sizes != (grouped.shape[1],) * len(grouped) or not np.array_equal(
+                flat, grouped.reshape(-1, *grouped.shape[2:])
+            ):
+                raise ValueError("POVM sets are not the tensor products of its parts")
+        object.__setattr__(self, "sets", tuple(tuple(flat[sl]) for sl in self.set_slices()))
         d = flat[0].shape[0]
-        for j, group in enumerate(sets):
-            if frob(sum(group) - np.eye(d)) > POVM_ATOL * d:
-                raise ValueError(f"POVM set {j} does not sum to the identity")
-        c = self.parameterization()
-        pinv, sv = pinv_with_spectrum(c)
-        if c.shape[0] < d * d or sv[-1] <= RANK_RTOL * sv[0]:
+        if len(flat) < d * d:
+            raise ValueError("measurement is not informationally complete (rank deficient C)")
+        if parts is None:
+            pinv, sv = pinv_with_spectrum(self.parameterization())
+        else:
+            # C is the Kronecker product of the parts' C with its rows regrouped
+            # set-major and its columns moved to the flattening of the products.
+            pinv, sv = pinv_with_spectrum(
+                [(p.pinv, p.singular_values) for p in parts],
+                rows=kron_regroup([(p.num_sets, p.set_sizes[0]) for p in parts]),
+                cols=kron_regroup([(p.d, p.d) for p in parts]),
+            )
+        if sv[-1] <= RANK_RTOL * sv[0]:
             raise ValueError("measurement is not informationally complete (rank deficient C)")
         object.__setattr__(self, "pinv", pinv)
+        object.__setattr__(self, "singular_values", sv)
 
     @property
     def d(self) -> int:
@@ -81,7 +113,7 @@ class PovmCollection:
     def parameterization(self) -> np.ndarray:
         """C: L x d^2 matrix such that C @ vec(rho) = [Tr(P_l rho)]_l."""
         # vec(P^T) in column-major order equals the row-major flattening of P.
-        return np.asarray([p.reshape(-1) for p in self.elements])
+        return np.asarray(self.elements).reshape(self.num_elements, -1)
 
 
 @dataclass(frozen=True)
@@ -95,19 +127,28 @@ class PovmDesignReport:
     achieves: bool
 
 
+def _kron_sets(parts) -> np.ndarray:
+    """All tensor products of one element from each part as a (sets, elements, D, D)
+    stack.  Products are indexed (set_1, element_1, ..., set_k, element_k), first
+    part slowest; they are regrouped as (set_1 ... set_k) sets of
+    (element_1 ... element_k) elements.  Each part needs sets of one size."""
+    if any(len(set(p.set_sizes)) != 1 for p in parts):
+        raise ValueError("POVM parts need sets of one size")
+    ops = kron_stack([np.asarray(p.elements) for p in parts])
+    ops = ops[kron_regroup([(p.num_sets, p.set_sizes[0]) for p in parts])]
+    return ops.reshape(int(np.prod([p.num_sets for p in parts])), -1, *ops.shape[1:])
+
+
 def cube_povm(m: int, axes: tuple = ("x", "y", "z")) -> PovmCollection:
-    """Pauli-axis projective measurements on m qubits: 3^m sets of 2^m elements."""
+    """Pauli-axis projective measurements on m qubits: 3^m sets of 2^m elements,
+    the m-fold product of the one-qubit collection."""
     if m < 1:
         raise ValueError("need at least one qubit")
     paulis = dict(zip("xyz", _pauli_vector()))
     eye = np.eye(2, dtype=complex)
-    single = np.asarray([((eye + paulis[a]) / 2, (eye - paulis[a]) / 2) for a in axes])
-    # Products are indexed (axis_1, sign_1, ..., axis_m, sign_m); regroup them
-    # as (axis_1 ... axis_m) sets of (sign_1 ... sign_m) elements.
-    ops = kron_stack([single.reshape(-1, 2, 2)] * m).reshape((len(axes), 2) * m + (2**m, 2**m))
-    order = [*range(0, 2 * m, 2), *range(1, 2 * m, 2), 2 * m, 2 * m + 1]
-    sets = ops.transpose(order).reshape(len(axes) ** m, 2**m, 2**m, 2**m)
-    return PovmCollection(tuple(tuple(group) for group in sets), label=f"cube-{m}")
+    single = PovmCollection(tuple(((eye + paulis[a]) / 2, (eye - paulis[a]) / 2) for a in axes))
+    parts = [single] * m
+    return PovmCollection(tuple(tuple(group) for group in _kron_sets(parts)), label=f"cube-{m}", parts=parts)
 
 
 def mub_povm(d: int) -> PovmCollection:
@@ -137,12 +178,12 @@ def projective_povm(bases, label: str = "projective") -> PovmCollection:
 def design_metrics_C(povm: PovmCollection) -> PovmDesignReport:
     """Design cost, condition number and the spectrum of C^dag C."""
     d, j = povm.d, povm.num_sets
-    c = povm.parameterization()
     s = float(sum(d / n for n in povm.set_sizes))
     rest = (j * d - s) / (d * d - 1.0)
     target = np.full(d * d, rest)
     target[0] = s
-    eigs, cost, cond, achieves = _gram_design(dagger(c) @ c, j, target, "C^dag C")
+    # The eigenvalues of C^dag C are the squared singular values of C.
+    eigs, cost, cond, achieves = _gram_design(povm.singular_values, j, target, "C^dag C")
     return PovmDesignReport(
         cost=cost,
         cond=cond,

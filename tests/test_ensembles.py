@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,7 +15,7 @@ from proctomo.ensembles import (
     random_states,
     sic_states,
 )
-from proctomo.linalg import dagger
+from proctomo.linalg import dagger, vec
 
 def pairwise_overlaps(states):
     return np.array([[np.trace(a @ b).real for b in states] for a in states])
@@ -235,12 +236,82 @@ def test_random_states_match_the_per_state_loop(d, m, seed):
     assert np.array_equal(np.asarray(random_states(d, m, seed=seed).states), random_states_loop(d, m, seed))
 
 
-@pytest.mark.parametrize(
-    "make", [lambda: sic_states(4), lambda: cube_states(2), lambda: random_states(3, 30, seed=4)]
-)
+@pytest.mark.parametrize("make", [lambda: sic_states(4), lambda: random_states(3, 30, seed=4)])
 def test_ensemble_keeps_numpys_pinv(make):
     e = make()
     assert np.array_equal(e.pinv, np.linalg.pinv(e.parameterization().T))
+
+
+PRODUCT_ENSEMBLES = {
+    **{f"cube_states({m})": (lambda m=m: cube_states(m)) for m in (1, 2, 3, 4)},
+    "mub2xsic2": lambda: product_ensemble([mub_states(2), sic_states(2)]),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_ENSEMBLES)
+def test_product_ensembles_match_numpys_pinv_and_svd(name):
+    e = PRODUCT_ENSEMBLES[name]()
+    vt = e.parameterization().T
+    assert np.abs(e.pinv - np.linalg.pinv(vt)).max() <= 1e-13
+    sv = np.linalg.svd(vt, compute_uv=False)
+    assert np.abs(e.singular_values - sv).max() <= 1e-13 * sv[0]
+
+
+def test_one_part_product_keeps_numpys_pinv():
+    e = cube_states(1)
+    assert np.array_equal(e.pinv, np.linalg.pinv(e.parameterization().T))
+    assert np.array_equal(e.pinv, mub_states(2).pinv)
+
+
+@pytest.mark.parametrize(
+    "states, parts",
+    [
+        (lambda: cube_states(2).states, lambda: [mub_states(2), sic_states(2)]),
+        (lambda: cube_states(2).states, lambda: [mub_states(2)]),
+        (lambda: product_ensemble([mub_states(2), sic_states(2)]).states, lambda: [sic_states(2), mub_states(2)]),
+        (lambda: cube_states(2).states[::-1], lambda: [mub_states(2)] * 2),
+        (lambda: cube_states(1).states, lambda: [mub_states(2).states]),
+        (lambda: cube_states(1).states, lambda: []),
+    ],
+)
+def test_mismatched_parts_raise(states, parts):
+    with pytest.raises(ValueError, match="tensor products"):
+        InputEnsemble(states(), parts=parts())
+
+
+def test_parts_are_not_a_field():
+    e = cube_states(2)
+    assert "parts" not in vars(e)
+    assert "parts" not in {f.name for f in dataclasses.fields(e)}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sic_states(4), lambda: natural_basis_states(3), lambda: random_states(3, 30, seed=4),
+     lambda: cube_states(3), lambda: product_ensemble([random_states(2, 5, seed=1), sic_states(2)])],
+)
+def test_design_metrics_eigenvalues_match_the_gram_matrix(make):
+    e = make()
+    v = e.parameterization()
+    eigs = np.linalg.eigvalsh(v.conj() @ v.T)[::-1]
+    r = design_metrics_V(e)
+    assert np.abs(r.eigvals - eigs).max() <= 1e-12 * eigs[0]
+
+
+def test_cube_states_design_costs_are_exact_powers():
+    for m in (1, 2, 3, 4):
+        r = design_metrics_V(cube_states(m))
+        assert r.cost == pytest.approx(20.0**m, rel=1e-14)
+        assert r.cond == pytest.approx(np.sqrt(3.0**m), rel=1e-14)
+
+
+@pytest.mark.parametrize("make", [lambda: cube_states(2), lambda: random_states(3, 30, seed=4)])
+def test_parameterization_equals_the_column_loop(make):
+    e = make()
+    loop = np.column_stack([vec(s) for s in e.states])
+    v = e.parameterization()
+    assert v.shape == loop.shape and v.flags.c_contiguous
+    assert np.array_equal(v, loop)
 
 
 def test_rank_deficient_ensembles_still_raise():

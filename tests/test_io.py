@@ -106,6 +106,27 @@ def test_exact_record_text_handles_missing_shots():
     assert np.array_equal(loaded.freq, rec.freq)
 
 
+def test_record_text_round_trip_keeps_the_sampler_stamp():
+    rec, _, _ = make_record(66)
+    assert rec.sampler == 2
+    assert pio.record_from_text(pio.record_to_text(rec)).sampler == 2
+    ch = random_channel(2, tp=True, seed=67)
+    e, p = mub_states(2), cube_povm(1)
+    exact = exact_record(ideal_probabilities(ch, e, p), p)
+    assert exact.sampler is None
+    assert pio.record_from_text(pio.record_to_text(exact)).sampler is None
+
+
+def test_record_text_without_a_sampler_line_loads_as_version_1():
+    rec, _, _ = make_record(68)
+    text = pio.record_to_text(rec)
+    stripped = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("# sampler"))
+    assert stripped != text
+    loaded = pio.record_from_text(stripped)
+    assert loaded.sampler == 1
+    assert np.array_equal(loaded.freq, rec.freq)
+
+
 def test_estimate_round_trip(tmp_path):
     rec, e, p = make_record(65)
     est = TwoStageReconstructor(e, p).estimate(rec, tp_prior=True)

@@ -10,7 +10,10 @@ from proctomo.linalg import (
     haar_unitary,
     hermitian_eig,
     hermitian_part,
+    kron_regroup,
+    kron_stack,
     partial_trace_first,
+    pinv_with_spectrum,
     psd_sqrt,
     reshuffle_permutation,
     transpose_permutation,
@@ -49,6 +52,36 @@ def test_unvec_round_trip():
 def test_vec_rejects_empty():
     with pytest.raises(ValueError):
         vec(np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("shapes", [[(2, 3)], [(2, 2), (3, 3)], [(2, 3), (4, 1), (1, 2)]])
+def test_kron_regroup_maps_vecs_and_flattenings_of_kron_products(shapes):
+    rng = np.random.default_rng(11)
+    mats = [random_complex(rng, shape) for shape in shapes]
+    prod = kron_stack([m[None] for m in mats])[0]
+    vecs = kron_stack([vec(m)[None, :, None] for m in mats])[0, :, 0]
+    flats = kron_stack([m.reshape(1, -1, 1) for m in mats])[0, :, 0]
+    assert np.array_equal(vec(prod), vecs[kron_regroup([(c, r) for r, c in shapes])])
+    assert np.array_equal(prod.reshape(-1), flats[kron_regroup(shapes)])
+
+
+def test_factored_pinv_matches_the_dense_one():
+    rng = np.random.default_rng(12)
+    mats = [random_complex(rng, (6, 4)), random_complex(rng, (5, 3)), random_complex(rng, (2, 2))]
+    rows, cols = rng.permutation(60), rng.permutation(24)
+    dense = kron_stack([m[None] for m in mats])[0][rows][:, cols]
+    pinv, s = pinv_with_spectrum([pinv_with_spectrum(m) for m in mats], rows=rows, cols=cols)
+    assert np.abs(pinv - np.linalg.pinv(dense)).max() <= 1e-13
+    sv = np.linalg.svd(dense, compute_uv=False)
+    assert np.abs(s - sv).max() <= 1e-13 * sv[0]
+
+
+def test_one_factor_pinv_is_the_factors_own():
+    a = random_complex(np.random.default_rng(13), (7, 3))
+    pinv, s = pinv_with_spectrum(a)
+    assert np.array_equal(pinv, np.linalg.pinv(a))
+    one_pinv, one_s = pinv_with_spectrum([(pinv, s)])
+    assert np.array_equal(one_pinv, pinv) and np.array_equal(one_s, s)
 
 
 def test_transpose_permutation_trivial():

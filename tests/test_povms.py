@@ -146,13 +146,72 @@ def test_cube_povm_matches_the_kron_loop(m):
     assert np.array_equal(np.asarray(cube_povm(m).sets), cube_povm_loop(m))
 
 
-@pytest.mark.parametrize("make", [lambda: cube_povm(2), lambda: mub_povm(4), lambda: sic_povm(4)])
+@pytest.mark.parametrize("make", [lambda: mub_povm(4), lambda: sic_povm(4)])
 def test_povm_keeps_numpys_pinv(make):
     p = make()
     assert np.array_equal(p.pinv, np.linalg.pinv(p.parameterization()))
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cube_povm_matches_numpys_pinv_and_svd(m):
+    p = cube_povm(m)
+    c = p.parameterization()
+    assert np.abs(p.pinv - np.linalg.pinv(c)).max() <= 1e-13
+    sv = np.linalg.svd(c, compute_uv=False)
+    assert np.abs(p.singular_values - sv).max() <= 1e-13 * sv[0]
+
+
+def test_one_part_cube_povm_keeps_numpys_pinv():
+    p = cube_povm(1)
+    assert np.array_equal(p.pinv, np.linalg.pinv(p.parameterization()))
+
+
+@pytest.mark.parametrize(
+    "sets, parts",
+    [
+        (lambda: cube_povm(2).sets, lambda: [cube_povm(1)]),
+        (lambda: cube_povm(2).sets, lambda: [cube_povm(1), mub_povm(2)]),
+        (lambda: cube_povm(2).sets[::-1], lambda: [cube_povm(1)] * 2),
+        (lambda: cube_povm(1).sets, lambda: [cube_povm(1).sets]),
+        (lambda: cube_povm(1).sets, lambda: []),
+        (lambda: tuple(g[::-1] if j == 4 else g for j, g in enumerate(cube_povm(2).sets)),
+         lambda: [cube_povm(1)] * 2),
+    ],
+)
+def test_mismatched_parts_raise(sets, parts):
+    with pytest.raises(ValueError):
+        PovmCollection(sets(), parts=parts())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cube_povm(1), lambda: cube_povm(3), lambda: mub_povm(4), lambda: sic_povm(4),
+     lambda: projective_povm([haar_unitary(3, np.random.default_rng(k)) for k in range(4)])],
+)
+def test_design_metrics_eigenvalues_match_the_gram_matrix(make):
+    p = make()
+    c = p.parameterization()
+    eigs = np.linalg.eigvalsh(dagger(c) @ c)[::-1]
+    r = design_metrics_C(p)
+    assert np.abs(r.eigvals - eigs).max() <= 1e-12 * eigs[0]
+
+
+def test_cube_povm_design_costs_are_exact_powers():
+    for m in (1, 2, 3, 4):
+        r = design_metrics_C(cube_povm(m))
+        assert r.cost == pytest.approx(10.0**m, rel=1e-14)
+        assert r.cond == pytest.approx(np.sqrt(3.0**m), rel=1e-14)
+
+
+def test_parameterization_equals_the_row_loop():
+    p = cube_povm(2)
+    loop = np.asarray([op.reshape(-1) for op in p.elements])
+    c = p.parameterization()
+    assert c.shape == loop.shape and c.flags.c_contiguous
+    assert np.array_equal(c, loop)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_rank_deficient_povms_still_raise(m):
     with pytest.raises(ValueError, match="rank deficient"):
         cube_povm(m, axes=("x", "z"))

@@ -260,5 +260,7 @@ def test_estimate_rejects_non_finite_raw_frequencies(bad):
 def test_reconstructor_pinvs_equal_numpys():
     e, p = random_states(4, 40, seed=2), cube_povm(2)
     rec = TwoStageReconstructor(e, p)
-    assert np.array_equal(rec._povm_pinv, np.linalg.pinv(p.parameterization()))
+    # cube_povm(2) is a product design: its pinv comes from its parts and
+    # matches numpy's to rounding; the random ensemble's is numpy's own.
+    assert np.abs(rec._povm_pinv - np.linalg.pinv(p.parameterization())).max() <= 1e-13
     assert np.array_equal(rec._state_pinv, np.linalg.pinv(e.parameterization().T))
