@@ -112,12 +112,13 @@ class ProcessMatrix:
         return frob(self.success_operator() - np.eye(self.d)) <= CHANNEL_ATOL * self.d
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the channel: sum_{jk} X_jk E_j rho E_k^dag in the natural basis."""
+        """Apply the channel: sum_{jk} X_jk E_j rho E_k^dag in the natural basis, to one
+        matrix or a stack."""
         d = self.d
         rho = np.asarray(rho, dtype=complex)
         xr = self.mat.reshape(d, d, d, d)
         # E_j rho E_k^dag picks entry rho[col_j, col_k] into slot (row_j, row_k).
-        return np.einsum("abcd,bd->ac", xr, rho)
+        return np.einsum("abcd,...bd->...ac", xr, rho)
 
 
 def process_matrix(ch: KrausChannel, label: str | None = None) -> ProcessMatrix:

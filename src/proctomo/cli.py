@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import json
 import sys
 from pathlib import Path
 
@@ -189,7 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

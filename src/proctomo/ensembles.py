@@ -281,7 +281,7 @@ def _gram_design(sv: np.ndarray, weight: float, target: np.ndarray, what: str):
     ``sv`` of A, its cost ``weight * Tr((A^dag A)^-1)``, its condition number
     sqrt(max/min), and whether the spectrum attains ``target``."""
     eigs = sv**2
-    if eigs[-1] <= RANK_RTOL * eigs[0]:
+    if sv[-1] <= RANK_RTOL * sv[0]:  # the constructors' rank rule
         raise ValueError(f"{what} is singular")
     achieves = bool(np.all(np.abs(eigs - target) <= ACHIEVE_RTOL * target))
     return eigs, weight * float(np.sum(1.0 / eigs)), float(np.sqrt(eigs[0] / eigs[-1])), achieves

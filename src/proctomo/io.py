@@ -195,7 +195,10 @@ def save_json(obj, path, **kwargs) -> None:
 
 
 def load_json(path):
-    obj = json.loads(Path(path).read_text())
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path} is not a JSON document: {exc}") from None
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind not in _FROM_DICT:
         raise ValueError(f"unknown document kind {kind!r} in {path}")

@@ -16,6 +16,8 @@ Everything is a pure function of its inputs and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 # Hermiticity check, relative to the matrix norm.
 HERMITIAN_RTOL = 1e-10
 # Eigenvalues below this fraction of the largest are clamped to zero in
-# psd_sqrt; eigenvalues more negative than NEGATIVE_EIG_RTOL are an error.
+# psd_root; eigenvalues more negative than NEGATIVE_EIG_RTOL are an error.
 EIG_CLIP_RTOL = 1e-12
 NEGATIVE_EIG_RTOL = 1e-10
 # numpy's default pinv cutoff, relative to the largest singular value.
@@ -50,6 +52,41 @@ def vec(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"vec expects a non-empty matrix, got shape {a.shape}")
     return a.reshape(-1, order="F")
+
+
+@functools.cache
+def _herm_index(d: int):
+    """Gathers of herm_coords and from_herm_coords on the real view [Re x_00, Im x_00, ...]."""
+    i, j = np.triu_indices(d, 1)
+    n = i.size
+    diag, upper, lower = 2 * (d + 1) * np.arange(d), 2 * (i * d + j), 2 * (j * d + i)
+    first, second = np.r_[diag, upper, upper + 1], np.r_[diag, lower, lower + 1]
+    # from_herm_coords gathers every entry from the coordinates, then signs it:
+    # conjugates below the diagonal, zero imaginary parts on it.
+    back, back_sign = np.zeros(2 * d * d, dtype=np.intp), np.ones(2 * d * d)
+    back[first], back[lower], back[lower + 1] = range(d * d), d + np.arange(n), d + n + np.arange(n)
+    back_sign[lower + 1], back_sign[diag + 1] = -1.0, 0.0
+    return first, second, np.repeat([1.0, 1.0, -1.0], [d, n, n]), back, back_sign
+
+
+def herm_coords(x) -> np.ndarray:
+    """Real coordinates of the Hermitian part of each d x d matrix in a stack: the
+    diagonal, then Re and Im of the strict upper triangle, row by row.  Tr(A B) of
+    Hermitian A, B is the dot product of theirs with the off-diagonal ones doubled."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    first, second, sign, _, _ = _herm_index(x.shape[-1])
+    v = x.reshape(*x.shape[:-2], x.shape[-1] ** 2).view(float)
+    return (v.take(first, axis=-1) + sign * v.take(second, axis=-1)) / 2
+
+
+def from_herm_coords(c) -> np.ndarray:
+    """The Hermitian matrices with coordinates ``c``; inverts :func:`herm_coords`."""
+    c = np.asarray(c, dtype=float)
+    d = math.isqrt(c.shape[-1])
+    if d < 1 or d * d != c.shape[-1]:
+        raise ValueError(f"{c.shape[-1]} coordinates are not those of a square matrix")
+    _, _, _, back, back_sign = _herm_index(d)
+    return (c.take(back, axis=-1) * back_sign).view(complex).reshape(*c.shape[:-1], d, d)
 
 
 def kron_stack(stacks) -> np.ndarray:
@@ -228,18 +265,21 @@ def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray
     return x
 
 
-def psd_sqrt(x: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Tiny negative eigenvalues (rounding noise) are clamped to zero; a
-    significantly negative eigenvalue raises ValueError.
-    """
+def psd_root(x: np.ndarray):
+    """``(u, r)``: the eigenvectors of a Hermitian PSD matrix and the square roots of its
+    eigenvalues, descending.  Tiny negative eigenvalues (rounding noise) and those below
+    EIG_CLIP_RTOL of the largest become zero; a significantly negative one raises ValueError."""
     w, u = hermitian_eig(x)
     top = max(w[0], 0.0)
     if w[-1] < -NEGATIVE_EIG_RTOL * max(top, 1.0):
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e}")
-    w = np.where(w > EIG_CLIP_RTOL * max(top, 0.0), w, 0.0)
-    return (u * np.sqrt(w)) @ dagger(u)
+    return u, np.sqrt(np.where(w > EIG_CLIP_RTOL * top, w, 0.0))
+
+
+def psd_sqrt(x: np.ndarray) -> np.ndarray:
+    """Principal square root of a Hermitian PSD matrix, clipped as in :func:`psd_root`."""
+    u, r = psd_root(x)
+    return (u * r) @ dagger(u)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

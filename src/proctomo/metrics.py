@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frob, psd_sqrt
+from .linalg import dagger, frob, psd_root
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,17 @@ def fidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
 
     Evaluated as the squared nuclear norm of sqrt(A) sqrt(B), which is
     algebraically identical but avoids square roots of noise-level
-    eigenvalues when an argument is rank deficient.
+    eigenvalues when an argument is rank deficient.  With K = U_+ sqrt(w_+)
+    from each argument's ``psd_root``, sqrt(A) sqrt(B) = U_a+ (K_a^dag K_b) U_b+^dag
+    has the singular values of the rank A x rank B matrix K_a^dag K_b.
     """
     a = np.asarray(x_hat, dtype=complex)
     b = np.asarray(x_true, dtype=complex)
     ta, tb = np.trace(a).real, np.trace(b).real
     if ta <= 0 or tb <= 0:
         raise ValueError("fidelity requires positive-trace arguments")
-    sv = np.linalg.svd(psd_sqrt(a) @ psd_sqrt(b), compute_uv=False)
+    ka, kb = ((u * r)[:, r > 0] for u, r in (psd_root(a), psd_root(b)))
+    sv = np.linalg.svd(dagger(ka) @ kb, compute_uv=False)
     return float(np.sum(sv) ** 2 / (ta * tb))
 
 

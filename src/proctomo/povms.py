@@ -21,11 +21,12 @@ spectrum of C^dag C as their squares.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .ensembles import RANK_RTOL, _pauli_vector, _projector, _gram_design, mub_vectors, _sic_vectors_d4
-from .linalg import check_psd, frob, kron_regroup, kron_stack, pinv_with_spectrum
+from .linalg import check_psd, frob, herm_coords, kron_regroup, kron_stack, pinv_with_spectrum
 
 POVM_ATOL = 1e-9
 
@@ -114,6 +115,22 @@ class PovmCollection:
         """C: L x d^2 matrix such that C @ vec(rho) = [Tr(P_l rho)]_l."""
         # vec(P^T) in column-major order equals the row-major flattening of P.
         return np.asarray(self.elements).reshape(self.num_elements, -1)
+
+    @cached_property
+    def born_table(self) -> tuple:
+        """``(B, norm, skew)``: B holds the elements' ``herm_coords`` with the off-diagonal
+        ones doubled, so that ``herm_coords(sigma) @ B.T`` is [Tr(P_l sigma)]_l for
+        Hermitian sigma; norm and skew are the largest Frobenius norms of the elements
+        and of their anti-Hermitian parts."""
+        ops, d = np.asarray(self.elements), self.d
+        skew = np.linalg.norm(ops - ops.conj().swapaxes(-1, -2), axis=(-2, -1)).max() / 2
+        weights = np.where(np.arange(d * d) < d, 1.0, 2.0)
+        return herm_coords(ops) * weights, np.linalg.norm(ops, axis=(-2, -1)).max(), skew
+
+    @cached_property
+    def pinv_coords(self) -> np.ndarray:
+        """``herm_coords`` of the rows of pinv(C)^T as row-major d x d matrices."""
+        return herm_coords(self.pinv.T.reshape(self.num_elements, self.d, self.d))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The estimator runs four steps on a frequency matrix P-hat:
 
 1. Per-state least squares: A-hat = P-hat @ pinv(C)^T recovers the natural-
    basis coordinates of every output state.  No physicality constraint is
-   imposed here; A-hat is only an intermediate.
+   imposed here; A-hat is only an intermediate.  It runs as one real product
+   on Hermitian coordinates (``linalg.herm_coords``) of pinv(C)'s columns.
 2. Structured least squares: because the stacked coefficient matrix factors
    as (I (x) V^T) R with an index reshuffle R, the global least-squares
    process estimate is D-hat = unvec(R^T vec(pinv(V^T) @ A-hat)) at cost
@@ -34,6 +35,7 @@ from .channels import ProcessMatrix
 from .ensembles import InputEnsemble
 from .linalg import (
     dagger,
+    from_herm_coords,
     hermitian_eig,
     hermitian_part,
     partial_trace_first,
@@ -97,19 +99,22 @@ class TwoStageReconstructor:
         # The designs keep pinv(C) and pinv(V^T) from their rank checks: SVD-based
         # least-squares inverses, avoiding the squared conditioning of explicit
         # normal equations.
-        self._povm_pinv = povm.pinv
+        self._povm_coords = povm.pinv_coords
         self._state_pinv = ensemble.pinv
         self._reshuffle = reshuffle_permutation(self.d).forward
 
     def output_coefficients(self, freq: np.ndarray) -> np.ndarray:
-        """Step 1: M x d^2 natural-basis coordinates of the output states."""
+        """Step 1: M x d^2 natural-basis coordinates of the output states, from
+        their ``herm_coords`` (one real product) by one gather."""
         freq = np.asarray(freq)
+        if np.iscomplexobj(freq):
+            raise ValueError("frequency matrix must be real")
         if freq.shape != (self.ensemble.num_states, self.povm.num_elements):
             raise ValueError(
                 f"frequency matrix has shape {freq.shape}, expected "
                 f"({self.ensemble.num_states}, {self.povm.num_elements})"
             )
-        return freq @ self._povm_pinv.T
+        return from_herm_coords(freq @ self._povm_coords).reshape(len(freq), -1)
 
     def process_least_squares(self, coeffs: np.ndarray) -> np.ndarray:
         """Step 2: unconstrained least-squares process matrix."""
@@ -153,7 +158,9 @@ class TwoStageReconstructor:
             freq = record.freq
             copies = record.copies_per_state
         else:
-            freq = np.asarray(record, dtype=float)
+            freq = np.asarray(record)
+            # Complex frequencies go on to step 1, which refuses them.
+            freq = freq if np.iscomplexobj(freq) else freq.astype(float, copy=False)
             if not np.all(np.isfinite(freq)):
                 raise ValueError("frequency matrix contains non-finite entries")
             copies = None

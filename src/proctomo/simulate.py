@@ -5,7 +5,9 @@ Copies assigned to one input state are split evenly across the J POVM sets
 For non-trace-preserving processes the missing trace is modeled as an
 explicit no-click outcome per cell: its counts are retained in the record but
 excluded from the frequency matrix, so frequencies stay unbiased estimates of
-Tr(E(rho_m) P_l).
+Tr(E(rho_m) P_l).  Those probabilities are computed in real coordinates: the
+Hermitian outputs E(rho_m) and POVM elements P_l each have d^2 real
+``linalg.herm_coords``, so Tr(E(rho_m) P_l) is a real dot product.
 
 A record is drawn from one Philox generator seeded by SeedSequence(seed):
 for each block of 64 states and each group of equally sized sets, one
@@ -25,6 +27,7 @@ import numpy as np
 
 from .channels import KrausChannel, ProcessMatrix
 from .ensembles import InputEnsemble
+from .linalg import herm_coords
 from .povms import PovmCollection
 
 PROB_ATOL = 1e-12
@@ -83,28 +86,32 @@ class MeasurementRecord:
 
 
 def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) -> np.ndarray:
-    """M x L matrix of Born probabilities Tr(E(rho_m) P_l)."""
+    """M x L matrix of Born probabilities Tr(E(rho_m) P_l).
+
+    Each block of states is one real product of the outputs' ``herm_coords``
+    with the POVM's ``born_table``; an imaginary part above 1e-10 is refused.
+    """
     if not isinstance(process, (KrausChannel, ProcessMatrix)):
         raise TypeError(f"cannot compute probabilities for {type(process).__name__}")
     if process.d != ensemble.d or process.d != povm.d:
         raise ValueError(
             f"dimension mismatch: process d={process.d}, ensemble d={ensemble.d}, povm d={povm.d}"
         )
-    c = povm.parameterization()
+    born, p_norm, p_skew = povm.born_table
     d, m = process.d, ensemble.num_states
-    probs = np.empty((m, c.shape[0]))
+    probs = np.empty((m, born.shape[0]))
     for start in range(0, m, _STATE_BLOCK):
         rhos = np.asarray(ensemble.states[start : start + _STATE_BLOCK])
-        if isinstance(process, KrausChannel):
-            outputs = process.apply(rhos)
-        else:
-            # A stacked einsum would change the summation order; apply per state.
-            outputs = np.asarray([process.apply(rho) for rho in rhos])
-        # Column k is vec(E(rho_k)), so C @ it holds Tr(P_l E(rho_k)).
-        block = c @ outputs.transpose(0, 2, 1).reshape(len(rhos), d * d).T
-        if np.abs(block.imag).max() > 1e-10:
-            raise ValueError("probabilities acquired a non-negligible imaginary part")
-        probs[start : start + len(rhos)] = block.real.T
+        outputs = process.apply(rhos)
+        # |Im Tr(P s)| <= ||P|| ||s_K|| + ||P_K|| ||s|| for the anti-Hermitian parts
+        # K; only a block this bound cannot clear computes its imaginary part.
+        skew = np.linalg.norm(outputs - outputs.conj().swapaxes(-1, -2), axis=(-2, -1)).max() / 2
+        if p_norm * skew + p_skew * np.linalg.norm(outputs, axis=(-2, -1)).max() > 1e-10:
+            # Column k is vec(E(rho_k)), so C @ it holds Tr(P_l E(rho_k)).
+            exact = povm.parameterization() @ outputs.transpose(0, 2, 1).reshape(len(rhos), d * d).T
+            if np.abs(exact.imag).max() > 1e-10:
+                raise ValueError("probabilities acquired a non-negligible imaginary part")
+        probs[start : start + len(rhos)] = herm_coords(outputs) @ born.T
     return probs
 
 

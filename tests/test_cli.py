@@ -34,6 +34,16 @@ def test_design_audit_rejects_unknown(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"", bytes(range(256))], ids=["empty", "binary"])
+def test_design_audit_names_a_file_that_is_not_json(tmp_path, capsys, content):
+    path = tmp_path / "design.dat"
+    path.write_bytes(content)
+    assert main(["design-audit", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path} is not a JSON document" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_then_reconstruct(tmp_path, capsys):
     rec_path = tmp_path / "rec.json"
     est_path = tmp_path / "est.json"

@@ -320,6 +320,18 @@ def test_rank_deficient_ensembles_still_raise():
         InputEnsemble(zx)
 
 
+def test_an_ensemble_that_constructs_also_audits():
+    # Smallest singular value 5.8e-8: above RANK_RTOL relative to the largest,
+    # but its square is not, so the audit must apply the rule to the singular values.
+    eye, y = np.eye(2), np.array([[0, -1j], [1j, 0]])
+    states = (*mub_states(2).states[:3], (eye + 1e-7 * y) / 2)
+    e = InputEnsemble(states)
+    sv = e.singular_values
+    assert sv[-1] / sv[0] < 1e-5
+    report = design_metrics_V(e)
+    assert report.cost > 0 and report.cond == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+
+
 @pytest.mark.parametrize("states", [(), (1.0,), (np.ones(3),)])
 def test_empty_or_non_matrix_ensembles_raise_value_error(states):
     with pytest.raises(ValueError):

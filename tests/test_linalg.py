@@ -7,13 +7,16 @@ from proctomo.linalg import (
     Permutation,
     check_psd,
     dagger,
+    from_herm_coords,
     haar_unitary,
+    herm_coords,
     hermitian_eig,
     hermitian_part,
     kron_regroup,
     kron_stack,
     partial_trace_first,
     pinv_with_spectrum,
+    psd_root,
     psd_sqrt,
     reshuffle_permutation,
     transpose_permutation,
@@ -282,3 +285,43 @@ NAN2 = np.full((2, 2), np.nan)
 def test_non_finite_matrices_rejected_by_name(build):
     with pytest.raises(ValueError, match="non-finite"):
         build()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_herm_coords_round_trip(d):
+    rng = np.random.default_rng(60 + d)
+    x = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    h = hermitian_part(x[0])
+    coords = herm_coords(x)
+    assert coords.shape == (3, d * d) and coords.dtype == float
+    # exact on Hermitian input, and the Hermitian part of anything else
+    assert np.array_equal(from_herm_coords(herm_coords(h)), h)
+    back = from_herm_coords(coords)
+    assert back.shape == (3, d, d)
+    for k in range(3):
+        assert np.array_equal(back[k], hermitian_part(x[k]))
+    # the diagonal, then Re and Im of the strict upper triangle
+    i, j = np.triu_indices(d, 1)
+    np.testing.assert_array_equal(coords[0], np.concatenate([h.diagonal().real, h[i, j].real, h[i, j].imag]))
+    # Tr(A B) of Hermitian A, B with the off-diagonal coordinates doubled
+    g = hermitian_part(x[1])
+    weights = np.where(np.arange(d * d) < d, 1.0, 2.0)
+    assert abs(herm_coords(h) * weights @ herm_coords(g) - np.trace(h @ g).real) <= 1e-13
+
+
+def test_from_herm_coords_rejects_a_non_square_count():
+    with pytest.raises(ValueError, match="square"):
+        from_herm_coords(np.zeros(5))
+
+
+def test_psd_root_factors_the_matrix():
+    rng = np.random.default_rng(66)
+    g = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    x = g @ dagger(g)
+    u, r = psd_root(x)
+    assert np.count_nonzero(r) == 2 and np.all(np.diff(r) <= 0)
+    k = (u * r)[:, r > 0]
+    assert np.abs(k @ dagger(k) - x).max() <= 1e-12
+    assert np.array_equal(psd_sqrt(x), (u * r) @ dagger(u))
+    with pytest.raises(ValueError, match="not PSD"):
+        psd_root(np.diag([1.0, -0.5]))

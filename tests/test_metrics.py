@@ -3,7 +3,7 @@ import pytest
 
 from proctomo.channels import process_matrix, random_channel, unitary_channel
 from proctomo.ensembles import design_metrics_V, sic_states
-from proctomo.linalg import dagger, haar_unitary
+from proctomo.linalg import dagger, haar_unitary, psd_sqrt
 from proctomo.metrics import (
     error_report,
     error_scaling_functional,
@@ -46,6 +46,41 @@ def test_fidelity_unitary_invariance():
     assert fidelity(w @ x @ dagger(w), w @ y @ dagger(w)) == pytest.approx(
         fidelity(x, y), abs=1e-9
     )
+
+
+def fidelity_from_roots(a, b):
+    """Oracle: the squared nuclear norm of sqrt(A) sqrt(B) from full square roots."""
+    sv = np.linalg.svd(psd_sqrt(a) @ psd_sqrt(b), compute_uv=False)
+    return float(np.sum(sv) ** 2 / (np.trace(a).real * np.trace(b).real))
+
+
+def _random_psd(rng, d, rank):
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    return g @ dagger(g)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_fidelity_from_factors_matches_the_square_root_formula(d):
+    rng = np.random.default_rng(57 + d)
+    u = haar_unitary(d, rng)
+    half = d // 2
+    pairs = [(_random_psd(rng, d, d), _random_psd(rng, d, d))]
+    pairs.append((_random_psd(rng, d, 1), _random_psd(rng, d, half)))  # rank deficient
+    x = _random_psd(rng, d, half)
+    pairs.append((x, 3.5 * x))  # proportional
+    # orthogonal supports: fidelity 0
+    left = u[:, :half] @ np.diag(rng.uniform(0.1, 1.0, half)) @ dagger(u[:, :half])
+    right = u[:, half:] @ np.diag(rng.uniform(0.1, 1.0, d - half)) @ dagger(u[:, half:])
+    pairs.append((left, right))
+    for a, b in pairs:
+        assert abs(fidelity(a, b) - fidelity_from_roots(a, b)) <= 1e-12
+    assert fidelity(x, 3.5 * x) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(left, right) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fidelity_keeps_the_negative_eigenvalue_refusal():
+    with pytest.raises(ValueError, match="not PSD"):
+        fidelity(np.diag([1.0, -0.5]), np.eye(2))
 
 
 def test_fidelity_rejects_zero_trace():

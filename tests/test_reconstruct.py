@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proctomo.channels import cnot_channel, identity_channel, process_matrix, random_channel
-from proctomo.ensembles import mub_states, natural_basis_states, random_states, sic_states
+from proctomo.ensembles import cube_states, mub_states, natural_basis_states, random_states, sic_states
 from proctomo.linalg import (
     dagger,
     hermitian_part,
@@ -262,5 +262,55 @@ def test_reconstructor_pinvs_equal_numpys():
     rec = TwoStageReconstructor(e, p)
     # cube_povm(2) is a product design: its pinv comes from its parts and
     # matches numpy's to rounding; the random ensemble's is numpy's own.
-    assert np.abs(rec._povm_pinv - np.linalg.pinv(p.parameterization())).max() <= 1e-13
+    assert np.abs(rec.povm.pinv - np.linalg.pinv(p.parameterization())).max() <= 1e-13
     assert np.array_equal(rec._state_pinv, np.linalg.pinv(e.parameterization().T))
+
+
+COMPOSITION_CASES = {
+    "d2": lambda: (random_channel(2, tp=True, seed=70), mub_states(2), cube_povm(1)),
+    "d4-nontp": lambda: (random_channel(4, tp=False, seed=71), random_states(4, 30, seed=72), cube_povm(2)),
+    "d8": lambda: (random_channel(8, tp=True, seed=73), cube_states(3), cube_povm(3)),
+}
+
+
+@pytest.mark.parametrize("tp_prior", [False, True])
+@pytest.mark.parametrize("case", sorted(COMPOSITION_CASES))
+def test_estimate_is_the_composition_of_its_steps(case, tp_prior):
+    ch, e, p = COMPOSITION_CASES[case]()
+    record = sample_record(ideal_probabilities(ch, e, p), 60 * p.num_sets, p, seed=74)
+    rec = TwoStageReconstructor(e, p)
+    est = rec.estimate(record, tp_prior=tp_prior)
+    a_hat = rec.output_coefficients(record.freq)
+    d_hat = rec.process_least_squares(a_hat)
+    g_hat, clipped = nearest_psd(d_hat)
+    x_hat, w, adjusted, capped, u, rank, used, fallback = rec.trace_correct(
+        g_hat, record.copies_per_state, tp_prior
+    )
+    for got, want in [
+        (est.output_coeffs, a_hat), (est.least_squares, d_hat), (est.psd_projection, g_hat),
+        (est.x_hat, x_hat), (est.trace_spectrum, w), (est.adjusted_spectrum, adjusted),
+        (est.capped_spectrum, capped), (est.trace_rotation, u),
+    ]:
+        assert np.array_equal(got, want)
+    assert (est.clipped_count, est.trace_rank, est.tp_prior, est.tp_fallback) == (clipped, rank, used, fallback)
+
+
+@pytest.mark.parametrize("case", sorted(COMPOSITION_CASES))
+def test_step1_matches_the_complex_product(case):
+    ch, e, p = COMPOSITION_CASES[case]()
+    freq = sample_record(ideal_probabilities(ch, e, p), 60 * p.num_sets, p, seed=75).freq
+    a_hat = TwoStageReconstructor(e, p).output_coefficients(freq)
+    assert a_hat.shape == (e.num_states, e.d**2)
+    assert np.abs(a_hat - freq @ p.pinv.T).max() <= 1e-13
+    # every row is the vec of a Hermitian matrix, exactly
+    for row in a_hat:
+        assert np.array_equal(unvec(row), dagger(unvec(row)))
+
+
+def test_complex_frequencies_raise():
+    rec = TwoStageReconstructor(mub_states(2), cube_povm(1))
+    freq = np.full((6, 6), 0.5) + 0j
+    with pytest.raises(ValueError, match="real"):
+        rec.output_coefficients(freq)
+    with pytest.raises(ValueError, match="real"):
+        rec.estimate(freq)

@@ -152,7 +152,11 @@ def reference_record(probs, copies, povm, seed):
 
     Cells are drawn from one SeedSequence-seeded Philox in the order the
     vectorized sampler visits them: blocks of 64 states, then groups of equally
-    sized sets by ascending size, then states, then the group's sets.
+    sized sets by ascending size, then states, then the group's sets.  A cell's
+    probabilities are summed left to right (``cumsum``), as the sampler sums its
+    slabs, which are not C-contiguous (``probs[rows, cols]`` and its
+    concatenation with the no-click column); numpy's pairwise 1-D ``sum()`` can
+    differ from that by an ulp once a cell has 8 or more outcomes.
     """
     m, ell = probs.shape
     shots = copies // povm.num_sets
@@ -165,8 +169,8 @@ def reference_record(probs, copies, povm, seed):
             for im in range(start, min(start + 64, m)):
                 for ij in [ij for ij, size in enumerate(povm.set_sizes) if size == n]:
                     p = np.clip(probs[im, slices[ij]], 0.0, None)
-                    pfull = np.append(p, max(1.0 - p.sum(), 0.0))
-                    pfull /= pfull.sum()
+                    pfull = np.append(p, max(1.0 - np.cumsum(p)[-1], 0.0))
+                    pfull /= np.cumsum(pfull)[-1]
                     draw = gen.multinomial(shots, pfull)
                     counts[im, slices[ij]] = draw[:-1]
                     lost[im, ij] = draw[-1]
@@ -284,10 +288,47 @@ def ideal_probabilities_loop(process, ensemble, povm):
 def test_ideal_probabilities_match_the_per_state_loop(d, m, qubits, tp):
     ch, e, p = random_channel(d, tp=tp, seed=d), random_states(d, m, seed=1), cube_povm(qubits)
     probs = ideal_probabilities(ch, e, p)
-    assert np.array_equal(probs, ideal_probabilities_loop(ch, e, p))
+    # Real Hermitian coordinates sum in another order than the complex product.
+    assert np.abs(probs - ideal_probabilities_loop(ch, e, p)).max() <= 1e-14
 
 
 def test_ideal_probabilities_of_a_process_matrix_match_the_per_state_loop():
     x = process_matrix(random_channel(4, tp=False, seed=2))
     e, p = random_states(4, 130, seed=8), cube_povm(2)
-    assert np.array_equal(ideal_probabilities(x, e, p), ideal_probabilities_loop(x, e, p))
+    assert np.abs(ideal_probabilities(x, e, p) - ideal_probabilities_loop(x, e, p)).max() <= 1e-14
+
+
+def _skewed_outputs(monkeypatch, skew):
+    """Add ``skew`` to entry (0, 1) of every channel output, and count the calls
+    to C, which only the exact imaginary-part check builds."""
+    apply, param, calls = KrausChannel.apply, PovmCollection.parameterization, []
+    bump = np.zeros((4, 4), dtype=complex)
+    bump[0, 1] = skew
+    monkeypatch.setattr(KrausChannel, "apply", lambda self, rho: apply(self, rho) + bump)
+    monkeypatch.setattr(PovmCollection, "parameterization", lambda self: calls.append(1) or param(self))
+    return calls
+
+
+def IMAG_CASE():
+    return random_channel(4, tp=True, seed=4), random_states(4, 70, seed=5), cube_povm(2)
+
+
+@pytest.mark.parametrize("skew", [1e-9, 1e-6])
+def test_non_negligible_imaginary_parts_still_raise(monkeypatch, skew):
+    ch, e, p = IMAG_CASE()
+    # Im Tr(P sigma) is skew/2 for the y-axis elements, P_10 = +-i/2.
+    calls = _skewed_outputs(monkeypatch, skew)
+    with pytest.raises(ValueError, match="imaginary"):
+        ideal_probabilities(ch, e, p)
+    assert calls
+
+
+@pytest.mark.parametrize("skew, exact", [(0.0, False), (1.2e-10, False), (1.5e-10, True)])
+def test_small_imaginary_parts_pass(monkeypatch, skew, exact):
+    ch, e, p = IMAG_CASE()
+    want = ideal_probabilities(ch, e, p)
+    calls = _skewed_outputs(monkeypatch, skew)
+    # The bound ||P_H|| ||sigma_K|| = skew / sqrt(2) clears 1.2e-10 but not 1.5e-10;
+    # then the exact imaginary part, 0.75e-10, decides.
+    assert np.abs(ideal_probabilities(ch, e, p) - want).max() <= skew
+    assert bool(calls) == exact

@@ -168,31 +168,31 @@ def test_m_scaling_study_checks_trials_and_grid(trials, grid):
 GOLDEN_SCALING = {
     False: (
         [
-            ["mub-2", 1200, 0.04401195993743128, 0.012851449059999652, 0.061392351624141805],
-            ["mub-2", 6000, 0.007559585278550715, 0.0031730526413502524, 0.018775365453305454],
-            ["sic-2", 1200, 0.0329034483875601, 0.018105086078535233, 0.03652649884744471],
-            ["sic-2", 6000, 0.004749304069244685, 0.0020267739870459553, 0.009490704849387152],
+            ["mub-2", 1200, 0.04401195993743126, 0.01285144905999972, 0.06139235162414084],
+            ["mub-2", 6000, 0.007559585278550708, 0.003173052641350268, 0.018775365453304754],
+            ["sic-2", 1200, 0.03290344838756009, 0.01810508607853521, 0.03652649884744522],
+            ["sic-2", 6000, 0.004749304069244711, 0.0020267739870459627, 0.009490704849387263],
         ],
         {
-            "mse[mub-2]": -1.0945716319843148,
-            "infidelity[mub-2]": -0.7361201010045092,
-            "mse[sic-2]": -1.2026430817627551,
-            "infidelity[sic-2]": -0.8373886932022439,
+            "mse[mub-2]": -1.094571631984315,
+            "infidelity[mub-2]": -0.7361201010045224,
+            "mse[sic-2]": -1.2026430817627523,
+            "infidelity[sic-2]": -0.8373886932022454,
         },
         "91213697b7a600fb",
     ),
     True: (
         [
-            ["mub-2", 1200, 0.23485838214231083, 0.02783889230594488, 0.08677171831690622],
-            ["mub-2", 6000, 0.2224195777764851, 0.005209810452262847, 0.042086396710136],
-            ["sic-2", 1200, 0.21469783182671554, 0.0264952291650533, 0.057346322806748194],
-            ["sic-2", 6000, 0.2294797165928896, 0.006327011332738058, 0.03196048474658375],
+            ["mub-2", 1200, 0.23485838214231083, 0.027838892305945006, 0.0867717183169066],
+            ["mub-2", 6000, 0.22241957777648524, 0.005209810452262577, 0.04208639671013559],
+            ["sic-2", 1200, 0.21469783182671556, 0.02649522916505315, 0.05734632280674771],
+            ["sic-2", 6000, 0.22947971659288982, 0.006327011332737941, 0.03196048474658272],
         ],
         {
-            "mse[mub-2]": -0.03381125473406759,
-            "infidelity[mub-2]": -0.4495707272652271,
-            "mse[sic-2]": 0.04137036788170902,
-            "infidelity[sic-2]": -0.3632376437001697,
+            "mse[mub-2]": -0.03381125473406747,
+            "infidelity[mub-2]": -0.44957072726523556,
+            "mse[sic-2]": 0.041370367881709384,
+            "infidelity[sic-2]": -0.3632376437001841,
         },
         "c09ac471c18caaf6",
     ),
@@ -222,10 +222,10 @@ def test_m_scaling_study_golden():
         channel_spec="random:2:tp:5", trials=3, seed=23,
     )
     assert [row[:-1] for row in result.rows] == [
-        [6, 0.10081137899729598, 0.08362925749624207],
-        [10, 0.03886103027921183, 0.0013169866901792786],
+        [6, 0.10081137899729604, 0.08362925749624202],
+        [10, 0.038861030279211915, 0.0013169866901792532],
     ]
-    assert result.slopes == {"mse[num_states]": -1.8661148454716545}
+    assert result.slopes == {"mse[num_states]": -1.8661148454716519}
     assert result.meta["config"] == (
         '{"channel": "random:2:tp:5", "copies_per_state": 500, "d": 2, "num_states": [6, 10], '
         '"povm": "cube-povm:1", "trials": 3}'
