@@ -309,13 +309,13 @@ def _skewed_outputs(monkeypatch, skew):
     return calls
 
 
-def IMAG_CASE():
+def imag_case():
     return random_channel(4, tp=True, seed=4), random_states(4, 70, seed=5), cube_povm(2)
 
 
 @pytest.mark.parametrize("skew", [1e-9, 1e-6])
 def test_non_negligible_imaginary_parts_still_raise(monkeypatch, skew):
-    ch, e, p = IMAG_CASE()
+    ch, e, p = imag_case()
     # Im Tr(P sigma) is skew/2 for the y-axis elements, P_10 = +-i/2.
     calls = _skewed_outputs(monkeypatch, skew)
     with pytest.raises(ValueError, match="imaginary"):
@@ -325,10 +325,10 @@ def test_non_negligible_imaginary_parts_still_raise(monkeypatch, skew):
 
 @pytest.mark.parametrize("skew, exact", [(0.0, False), (1.2e-10, False), (1.5e-10, True)])
 def test_small_imaginary_parts_pass(monkeypatch, skew, exact):
-    ch, e, p = IMAG_CASE()
+    ch, e, p = imag_case()
     want = ideal_probabilities(ch, e, p)
     calls = _skewed_outputs(monkeypatch, skew)
-    # The bound ||P_H|| ||sigma_K|| = skew / sqrt(2) clears 1.2e-10 but not 1.5e-10;
+    # The bound ||P|| ||sigma_K|| = skew / sqrt(2) clears 1.2e-10 but not 1.5e-10;
     # then the exact imaginary part, 0.75e-10, decides.
     assert np.abs(ideal_probabilities(ch, e, p) - want).max() <= skew
     assert bool(calls) == exact
