@@ -11,6 +11,7 @@ operator of the process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,8 @@ class ProcessMatrix:
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", m)
-        d = int(round(np.sqrt(m.shape[0])))
-        if m.ndim != 2 or m.shape != (d * d, d * d):
+        d = math.isqrt(m.shape[0]) if m.ndim == 2 else 0
+        if m.shape != (d * d, d * d) or not d:
             raise ValueError(f"process matrix must be d^2 x d^2, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("process matrix has non-finite entries")
@@ -102,7 +103,7 @@ class ProcessMatrix:
 
     @property
     def d(self) -> int:
-        return int(round(np.sqrt(self.mat.shape[0])))
+        return math.isqrt(self.mat.shape[0])
 
     def success_operator(self) -> np.ndarray:
         return hermitian_part(partial_trace_first(self.mat, self.d))

@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands: simulate, reconstruct, scaling-study, m-scaling-study,
-design-audit, oracle-check.  Studies accept a JSON config file and/or flags
-(flags win).  Exit code 0 on success, 2 on validation errors.
+design-audit, oracle-check.  scaling-study accepts a JSON config file and/or
+flags (flags win).  Exit code 0 on success, 2 on validation errors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import io as pio
 from .channels import as_process_matrix
 from .metrics import error_report
 from .reconstruct import TwoStageReconstructor
-from .simulate import exact_record, ideal_probabilities, sample_record
+from .simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 from .studies import (
     ExperimentConfig,
     design_audit,
@@ -65,7 +65,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    record = pio.load_json(args.record)
+    record = pio.load_json(args.record, (MeasurementRecord,))
     ensemble = make_ensemble(args.ensemble)
     povm = make_povm(args.povm)
     est = TwoStageReconstructor(ensemble, povm).estimate(record, tp_prior=args.tp_prior)

@@ -1,15 +1,22 @@
 """Serialization: a shared JSON document format plus delimited-text tables.
 
-Every object kind carries a ``kind`` tag; complex matrices are stored as
-separate real/imaginary nested lists.  JSON serializes doubles via repr, so
-round trips are bit-exact.  Records additionally export as tab-separated
-text (a commented header followed by the frequency matrix) for plotting
-tools; the JSON form is the lossless one and keeps raw counts.
+One table, ``KINDS``, gives each document kind its class, whether it writes
+the dimension ``d`` (never read back) and its fields: an attribute name, a
+codec to JSON and back, a default for a missing key (``REQUIRED`` for none)
+and a section (top level, or an estimate's ``diagnostics`` or
+``intermediates``, the latter written only on request).  ``to_dict`` and
+``from_dict`` walk it; ``from_dict`` is the one place where a malformed
+document becomes a ValueError naming the path, the kind and the field.
+Complex matrices are stored as real/imaginary nested lists and JSON writes
+doubles via repr, so round trips are bit-exact.  Records also export as
+tab-separated text for plotting tools; the JSON form is the lossless one.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,191 +28,108 @@ from .reconstruct import ProcessEstimate
 from .simulate import MeasurementRecord
 
 
-def _matrix_to_obj(m: np.ndarray) -> dict:
+def _matrix_out(m) -> dict:
     m = np.asarray(m, dtype=complex)
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _matrix_from_obj(obj: dict) -> np.ndarray:
-    return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+def _matrix_in(obj) -> np.ndarray:
+    # Assigned, not added: re + 1j * im would turn an imaginary -0.0 into 0.0.
+    m = np.asarray(obj["re"], dtype=float).astype(complex)
+    m.imag = np.asarray(obj["im"], dtype=float)
+    return m
 
 
-def channel_to_dict(ch: KrausChannel) -> dict:
-    return {
-        "kind": "channel",
-        "d": ch.d,
-        "label": ch.label,
-        "kraus": [_matrix_to_obj(a) for a in ch.kraus],
-    }
+# Codecs: (attribute -> JSON value, JSON value -> attribute).
+PLAIN = (lambda v: v, lambda v: v)
+MATRIX = (_matrix_out, _matrix_in)
+MATRICES = (lambda ms: [_matrix_out(m) for m in ms], lambda obj: tuple(_matrix_in(m) for m in obj))
+SETS = (lambda sets: [MATRICES[0](g) for g in sets], lambda obj: tuple(MATRICES[1](g) for g in obj))
+REAL = (lambda a: np.asarray(a).tolist(), partial(np.asarray, dtype=float))
+INT64 = (REAL[0], partial(np.asarray, dtype=np.int64))
 
+REQUIRED = object()
+Field = namedtuple("Field", "name codec default section", defaults=(PLAIN, REQUIRED, None))
 
-def channel_from_dict(obj: dict) -> KrausChannel:
-    return KrausChannel(
-        tuple(_matrix_from_obj(a) for a in obj["kraus"]), label=obj.get("label", "")
-    )
-
-
-def process_to_dict(x: ProcessMatrix) -> dict:
-    return {"kind": "process", "d": x.d, "label": x.label, "mat": _matrix_to_obj(x.mat)}
-
-
-def process_from_dict(obj: dict) -> ProcessMatrix:
-    return ProcessMatrix(_matrix_from_obj(obj["mat"]), label=obj.get("label", ""))
-
-
-def ensemble_to_dict(e: InputEnsemble) -> dict:
-    return {
-        "kind": "ensemble",
-        "d": e.d,
-        "label": e.label,
-        "states": [_matrix_to_obj(s) for s in e.states],
-    }
-
-
-def ensemble_from_dict(obj: dict) -> InputEnsemble:
-    return InputEnsemble(
-        tuple(_matrix_from_obj(s) for s in obj["states"]), label=obj.get("label", "")
-    )
-
-
-def povm_to_dict(p: PovmCollection) -> dict:
-    return {
-        "kind": "povm",
-        "d": p.d,
-        "label": p.label,
-        "sets": [[_matrix_to_obj(op) for op in group] for group in p.sets],
-    }
-
-
-def povm_from_dict(obj: dict) -> PovmCollection:
-    return PovmCollection(
-        tuple(tuple(_matrix_from_obj(op) for op in group) for group in obj["sets"]),
-        label=obj.get("label", ""),
-    )
-
-
-def record_to_dict(r: MeasurementRecord) -> dict:
-    obj = {
-        "kind": "record",
-        "set_sizes": list(r.set_sizes),
-        "shots_per_set": r.shots_per_set,
-        "seed": r.seed,
-        "sampler": r.sampler,
-    }
-    for key in ("freq", "counts", "lost_counts", "ideal"):
-        value = getattr(r, key)
-        obj[key] = None if value is None else value.tolist()
-    return obj
-
-
-def record_from_dict(obj: dict) -> MeasurementRecord:
-    def arr(key, dtype):
-        return None if obj.get(key) is None else np.asarray(obj[key], dtype=dtype)
-
-    return MeasurementRecord(
-        freq=np.asarray(obj["freq"], dtype=float),
-        set_sizes=tuple(obj["set_sizes"]),
-        shots_per_set=obj.get("shots_per_set"),
-        seed=obj.get("seed"),
-        counts=arr("counts", np.int64),
-        lost_counts=arr("lost_counts", np.int64),
-        ideal=arr("ideal", float),
-        # Records written before the field existed were drawn by sampler 1.
-        sampler=obj.get("sampler", 1),
-    )
-
-
-def estimate_to_dict(est: ProcessEstimate, include_intermediates: bool = False) -> dict:
-    obj = {
-        "kind": "estimate",
-        "d": est.d,
-        "x_hat": _matrix_to_obj(est.x_hat),
-        "diagnostics": {
-            "trace_rank": est.trace_rank,
-            "clipped_count": est.clipped_count,
-            "tp_prior": est.tp_prior,
-            "tp_fallback": est.tp_fallback,
-            "copies_per_state": est.copies_per_state,
-            "trace_spectrum": np.asarray(est.trace_spectrum).tolist(),
-            "adjusted_spectrum": np.asarray(est.adjusted_spectrum).tolist(),
-            "capped_spectrum": np.asarray(est.capped_spectrum).tolist(),
-        },
-    }
-    if include_intermediates:
-        obj["intermediates"] = {
-            "output_coeffs": _matrix_to_obj(est.output_coeffs),
-            "least_squares": _matrix_to_obj(est.least_squares),
-            "psd_projection": _matrix_to_obj(est.psd_projection),
-            "trace_rotation": _matrix_to_obj(est.trace_rotation),
-        }
-    return obj
-
-
-def estimate_from_dict(obj: dict) -> ProcessEstimate:
-    diag = obj["diagnostics"]
-    inter = obj.get("intermediates") or {}
-
-    def mat(key):
-        return _matrix_from_obj(inter[key]) if key in inter else None
-
-    return ProcessEstimate(
-        x_hat=_matrix_from_obj(obj["x_hat"]),
-        output_coeffs=mat("output_coeffs"),
-        least_squares=mat("least_squares"),
-        psd_projection=mat("psd_projection"),
-        trace_spectrum=np.asarray(diag["trace_spectrum"], dtype=float),
-        adjusted_spectrum=np.asarray(diag["adjusted_spectrum"], dtype=float),
-        capped_spectrum=np.asarray(diag["capped_spectrum"], dtype=float),
-        trace_rotation=mat("trace_rotation"),
-        trace_rank=diag["trace_rank"],
-        clipped_count=diag["clipped_count"],
-        tp_prior=diag["tp_prior"],
-        tp_fallback=diag["tp_fallback"],
-        copies_per_state=diag["copies_per_state"],
-    )
-
-
-_TO_DICT = {
-    KrausChannel: channel_to_dict,
-    ProcessMatrix: process_to_dict,
-    InputEnsemble: ensemble_to_dict,
-    PovmCollection: povm_to_dict,
-    MeasurementRecord: record_to_dict,
-    ProcessEstimate: estimate_to_dict,
-}
-
-_FROM_DICT = {
-    "channel": channel_from_dict,
-    "process": process_from_dict,
-    "ensemble": ensemble_from_dict,
-    "povm": povm_from_dict,
-    "record": record_from_dict,
-    "estimate": estimate_from_dict,
+# kind -> (class, writes d, fields in document order)
+KINDS = {
+    "channel": (KrausChannel, True, (Field("label", default=""), Field("kraus", MATRICES))),
+    "process": (ProcessMatrix, True, (Field("label", default=""), Field("mat", MATRIX))),
+    "ensemble": (InputEnsemble, True, (Field("label", default=""), Field("states", MATRICES))),
+    "povm": (PovmCollection, True, (Field("label", default=""), Field("sets", SETS))),
+    "record": (MeasurementRecord, False, (
+        Field("set_sizes"),
+        *(Field(n, default=None) for n in ("shots_per_set", "seed")),
+        Field("sampler", default=1),  # records written before the field existed came from sampler 1
+        Field("freq", REAL),
+        *(Field(n, INT64, None) for n in ("counts", "lost_counts")),
+        Field("ideal", REAL, None),
+    )),
+    "estimate": (ProcessEstimate, True, (
+        Field("x_hat", MATRIX),
+        *(Field(n, section="diagnostics")
+          for n in ("trace_rank", "clipped_count", "tp_prior", "tp_fallback", "copies_per_state")),
+        *(Field(n, REAL, section="diagnostics") for n in ("trace_spectrum", "adjusted_spectrum", "capped_spectrum")),
+        *(Field(n, MATRIX, None, "intermediates")
+          for n in ("output_coeffs", "least_squares", "psd_projection", "trace_rotation")),
+    )),
 }
 
 
-def save_json(obj, path, **kwargs) -> None:
-    """Write ``obj`` as a JSON document; ``kwargs`` go to its converter
-    (``include_intermediates`` for estimates)."""
-    for cls, conv in _TO_DICT.items():
-        if isinstance(obj, cls):
-            Path(path).write_text(json.dumps(conv(obj, **kwargs), indent=1))
-            return
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+def to_dict(obj, include_intermediates: bool = False) -> dict:
+    """The JSON document of ``obj``, with an estimate's intermediates if asked."""
+    kind = next((k for k, (cls, _, _) in KINDS.items() if isinstance(obj, cls)), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+    _, writes_d, fields = KINDS[kind]
+    doc = {"kind": kind, "d": obj.d} if writes_d else {"kind": kind}
+    for f in fields:
+        if f.section == "intermediates" and not include_intermediates:
+            continue
+        value = getattr(obj, f.name)
+        holder = doc if f.section is None else doc.setdefault(f.section, {})
+        holder[f.name] = None if value is None else f.codec[0](value)
+    return doc
 
 
-def load_json(path):
+def from_dict(doc, where):
+    """The object a JSON document describes; ``where`` names its source in errors."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown document kind {kind!r} in {where}")
+    cls, _, fields = KINDS[kind]
+    values = {}
+    for f in fields:
+        try:
+            holder = doc if f.section is None else doc.get(f.section) or {}
+            raw = holder[f.name] if f.name in holder else f.default
+            if raw is REQUIRED:
+                raise KeyError(f.name)
+            # null reads as None where None is the default, else goes to the codec
+            values[f.name] = None if raw is None and f.default is None else f.codec[1](raw)
+        except KeyError as exc:
+            raise ValueError(f"{kind} document {where} lacks the required field {exc.args[0]!r}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{kind} document {where} has a malformed field {f.name!r}: {exc}") from None
+    return cls(**values)
+
+
+def save_json(obj, path, include_intermediates: bool = False) -> None:
+    """Write ``obj`` as a JSON document (see ``to_dict``)."""
+    Path(path).write_text(json.dumps(to_dict(obj, include_intermediates), indent=1))
+
+
+def load_json(path, kinds: tuple = (object,)):
+    """The object of the JSON document at ``path``, refused unless it is an
+    instance of one of ``kinds``."""
     try:
-        obj = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        doc = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise ValueError(f"{path} is not a JSON document: {exc}") from None
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind not in _FROM_DICT:
-        raise ValueError(f"unknown document kind {kind!r} in {path}")
-    try:
-        return _FROM_DICT[kind](obj)
-    except KeyError as exc:
-        raise ValueError(f"{kind} document {path} lacks the required field {exc.args[0]!r}") from None
+    obj = from_dict(doc, path)
+    if not isinstance(obj, kinds):
+        raise ValueError(f"{path} does not contain a {' or '.join(k.__name__ for k in kinds)}")
+    return obj
 
 
 def record_to_text(r: MeasurementRecord) -> str:
@@ -236,7 +160,7 @@ def record_from_text(text: str) -> MeasurementRecord:
             meta[key.strip()] = value.strip()
         else:
             rows.append([float(v) for v in line.split("\t")])
-    # As in record_from_dict, a table without a sampler line was drawn by sampler 1.
+    # As in the JSON form, a table without a sampler line was drawn by sampler 1.
     sampler = meta.get("sampler", "1")
     return MeasurementRecord(
         freq=np.asarray(rows, dtype=float),

@@ -150,7 +150,7 @@ def unvec(v: np.ndarray, rows: int | None = None, cols: int | None = None) -> np
     """Inverse of :func:`vec`.  Defaults to a square matrix."""
     v = np.asarray(v).reshape(-1)
     if rows is None:
-        rows = int(round(np.sqrt(v.size)))
+        rows = math.isqrt(v.size)
         cols = rows
     elif cols is None:
         cols = v.size // rows

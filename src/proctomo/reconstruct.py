@@ -27,6 +27,7 @@ to cross-check the structured implementation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,7 @@ class ProcessEstimate:
 
     @property
     def d(self) -> int:
-        return int(round(np.sqrt(self.x_hat.shape[0])))
+        return math.isqrt(self.x_hat.shape[0])
 
     def process(self, label: str = "estimate") -> ProcessMatrix:
         return ProcessMatrix(self.x_hat, label=label)

@@ -20,6 +20,7 @@ reproduced only by releases before it was replaced.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -38,6 +39,11 @@ _STATE_BLOCK = 64
 SAMPLER = 2
 
 
+def _whole(n, least: int) -> bool:
+    """``n`` is an integer (not a bool) of at least ``least``."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
+
+
 @dataclass(eq=False)
 class MeasurementRecord:
     """Empirical frequency matrix P-hat with its sampling metadata."""
@@ -53,6 +59,13 @@ class MeasurementRecord:
     sampler: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.set_sizes, (tuple, list)) or not all(_whole(n, 1) for n in self.set_sizes):
+            raise ValueError(f"set sizes must be positive integers, got {self.set_sizes!r}")
+        self.set_sizes = tuple(self.set_sizes)
+        if not (self.shots_per_set is None or _whole(self.shots_per_set, 1)):
+            raise ValueError(f"shots per set must be a positive integer or None, got {self.shots_per_set!r}")
+        if not (self.seed is None or _whole(self.seed, 0)):
+            raise ValueError(f"seed must be a non-negative integer or None, got {self.seed!r}")
         self.freq = np.asarray(self.freq, dtype=float)
         if self.freq.ndim != 2:
             raise ValueError("frequency matrix must be 2-D (states x operators)")

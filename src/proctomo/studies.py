@@ -68,20 +68,13 @@ def _int(spec: str, field: str, form: str) -> int:
         raise ValueError(f"spec {spec!r} has a non-integer field {field!r}; expected {form}") from None
 
 
-def _load_typed(path, kinds):
-    obj = pio.load_json(path)
-    if not isinstance(obj, kinds):
-        raise ValueError(f"{path} does not contain a {' or '.join(k.__name__ for k in kinds)}")
-    return obj
-
-
 def make_channel(spec: str):
     """Channel factory: cnot | identity:d | random:d[:tp|nontp][:seed] | file:path."""
     parts = _split(spec)
     name = parts[0].lower()
     if name == "file":
         _need(parts, 1, "file:path")
-        return _load_typed(parts[1], (KrausChannel, ProcessMatrix))
+        return pio.load_json(parts[1], (KrausChannel, ProcessMatrix))
     if name == "cnot":
         _need(parts, 0, "cnot")
         return cnot_channel()
@@ -116,7 +109,7 @@ def make_ensemble(spec: str) -> InputEnsemble:
         return random_states(d, m, seed=seed)
     if name == "file":
         _need(parts, 1, "file:path")
-        return _load_typed(parts[1], (InputEnsemble,))
+        return pio.load_json(parts[1], (InputEnsemble,))
     if name in ("cube-states", "cube_states"):
         _need(parts, 1, "cube-states:m")
         return cube_states(_int(spec, parts[1], "cube-states:m"))
@@ -134,7 +127,7 @@ def make_povm(spec: str) -> PovmCollection:
     name = parts[0].lower().replace("_", "-")
     if name == "file":
         _need(parts, 1, "file:path")
-        return _load_typed(parts[1], (PovmCollection,))
+        return pio.load_json(parts[1], (PovmCollection,))
     base = name[: -len("-povm")] if name.endswith("-povm") else name
     if base == "cube":
         _need(parts, 1, "cube-povm:m")

@@ -150,6 +150,9 @@ def test_process_matrix_rejects_invalid():
         ProcessMatrix(np.diag([1.0, 1.0, 1.0, -0.5]))
     with pytest.raises(ValueError):
         ProcessMatrix(2.0 * process_matrix(identity_channel(2)).mat)  # Tr_1 = 2I
+    for shape in [(), (4,), (0, 0), (3, 3), (4, 5)]:  # not d^2 x d^2 for a d >= 1
+        with pytest.raises(ValueError, match="d\\^2 x d\\^2"):
+            ProcessMatrix(np.zeros(shape))
 
 
 def test_as_process_matrix_passes_process_matrices_through():

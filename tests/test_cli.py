@@ -34,7 +34,9 @@ def test_design_audit_rejects_unknown(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b"", bytes(range(256))], ids=["empty", "binary"])
+@pytest.mark.parametrize(
+    "content", [b"", bytes(range(256)), b"[" * 100_000 + b"]" * 100_000], ids=["empty", "binary", "deep"]
+)
 def test_design_audit_names_a_file_that_is_not_json(tmp_path, capsys, content):
     path = tmp_path / "design.dat"
     path.write_bytes(content)

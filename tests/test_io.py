@@ -8,7 +8,7 @@ from proctomo.channels import process_matrix, random_channel
 from proctomo.ensembles import mub_states, random_states
 from proctomo.povms import cube_povm, sic_povm
 from proctomo.reconstruct import TwoStageReconstructor
-from proctomo.simulate import exact_record, ideal_probabilities, sample_record
+from proctomo.simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 
 
 def test_channel_round_trip_bit_exact(tmp_path):
@@ -79,7 +79,7 @@ def test_record_sampler_stamp_round_trips(tmp_path):
 
 def test_record_without_sampler_field_loads_as_version_1(tmp_path):
     rec, _, _ = make_record()
-    obj = pio.record_to_dict(rec)
+    obj = pio.to_dict(rec)
     del obj["sampler"]
     path = tmp_path / "record.json"
     path.write_text(json.dumps(obj))
@@ -182,7 +182,34 @@ def test_missing_fields_raise_value_error_naming_kind_and_field(tmp_path, doc, f
         pio.load_json(path)
 
 
-@pytest.mark.parametrize("text", ["[]", "3", '"ensemble"'])
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"kind": "ensemble", "states": 3}, "states"),
+        ({"kind": "povm", "sets": [{"re": [[1.0]], "im": [[0.0]]}]}, "sets"),
+        ({"kind": "channel", "kraus": [{"re": "ab", "im": 0}]}, "kraus"),
+        ({"kind": "process", "mat": [1.0]}, "mat"),
+        ({"kind": "record", "freq": [[0.5], [0.5, 0.5]], "set_sizes": [2]}, "freq"),
+        ({"kind": "record", "freq": [[0.5, 0.5]], "set_sizes": [2], "counts": [[2**70, 0]]}, "counts"),
+        ({"kind": "estimate", "x_hat": {"re": [[1.0]], "im": [[0.0]]}, "diagnostics": 3}, "trace_rank"),
+    ],
+)
+def test_malformed_fields_raise_value_error_naming_path_kind_and_field(tmp_path, doc, field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{doc['kind']} document .*doc.json has a malformed field '{field}'"):
+        pio.load_json(path)
+
+
+def test_load_refuses_a_document_of_another_kind(tmp_path):
+    rec, e, p = make_record(69)
+    path = tmp_path / "estimate.json"
+    pio.save_json(TwoStageReconstructor(e, p).estimate(rec), path)
+    with pytest.raises(ValueError, match="does not contain a MeasurementRecord"):
+        pio.load_json(path, (MeasurementRecord,))
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"ensemble"', '{"kind": ["record"]}'])
 def test_non_object_documents_raise_value_error(tmp_path, text):
     path = tmp_path / "doc.json"
     path.write_text(text)

@@ -50,6 +50,9 @@ def test_unvec_round_trip():
     assert np.array_equal(unvec(vec(a), 3, 5), a)
     b = random_complex(rng, (4, 4))
     assert np.array_equal(unvec(vec(b)), b)
+    for n in (2, 3, 5, 8, 15, 17):  # not a square length
+        with pytest.raises(ValueError, match="cannot unvec"):
+            unvec(np.zeros(n))
 
 
 def test_vec_rejects_empty():

@@ -120,6 +120,35 @@ def test_record_validation():
         MeasurementRecord(freq=np.array([[0.5, 0.5]]), set_sizes=(3,))
 
 
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"set_sizes": (0.5,) * 72},
+        {"set_sizes": (True, True)},
+        {"set_sizes": (3, -1)},
+        {"set_sizes": "ab"},
+        {"set_sizes": 2},
+        {"shots_per_set": 0},
+        {"shots_per_set": "x"},
+        {"shots_per_set": 1.5},
+        {"seed": -1},
+        {"seed": False},
+    ],
+)
+def test_record_validates_its_metadata(meta):
+    cols = 36 if meta.get("set_sizes") == (0.5,) * 72 else 2
+    kwargs = {"freq": np.full((1, cols), 0.5), "set_sizes": (2,), **meta}
+    with pytest.raises(ValueError):
+        MeasurementRecord(**kwargs)
+
+
+def test_record_accepts_numpy_integer_metadata():
+    rec = MeasurementRecord(
+        freq=np.full((1, 2), 0.5), set_sizes=[np.int64(2)], shots_per_set=np.int64(4), seed=np.uint32(0)
+    )
+    assert rec.set_sizes == (2,) and isinstance(rec.set_sizes, tuple)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         ideal_probabilities(identity_channel(2), mub_states(4), cube_povm(1))
