@@ -42,11 +42,10 @@ from .povms import (
     projective_povm,
     sic_povm,
 )
+from .oracle import dense_estimates, dense_expansion_matrix
 from .reconstruct import (
     ProcessEstimate,
     TwoStageReconstructor,
-    dense_estimates,
-    dense_expansion_matrix,
     nearest_psd,
     two_stage_estimate,
 )

@@ -16,6 +16,7 @@ from pathlib import Path
 from . import io as pio
 from .channels import as_process_matrix
 from .metrics import error_report
+from .oracle import oracle_check
 from .reconstruct import TwoStageReconstructor
 from .simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 from .studies import (
@@ -25,7 +26,6 @@ from .studies import (
     make_channel,
     make_ensemble,
     make_povm,
-    oracle_check,
     run_m_scaling_study,
     run_scaling_study,
 )

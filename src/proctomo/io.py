@@ -6,7 +6,8 @@ codec to JSON and back, a default for a missing key (``REQUIRED`` for none)
 and a section (top level, or an estimate's ``diagnostics`` or
 ``intermediates``, the latter written only on request).  ``to_dict`` and
 ``from_dict`` walk it; ``from_dict`` is the one place where a malformed
-document becomes a ValueError naming the path, the kind and the field.
+document becomes a ValueError naming the path, the kind and the field (or,
+when the class's own checks refuse the decoded fields, the class's message).
 Complex matrices are stored as real/imaginary nested lists and JSON writes
 doubles via repr, so round trips are bit-exact.  Records also export as
 tab-separated text for plotting tools; the JSON form is the lossless one.
@@ -111,7 +112,10 @@ def from_dict(doc, where):
             raise ValueError(f"{kind} document {where} lacks the required field {exc.args[0]!r}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{kind} document {where} has a malformed field {f.name!r}: {exc}") from None
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:  # the class's own checks on the decoded fields
+        raise ValueError(f"{kind} document {where}: {exc}") from None
 
 
 def save_json(obj, path, include_intermediates: bool = False) -> None:
@@ -151,23 +155,38 @@ def record_to_text(r: MeasurementRecord) -> str:
 
 
 def record_from_text(text: str) -> MeasurementRecord:
+    """The record of a table written by :func:`record_to_text`.  A missing or
+    malformed header, or a malformed row, is a ValueError naming it."""
     meta, rows = {}, []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
+    for number, line in enumerate(text.splitlines(), 1):
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("\t")
             meta[key.strip()] = value.strip()
-        else:
-            rows.append([float(v) for v in line.split("\t")])
-    # As in the JSON form, a table without a sampler line was drawn by sampler 1.
-    sampler = meta.get("sampler", "1")
+        elif line.strip():
+            try:
+                rows.append([float(v) for v in line.split("\t")])
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"record table line {number} is a malformed row: {line!r}") from None
+
+    def header(key, parse=int, default=""):
+        """The header's parsed value, None if empty; with ``default=None`` it is required."""
+        value = meta.get(key, default)
+        if value is None:
+            raise ValueError(f"record table lacks a {key!r} header")
+        try:
+            return parse(value) if value else None
+        except ValueError:
+            raise ValueError(f"record table header {key!r} is malformed: {value!r}") from None
+
     return MeasurementRecord(
         freq=np.asarray(rows, dtype=float),
-        set_sizes=tuple(int(n) for n in meta["set_sizes"].split(",")),
-        shots_per_set=int(meta["shots_per_set"]) if meta.get("shots_per_set") else None,
-        seed=int(meta["seed"]) if meta.get("seed") else None,
-        sampler=int(sampler) if sampler else None,
+        set_sizes=header("set_sizes", lambda v: tuple(int(n) for n in v.split(",")), default=None),
+        shots_per_set=header("shots_per_set"),
+        seed=header("seed"),
+        # As in the JSON form, a table without a sampler line was drawn by sampler 1.
+        sampler=header("sampler", default="1"),
     )
 
 

@@ -5,9 +5,6 @@ Conventions fixed here and relied on everywhere else:
 * ``vec`` is strictly column-stacking (Fortran order).  The row-stacked
   coordinate vector of a matrix ``A`` is obtained as ``vec(A.T)``, never via a
   second convention.
-* Permutations are stored as index arrays and applied in O(n) with fancy
-  indexing; they are never materialized as dense matrices outside of test
-  oracles.
 * ``partial_trace_first`` traces out the first (most significant) tensor
   factor, so that ``Tr_1(vec(S) vec(T)^dag) = S T^dag``.
 
@@ -18,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,65 +153,6 @@ def unvec(v: np.ndarray, rows: int | None = None, cols: int | None = None) -> np
     if rows * cols != v.size:
         raise ValueError(f"cannot unvec length {v.size} into {rows}x{cols}")
     return v.reshape((rows, cols), order="F")
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation stored as an index array.
-
-    ``apply(v) == v[forward]``, which is the action of the 0/1 matrix whose
-    row ``i`` has its one in column ``forward[i]``.
-    """
-
-    forward: np.ndarray
-
-    def __post_init__(self):
-        fwd = np.asarray(self.forward, dtype=np.intp)
-        object.__setattr__(self, "forward", fwd)
-        if not np.array_equal(np.sort(fwd), np.arange(fwd.size)):
-            raise ValueError("forward is not a bijection on 0..size-1")
-
-    @property
-    def size(self) -> int:
-        return self.forward.size
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if v.shape[0] != self.size:
-            raise ValueError(f"vector length {v.shape[0]} != permutation size {self.size}")
-        return v[self.forward]
-
-    def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self.forward))
-
-    def matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix (test oracles only)."""
-        return np.eye(self.size)[self.forward]
-
-
-def transpose_permutation(rows: int, cols: int) -> Permutation:
-    """Permutation K with ``K.apply(vec(A)) == vec(A.T)`` for rows x cols A."""
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    p = np.arange(rows * cols)
-    return Permutation((p % cols) * rows + p // cols)
-
-
-def reshuffle_permutation(d: int) -> Permutation:
-    """Index reshuffle R aligning vec of a d^2 x d^2 process matrix with the
-    block structure of the stacked input-state parameterization.
-
-    Writing an index of length d^4 in base d as (u, v, x, y), R swaps the two
-    middle digits.  R is an involution, so R == R^T == R^-1.
-    """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    c = np.arange(d**4)
-    y = c % d
-    x = (c // d) % d
-    v = (c // d**2) % d
-    u = c // d**3
-    return Permutation(u * d**3 + x * d**2 + v * d + y)
 
 
 def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:

@@ -19,10 +19,6 @@ The estimator runs four steps on a frequency matrix P-hat:
 
 On exact data the pipeline is the identity on valid process matrices; on any
 finite input it returns a Hermitian PSD X-hat with Tr_1(X-hat) <= I.
-
-A dense brute-force route (small d only) materializes the full coefficient
-matrix from its definition and solves the same problems directly; it exists
-to cross-check the structured implementation.
 """
 
 from __future__ import annotations
@@ -40,10 +36,6 @@ from .linalg import (
     hermitian_eig,
     hermitian_part,
     partial_trace_first,
-    reshuffle_permutation,
-    transpose_permutation,
-    unvec,
-    vec,
 )
 from .povms import PovmCollection
 from .simulate import MeasurementRecord
@@ -94,6 +86,8 @@ class TwoStageReconstructor:
     def __init__(self, ensemble: InputEnsemble, povm: PovmCollection):
         if ensemble.d != povm.d:
             raise ValueError(f"ensemble d={ensemble.d} does not match POVM d={povm.d}")
+        if ensemble.d < 2:
+            raise ValueError("dimension must be at least 2")
         self.ensemble = ensemble
         self.povm = povm
         self.d = ensemble.d
@@ -102,7 +96,6 @@ class TwoStageReconstructor:
         # normal equations.
         self._povm_coords = povm.pinv_coords
         self._state_pinv = ensemble.pinv
-        self._reshuffle = reshuffle_permutation(self.d).forward
 
     def output_coefficients(self, freq: np.ndarray) -> np.ndarray:
         """Step 1: M x d^2 natural-basis coordinates of the output states, from
@@ -119,9 +112,10 @@ class TwoStageReconstructor:
 
     def process_least_squares(self, coeffs: np.ndarray) -> np.ndarray:
         """Step 2: unconstrained least-squares process matrix."""
-        z = self._state_pinv @ coeffs
-        # R is an involution, so applying R^T is the same index gather.
-        return unvec(vec(z)[self._reshuffle])
+        d = self.d
+        # unvec(R^T vec(z)): D-hat[(x, y), (u, v)] = z[(v, y), (u, x)], digits in base d.
+        z = (self._state_pinv @ coeffs).reshape(d, d, d, d)
+        return z.transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
     def trace_correct(self, g_hat: np.ndarray, copies: int | None, tp_prior: bool):
         """Step 4: conjugate by I (x) T so the partial trace obeys its cap."""
@@ -193,66 +187,3 @@ def two_stage_estimate(
 ) -> ProcessEstimate:
     """One-shot convenience wrapper around :class:`TwoStageReconstructor`."""
     return TwoStageReconstructor(ensemble, povm).estimate(record, tp_prior=tp_prior)
-
-
-# ---------------------------------------------------------------------------
-# Dense brute-force oracle (small dimensions only)
-
-_DENSE_MAX_D = 3
-
-
-def _elementary_basis(d: int) -> list:
-    eye = np.eye(d, dtype=complex)
-    return [np.outer(eye[:, r], eye[:, c]) for r in range(d) for c in range(d)]
-
-
-def dense_expansion_matrix(ensemble: InputEnsemble) -> np.ndarray:
-    """The M d^2 x d^4 coefficient matrix built entry by entry from its
-    definition: column (j, k) holds the natural-basis coordinates of
-    E_j rho_m E_k^dag for every state."""
-    d, m = ensemble.d, ensemble.num_states
-    if d > _DENSE_MAX_D:
-        raise ValueError(f"dense construction is limited to d <= {_DENSE_MAX_D}")
-    basis = _elementary_basis(d)
-    b = np.zeros((m * d * d, d**4), dtype=complex)
-    rows = np.arange(d * d) * m
-    for k in range(d * d):
-        ek_dag = dagger(basis[k])
-        for j in range(d * d):
-            col = k * d * d + j
-            for im, rho in enumerate(ensemble.states):
-                b[rows + im, col] = vec(basis[j] @ rho @ ek_dag)
-    return b
-
-
-def dense_estimates(record, ensemble: InputEnsemble, povm: PovmCollection):
-    """Fully materialized least-squares solutions for cross-checking.
-
-    Returns ``(two_step, global_ls)``: the dense evaluation of the structured
-    two-step formula, and the one-shot least-squares solution of the complete
-    linear system.  ``two_step`` equals the structured step-2 output on any
-    data; both equal the true process matrix on exact data.
-    """
-    d, m = ensemble.d, ensemble.num_states
-    if d > _DENSE_MAX_D:
-        raise ValueError(f"dense oracle is limited to d <= {_DENSE_MAX_D}")
-    freq = record.freq if isinstance(record, MeasurementRecord) else np.asarray(record)
-    c = povm.parameterization()
-    b = dense_expansion_matrix(ensemble)
-    k_mat = transpose_permutation(m, d * d).matrix()
-    r_mat = reshuffle_permutation(d).matrix()
-    data = freq.reshape(-1)  # vec of the transposed frequency matrix
-
-    y = np.kron(np.eye(m), c) @ k_mat @ b
-    global_ls = unvec(np.linalg.pinv(y) @ data)
-
-    w_c = np.linalg.pinv(c)
-    w_v = np.linalg.pinv(ensemble.parameterization().T)
-    two_step = unvec(
-        r_mat.T
-        @ np.kron(np.eye(d * d), w_v)
-        @ k_mat.T
-        @ np.kron(np.eye(m), w_c)
-        @ data
-    )
-    return two_step, global_ls

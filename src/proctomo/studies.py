@@ -35,11 +35,10 @@ from .ensembles import (
     random_states,
     sic_states,
 )
-from .linalg import frob, reshuffle_permutation
 from .metrics import infidelity, loglog_slope, squared_error
 from .povms import PovmCollection, cube_povm, design_metrics_C, mub_povm, sic_povm
-from .reconstruct import TwoStageReconstructor, dense_estimates, dense_expansion_matrix
-from .simulate import exact_record, ideal_probabilities, sample_record
+from .reconstruct import TwoStageReconstructor
+from .simulate import ideal_probabilities, sample_record
 
 
 def _split(spec: str) -> list:
@@ -372,38 +371,3 @@ def format_audit(report: dict) -> list:
         f"  achieves lower bounds: {'yes' if report['achieves'] else 'no'}",
     ]
 
-
-def oracle_check(seed: int = 0) -> list:
-    """Cross-checks of the structured solver against dense brute force.
-
-    Returns (name, passed, detail) triples; all should pass on a healthy
-    installation.
-    """
-    results = []
-
-    # Dense coefficient matrix equals the structured factorization, d=2 and 3.
-    for d, ensemble in ((2, sic_states(2)), (3, random_states(3, 9, seed=seed))):
-        v = ensemble.parameterization()
-        b_dense = dense_expansion_matrix(ensemble)
-        b_struct = np.kron(np.eye(d * d), v.T) @ reshuffle_permutation(d).matrix()
-        err = frob(b_dense - b_struct)
-        results.append((f"coefficient-factorization-d{d}", err <= 1e-12, f"max dev {err:.2e}"))
-
-    # Structured two-step equals its dense evaluation on noisy data, and both
-    # recover the exact process on noiseless data.
-    channel = random_channel(2, tp=True, seed=seed)
-    ensemble, povm = mub_states(2), cube_povm(1)
-    probs = ideal_probabilities(channel, ensemble, povm)
-    noisy = sample_record(probs, 3_000, povm, seed=seed + 1)
-    rec = TwoStageReconstructor(ensemble, povm)
-    d_struct = rec.process_least_squares(rec.output_coefficients(noisy.freq))
-    d_dense, _ = dense_estimates(noisy, ensemble, povm)
-    err = frob(d_struct - d_dense)
-    results.append(("structured-vs-dense-noisy", err <= 1e-10, f"dev {err:.2e}"))
-
-    x_true = as_process_matrix(channel).mat
-    clean = exact_record(probs, povm)
-    two_step, global_ls = dense_estimates(clean, ensemble, povm)
-    err = max(frob(two_step - x_true), frob(global_ls - x_true))
-    results.append(("noiseless-exact-recovery", err <= 1e-9, f"dev {err:.2e}"))
-    return results

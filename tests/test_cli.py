@@ -270,3 +270,27 @@ def test_scaling_study_config_with_mistyped_lists_exits_2(cfg, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error:") and next(iter(cfg)) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc, text",
+    [
+        (
+            ["reconstruct", "--ensemble", "mub:2", "--povm", "cube-povm:1", "--record", "{path}"],
+            {"kind": "record", "set_sizes": [2], "freq": [1, 2]},
+            "frequency matrix must be 2-D (states x operators)",
+        ),
+        (
+            ["design-audit", "file:{path}"],
+            {"kind": "ensemble", "states": [{"re": [[1.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}]},
+            "ensemble state has negative eigenvalue -5.000e-01",
+        ),
+    ],
+)
+def test_documents_failing_their_class_checks_exit_2_naming_the_file(argv, doc, text, tmp_path, capsys):
+    path = tmp_path / "bad_doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([a.format(path=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{doc['kind']} document {path}: {text}" in err
+    assert "Traceback" not in err

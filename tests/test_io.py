@@ -127,6 +127,25 @@ def test_record_text_without_a_sampler_line_loads_as_version_1():
     assert np.array_equal(loaded.freq, rec.freq)
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("# seed\t3\n0.5\t0.5\n", "lacks a 'set_sizes' header"),
+        ("# set_sizes\t2,x\n0.5\t0.5\n", "header 'set_sizes' is malformed"),
+        ("# set_sizes\t2\n# seed\tabc\n0.5\t0.5\n", "header 'seed' is malformed"),
+        ("# set_sizes\t2\n# shots_per_set\t1.5\n0.5\t0.5\n", "header 'shots_per_set' is malformed"),
+        ("# set_sizes\t2\n# sampler\tv2\n0.5\t0.5\n", "header 'sampler' is malformed"),
+        ("# set_sizes\t2\n0.5\tx\n", "line 2 "),
+        ("# set_sizes\t2\n0.5\t0.5\n\n0.5\n", "line 4 "),
+    ],
+    ids=["no-set_sizes", "set_sizes", "seed", "shots_per_set", "sampler", "non-number-row", "short-row"],
+)
+def test_malformed_record_tables_raise_value_error_naming_the_header_or_row(text, named):
+    with pytest.raises(ValueError, match=named) as info:
+        pio.record_from_text(text)
+    assert "invalid literal" not in str(info.value)
+
+
 def test_estimate_round_trip(tmp_path):
     rec, e, p = make_record(65)
     est = TwoStageReconstructor(e, p).estimate(rec, tp_prior=True)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from proctomo.channels import ProcessMatrix, apply_channel, identity_channel
-from proctomo.ensembles import InputEnsemble, mub_states
+from proctomo.ensembles import InputEnsemble, mub_states, random_states
 from proctomo.linalg import (
-    Permutation,
     check_psd,
     dagger,
     from_herm_coords,
@@ -18,12 +17,12 @@ from proctomo.linalg import (
     pinv_with_spectrum,
     psd_root,
     psd_sqrt,
-    reshuffle_permutation,
-    transpose_permutation,
     unvec,
     vec,
 )
-from proctomo.povms import PovmCollection, cube_povm
+from proctomo.oracle import reshuffle_index, transpose_index
+from proctomo.povms import PovmCollection, cube_povm, projective_povm
+from proctomo.reconstruct import TwoStageReconstructor
 
 
 def random_complex(rng, shape):
@@ -91,47 +90,42 @@ def test_one_factor_pinv_is_the_factors_own():
 
 
 def test_transpose_permutation_trivial():
-    k = transpose_permutation(1, 1)
-    assert np.array_equal(k.forward, [0])
+    k = transpose_index(1, 1)
+    assert np.array_equal(k, [0])
 
 
 def test_transpose_permutation_2x2():
     a = np.array([[1, 2], [3, 4]])
-    k = transpose_permutation(2, 2)
-    assert np.array_equal(k.apply(vec(a)), vec(a.T))
-    assert np.array_equal(k.apply(np.array([1, 3, 2, 4])), [1, 2, 3, 4])
+    k = transpose_index(2, 2)
+    assert np.array_equal(vec(a)[k], vec(a.T))
+    assert np.array_equal(np.array([1, 3, 2, 4])[k], [1, 2, 3, 4])
 
 
 def test_transpose_permutation_rectangular():
     rng = np.random.default_rng(2)
     a = random_complex(rng, (3, 2))
-    k = transpose_permutation(3, 2)
-    np.testing.assert_array_equal(k.apply(vec(a)), vec(a.T))
+    k = transpose_index(3, 2)
+    np.testing.assert_array_equal(vec(a)[k], vec(a.T))
 
 
 def test_transpose_permutation_square_self_inverse():
-    k = transpose_permutation(4, 4)
-    assert np.array_equal(k.forward[k.forward], np.arange(16))
+    k = transpose_index(4, 4)
+    assert np.array_equal(k[k], np.arange(16))
 
 
-def test_permutation_inverse_and_matrix():
-    rng = np.random.default_rng(3)
-    p = Permutation(rng.permutation(10))
-    v = rng.standard_normal(10)
-    assert np.array_equal(p.inverse().apply(p.apply(v)), v)
-    np.testing.assert_array_equal(p.matrix() @ v, p.apply(v))
-
-
-def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Permutation(np.array([0, 0, 1]))
-
-
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_reshuffle_is_involution_and_bijection(d):
-    r = reshuffle_permutation(d)
-    assert np.array_equal(np.sort(r.forward), np.arange(d**4))
-    assert np.array_equal(r.forward[r.forward], np.arange(d**4))
+    r = reshuffle_index(d)
+    assert np.array_equal(np.sort(r), np.arange(d**4))
+    assert np.array_equal(r[r], np.arange(d**4))
+    # Step 2's reshape is the oracle's gather unvec(vec(z)[R]), bit for bit.
+    rng = np.random.default_rng(d)
+    ensemble = mub_states(d) if d != 3 else random_states(3, 10, seed=3)
+    povm = projective_povm([haar_unitary(d, rng) for _ in range(d + 1)])
+    rec = TwoStageReconstructor(ensemble, povm)
+    coeffs = random_complex(rng, (ensemble.num_states, d * d))
+    expected = unvec(vec(ensemble.pinv @ coeffs)[r])
+    assert np.array_equal(rec.process_least_squares(coeffs), expected)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -139,12 +133,12 @@ def test_reshuffle_factorizes_coefficient_matrix(d):
     # Oracle: build the stacked coefficient matrix entry by entry from its
     # definition and compare against (I kron V^T) R.
     from proctomo.ensembles import random_states, sic_states
-    from proctomo.reconstruct import dense_expansion_matrix
+    from proctomo.oracle import dense_expansion_matrix
 
     ensemble = sic_states(2) if d == 2 else random_states(3, 9, seed=7)
     v = ensemble.parameterization()
     dense = dense_expansion_matrix(ensemble)
-    structured = np.kron(np.eye(d * d), v.T) @ reshuffle_permutation(d).matrix()
+    structured = np.kron(np.eye(d * d), v.T) @ np.eye(d**4)[reshuffle_index(d)]
     assert np.abs(dense - structured).max() <= 1e-12
 
 

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from proctomo.channels import cnot_channel, identity_channel, process_matrix, random_channel
-from proctomo.ensembles import cube_states, mub_states, natural_basis_states, random_states, sic_states
+from proctomo.ensembles import InputEnsemble, cube_states, mub_states, natural_basis_states, random_states, sic_states
 from proctomo.linalg import (
     dagger,
     hermitian_part,
     partial_trace_first,
-    reshuffle_permutation,
     unvec,
     vec,
 )
-from proctomo.povms import cube_povm, projective_povm
+from proctomo.oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
+from proctomo.povms import PovmCollection, cube_povm, projective_povm
 from proctomo.reconstruct import (
     TwoStageReconstructor,
-    dense_estimates,
-    dense_expansion_matrix,
     nearest_psd,
     two_stage_estimate,
 )
@@ -109,7 +107,7 @@ def test_elementary_input_matrix_makes_step2_an_isometry():
         for k in range(d):
             v[:, j * d + k] = vec(np.outer(eye[:, j], eye[:, k]))
     w_v = np.linalg.pinv(v.T)
-    forward = reshuffle_permutation(d).forward
+    forward = reshuffle_index(d)
     rng = np.random.default_rng(40)
 
     def step2(a):
@@ -244,6 +242,12 @@ def test_reconstructor_validates_shapes():
         rec.output_coefficients(np.zeros((3, 6)))
     with pytest.raises(ValueError):
         TwoStageReconstructor(mub_states(4), cube_povm(1))
+
+
+def test_reconstructor_rejects_dimension_one():
+    one = np.eye(1, dtype=complex)
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        TwoStageReconstructor(InputEnsemble((one,)), PovmCollection(((one,),)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

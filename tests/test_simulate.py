@@ -3,9 +3,9 @@ import pytest
 
 from proctomo.channels import KrausChannel, cnot_channel, identity_channel, process_matrix, random_channel
 from proctomo.ensembles import mub_states, natural_basis_states, random_states, sic_states
-from proctomo.linalg import dagger, transpose_permutation, vec
+from proctomo.linalg import dagger, vec
+from proctomo.oracle import dense_expansion_matrix, transpose_index
 from proctomo.povms import PovmCollection, cube_povm, sic_povm
-from proctomo.reconstruct import dense_expansion_matrix
 from proctomo.simulate import SAMPLER, MeasurementRecord, exact_record, ideal_probabilities, sample_record
 
 
@@ -24,7 +24,7 @@ def test_probabilities_match_dense_linear_model():
     x = process_matrix(ch).mat
     c = p.parameterization()
     b = dense_expansion_matrix(e)
-    k = transpose_permutation(e.num_states, d * d).matrix()
+    k = np.eye(e.num_states * d * d)[transpose_index(e.num_states, d * d)]
     stacked = np.kron(np.eye(e.num_states), c) @ k @ b @ vec(x)
     probs = ideal_probabilities(ch, e, p)
     assert np.abs(stacked.reshape(e.num_states, -1) - probs).max() <= 1e-10
