@@ -21,7 +21,7 @@ from .linalg import (
     dagger,
     frob,
     haar_unitary,
-    hermitian_eig,
+    hermitian_eigvals,
     hermitian_part,
     partial_trace_first,
     psd_sqrt,
@@ -54,7 +54,7 @@ class KrausChannel:
         arr = _as_operator_stack(self.kraus)
         object.__setattr__(self, "kraus", tuple(arr))
         total = self.contraction()
-        w, _ = hermitian_eig(total)
+        w = hermitian_eigvals(total)
         if w[0] > 1.0 + CHANNEL_ATOL:
             raise ValueError(f"sum of A^dag A exceeds identity (max eigenvalue {w[0]:.6g})")
 
@@ -94,10 +94,10 @@ class ProcessMatrix:
             raise ValueError(f"process matrix must be d^2 x d^2, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("process matrix has non-finite entries")
-        w, _ = hermitian_eig(m)  # also checks Hermiticity, to HERMITIAN_RTOL * max(frob, 1)
+        w = hermitian_eigvals(m)  # also checks Hermiticity, to HERMITIAN_RTOL * max(frob, 1)
         if w[-1] < -CHANNEL_ATOL * max(frob(m), 1.0):
             raise ValueError(f"process matrix has negative eigenvalue {w[-1]:.3e}")
-        f, _ = hermitian_eig(self.success_operator())
+        f = hermitian_eigvals(self.success_operator())
         if f[0] > 1.0 + CHANNEL_ATOL:
             raise ValueError(f"partial trace exceeds identity (max eigenvalue {f[0]:.6g})")
 

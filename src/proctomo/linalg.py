@@ -166,6 +166,17 @@ def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:
     return x.reshape(d, d, d, d).trace(axis1=0, axis2=2)
 
 
+def _hermitian(x: np.ndarray, check: bool = True) -> np.ndarray:
+    """Hermitian part of a square matrix; with ``check`` the matrix must be Hermitian
+    within HERMITIAN_RTOL relative to its norm."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    if check and frob(x - dagger(x)) > HERMITIAN_RTOL * max(frob(x), 1.0):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return hermitian_part(x)
+
+
 def hermitian_eig(x: np.ndarray, check: bool = True):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -173,14 +184,14 @@ def hermitian_eig(x: np.ndarray, check: bool = True):
     ``u`` such that ``x = u @ diag(w) @ u^dag``.  The input is symmetrized
     first; it must be Hermitian within HERMITIAN_RTOL relative to its norm.
     """
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    scale = max(frob(x), 1.0)
-    if check and frob(x - dagger(x)) > HERMITIAN_RTOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, u = np.linalg.eigh(hermitian_part(x))
+    w, u = np.linalg.eigh(_hermitian(x, check))
     return w[::-1], u[:, ::-1]
+
+
+def hermitian_eigvals(x: np.ndarray) -> np.ndarray:
+    """The eigenvalues of :func:`hermitian_eig`, descending, after the same check,
+    without computing eigenvectors."""
+    return np.linalg.eigvalsh(_hermitian(x))[::-1]
 
 
 def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray:
@@ -217,6 +228,40 @@ def psd_sqrt(x: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix, clipped as in :func:`psd_root`."""
     u, r = psd_root(x)
     return (u * r) @ dagger(u)
+
+
+def psd_factor(x: np.ndarray) -> np.ndarray:
+    """An n x r factor K of a Hermitian PSD matrix, K K^dag = x up to rounding, by
+    diagonal-pivoted Cholesky in O(n^2 r).
+
+    Each step pivots on the largest remaining diagonal entry; the loop stops once
+    it is at most tau / n, tau = NEGATIVE_EIG_RTOL * max(max diagonal, 1).  The
+    input must be Hermitian as in :func:`hermitian_eig`, and ||x - K K^dag||_F <= tau
+    certifies it PSD: lambda_max >= max diagonal and lambda_min >= -||x - K K^dag||,
+    so no matrix that :func:`psd_root` refuses is accepted.
+    """
+    xh = _hermitian(x)
+    n = len(xh)
+    diag = xh.diagonal().real.copy()
+    tau = NEGATIVE_EIG_RTOL * max(diag.max(), 1.0)
+    rows = np.empty((n, n), dtype=complex)  # rows of K^dag
+    r = 0
+    while r < n:
+        p = diag.argmax()
+        top = diag[p]
+        if not top > tau / n:
+            break
+        # Row r of K^dag is conj of the residual's column p over sqrt(top).
+        rows[r] = (xh[p] - rows[:r, p].conj() @ rows[:r]) / np.sqrt(top)
+        diag -= np.square(np.abs(rows[r]))
+        r += 1
+    k = dagger(rows[:r])
+    residual = frob(xh - k @ rows[:r])
+    if not residual <= tau:  # also refuses NaN
+        raise ValueError(
+            f"matrix is not PSD: residual {residual:.3e} of its pivoted Cholesky factor exceeds {tau:.3e}"
+        )
+    return k
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

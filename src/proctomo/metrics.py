@@ -2,10 +2,12 @@
 
 The fidelity between two PSD matrices is normalized by both traces, so it is
 scale invariant, symmetric, and equals one exactly for proportional
-arguments.  ``error_scaling_functional`` evaluates the bracketed part of the
-analytic error bound sqrt(d) Tr(F) sqrt(J tr_C) sqrt(M tr_V) / sqrt(N); it is
-a relative scaling functional, with no attempt to estimate the hidden
-constant.
+arguments.  It is computed from pivoted-Cholesky factors
+(``linalg.psd_factor``), whose residual certifies each argument PSD, so no
+d^2 x d^2 eigendecomposition runs.  ``error_scaling_functional`` evaluates
+the bracketed part of the analytic error bound
+sqrt(d) Tr(F) sqrt(J tr_C) sqrt(M tr_V) / sqrt(N); it is a relative scaling
+functional, with no attempt to estimate the hidden constant.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, frob, psd_root
+from .linalg import dagger, frob, psd_factor
 
 
 @dataclass(frozen=True)
@@ -39,16 +41,19 @@ def fidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
 
     Evaluated as the squared nuclear norm of sqrt(A) sqrt(B), which is
     algebraically identical but avoids square roots of noise-level
-    eigenvalues when an argument is rank deficient.  With K = U_+ sqrt(w_+)
-    from each argument's ``psd_root``, sqrt(A) sqrt(B) = U_a+ (K_a^dag K_b) U_b+^dag
-    has the singular values of the rank A x rank B matrix K_a^dag K_b.
+    eigenvalues when an argument is rank deficient.  Any factors A = K_a K_a^dag,
+    B = K_b K_b^dag give sqrt(A) sqrt(B) = W_a (K_a^dag K_b) W_b^dag with W_a, W_b
+    partial isometries (polar decomposition), so its singular values are those of
+    the rank A x rank B matrix K_a^dag K_b.  The factors are ``psd_factor``'s, in
+    O(d^4 r) for rank r; a matrix whose factor leaves a residual above the PSD
+    tolerance raises ValueError.
     """
     a = np.asarray(x_hat, dtype=complex)
     b = np.asarray(x_true, dtype=complex)
     ta, tb = np.trace(a).real, np.trace(b).real
     if ta <= 0 or tb <= 0:
         raise ValueError("fidelity requires positive-trace arguments")
-    ka, kb = ((u * r)[:, r > 0] for u, r in (psd_root(a), psd_root(b)))
+    ka, kb = psd_factor(a), psd_factor(b)
     sv = np.linalg.svd(dagger(ka) @ kb, compute_uv=False)
     return float(np.sum(sv) ** 2 / (ta * tb))
 

@@ -34,7 +34,6 @@ from .linalg import (
     dagger,
     from_herm_coords,
     hermitian_eig,
-    hermitian_part,
     partial_trace_first,
 )
 from .povms import PovmCollection
@@ -75,7 +74,7 @@ class ProcessEstimate:
 def nearest_psd(mat: np.ndarray):
     """Frobenius-nearest Hermitian PSD matrix, plus the number of clipped
     (negative) eigenvalues."""
-    w, u = hermitian_eig(hermitian_part(mat), check=False)
+    w, u = hermitian_eig(mat, check=False)
     clipped = int(np.sum(w < 0.0))
     return (u * np.maximum(w, 0.0)) @ dagger(u), clipped
 
@@ -120,8 +119,7 @@ class TwoStageReconstructor:
     def trace_correct(self, g_hat: np.ndarray, copies: int | None, tp_prior: bool):
         """Step 4: conjugate by I (x) T so the partial trace obeys its cap."""
         d = self.d
-        f_hat = hermitian_part(partial_trace_first(g_hat, d))
-        w, u = hermitian_eig(f_hat, check=False)
+        w, u = hermitian_eig(partial_trace_first(g_hat, d), check=False)
         rank = int(np.sum(w > TRACE_RANK_RTOL * max(w[0], 1.0)))
         filler = 0.0
         if rank and copies:
@@ -143,8 +141,13 @@ class TwoStageReconstructor:
         if np.all(scale == 1.0):
             x_hat = g_hat
         else:
-            t = np.kron(np.eye(d), (u * scale) @ dagger(u))
-            x_hat = t @ g_hat @ dagger(t)
+            t = (u * scale) @ dagger(u)
+
+            def left(m):  # (I (x) T) m: T on each d x d^2 row block, O(d^5)
+                return (t @ m.reshape(d, d, d * d)).reshape(d * d, d * d)
+
+            # (I (x) T) G (I (x) T)^dag = [(I (x) T) [(I (x) T) G]^dag]^dag, C-ordered like G
+            x_hat = np.ascontiguousarray(dagger(left(dagger(left(g_hat)))))
         return x_hat, w, adjusted, capped, u, rank, tp_prior, fallback
 
     def estimate(self, record, tp_prior: bool = False) -> ProcessEstimate:

@@ -66,6 +66,8 @@ class MeasurementRecord:
             raise ValueError(f"shots per set must be a positive integer or None, got {self.shots_per_set!r}")
         if not (self.seed is None or _whole(self.seed, 0)):
             raise ValueError(f"seed must be a non-negative integer or None, got {self.seed!r}")
+        if not (self.sampler is None or (_whole(self.sampler, 1) and self.sampler <= SAMPLER)):
+            raise ValueError(f"sampler must be a sampler version 1..{SAMPLER} or None, got {self.sampler!r}")
         self.freq = np.asarray(self.freq, dtype=float)
         if self.freq.ndim != 2:
             raise ValueError("frequency matrix must be 2-D (states x operators)")

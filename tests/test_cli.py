@@ -285,6 +285,11 @@ def test_scaling_study_config_with_mistyped_lists_exits_2(cfg, tmp_path, capsys)
             {"kind": "ensemble", "states": [{"re": [[1.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}]},
             "ensemble state has negative eigenvalue -5.000e-01",
         ),
+        (
+            ["reconstruct", "--ensemble", "mub:2", "--povm", "cube-povm:1", "--record", "{path}"],
+            {"kind": "record", "set_sizes": [2], "freq": [[0.5, 0.5]], "sampler": "abc"},
+            "sampler must be a sampler version 1..2 or None, got 'abc'",
+        ),
     ],
 )
 def test_documents_failing_their_class_checks_exit_2_naming_the_file(argv, doc, text, tmp_path, capsys):

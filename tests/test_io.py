@@ -88,6 +88,18 @@ def test_record_without_sampler_field_loads_as_version_1(tmp_path):
     assert np.array_equal(loaded.counts, rec.counts)
 
 
+@pytest.mark.parametrize("sampler", ["abc", 0, 99, 2.5])
+def test_record_document_with_an_unknown_sampler_is_refused_naming_the_file(tmp_path, sampler):
+    rec, _, _ = make_record()
+    obj = pio.to_dict(rec)
+    obj["sampler"] = sampler
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="sampler") as info:
+        pio.load_json(path)
+    assert str(path) in str(info.value)
+
+
 def test_record_text_round_trip():
     rec, _, _ = make_record()
     text = pio.record_to_text(rec)

@@ -142,6 +142,17 @@ def test_record_validates_its_metadata(meta):
         MeasurementRecord(**kwargs)
 
 
+@pytest.mark.parametrize("sampler", ["abc", "2", 0, -1, SAMPLER + 1, 1.0, True])
+def test_record_refuses_an_unknown_sampler_by_name(sampler):
+    with pytest.raises(ValueError, match="^sampler must be a sampler version"):
+        MeasurementRecord(freq=np.full((1, 2), 0.5), set_sizes=(2,), sampler=sampler)
+
+
+@pytest.mark.parametrize("sampler", [None, 1, SAMPLER, np.int64(SAMPLER)])
+def test_record_accepts_known_samplers(sampler):
+    assert MeasurementRecord(freq=np.full((1, 2), 0.5), set_sizes=(2,), sampler=sampler).sampler == sampler
+
+
 def test_record_accepts_numpy_integer_metadata():
     rec = MeasurementRecord(
         freq=np.full((1, 2), 0.5), set_sizes=[np.int64(2)], shots_per_set=np.int64(4), seed=np.uint32(0)

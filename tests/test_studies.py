@@ -163,36 +163,36 @@ def test_m_scaling_study_checks_trials_and_grid(trials, grid):
 
 
 # Study outputs recorded with sampler 2 (one broadcast multinomial per block of
-# states); rows, slopes and the config header must stay bit-identical on these
-# seeds while the sampling stream is unchanged.
+# states) and fidelity from pivoted-Cholesky factors; rows, slopes and the config
+# header must stay bit-identical on these seeds while the sampling stream is unchanged.
 GOLDEN_SCALING = {
     False: (
         [
             ["mub-2", 1200, 0.04401195993743126, 0.01285144905999972, 0.06139235162414084],
-            ["mub-2", 6000, 0.007559585278550708, 0.003173052641350268, 0.018775365453304754],
-            ["sic-2", 1200, 0.03290344838756009, 0.01810508607853521, 0.03652649884744522],
-            ["sic-2", 6000, 0.004749304069244711, 0.0020267739870459627, 0.009490704849387263],
+            ["mub-2", 6000, 0.007559585278550708, 0.003173052641350268, 0.018775365453303494],
+            ["sic-2", 1200, 0.03290344838756009, 0.01810508607853521, 0.036526498847444376],
+            ["sic-2", 6000, 0.004749304069244711, 0.0020267739870459627, 0.009490704849386744],
         ],
         {
             "mse[mub-2]": -1.094571631984315,
-            "infidelity[mub-2]": -0.7361201010045224,
+            "infidelity[mub-2]": -0.7361201010045644,
             "mse[sic-2]": -1.2026430817627523,
-            "infidelity[sic-2]": -0.8373886932022454,
+            "infidelity[sic-2]": -0.8373886932022649,
         },
         "91213697b7a600fb",
     ),
     True: (
         [
-            ["mub-2", 1200, 0.23485838214231083, 0.027838892305945006, 0.0867717183169066],
-            ["mub-2", 6000, 0.22241957777648524, 0.005209810452262577, 0.04208639671013559],
-            ["sic-2", 1200, 0.21469783182671556, 0.02649522916505315, 0.05734632280674771],
-            ["sic-2", 6000, 0.22947971659288982, 0.006327011332737941, 0.03196048474658272],
+            ["mub-2", 1200, 0.23485838214231083, 0.027838892305945006, 0.08677171831690626],
+            ["mub-2", 6000, 0.22241957777648524, 0.005209810452262577, 0.0420863967101344],
+            ["sic-2", 1200, 0.21469783182671556, 0.02649522916505315, 0.05734632280674734],
+            ["sic-2", 6000, 0.22947971659288982, 0.006327011332737941, 0.03196048474658227],
         ],
         {
             "mse[mub-2]": -0.03381125473406747,
-            "infidelity[mub-2]": -0.44957072726523556,
+            "infidelity[mub-2]": -0.4495707272652509,
             "mse[sic-2]": 0.041370367881709384,
-            "infidelity[sic-2]": -0.3632376437001841,
+            "infidelity[sic-2]": -0.3632376437001889,
         },
         "c09ac471c18caaf6",
     ),
