@@ -10,11 +10,13 @@ from proctomo.linalg import (
     haar_unitary,
     herm_coords,
     hermitian_eig,
+    hermitian_eigvals,
     hermitian_part,
     kron_regroup,
     kron_stack,
     partial_trace_first,
     pinv_with_spectrum,
+    psd_factor,
     psd_root,
     psd_sqrt,
     unvec,
@@ -205,6 +207,22 @@ def test_hermitian_eig_rejects_bad_input():
         hermitian_eig(np.ones((2, 3)))
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitian_eigvals_are_hermitian_eigs_values():
+    rng = np.random.default_rng(7)
+    x = hermitian_part(random_complex(rng, (16, 16)))
+    assert np.abs(hermitian_eigvals(x) - hermitian_eig(x)[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("method", [hermitian_eig, hermitian_eigvals, psd_factor])
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.ones((2, 3)), "expected a square matrix"), (np.array([[1.0, 1.0], [0.0, 1.0]]), "not Hermitian")],
+)
+def test_hermitian_checks_are_shared(method, bad, message):
+    with pytest.raises(ValueError, match=message):
+        method(bad)
 
 
 def test_psd_sqrt_basics():
