@@ -231,25 +231,34 @@ def psd_sqrt(x: np.ndarray) -> np.ndarray:
 
 
 def psd_factor(x: np.ndarray) -> np.ndarray:
-    """An n x r factor K of a Hermitian PSD matrix, K K^dag = x up to rounding, by
-    diagonal-pivoted Cholesky in O(n^2 r).
+    """An n x r factor K of a Hermitian PSD matrix, K K^dag = x up to what
+    :func:`psd_root` clips, by diagonal-pivoted Cholesky in O(n^2 r).
 
-    Each step pivots on the largest remaining diagonal entry; the loop stops once
-    it is at most tau / n, tau = NEGATIVE_EIG_RTOL * max(max diagonal, 1).  The
-    input must be Hermitian as in :func:`hermitian_eig`, and ||x - K K^dag||_F <= tau
-    certifies it PSD: lambda_max >= max diagonal and lambda_min >= -||x - K K^dag||,
-    so no matrix that :func:`psd_root` refuses is accepted.
+    Each step pivots on the largest remaining diagonal entry.  The loop stops
+    once that entry is at most max(EIG_CLIP_RTOL / n, n eps) times the largest
+    diagonal entry of x, so the rule is scale invariant.  The remainder is then
+    PSD with norm at most n times its largest diagonal entry: at most
+    EIG_CLIP_RTOL * lambda_max, the level below which psd_root clips, for n <= 67;
+    above that, n eps (LAPACK xPSTRF's default) keeps the loop from pivoting on
+    the rounding the Schur updates leave.
+
+    The input must be Hermitian as in :func:`hermitian_eig`.  Separately from
+    the stopping rule, ||x - K K^dag||_F <= tau = NEGATIVE_EIG_RTOL * max(max
+    diagonal, 1) certifies it PSD: lambda_max >= max diagonal and lambda_min >=
+    -||x - K K^dag||, so no matrix that psd_root refuses is accepted.
     """
     xh = _hermitian(x)
     n = len(xh)
     diag = xh.diagonal().real.copy()
-    tau = NEGATIVE_EIG_RTOL * max(diag.max(), 1.0)
+    top_diag = diag.max()
+    tau = NEGATIVE_EIG_RTOL * max(top_diag, 1.0)
+    stop = max(EIG_CLIP_RTOL / n, n * np.finfo(float).eps) * max(top_diag, 0.0)
     rows = np.empty((n, n), dtype=complex)  # rows of K^dag
     r = 0
     while r < n:
         p = diag.argmax()
         top = diag[p]
-        if not top > tau / n:
+        if not top > stop:
             break
         # Row r of K^dag is conj of the residual's column p over sqrt(top).
         rows[r] = (xh[p] - rows[:r, p].conj() @ rows[:r]) / np.sqrt(top)

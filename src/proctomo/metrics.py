@@ -4,7 +4,9 @@ The fidelity between two PSD matrices is normalized by both traces, so it is
 scale invariant, symmetric, and equals one exactly for proportional
 arguments.  It is computed from pivoted-Cholesky factors
 (``linalg.psd_factor``), whose residual certifies each argument PSD, so no
-d^2 x d^2 eigendecomposition runs.  ``error_scaling_functional`` evaluates
+d^2 x d^2 eigendecomposition runs.  The factor's stopping rule is relative to
+each argument's largest diagonal entry, so scaling an argument does not
+change the fidelity.  ``error_scaling_functional`` evaluates
 the bracketed part of the analytic error bound
 sqrt(d) Tr(F) sqrt(J tr_C) sqrt(M tr_V) / sqrt(N); it is a relative scaling
 functional, with no attempt to estimate the hidden constant.

@@ -3,9 +3,12 @@
 The factor reproduces a PSD matrix of any rank and scale with as many columns
 as the matrix has rank, and accepts one whose eigenvalues reach down to
 rounding; it refuses every Hermitian matrix that ``psd_root`` refuses, on both
-sides of the negative-eigenvalue tolerance; and ``fidelity`` matches the
-full-square-root oracle of ``test_metrics`` on arbitrary, proportional and
-orthogonal pairs.
+sides of the negative-eigenvalue tolerance; it keeps every eigenvalue above
+``psd_root``'s clip level, relative to the matrix's own scale, and nothing of
+the rounding its Schur updates leave; and ``fidelity`` matches the
+full-square-root oracle of ``test_metrics`` on arbitrary, proportional,
+orthogonal and spread-spectrum pairs, and does not move when an argument is
+scaled.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from proctomo.linalg import NEGATIVE_EIG_RTOL, dagger, frob, haar_unitary, psd_factor, psd_root  # noqa: E402
+from proctomo.linalg import EIG_CLIP_RTOL, NEGATIVE_EIG_RTOL, dagger, frob, haar_unitary, psd_factor, psd_root  # noqa: E402
 from proctomo.metrics import fidelity  # noqa: E402
 from test_metrics import fidelity_from_roots  # noqa: E402
 
@@ -32,6 +35,14 @@ def spectral(u, eigs):
 def random_psd(rng, n, rank, scale):
     """A PSD n x n matrix of the given rank, eigenvalues in [0.1, 1] * scale."""
     return spectral(haar_unitary(n, rng), scale * rng.uniform(0.1, 1.0, rank))
+
+
+def spread_psd(rng, n, scale):
+    """A full-rank PSD n x n matrix with largest eigenvalue ``scale`` and the others
+    log-uniform over 10^-12..1 times it, none below twice psd_root's clip level."""
+    eigs = np.maximum(10.0 ** rng.uniform(-12.0, 0.0, n), 2 * EIG_CLIP_RTOL)
+    eigs[0] = 1.0
+    return spectral(haar_unitary(n, rng), scale * eigs)
 
 
 @PROPS
@@ -120,3 +131,70 @@ def test_fidelity_of_orthogonal_supports_is_zero(n, split_fraction, log_a, log_b
     b = spectral(u[:, split:], 10.0**log_b * rng.uniform(0.1, 1.0, n - split))
     assert abs(fidelity(a, b) - fidelity_from_roots(a, b)) <= 1e-12
     assert abs(fidelity(a, b)) <= 1e-12
+
+
+# Rounding in the fidelity of a spread spectrum grows as 1/sqrt(lambda_min): the
+# worst difference from the oracle seen on 400 such pairs was 1.3e-11.  Dropping
+# one eigenvalue of 1e-11 times the scale moves F by about 1e-6.
+SPREAD_ATOL = 1e-10
+
+
+@PROPS
+@given(st.integers(1, 64), st.integers(1, 64), LOG_SCALES, LOG_SCALES, SEEDS)
+@example(64, 64, -6.0, 0.0, 0)
+@example(64, 1, 6.0, -6.0, 1)
+@example(2, 2, -6.0, 0.0, 2)
+def test_fidelity_keeps_every_eigenvalue_above_the_clip_level(n, rank_b, log_a, log_b, seed):
+    rng = np.random.default_rng(seed)
+    a = spread_psd(rng, n, 10.0**log_a)
+    b = random_psd(rng, n, min(rank_b, n), 10.0**log_b)
+    assert psd_factor(a).shape == (n, n)
+    assert abs(fidelity(a, b) - fidelity_from_roots(a, b)) <= SPREAD_ATOL
+
+
+@PROPS
+@given(st.integers(1, 64), st.integers(1, 64), st.floats(-12.0, 0.0), LOG_SCALES, SEEDS)
+@example(64, 64, -12.0, 0.0, 0)
+@example(2, 2, -6.0, 0.0, 1)
+def test_fidelity_is_scale_invariant(n, rank_b, log_c, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    a = spread_psd(rng, n, 10.0**log_scale)
+    b = random_psd(rng, n, min(rank_b, n), 1.0)
+    c = 10.0**log_c
+    assert abs(fidelity(c * a, b) - fidelity(a, b)) <= SPREAD_ATOL
+    assert abs(fidelity(b, c * a) - fidelity(b, a)) <= SPREAD_ATOL
+
+
+def test_fidelity_counts_a_small_eigenvalue_at_any_scale():
+    """diag(1, 1e-11) keeps its second eigenvalue (psd_root clips below 1e-12 of
+    the largest), and diag(1e-6, 4e-11) scores as 1e6 times it does."""
+    two = np.eye(2)
+    for a in (np.diag([1.0, 1e-11]), np.diag([1e-6, 4e-11]), np.diag([1.0, 4e-5])):
+        assert abs(fidelity(a, two) - fidelity_from_roots(a, two)) <= 1e-12
+    assert fidelity(np.diag([1.0, 1e-11]), two) == pytest.approx(0.5 + np.sqrt(1e-11), abs=1e-12)
+    assert fidelity(np.diag([1e-6, 4e-11]), two) == pytest.approx(fidelity(np.diag([1.0, 4e-5]), two), abs=1e-12)
+
+
+def test_psd_factor_keeps_a_remainder_spread_over_every_diagonal_entry():
+    """x = e1 e1^dag + 2e-10 v v^dag with v flat over n = 256 entries.  After the
+    first pivot every remaining diagonal entry is 7.8e-13, yet the remainder has
+    eigenvalue 2e-10, above both psd_root's clip level and the PSD tolerance."""
+    n = 256
+    e1 = np.eye(n)[0]
+    flat = np.full(n, n**-0.5)
+    x = np.outer(e1, e1) + 2e-10 * np.outer(flat, flat)
+    assert psd_factor(x).shape == (n, 2)
+    assert abs(fidelity(x, np.eye(n)) - fidelity_from_roots(x, np.eye(n))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [39, 66, 91])
+def test_psd_factor_stops_above_the_rounding_of_its_schur_updates(seed):
+    """At n = 256 a stopping level of EIG_CLIP_RTOL / n alone lets the loop pivot on
+    the rounding its Schur updates leave in these matrices; each such column
+    moved the fidelity against the identity by about 1e-10."""
+    rng = np.random.default_rng(seed)
+    n = 256
+    rank = int(rng.integers(1, n))
+    x = random_psd(rng, n, rank, 1.0)
+    assert psd_factor(x).shape == (n, rank)
+    assert abs(fidelity(x, np.eye(n)) - fidelity_from_roots(x, np.eye(n))) <= 1e-12
