@@ -24,11 +24,8 @@ from .ensembles import (
     sic_states,
 )
 from .metrics import (
-    ErrorReport,
-    error_report,
     error_scaling_functional,
     fidelity,
-    frobenius_error,
     infidelity,
     loglog_slope,
     squared_error,
@@ -52,49 +49,3 @@ from .reconstruct import (
 from .simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "KrausChannel",
-    "ProcessMatrix",
-    "apply_channel",
-    "cnot_channel",
-    "identity_channel",
-    "process_matrix",
-    "random_channel",
-    "success_operator",
-    "unitary_channel",
-    "EnsembleDesignReport",
-    "InputEnsemble",
-    "cube_states",
-    "design_metrics_V",
-    "mub_states",
-    "natural_basis_states",
-    "product_ensemble",
-    "random_states",
-    "sic_states",
-    "ErrorReport",
-    "error_report",
-    "error_scaling_functional",
-    "fidelity",
-    "frobenius_error",
-    "infidelity",
-    "loglog_slope",
-    "squared_error",
-    "PovmCollection",
-    "PovmDesignReport",
-    "cube_povm",
-    "design_metrics_C",
-    "mub_povm",
-    "projective_povm",
-    "sic_povm",
-    "ProcessEstimate",
-    "TwoStageReconstructor",
-    "dense_estimates",
-    "dense_expansion_matrix",
-    "nearest_psd",
-    "two_stage_estimate",
-    "MeasurementRecord",
-    "exact_record",
-    "ideal_probabilities",
-    "sample_record",
-]

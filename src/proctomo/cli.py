@@ -15,11 +15,12 @@ from pathlib import Path
 
 from . import io as pio
 from .channels import as_process_matrix
-from .metrics import error_report
+from .metrics import fidelity, squared_error
 from .oracle import oracle_check
 from .reconstruct import TwoStageReconstructor
 from .simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 from .studies import (
+    SPECS,
     ExperimentConfig,
     design_audit,
     format_audit,
@@ -31,10 +32,10 @@ from .studies import (
 )
 
 
-def _add_design_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--channel", default="cnot", help="cnot | identity:d | random:d[:nontp][:seed] | file:path")
-    p.add_argument("--ensemble", default="mub:4", help="sic:d | mub:d | natural:d | random:d:M[:seed] | cube-states:m | file:path")
-    p.add_argument("--povm", default="cube-povm:2", help="cube-povm:m | mub-povm:d | sic-povm:4 | file:path")
+def _spec_arg(p: argparse.ArgumentParser, flag: str, *kinds: str, help: str = "", **kwargs) -> None:
+    """An argument that takes a spec of one of ``kinds``; its help lists their forms from ``SPECS``."""
+    forms = " | ".join(e.form for e in SPECS if e.kind in (*kinds, None))
+    p.add_argument(flag, help=f"{help}{' or '.join(kinds)} spec: {forms}", **kwargs)
 
 
 def _cmd_simulate(args) -> int:
@@ -77,10 +78,11 @@ def _cmd_reconstruct(args) -> int:
         + (", tp fallback" if est.tp_fallback else "")
     )
     if args.truth:
-        rep = error_report(est.x_hat, as_process_matrix(make_channel(args.truth)).mat)
+        x_true = as_process_matrix(make_channel(args.truth)).mat
+        mse = squared_error(est.x_hat, x_true)
         print(
-            f"vs truth: frobenius error {rep.frob_error:.6g}, mse {rep.mse:.6g}, "
-            f"fidelity {rep.fidelity:.6f}"
+            f"vs truth: frobenius error {mse ** 0.5:.6g}, mse {mse:.6g}, "
+            f"fidelity {fidelity(est.x_hat, x_true):.6f}"
         )
     return 0
 
@@ -131,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="sample (or exactly evaluate) a measurement record")
-    _add_design_args(p)
+    _spec_arg(p, "--channel", "channel", default="cnot")
+    _spec_arg(p, "--ensemble", "ensemble", default="mub:4")
+    _spec_arg(p, "--povm", "POVM", default="cube-povm:2")
     p.add_argument("--copies", type=int, default=108_000, help="total copies across all input states")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true", help="write ideal probabilities instead of sampling")
@@ -141,19 +145,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="run the two-stage estimator on a record")
     p.add_argument("--record", required=True, help="record JSON path")
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--povm", required=True)
+    _spec_arg(p, "--ensemble", "ensemble", required=True)
+    _spec_arg(p, "--povm", "POVM", required=True)
     p.add_argument("--tp-prior", action="store_true", dest="tp_prior")
     p.add_argument("--intermediates", action="store_true", help="include pipeline intermediates in the output")
     p.add_argument("--output", default=None, help="estimate JSON path")
-    p.add_argument("--truth", default=None, help="channel spec to compare against")
+    _spec_arg(p, "--truth", "channel", help="compare against this ", default=None)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("scaling-study", help="MSE/infidelity versus total copies")
     p.add_argument("--config", default=None, help="JSON config file (flags override)")
-    p.add_argument("--channel", default=None)
-    p.add_argument("--ensemble", action="append", dest="ensembles", metavar="ENSEMBLE", help="repeatable")
-    p.add_argument("--povm", default=None)
+    _spec_arg(p, "--channel", "channel", default=None)
+    _spec_arg(p, "--ensemble", "ensemble", help="repeatable; ", action="append", dest="ensembles", metavar="ENSEMBLE")
+    _spec_arg(p, "--povm", "POVM", default=None)
     p.add_argument("--copies", type=int, nargs="+", default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--tp-prior", action="store_const", const=True, default=None, dest="tp_prior")
@@ -165,15 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=4, dest="d", metavar="DIM")
     p.add_argument("--num-states", type=int, nargs="+", default=[16, 32, 64, 128])
     p.add_argument("--copies-per-state", type=int, default=90_000)
-    p.add_argument("--povm", default="cube-povm:2", dest="povm_spec", metavar="POVM")
-    p.add_argument("--channel", default="random:4:tp:7", dest="channel_spec", metavar="CHANNEL")
+    _spec_arg(p, "--povm", "POVM", default="cube-povm:2", dest="povm_spec", metavar="POVM")
+    _spec_arg(p, "--channel", "channel", default="random:4:tp:7", dest="channel_spec", metavar="CHANNEL")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_m_scaling_study)
 
     p = sub.add_parser("design-audit", help="cost/cond/eigenvalues of a state or measurement design")
-    p.add_argument("spec", nargs="+", help="e.g. 'sic 4', 'mub-povm 4', 'cube-states 2'")
+    _spec_arg(p, "spec", "ensemble", "POVM", help="e.g. 'sic 4'; ", nargs="+")
     p.set_defaults(func=_cmd_design_audit)
 
     p = sub.add_parser("oracle-check", help="verify the structured solver against dense brute force")

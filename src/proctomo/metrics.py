@@ -14,28 +14,13 @@ functional, with no attempt to estimate the hidden constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import dagger, frob, psd_factor
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    frob_error: float
-    mse: float
-    fidelity: float
-    infidelity: float
-    bound_functional: float | None = None
-
-
-def frobenius_error(x_hat: np.ndarray, x_true: np.ndarray) -> float:
-    return frob(np.asarray(x_hat) - np.asarray(x_true))
-
-
 def squared_error(x_hat: np.ndarray, x_true: np.ndarray) -> float:
-    return frobenius_error(x_hat, x_true) ** 2
+    return frob(np.asarray(x_hat) - np.asarray(x_true)) ** 2
 
 
 def fidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
@@ -86,18 +71,6 @@ def error_scaling_functional(
         * np.sqrt(num_sets * povm_cost)
         * np.sqrt(num_states * ensemble_cost)
         / np.sqrt(copies)
-    )
-
-
-def error_report(x_hat, x_true, bound_functional: float | None = None) -> ErrorReport:
-    err = frobenius_error(x_hat, x_true)
-    fid = fidelity(x_hat, x_true)
-    return ErrorReport(
-        frob_error=err,
-        mse=err * err,
-        fidelity=fid,
-        infidelity=1.0 - fid,
-        bound_functional=bound_functional,
     )
 
 

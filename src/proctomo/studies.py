@@ -12,6 +12,7 @@ import hashlib
 import json
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -41,103 +42,90 @@ from .reconstruct import TwoStageReconstructor
 from .simulate import ideal_probabilities, sample_record
 
 
-def _split(spec: str) -> list:
-    """Fields of ``name:a:b`` or ``name a b``.  A ``file`` spec keeps everything
-    after ``file:`` verbatim as its one field, so paths may hold spaces or colons."""
+# A spec field: an integer, a seed (an integer >= 0) or a word, kept verbatim:
+# a path, or a flag that takes one of its ``words``.  A field with a default
+# is optional.
+Field = namedtuple("Field", "type default words", defaults=(None, ()))
+INT, SEED, PATH = Field("int"), Field("seed", 0), Field("word")
+
+# Every spec: its kind (None for all kinds), its names (matched without case),
+# its form, its fields in order and its builder, which takes the field values.
+Spec = namedtuple("Spec", "kind names form fields build")
+SPECS = (
+    Spec("channel", ("cnot",), "cnot", (), cnot_channel),
+    Spec("channel", ("identity",), "identity:d", (INT,), identity_channel),
+    Spec("channel", ("random",), "random:d[:tp|nontp][:seed]", (INT, Field("word", "tp", ("tp", "nontp")), SEED),
+         lambda d, flag, seed: random_channel(d, tp=flag == "tp", seed=seed)),
+    Spec("ensemble", ("sic",), "sic:d", (INT,), sic_states),
+    Spec("ensemble", ("mub",), "mub:d", (INT,), mub_states),
+    Spec("ensemble", ("natural",), "natural:d", (INT,), natural_basis_states),
+    Spec("ensemble", ("random",), "random:d:M[:seed]", (INT, INT, SEED), random_states),
+    Spec("ensemble", ("cube-states", "cube_states"), "cube-states:m", (INT,), cube_states),
+    # POVM names take an optional -povm suffix.
+    Spec("POVM", ("cube-povm", "cube_povm", "cube"), "cube-povm:m", (INT,), cube_povm),
+    Spec("POVM", ("mub-povm", "mub_povm", "mub"), "mub-povm:d", (INT,), mub_povm),
+    Spec("POVM", ("sic-povm", "sic_povm", "sic"), "sic-povm[:4]", (Field("int", 4),), sic_povm),
+    Spec(None, ("file",), "file:path", (PATH,), pio.load_json),
+)
+# The document classes a file spec may load, per kind.
+FILE_CLASSES = {"channel": (KrausChannel, ProcessMatrix), "ensemble": (InputEnsemble,), "POVM": (PovmCollection,)}
+
+
+def build_spec(spec: str, *kinds: str):
+    """The object a spec names, from the first of ``kinds`` with an entry of that name,
+    or a ValueError naming the spec (and its form, once the name is known).
+
+    Fields follow ``:`` or spaces (``sic:4`` is ``sic 4``); a path keeps the rest verbatim.
+    """
     parts = [tok for tok in spec.replace(" ", ":").split(":") if tok]
     if not parts:
         raise ValueError("empty spec string")
-    if parts[0].lower() == "file":
-        path = spec.lstrip()[len("file:"):]
-        return ["file", path] if path else ["file"]
-    return parts
-
-
-def _need(parts: list, fields: int, form: str, most: int | None = None) -> None:
-    """Reject a spec without ``fields`` (up to ``most``) fields after its name."""
-    if not fields <= len(parts) - 1 <= (fields if most is None else most):
-        raise ValueError(f"spec {':'.join(parts)!r} has {len(parts) - 1} field(s); expected {form}")
-
-
-def _int(spec: str, field: str, form: str) -> int:
-    """An integer spec field, or a ValueError naming the spec and its form."""
-    try:
-        return int(field)
-    except ValueError:
-        raise ValueError(f"spec {spec!r} has a non-integer field {field!r}; expected {form}") from None
+    name = parts[0].lower()
+    entry = next((e for kind in kinds for e in SPECS if e.kind in (kind, None) and name in e.names), None)
+    if entry is None:
+        raise ValueError(f"unknown {' or '.join(kinds)} spec {spec!r}")
+    if PATH in entry.fields:
+        path = spec.lstrip()[len(name) + 1:]
+        parts = [name, path] if path else [name]
+    values, form = parts[1:], entry.form
+    if not sum(f.default is None for f in entry.fields) <= len(values) <= len(entry.fields):
+        raise ValueError(f"spec {':'.join(parts)!r} has {len(values)} field(s); expected {form}")
+    words = {w for f in entry.fields for w in f.words}
+    args = []
+    for f in entry.fields:
+        value = values[0] if values else None
+        # An optional field takes the next value only if it fits: a flag takes
+        # only its words, and no other optional field takes a flag word.
+        if value is None or f.default is not None and (value not in f.words if f.words else value in words):
+            args.append(f.default)
+            continue
+        values.pop(0)
+        try:
+            args.append(value if f.type == "word" else int(value))
+        except ValueError:
+            raise ValueError(f"spec {spec!r} has a non-integer field {value!r}; expected {form}") from None
+        if f.type == "seed" and args[-1] < 0:
+            raise ValueError(f"spec {spec!r} has a negative seed {value!r}; expected {form}")
+    if values:
+        raise ValueError(f"spec {spec!r} does not match {form}; give each field once, in order")
+    if PATH in entry.fields:  # the document may be of any of the kinds
+        args.append(sum((FILE_CLASSES[kind] for kind in kinds), ()))
+    return entry.build(*args)
 
 
 def make_channel(spec: str):
-    """Channel factory: cnot | identity:d | random:d[:tp|nontp][:seed] | file:path."""
-    parts = _split(spec)
-    name = parts[0].lower()
-    if name == "file":
-        _need(parts, 1, "file:path")
-        return pio.load_json(parts[1], (KrausChannel, ProcessMatrix))
-    if name == "cnot":
-        _need(parts, 0, "cnot")
-        return cnot_channel()
-    if name == "identity":
-        _need(parts, 1, "identity:d")
-        return identity_channel(_int(spec, parts[1], "identity:d"))
-    if name == "random":
-        form = "random:d[:tp|nontp][:seed]"
-        _need(parts, 1, form, most=3)
-        rest = parts[2:]
-        tp = True
-        if rest and rest[0] in ("tp", "nontp"):
-            tp = rest.pop(0) == "tp"
-        # What is left must be one seed: no second flag, no second seed.
-        if len(rest) > 1 or (rest and rest[0] in ("tp", "nontp")):
-            raise ValueError(f"spec {spec!r} does not match {form}; give each field once, in order")
-        seed = _int(spec, rest[0], form) if rest else 0
-        return random_channel(_int(spec, parts[1], form), tp=tp, seed=seed)
-    raise ValueError(f"unknown channel spec {spec!r}")
+    """The channel a channel spec names (see ``SPECS``)."""
+    return build_spec(spec, "channel")
 
 
 def make_ensemble(spec: str) -> InputEnsemble:
-    """Ensemble factory: sic:d | mub:d | natural:d | random:d:M[:seed] |
-    cube-states:m | file:path."""
-    parts = _split(spec)
-    name = parts[0].lower()
-    if name == "random":
-        form = "random:d:M[:seed]"
-        _need(parts, 2, form, most=3)
-        d, m = (_int(spec, field, form) for field in parts[1:3])
-        seed = _int(spec, parts[3], form) if len(parts) > 3 else 0
-        return random_states(d, m, seed=seed)
-    if name == "file":
-        _need(parts, 1, "file:path")
-        return pio.load_json(parts[1], (InputEnsemble,))
-    if name in ("cube-states", "cube_states"):
-        _need(parts, 1, "cube-states:m")
-        return cube_states(_int(spec, parts[1], "cube-states:m"))
-    builders = {"sic": sic_states, "mub": mub_states, "natural": natural_basis_states}
-    if name in builders:
-        _need(parts, 1, f"{name}:d")
-        return builders[name](_int(spec, parts[1], f"{name}:d"))
-    raise ValueError(f"unknown ensemble spec {spec!r}")
+    """The input ensemble an ensemble spec names (see ``SPECS``)."""
+    return build_spec(spec, "ensemble")
 
 
 def make_povm(spec: str) -> PovmCollection:
-    """POVM factory: cube-povm:m | mub-povm:d | sic-povm:4 | file:path
-    (the -povm suffix is optional when the context is unambiguous)."""
-    parts = _split(spec)
-    name = parts[0].lower().replace("_", "-")
-    if name == "file":
-        _need(parts, 1, "file:path")
-        return pio.load_json(parts[1], (PovmCollection,))
-    base = name[: -len("-povm")] if name.endswith("-povm") else name
-    if base == "cube":
-        _need(parts, 1, "cube-povm:m")
-        return cube_povm(_int(spec, parts[1], "cube-povm:m"))
-    if base == "mub":
-        _need(parts, 1, "mub-povm:d")
-        return mub_povm(_int(spec, parts[1], "mub-povm:d"))
-    if base == "sic":
-        _need(parts, 0, "sic-povm[:4]", most=1)
-        return sic_povm(_int(spec, parts[1], "sic-povm[:4]") if len(parts) > 1 else 4)
-    raise ValueError(f"unknown POVM spec {spec!r}")
+    """The POVM collection a POVM spec names (see ``SPECS``)."""
+    return build_spec(spec, "POVM")
 
 
 def trial_seed(global_seed: int, point: int, trial: int) -> int:
@@ -145,12 +133,14 @@ def trial_seed(global_seed: int, point: int, trial: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _check_sweep(trials, grid) -> None:
-    """A study needs at least one trial and a non-empty grid of positive values."""
+def _check_sweep(trials, grid, seed) -> None:
+    """A study needs at least one trial, a non-empty positive grid and a seed >= 0."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not grid or min(grid) < 1:
         raise ValueError(f"the study grid must be non-empty and positive, got {list(grid)}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def _meta(config: dict, seed: int) -> dict:
@@ -196,7 +186,7 @@ class ExperimentConfig:
             raise ValueError(f"config key 'copies' must be a list of integer totals, got {totals!r}")
         self.ensembles = tuple(self.ensembles)
         self.copies = tuple(int(n) for n in self.copies)
-        _check_sweep(self.trials, self.copies)
+        _check_sweep(self.trials, self.copies, self.seed)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -241,7 +231,7 @@ def _run_study(meta, columns, scores, grid, trials, series, output) -> StudyResu
     score's mean and std and the other scores' means.  With two or more grid
     points each score's means get a log-log slope, keyed ``score[tag]``.
     """
-    _check_sweep(trials, grid)
+    _check_sweep(trials, grid, meta["seed"])
     rows, slopes = [], {}
     for tag, prefix, trial in series:
         curve = []
@@ -346,19 +336,14 @@ def run_m_scaling_study(
 
 def design_audit(spec: str) -> dict:
     """Design metrics for an ensemble or POVM spec, as a printable report."""
-    parts = _split(spec)
-    name = parts[0].lower().replace("_", "-")
-    if name.endswith("-povm"):
-        povm = make_povm(spec)
-        rep = design_metrics_C(povm)
-        extra = {"sets": povm.num_sets, "elements": povm.num_elements}
-        label = povm.label
+    design = build_spec(spec, "ensemble", "POVM")
+    if isinstance(design, PovmCollection):
+        rep = design_metrics_C(design)
+        extra = {"sets": design.num_sets, "elements": design.num_elements}
     else:
-        ensemble = make_ensemble(spec)
-        rep = design_metrics_V(ensemble)
-        extra = {"states": ensemble.num_states}
-        label = ensemble.label
-    return {"label": label, **asdict(rep), "eigvals": rep.eigvals.tolist(), **extra}
+        rep = design_metrics_V(design)
+        extra = {"states": design.num_states}
+    return {"label": design.label, **asdict(rep), "eigvals": rep.eigvals.tolist(), **extra}
 
 
 def format_audit(report: dict) -> list:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import proctomo.io as pio
 from proctomo.channels import cnot_channel
 from proctomo.cli import main
-from proctomo.studies import run_m_scaling_study
+from proctomo.studies import SPECS, make_povm, run_m_scaling_study
 
 
 def test_design_audit_sic_states(capsys):
@@ -27,6 +28,14 @@ def test_design_audit_natural_not_optimal(capsys):
     assert main(["design-audit", "natural:4"]) == 0
     out = capsys.readouterr().out
     assert "no" in out.splitlines()[-1]
+
+
+def test_design_audit_reads_a_povm_file(tmp_path, capsys):
+    path = tmp_path / "povm.json"
+    pio.save_json(make_povm("mub-povm:4"), path)
+    assert main(["design-audit", f"file:{path}"]) == 0
+    out = capsys.readouterr().out
+    assert "mub-povm-4" in out and "76" in out and "yes" in out
 
 
 def test_design_audit_rejects_unknown(capsys):
@@ -196,6 +205,8 @@ def test_file_spec_path_with_space(tmp_path, capsys):
         (["simulate", "--channel", "random:2:abc"], "random:2:abc"),
         (["simulate", "--ensemble", "random:4:M"], "random:4:M"),
         (["simulate", "--povm", "cube-povm:two"], "cube-povm:two"),
+        (["design-audit", "random:2:4:-1"], "random:2:4:-1"),
+        (["simulate", "--channel", "random:4:tp:-2"], "random:4:tp:-2"),
     ],
 )
 def test_non_integer_spec_fields_exit_2_naming_the_spec(argv, spec, tmp_path, capsys):
@@ -230,6 +241,22 @@ def test_m_scaling_study_rejects_zero_trials(capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "trials" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scaling-study", "--channel", "random:2:tp:5", "--ensemble", "mub:2", "--povm", "cube-povm:1",
+         "--copies", "600", "--trials", "1", "--seed", "-1"],
+        ["m-scaling-study", "--dim", "2", "--num-states", "8", "--povm", "cube-povm:1",
+         "--channel", "random:2:tp:5", "--trials", "1", "--seed", "-1"],
+    ],
+    ids=["scaling-study", "m-scaling-study"],
+)
+def test_studies_refuse_a_negative_seed_naming_it(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed") and "Traceback" not in err
 
 
 def test_m_scaling_study_flags_reach_the_study(tmp_path, capsys):
@@ -299,3 +326,40 @@ def test_documents_failing_their_class_checks_exit_2_naming_the_file(argv, doc, 
     err = capsys.readouterr().err
     assert f"{doc['kind']} document {path}: {text}" in err
     assert "Traceback" not in err
+
+
+def forms(kind):
+    return [e.form for e in SPECS if e.kind in (kind, None)]
+
+
+@pytest.mark.parametrize(
+    "command, flag, kinds",
+    [
+        ("simulate", "--channel", ["channel"]),
+        ("simulate", "--ensemble", ["ensemble"]),
+        ("simulate", "--povm", ["POVM"]),
+        ("reconstruct", "--ensemble", ["ensemble"]),
+        ("reconstruct", "--povm", ["POVM"]),
+        ("reconstruct", "--truth", ["channel"]),
+        ("scaling-study", "--channel", ["channel"]),
+        ("scaling-study", "--ensemble", ["ensemble"]),
+        ("scaling-study", "--povm", ["POVM"]),
+        ("m-scaling-study", "--channel", ["channel"]),
+        ("m-scaling-study", "--povm", ["POVM"]),
+        ("design-audit", "spec", ["ensemble", "POVM"]),
+    ],
+)
+def test_spec_flag_help_lists_every_form_of_its_kinds(command, flag, kinds, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    # The flag's entry: its first line, then the lines indented deeper than an entry.
+    start = next(i for i, line in enumerate(lines) if line.split()[:1] == [flag])
+    end = next((i for i in range(start + 1, len(lines)) if not lines[i].startswith("   ")), len(lines))
+    entry = " ".join(lines[start:end])
+    assert [form for kind in kinds for form in forms(kind) if form not in entry] == []
+
+
+def test_readme_lists_every_spec_form():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [e.form for e in SPECS if f"`{e.form}`" not in readme] == []

@@ -5,10 +5,8 @@ from proctomo.channels import process_matrix, random_channel, unitary_channel
 from proctomo.ensembles import design_metrics_V, sic_states
 from proctomo.linalg import dagger, haar_unitary, psd_sqrt
 from proctomo.metrics import (
-    error_report,
     error_scaling_functional,
     fidelity,
-    frobenius_error,
     infidelity,
     loglog_slope,
     squared_error,
@@ -113,18 +111,6 @@ def test_scaling_functional_for_optimal_design():
 def test_scaling_functional_rejects_nonpositive():
     with pytest.raises(ValueError):
         error_scaling_functional(4, 0.0, 5, 15.2, 16, 19.0, 100)
-
-
-def test_error_report_fields():
-    x = process_matrix(unitary_channel(np.eye(2))).mat
-    y = 0.999 * x
-    rep = error_report(y, x, bound_functional=1.23)
-    assert rep.frob_error == pytest.approx(frobenius_error(y, x))
-    assert rep.mse == pytest.approx(squared_error(y, x))
-    assert rep.fidelity == pytest.approx(1.0, abs=1e-9)
-    assert rep.infidelity == pytest.approx(infidelity(y, x), abs=1e-12)
-    assert rep.bound_functional == 1.23
-    assert 0 <= rep.fidelity <= 1 + 1e-6
 
 
 def test_loglog_slope_recovers_power_law():

@@ -1,12 +1,14 @@
 """Property tests: any spec string either builds an object or raises ValueError.
 
-Field values are kept small (integers -2..3, no digits in free text), so no
-example asks for a huge design; ``file`` specs are left out, since a missing
-path is an OSError by design.
+Spec names and flag words come from ``studies.SPECS``, so a new spec is
+fuzzed without a test edit.  Field values are kept small (integers -2..3, no
+digits in free text), so no example asks for a huge design; ``file`` specs
+are left out, since a missing path is an OSError by design.
 """
 
 import contextlib
 import io
+from functools import partial
 
 import pytest
 
@@ -14,16 +16,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from proctomo.cli import main  # noqa: E402
-from proctomo.studies import make_channel, make_ensemble, make_povm  # noqa: E402
+from proctomo.studies import PATH, SPECS, make_channel, make_ensemble, make_povm  # noqa: E402
 
-NAMES = [
-    "cnot", "identity", "random", "sic", "mub", "natural", "cube-states", "cube_states",
-    "cube", "cube-povm", "cube_povm", "mub-povm", "sic-povm", "CNOT", "Random",
-]
+NAMES = sorted({v for e in SPECS if PATH not in e.fields for n in e.names for v in (n, n.upper())})
+WORDS = sorted({w for e in SPECS for f in e.fields for w in f.words})
 # Free text without digits, so int() never turns it into a large size.
 TEXT = st.text(alphabet="abnoptxyz-_.+é :", max_size=5).filter(lambda t: "file" not in t.lower())
-FIELD = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["tp", "nontp", ""]), TEXT)
-SPECS = st.builds(
+FIELD = st.one_of(st.integers(-2, 3).map(str), st.sampled_from([*WORDS, ""]), TEXT)
+SPEC_STRINGS = st.builds(
     lambda name, fields, sep: sep.join([name, *fields]),
     st.one_of(st.sampled_from(NAMES), TEXT),
     st.lists(FIELD, max_size=4),
@@ -32,18 +32,35 @@ SPECS = st.builds(
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 # Inputs that once escaped as another exception type, plus the field-count edges.
 EDGES = ["identity:0", "identity 0", "random", "random:4", "sic", "sic:4:99", "random:2:tp:nontp", ""]
+# Specs of each kind that fit simulate's d = 2 design, so its success path runs
+# too, and a d = 3 ensemble that does not.
+SIMULATE_SPECS = [
+    "identity:2", "random:2:nontp:3", "sic:2", "MUB 2", "natural:2", "random:2:5:1", "cube_povm:1", "mub-povm:2",
+    "natural:3",
+]
 
 
-def with_edges(test):
-    for spec in EDGES:
+def with_edges(test, specs=EDGES):
+    for spec in specs:
         test = example(spec=spec)(test)
     return test
+
+
+def run_cli(argv):
+    """Exit code and stderr of one CLI run; argparse's own refusals exit too."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # e.g. a spec that starts with "-" reads as an option
+            code = exc.code
+    return code, err.getvalue()
 
 
 @pytest.mark.parametrize("factory", [make_channel, make_ensemble, make_povm])
 @FUZZ
 @with_edges
-@given(spec=SPECS)
+@given(spec=SPEC_STRINGS)
 def test_spec_parses_or_raises_value_error(factory, spec):
     try:
         factory(spec)
@@ -53,10 +70,21 @@ def test_spec_parses_or_raises_value_error(factory, spec):
 
 @FUZZ
 @with_edges
-@given(spec=SPECS)
+@given(spec=SPEC_STRINGS)
 def test_design_audit_exits_0_or_2_without_traceback(spec):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["design-audit", spec])
+    code, err = run_cli(["design-audit", spec])
     assert code in (0, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--channel", "--ensemble", "--povm"])
+@FUZZ
+@with_edges
+@partial(with_edges, specs=SIMULATE_SPECS)
+@given(spec=SPEC_STRINGS)
+def test_simulate_spec_flags_exit_0_or_2_without_traceback(flag, spec, tmp_path_factory):
+    design = {"--channel": "random:2", "--ensemble": "mub:2", "--povm": "cube-povm:1", flag: spec}
+    output = tmp_path_factory.getbasetemp() / "fuzz-record.json"
+    code, err = run_cli(["simulate", *(a for kv in design.items() for a in kv), "--exact", "--output", str(output)])
+    assert code in (0, 2)
+    assert "Traceback" not in err

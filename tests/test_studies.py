@@ -151,6 +151,8 @@ def test_experiment_config_rejects_malformed_json(tmp_path):
         ExperimentConfig.from_json(path)
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seed=True)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(seed=-1)
 
 
 @pytest.mark.parametrize("trials, grid", [(0, (6, 8)), (2, ())])
@@ -259,6 +261,8 @@ def test_random_channel_fields_out_of_order_or_repeated_rejected(spec):
         (make_povm, "cube-povm:x", "cube-povm:m"),
         (make_povm, "mub-povm:four", "mub-povm:d"),
         (make_povm, "sic-povm:x", "sic-povm[:4]"),
+        (make_channel, "random:4:tp:-2", "random:d[:tp|nontp][:seed]"),
+        (make_ensemble, "random:2:4:-1", "random:d:M[:seed]"),
     ],
 )
 def test_non_integer_spec_fields_name_the_spec_and_form(factory, spec, form):
