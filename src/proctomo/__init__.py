@@ -9,7 +9,6 @@ from .channels import (
     identity_channel,
     process_matrix,
     random_channel,
-    success_operator,
     unitary_channel,
 )
 from .ensembles import (
@@ -44,7 +43,6 @@ from .reconstruct import (
     ProcessEstimate,
     TwoStageReconstructor,
     nearest_psd,
-    two_stage_estimate,
 )
 from .simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 

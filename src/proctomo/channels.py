@@ -25,6 +25,7 @@ from .linalg import (
     hermitian_part,
     partial_trace_first,
     psd_sqrt,
+    square_stack,
 )
 
 CHANNEL_ATOL = 1e-9
@@ -34,33 +35,26 @@ CHANNEL_ATOL = 1e-9
 _SEED_DIAGS = ((0.5, 0.4), (0.1, 0.2))
 
 
-def _as_operator_stack(ops) -> np.ndarray:
-    arr = np.asarray([np.asarray(a, dtype=complex) for a in ops])
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
-        raise ValueError("Kraus operators must be a list of non-empty square matrices of equal size")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("Kraus operators contain non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A completely positive map given by Kraus operators."""
+    """A completely positive map given by Kraus operators, held as one complex
+    (K, d, d) stack."""
 
-    kraus: tuple
+    kraus: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        arr = _as_operator_stack(self.kraus)
-        object.__setattr__(self, "kraus", tuple(arr))
-        total = self.contraction()
-        w = hermitian_eigvals(total)
+        kraus = square_stack(self.kraus, "Kraus operators must be a list of non-empty square matrices of equal size")
+        if not np.all(np.isfinite(kraus)):
+            raise ValueError("Kraus operators contain non-finite entries")
+        object.__setattr__(self, "kraus", kraus)
+        w = hermitian_eigvals(self.contraction())
         if w[0] > 1.0 + CHANNEL_ATOL:
             raise ValueError(f"sum of A^dag A exceeds identity (max eigenvalue {w[0]:.6g})")
 
     @property
     def d(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def contraction(self) -> np.ndarray:
         """sum_i A_i^dag A_i (equals the identity iff trace preserving)."""
@@ -106,6 +100,7 @@ class ProcessMatrix:
         return math.isqrt(self.mat.shape[0])
 
     def success_operator(self) -> np.ndarray:
+        """F = Tr_1(X): Hermitian with spectrum in [0, 1], the identity iff TP."""
         return hermitian_part(partial_trace_first(self.mat, self.d))
 
     @property
@@ -124,7 +119,7 @@ class ProcessMatrix:
 
 def process_matrix(ch: KrausChannel, label: str | None = None) -> ProcessMatrix:
     """Process matrix of a Kraus channel in the natural basis."""
-    coeffs = np.asarray([a.reshape(-1) for a in ch.kraus])  # row-major = vec(A^T)
+    coeffs = ch.kraus.reshape(len(ch.kraus), -1)  # row-major = vec(A^T)
     x = coeffs.T @ coeffs.conj()
     return ProcessMatrix(x, label=label if label is not None else ch.label)
 
@@ -145,11 +140,6 @@ def apply_channel(op, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (op.d, op.d):
         raise ValueError(f"state has shape {rho.shape}, expected ({op.d}, {op.d})")
     return op.apply(check_psd(rho, "state", CHANNEL_ATOL, unit_trace=True))
-
-
-def success_operator(x: ProcessMatrix) -> np.ndarray:
-    """F = Tr_1(X): Hermitian with spectrum in [0, 1], the identity iff TP."""
-    return x.success_operator()
 
 
 def identity_channel(d: int) -> KrausChannel:

@@ -22,6 +22,7 @@ from .simulate import MeasurementRecord, exact_record, ideal_probabilities, samp
 from .studies import (
     SPECS,
     ExperimentConfig,
+    copies_per_state,
     design_audit,
     format_audit,
     make_channel,
@@ -46,14 +47,8 @@ def _cmd_simulate(args) -> int:
     if args.exact:
         record = exact_record(probs, povm)
     else:
-        if args.copies % ensemble.num_states:
-            raise ValueError(
-                f"total copies {args.copies} must be divisible by the "
-                f"{ensemble.num_states} input states"
-            )
-        record = sample_record(
-            probs, args.copies // ensemble.num_states, povm, seed=args.seed
-        )
+        per_state = copies_per_state(args.copies, ensemble, args.ensemble)
+        record = sample_record(probs, per_state, povm, seed=args.seed)
     pio.save_json(record, args.output)
     if args.text:
         Path(args.text).write_text(pio.record_to_text(record))

@@ -24,7 +24,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linalg import check_psd, kron_regroup, kron_stack, pinv_with_spectrum
+from .linalg import check_psd, kron_regroup, kron_stack, pinv_with_spectrum, square_stack
 
 RANK_RTOL = 1e-10
 ACHIEVE_RTOL = 1e-6
@@ -40,33 +40,31 @@ def _projector(psi: np.ndarray) -> np.ndarray:
 class InputEnsemble:
     """An informationally complete set of input density matrices.
 
-    ``pinv`` is pinv(V^T), the d^2 x M pseudo-inverse kept from validation, and
-    ``singular_values`` the descending singular values of V^T.  ``parts``
-    (init only) are validated ensembles whose tensor products, first part
-    slowest, must equal ``states`` exactly; both are then taken from the parts,
-    and the states need no check of their own, since a tensor product of
-    states is a state.
+    ``states`` is held as one complex (M, d, d) stack.  ``pinv`` is pinv(V^T),
+    the d^2 x M pseudo-inverse kept from validation, and ``singular_values``
+    the descending singular values of V^T.  ``parts`` (init only) are validated
+    ensembles whose tensor products, first part slowest, must equal ``states``
+    exactly; both are then taken from the parts, and the states need no check
+    of their own, since a tensor product of states is a state.
     """
 
-    states: tuple
+    states: np.ndarray
     label: str = ""
     parts: InitVar[tuple | None] = None
     pinv: np.ndarray = field(init=False, repr=False)
     singular_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, parts):
-        states = tuple(np.asarray(s, dtype=complex) for s in self.states)
-        if not states:
+        if not len(self.states):
             raise ValueError("an ensemble needs at least one state")
-        d = states[0].shape[0] if states[0].ndim == 2 else 0
-        if not d or any(s.shape != (d, d) for s in states):
-            raise ValueError("ensemble states must be square matrices sharing one dimension")
+        states = square_stack(self.states, "ensemble states must be square matrices sharing one dimension")
+        d = states.shape[1]
         if parts is None:
             check_psd(states, "ensemble state", atol=1e-9, unit_trace=True)
         elif not (
             parts
             and all(isinstance(p, InputEnsemble) for p in parts)
-            and np.array_equal(np.asarray(states), _kron_states(parts))
+            and np.array_equal(states, _kron_states(parts))
         ):
             raise ValueError("ensemble states are not the tensor products of its parts")
         object.__setattr__(self, "states", states)
@@ -88,7 +86,7 @@ class InputEnsemble:
 
     @property
     def d(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[1]
 
     @property
     def num_states(self) -> int:
@@ -97,7 +95,7 @@ class InputEnsemble:
     def parameterization(self) -> np.ndarray:
         """V: d^2 x M matrix with columns vec(rho_m)."""
         # Entry (j d + i, m) of V is rho_m[i, j].
-        return np.asarray(self.states).transpose(2, 1, 0).reshape(self.d**2, -1)
+        return self.states.transpose(2, 1, 0).reshape(self.d**2, -1)
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,7 @@ def natural_basis_states(d: int) -> InputEnsemble:
         for k in range(j + 1, d):
             states.append(_projector(eye[:, j] + eye[:, k]))
             states.append(_projector(eye[:, j] + 1j * eye[:, k]))
-    return InputEnsemble(tuple(states), label=f"natural-{d}")
+    return InputEnsemble(states, label=f"natural-{d}")
 
 
 def random_states(d: int, m: int, seed=None) -> InputEnsemble:
@@ -246,7 +244,7 @@ def random_states(d: int, m: int, seed=None) -> InputEnsemble:
         w = g @ g.conj().swapaxes(-1, -2)
         states = w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
         try:
-            return InputEnsemble(tuple(states), label=f"random-{d}-{m}")
+            return InputEnsemble(states, label=f"random-{d}-{m}")
         except ValueError:
             continue
     raise ValueError("could not draw an informationally complete ensemble in 10 attempts")
@@ -260,12 +258,12 @@ def product_ensemble(parts) -> InputEnsemble:
     if any(p.d != 2 for p in parts):
         raise ValueError("product ensembles are built from qubit parts only")
     label = "x".join(p.label or "qubit" for p in parts)
-    return InputEnsemble(tuple(_kron_states(parts)), label=label, parts=parts)
+    return InputEnsemble(_kron_states(parts), label=label, parts=parts)
 
 
 def _kron_states(parts) -> np.ndarray:
     """All tensor products of one state from each part, first part slowest."""
-    return kron_stack([np.asarray(p.states) for p in parts])
+    return kron_stack([p.states for p in parts])
 
 
 def cube_states(m: int) -> InputEnsemble:
@@ -273,7 +271,7 @@ def cube_states(m: int) -> InputEnsemble:
     if m < 1:
         raise ValueError("need at least one qubit")
     parts = [mub_states(2)] * m
-    return InputEnsemble(tuple(_kron_states(parts)), label=f"cube-states-{m}", parts=parts)
+    return InputEnsemble(_kron_states(parts), label=f"cube-states-{m}", parts=parts)
 
 
 def _gram_design(sv: np.ndarray, weight: float, target: np.ndarray, what: str):

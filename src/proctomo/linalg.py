@@ -92,9 +92,8 @@ def kron_stack(stacks) -> np.ndarray:
     Folds left with one broadcast multiply per stack, in np.kron's operand
     order, so every entry is bit-identical to ``np.kron(np.kron(a, b), c)``.
     """
-    acc = np.asarray(stacks[0])
+    acc = stacks[0]
     for s in stacks[1:]:
-        s = np.asarray(s)
         (n, r, c), (k, p, q) = acc.shape, s.shape
         prod = np.multiply(acc[:, None, :, None, :, None], s[None, :, None, :, None, :])
         acc = prod.reshape(n * k, r * p, c * q)
@@ -192,6 +191,17 @@ def hermitian_eigvals(x: np.ndarray) -> np.ndarray:
     """The eigenvalues of :func:`hermitian_eig`, descending, after the same check,
     without computing eigenvectors."""
     return np.linalg.eigvalsh(_hermitian(x))[::-1]
+
+
+def square_stack(x, error: str) -> np.ndarray:
+    """``x`` as a complex (n, d, d) stack with n, d >= 1, or ValueError(error)."""
+    try:
+        x = np.asarray(x, dtype=complex)
+    except ValueError:  # ragged
+        raise ValueError(error) from None
+    if x.ndim != 3 or x.shape[1] != x.shape[2] or not x.size:
+        raise ValueError(error)
+    return x
 
 
 def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray:

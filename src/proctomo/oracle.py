@@ -11,7 +11,7 @@ from .ensembles import InputEnsemble, mub_states, random_states, sic_states
 from .linalg import dagger, frob, kron_regroup, unvec, vec
 from .povms import PovmCollection, cube_povm
 from .reconstruct import TwoStageReconstructor
-from .simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
+from .simulate import MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
 
 _DENSE_MAX_D = 3
 
@@ -96,6 +96,7 @@ def oracle_check(seed: int = 0) -> list:
     Returns (name, passed, detail) triples; all should pass on a healthy
     installation.
     """
+    check_seed(seed)
     results = []
 
     # Dense coefficient matrix equals the structured factorization, d=2 and 3.

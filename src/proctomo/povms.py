@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .ensembles import RANK_RTOL, _pauli_vector, _projector, _gram_design, mub_vectors, _sic_vectors_d4
-from .linalg import check_psd, frob, herm_coords, kron_regroup, kron_stack, pinv_with_spectrum
+from .linalg import check_psd, frob, herm_coords, kron_regroup, kron_stack, pinv_with_spectrum, square_stack
 
 POVM_ATOL = 1e-9
 
@@ -35,7 +35,10 @@ POVM_ATOL = 1e-9
 class PovmCollection:
     """J complete POVM sets over one Hilbert space.
 
-    ``pinv`` is pinv(C), the d^2 x L pseudo-inverse kept from validation, and
+    ``elements`` is the complex (L, d, d) stack of all elements, set by set,
+    ``set_sizes`` the number of elements of each set, and ``sets`` the
+    constructor's sets held as per-set views of ``elements``.  ``pinv`` is
+    pinv(C), the d^2 x L pseudo-inverse kept from validation, and
     ``singular_values`` the descending singular values of C.  ``parts`` (init
     only) are validated collections whose tensor products, grouped as
     ``_kron_sets`` groups them, must equal ``sets`` exactly; both are then taken
@@ -46,28 +49,33 @@ class PovmCollection:
     sets: tuple
     label: str = ""
     parts: InitVar[tuple | None] = None
+    elements: np.ndarray = field(init=False, repr=False)
+    set_sizes: tuple = field(init=False)
     pinv: np.ndarray = field(init=False, repr=False)
     singular_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, parts):
-        flat = [np.asarray(p, dtype=complex) for group in self.sets for p in group]
+        sizes = tuple(len(group) for group in self.sets)
+        elements = square_stack([p for group in self.sets for p in group], "POVM element must be a square matrix")
+        sets = np.split(elements, np.cumsum(sizes)[:-1])
+        d = elements.shape[-1]
         if parts is None:
-            check_psd(flat, "POVM element", POVM_ATOL)
-            d = flat[0].shape[0]
-            for j, sl in enumerate(self.set_slices()):
-                if frob(sum(flat[sl]) - np.eye(d)) > POVM_ATOL * d:
+            check_psd(elements, "POVM element", POVM_ATOL)
+            for j, group in enumerate(sets):
+                if frob(group.sum(axis=0) - np.eye(d)) > POVM_ATOL * d:
                     raise ValueError(f"POVM set {j} does not sum to the identity")
         else:
             if not parts or not all(isinstance(p, PovmCollection) for p in parts):
                 raise ValueError("POVM parts must be POVM collections")
             grouped = _kron_sets(parts)
-            if self.set_sizes != (grouped.shape[1],) * len(grouped) or not np.array_equal(
-                flat, grouped.reshape(-1, *grouped.shape[2:])
+            if sizes != (grouped.shape[1],) * len(grouped) or not np.array_equal(
+                elements, grouped.reshape(-1, *grouped.shape[2:])
             ):
                 raise ValueError("POVM sets are not the tensor products of its parts")
-        object.__setattr__(self, "sets", tuple(tuple(flat[sl]) for sl in self.set_slices()))
-        d = flat[0].shape[0]
-        if len(flat) < d * d:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "set_sizes", sizes)
+        object.__setattr__(self, "sets", tuple(sets))
+        if len(elements) < d * d:
             raise ValueError("measurement is not informationally complete (rank deficient C)")
         if parts is None:
             pinv, sv = pinv_with_spectrum(self.parameterization())
@@ -86,35 +94,20 @@ class PovmCollection:
 
     @property
     def d(self) -> int:
-        return self.sets[0][0].shape[0]
+        return self.elements.shape[-1]
 
     @property
     def num_sets(self) -> int:
-        return len(self.sets)
-
-    @property
-    def set_sizes(self) -> tuple:
-        return tuple(len(group) for group in self.sets)
+        return len(self.set_sizes)
 
     @property
     def num_elements(self) -> int:
-        return sum(self.set_sizes)
-
-    @property
-    def elements(self) -> tuple:
-        return tuple(p for group in self.sets for p in group)
-
-    def set_slices(self) -> list:
-        out, start = [], 0
-        for n in self.set_sizes:
-            out.append(slice(start, start + n))
-            start += n
-        return out
+        return len(self.elements)
 
     def parameterization(self) -> np.ndarray:
         """C: L x d^2 matrix such that C @ vec(rho) = [Tr(P_l rho)]_l."""
         # vec(P^T) in column-major order equals the row-major flattening of P.
-        return np.asarray(self.elements).reshape(self.num_elements, -1)
+        return self.elements.reshape(self.num_elements, -1)
 
     @cached_property
     def born_table(self) -> tuple:
@@ -122,7 +115,7 @@ class PovmCollection:
         ones doubled, so that ``herm_coords(sigma) @ B.T`` is [Tr(P_l sigma)]_l for
         Hermitian sigma; norm and skew are the largest Frobenius norms of the elements
         and of their anti-Hermitian parts."""
-        ops, d = np.asarray(self.elements), self.d
+        ops, d = self.elements, self.d
         skew = np.linalg.norm(ops - ops.conj().swapaxes(-1, -2), axis=(-2, -1)).max() / 2
         weights = np.where(np.arange(d * d) < d, 1.0, 2.0)
         return herm_coords(ops) * weights, np.linalg.norm(ops, axis=(-2, -1)).max(), skew
@@ -151,7 +144,7 @@ def _kron_sets(parts) -> np.ndarray:
     (element_1 ... element_k) elements.  Each part needs sets of one size."""
     if any(len(set(p.set_sizes)) != 1 for p in parts):
         raise ValueError("POVM parts need sets of one size")
-    ops = kron_stack([np.asarray(p.elements) for p in parts])
+    ops = kron_stack([p.elements for p in parts])
     ops = ops[kron_regroup([(p.num_sets, p.set_sizes[0]) for p in parts])]
     return ops.reshape(int(np.prod([p.num_sets for p in parts])), -1, *ops.shape[1:])
 
@@ -165,7 +158,7 @@ def cube_povm(m: int, axes: tuple = ("x", "y", "z")) -> PovmCollection:
     eye = np.eye(2, dtype=complex)
     single = PovmCollection(tuple(((eye + paulis[a]) / 2, (eye - paulis[a]) / 2) for a in axes))
     parts = [single] * m
-    return PovmCollection(tuple(tuple(group) for group in _kron_sets(parts)), label=f"cube-{m}", parts=parts)
+    return PovmCollection(_kron_sets(parts), label=f"cube-{m}", parts=parts)
 
 
 def mub_povm(d: int) -> PovmCollection:

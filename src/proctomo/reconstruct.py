@@ -31,6 +31,7 @@ import numpy as np
 from .channels import ProcessMatrix
 from .ensembles import InputEnsemble
 from .linalg import (
+    HERMITIAN_RTOL,
     dagger,
     from_herm_coords,
     hermitian_eig,
@@ -41,8 +42,9 @@ from .simulate import MeasurementRecord
 
 # Eigenvalues of F-hat below this fraction of max(f1, 1) count as rank-zero.
 TRACE_RANK_RTOL = 1e-12
-# Minimum F-hat eigenvalue for the trace-preserving prior to be usable.
-TP_PRIOR_MIN_EIG = 1e-8
+# Minimum F-hat eigenvalue, relative to max(f1, 1), for the trace-preserving prior
+# to be usable: F-hat^(-1/2) amplifies the rounding in G-hat by f1 / f_d.
+TP_PRIOR_MIN_EIG = 1e-6
 
 
 @dataclass(eq=False)
@@ -126,11 +128,9 @@ class TwoStageReconstructor:
             filler = w[rank - 1] / copies
         adjusted = np.concatenate([w[:rank], np.full(d - rank, filler)])
         capped = np.minimum(adjusted, 1.0)
-        fallback = False
-        if tp_prior and w[-1] < TP_PRIOR_MIN_EIG:
-            # Too little data to invert F-hat; fall back to the general path.
-            fallback = True
-            tp_prior = False
+        # With too little data to invert F-hat, fall back to the general path.
+        fallback = bool(tp_prior and w[-1] < TP_PRIOR_MIN_EIG * max(w[0], 1.0))
+        tp_prior = tp_prior and not fallback
         if tp_prior:
             scale = 1.0 / np.sqrt(w)
         else:
@@ -148,6 +148,10 @@ class TwoStageReconstructor:
 
             # (I (x) T) G (I (x) T)^dag = [(I (x) T) [(I (x) T) G]^dag]^dag, C-ordered like G
             x_hat = np.ascontiguousarray(dagger(left(dagger(left(g_hat)))))
+            # Rounding in a large G can leave X-hat outside the Hermitian tolerance that
+            # ProcessMatrix checks; only then is its Hermitian part taken.
+            if np.linalg.norm(x_hat - dagger(x_hat)) > HERMITIAN_RTOL * max(np.linalg.norm(x_hat), 1.0):
+                x_hat = (x_hat + dagger(x_hat)) / 2
         return x_hat, w, adjusted, capped, u, rank, tp_prior, fallback
 
     def estimate(self, record, tp_prior: bool = False) -> ProcessEstimate:
@@ -183,10 +187,3 @@ class TwoStageReconstructor:
             tp_fallback=fallback,
             copies_per_state=copies,
         )
-
-
-def two_stage_estimate(
-    record, ensemble: InputEnsemble, povm: PovmCollection, tp_prior: bool = False
-) -> ProcessEstimate:
-    """One-shot convenience wrapper around :class:`TwoStageReconstructor`."""
-    return TwoStageReconstructor(ensemble, povm).estimate(record, tp_prior=tp_prior)

@@ -44,6 +44,14 @@ def _whole(n, least: int) -> bool:
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int, or a ValueError naming it unless it is non-negative."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 @dataclass(eq=False)
 class MeasurementRecord:
     """Empirical frequency matrix P-hat with its sampling metadata."""
@@ -116,7 +124,7 @@ def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) 
     d, m = process.d, ensemble.num_states
     probs = np.empty((m, born.shape[0]))
     for start in range(0, m, _STATE_BLOCK):
-        rhos = np.asarray(ensemble.states[start : start + _STATE_BLOCK])
+        rhos = ensemble.states[start : start + _STATE_BLOCK]
         outputs = process.apply(rhos)
         # |Im Tr(P s)| <= ||P|| ||s_K|| + ||P_K|| ||s|| for the anti-Hermitian parts
         # K; only a block this bound cannot clear computes its imaginary part.
@@ -152,9 +160,7 @@ def sample_record(
     shots = int(copies) // j
     if shots < 1:
         raise ValueError(f"{copies} copies leave no shots for {j} POVM sets")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = check_seed(seed)
 
     # Sets of equal size share one (sets, size) slab of columns, drawn by one
     # broadcast multinomial call per block of states.

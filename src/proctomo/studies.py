@@ -39,7 +39,7 @@ from .ensembles import (
 from .metrics import infidelity, loglog_slope, squared_error
 from .povms import PovmCollection, cube_povm, design_metrics_C, mub_povm, sic_povm
 from .reconstruct import TwoStageReconstructor
-from .simulate import ideal_probabilities, sample_record
+from .simulate import check_seed, ideal_probabilities, sample_record
 
 
 # A spec field: an integer, a seed (an integer >= 0) or a word, kept verbatim:
@@ -133,14 +133,24 @@ def trial_seed(global_seed: int, point: int, trial: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def copies_per_state(total: int, ensemble: InputEnsemble, spec: str) -> int:
+    """Copies per state of ``total`` spread evenly; total must be a positive multiple of M."""
+    m = ensemble.num_states
+    if total < 1 or total % m:
+        raise ValueError(
+            f"total copies {total} must be positive and divisible by the {m} input states "
+            f"of {spec!r}; choose a multiple of {m}"
+        )
+    return total // m
+
+
 def _check_sweep(trials, grid, seed) -> None:
     """A study needs at least one trial, a non-empty positive grid and a seed >= 0."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not grid or min(grid) < 1:
         raise ValueError(f"the study grid must be non-empty and positive, got {list(grid)}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
 
 
 def _meta(config: dict, seed: int) -> dict:
@@ -266,19 +276,13 @@ def run_scaling_study(cfg: ExperimentConfig) -> StudyResult:
 
     def series(spec):
         ensemble = make_ensemble(spec)
-        m = ensemble.num_states
-        for total in cfg.copies:
-            if total % m:
-                raise ValueError(
-                    f"total copies {total} is not divisible by the {m} input states "
-                    f"of {spec!r}; choose a multiple of {m}"
-                )
+        per_state = {total: copies_per_state(total, ensemble, spec) for total in cfg.copies}
         rec = TwoStageReconstructor(ensemble, povm)
         probs = ideal_probabilities(channel, ensemble, povm)
 
         def trial(ip, total, it):
             record = sample_record(
-                probs, total // m, povm, seed=trial_seed(cfg.seed, ip, it), keep_ideal=False
+                probs, per_state[total], povm, seed=trial_seed(cfg.seed, ip, it), keep_ideal=False
             )
             est = rec.estimate(record, tp_prior=cfg.tp_prior)
             return squared_error(est.x_hat, x_true), infidelity(est.x_hat, x_true)
@@ -337,13 +341,8 @@ def run_m_scaling_study(
 def design_audit(spec: str) -> dict:
     """Design metrics for an ensemble or POVM spec, as a printable report."""
     design = build_spec(spec, "ensemble", "POVM")
-    if isinstance(design, PovmCollection):
-        rep = design_metrics_C(design)
-        extra = {"sets": design.num_sets, "elements": design.num_elements}
-    else:
-        rep = design_metrics_V(design)
-        extra = {"states": design.num_states}
-    return {"label": design.label, **asdict(rep), "eigvals": rep.eigvals.tolist(), **extra}
+    rep = design_metrics_C(design) if isinstance(design, PovmCollection) else design_metrics_V(design)
+    return {"label": design.label, **asdict(rep), "eigvals": rep.eigvals.tolist()}
 
 
 def format_audit(report: dict) -> list:

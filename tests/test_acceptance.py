@@ -253,7 +253,7 @@ def test_acceptance_9_complexity_trend():
         best = np.inf
         for _ in range(reps):
             t0 = time.perf_counter()
-            pt.two_stage_estimate(record, ensemble, povm)
+            pt.TwoStageReconstructor(ensemble, povm).estimate(record)
             best = min(best, time.perf_counter() - t0)
         times.append(best)
     slope = loglog_slope([10.0, 100.0, 1000.0], times)

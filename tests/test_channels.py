@@ -11,7 +11,6 @@ from proctomo.channels import (
     identity_channel,
     process_matrix,
     random_channel,
-    success_operator,
     unitary_channel,
 )
 from proctomo.ensembles import natural_basis_states
@@ -78,9 +77,9 @@ def test_kraus_and_process_application_agree():
 
 
 def test_success_operator_tp_and_nontp():
-    assert np.linalg.norm(success_operator(process_matrix(random_channel(2, seed=4))) - np.eye(2)) <= 1e-9
+    assert np.linalg.norm(process_matrix(random_channel(2, seed=4)).success_operator() - np.eye(2)) <= 1e-9
     xn = process_matrix(random_channel(4, tp=False, seed=5, f_spectrum=(1.0, 0.8, 0.7, 0.5)))
-    f = success_operator(xn)
+    f = xn.success_operator()
     assert abs(np.trace(f).real - 3.0) <= 1e-6
     w, _ = hermitian_eig(f)
     np.testing.assert_allclose(w, [1.0, 0.8, 0.7, 0.5], atol=1e-6)
@@ -160,3 +159,11 @@ def test_as_process_matrix_passes_process_matrices_through():
     x = process_matrix(ch)
     assert as_process_matrix(x) is x
     assert np.array_equal(as_process_matrix(ch).mat, x.mat)
+
+
+def test_kraus_operators_are_one_complex_stack():
+    ch = random_channel(3, seed=2)
+    assert isinstance(ch.kraus, np.ndarray) and ch.kraus.dtype == complex
+    assert ch.kraus.shape == (3, 3, 3)
+    with pytest.raises(ValueError, match="non-empty square matrices of equal size"):
+        KrausChannel((np.eye(2), np.eye(3)))

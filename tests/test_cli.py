@@ -97,6 +97,17 @@ def test_simulate_rejects_indivisible_copies(tmp_path, capsys):
     assert "divisible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("copies", ["-20", "0", "1001"])
+def test_simulate_copies_rule_names_the_total_the_states_and_the_ensemble(copies, tmp_path, capsys):
+    code = main([
+        "simulate", "--ensemble", "mub:4", "--copies", copies, "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"total copies {copies} must be positive and divisible by the 20 input states of 'mub:4'" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def run_study(tmp_path, capsys, tag):
     out_path = tmp_path / f"table-{tag}.tsv"
     code = main([
@@ -257,6 +268,12 @@ def test_studies_refuse_a_negative_seed_naming_it(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: seed") and "Traceback" not in err
+
+
+def test_oracle_check_refuses_a_negative_seed_naming_it(capsys):
+    assert main(["oracle-check", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be non-negative, got -1\n"
 
 
 def test_m_scaling_study_flags_reach_the_study(tmp_path, capsys):

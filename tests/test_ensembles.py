@@ -336,3 +336,24 @@ def test_an_ensemble_that_constructs_also_audits():
 def test_empty_or_non_matrix_ensembles_raise_value_error(states):
     with pytest.raises(ValueError):
         InputEnsemble(states)
+
+
+def test_states_are_one_complex_stack():
+    e = InputEnsemble([list(map(list, rho)) for rho in mub_states(2).states])
+    assert isinstance(e.states, np.ndarray) and e.states.dtype == complex
+    assert e.states.shape == (6, 2, 2)
+    assert np.array_equal(e.states, mub_states(2).states)
+
+
+@pytest.mark.parametrize(
+    "states, text",
+    [
+        ((), "an ensemble needs at least one state"),
+        ((np.eye(2) / 2, np.eye(3) / 3), "ensemble states must be square matrices sharing one dimension"),
+        (np.eye(2) / 2, "ensemble states must be square matrices sharing one dimension"),
+    ],
+    ids=["empty", "ragged", "one-matrix"],
+)
+def test_malformed_states_are_refused_by_name(states, text):
+    with pytest.raises(ValueError, match=text):
+        InputEnsemble(states)

@@ -291,7 +291,7 @@ NAN2 = np.full((2, 2), np.nan)
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(lambda: InputEnsemble((NAN2,) + mub_states(2).states), id="ensemble-state"),
+        pytest.param(lambda: InputEnsemble((NAN2, *mub_states(2).states)), id="ensemble-state"),
         pytest.param(lambda: PovmCollection(((NAN2, np.eye(2)),) + cube_povm(1).sets), id="povm-element"),
         pytest.param(lambda: apply_channel(identity_channel(2), NAN2), id="apply-channel"),
         pytest.param(lambda: ProcessMatrix(np.full((4, 4), np.nan)), id="process-matrix"),

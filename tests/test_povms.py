@@ -215,3 +215,33 @@ def test_parameterization_equals_the_row_loop():
 def test_rank_deficient_povms_still_raise(m):
     with pytest.raises(ValueError, match="rank deficient"):
         cube_povm(m, axes=("x", "z"))
+
+
+def test_nested_sets_and_stacked_sets_build_the_same_collection():
+    ref = mub_povm(2)
+    nested = tuple(tuple(np.array(p) for p in group) for group in ref.sets)
+    per_set = tuple(np.array(group) for group in ref.sets)  # one (n, d, d) array per set
+    four_d = np.array(ref.sets)  # (J, n, d, d)
+    for sets in (nested, per_set, four_d):
+        p = PovmCollection(sets)
+        assert p.elements.dtype == complex and p.elements.shape == (6, 2, 2)
+        assert np.array_equal(p.elements, ref.elements)
+        assert p.set_sizes == (2, 2, 2)
+        assert np.array_equal(p.pinv, ref.pinv)
+        # the sets are views of the one stack, not copies
+        assert all(np.shares_memory(group, p.elements) for group in p.sets)
+        assert np.array_equal(np.concatenate(p.sets), p.elements)
+
+
+@pytest.mark.parametrize(
+    "sets, text",
+    [
+        ((), "POVM element must be a square matrix"),
+        (((np.eye(2), np.eye(3)),), "POVM element must be a square matrix"),
+        (((), (np.eye(2),)), "POVM set 0 does not sum to the identity"),
+    ],
+    ids=["no-elements", "ragged", "empty-set"],
+)
+def test_malformed_sets_are_refused_by_name(sets, text):
+    with pytest.raises(ValueError, match=text):
+        PovmCollection(sets)

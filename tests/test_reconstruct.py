@@ -12,11 +12,7 @@ from proctomo.linalg import (
 )
 from proctomo.oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
 from proctomo.povms import PovmCollection, cube_povm, projective_povm
-from proctomo.reconstruct import (
-    TwoStageReconstructor,
-    nearest_psd,
-    two_stage_estimate,
-)
+from proctomo.reconstruct import TwoStageReconstructor, nearest_psd
 from proctomo.simulate import exact_record, ideal_probabilities, sample_record
 from proctomo.linalg import haar_unitary
 
@@ -178,6 +174,16 @@ def test_tp_prior_falls_back_on_singular_trace():
     assert rank == 1
 
 
+def test_tp_prior_falls_back_on_an_ill_conditioned_trace():
+    # Tr_1 G = diag(1e4, 1e-3): F-hat^(-1/2) would amplify G's rounding 1e7-fold.
+    rec = TwoStageReconstructor(mub_states(2), cube_povm(1))
+    s = np.diag([1e2, 1e-3**0.5]).astype(complex)
+    g = np.outer(vec(s), vec(s).conj())
+    *_, rank, used_prior, fallback = rec.trace_correct(g, 1000, tp_prior=True)
+    assert fallback is True and used_prior is False
+    assert rank == 2
+
+
 def test_projection_never_moves_farther_than_truth():
     # ||G - D|| <= ||D - X|| when the true process matrix is PSD
     ch = random_channel(2, tp=True, seed=44)
@@ -197,14 +203,14 @@ def test_noiseless_pipeline_is_identity(tp):
     ch = random_channel(4, tp=tp, seed=45)
     e, p = mub_states(4), cube_povm(2)
     x = process_matrix(ch).mat
-    est = two_stage_estimate(exact_record(ideal_probabilities(ch, e, p), p), e, p)
+    est = TwoStageReconstructor(e, p).estimate(exact_record(ideal_probabilities(ch, e, p), p))
     assert np.linalg.norm(est.x_hat - x) <= 1e-8
 
 
 def test_noiseless_cnot_recovery():
     ch = cnot_channel()
     e, p = mub_states(4), cube_povm(2)
-    est = two_stage_estimate(exact_record(ideal_probabilities(ch, e, p), p), e, p)
+    est = TwoStageReconstructor(e, p).estimate(exact_record(ideal_probabilities(ch, e, p), p))
     assert np.linalg.norm(est.x_hat - process_matrix(ch).mat) <= 1e-8
 
 
