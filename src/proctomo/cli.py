@@ -64,7 +64,10 @@ def _cmd_reconstruct(args) -> int:
     record = pio.load_json(args.record, (MeasurementRecord,))
     ensemble = make_ensemble(args.ensemble)
     povm = make_povm(args.povm)
+    truth = as_process_matrix(make_channel(args.truth)) if args.truth else None
     est = TwoStageReconstructor(ensemble, povm).estimate(record, tp_prior=args.tp_prior)
+    if truth is not None and truth.d != est.d:
+        raise ValueError(f"--truth {args.truth!r} has d={truth.d}, but the estimate has d={est.d}")
     if args.output:
         pio.save_json(est, args.output, include_intermediates=args.intermediates)
     print(
@@ -72,12 +75,11 @@ def _cmd_reconstruct(args) -> int:
         + (", tp prior" if est.tp_prior else "")
         + (", tp fallback" if est.tp_fallback else "")
     )
-    if args.truth:
-        x_true = as_process_matrix(make_channel(args.truth)).mat
-        mse = squared_error(est.x_hat, x_true)
+    if truth is not None:
+        mse = squared_error(est.x_hat, truth.mat)
         print(
             f"vs truth: frobenius error {mse ** 0.5:.6g}, mse {mse:.6g}, "
-            f"fidelity {fidelity(est.x_hat, x_true):.6f}"
+            f"fidelity {fidelity(est.x_hat, truth.mat):.6f}"
         )
     return 0
 

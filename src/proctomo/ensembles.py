@@ -10,12 +10,12 @@ attain the multiplicative m-qubit bounds (20^m and sqrt(3^m)).
 
 Validation finds the singular values of V^T, which decide informational
 completeness, and the pseudo-inverse pinv(V^T), which the ensemble keeps for
-reconstruction.  Most ensembles get both from one thin SVD.  Product
-ensembles take them from their parts instead: pinv(V^T) is the vec-permuted
-Kronecker product of the parts' pseudo-inverses, and the singular values are
-the products of theirs, so no SVD of the product runs.  Every ensemble keeps
-its singular values, and the design metrics read the spectrum of V* V^T as
-their squares.
+reconstruction.  Most ensembles get both from one thin SVD.  A product
+ensemble is given by its parts alone: its states are built once from theirs,
+pinv(V^T) is the vec-permuted Kronecker product of their pseudo-inverses, and
+the singular values are the products of theirs, so no SVD of the product
+runs.  The design metrics read the spectrum of V* V^T as the squares of the
+kept singular values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linalg import check_psd, kron_regroup, kron_stack, pinv_with_spectrum, square_stack
+from .linalg import check_psd, kron_pinv, kron_regroup, kron_stack, pinv_with_spectrum, square_stack
 
 RANK_RTOL = 1e-10
 ACHIEVE_RTOL = 1e-6
@@ -36,53 +36,67 @@ def _projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _check_parts(parts, stack, cls, what: str) -> None:
+    """Refuse ``parts`` that do not alone give a product ``cls`` design."""
+    if stack is not None:
+        raise ValueError(f"a product {what} is given by its parts alone, not beside a stack")
+    if not isinstance(parts, (list, tuple)) or not parts or not all(isinstance(p, cls) for p in parts):
+        raise ValueError(f"{what} parts must be one or more {cls.__name__} designs")
+
+
+def _keep_pinv(design, parts, matrix, rows, error: str) -> None:
+    """Keep pinv(A) and the descending singular values of A = ``matrix()`` on ``design``,
+    from one SVD or, for a product design, from its ``parts``: A is then the Kronecker
+    product of theirs with its rows taken at ``rows`` and its columns moved from
+    vec(x_1) x vec(x_2) x ... to vec(x_1 x x_2 x ...).  A rank-deficient A raises
+    ValueError(error); this is the one place the rank rule is written.
+    """
+    if parts is None:
+        pinv, sv = pinv_with_spectrum(matrix())
+    else:
+        cols = kron_regroup([(p.d, p.d) for p in parts])
+        pinv, sv = kron_pinv([(p.pinv, p.singular_values) for p in parts], rows, cols)
+    if sv[-1] <= RANK_RTOL * sv[0]:
+        raise ValueError(error)
+    object.__setattr__(design, "pinv", pinv)
+    object.__setattr__(design, "singular_values", sv)
+
+
 @dataclass(frozen=True, eq=False)
 class InputEnsemble:
     """An informationally complete set of input density matrices.
 
     ``states`` is held as one complex (M, d, d) stack.  ``pinv`` is pinv(V^T),
     the d^2 x M pseudo-inverse kept from validation, and ``singular_values``
-    the descending singular values of V^T.  ``parts`` (init only) are validated
-    ensembles whose tensor products, first part slowest, must equal ``states``
-    exactly; both are then taken from the parts, and the states need no check
-    of their own, since a tensor product of states is a state.
+    the descending singular values of V^T.  A product ensemble is given by
+    ``parts`` (init only) alone, validated ensembles: its states are built once
+    as their tensor products, first part slowest, and need no check of their
+    own, since a tensor product of states is a state.
     """
 
-    states: np.ndarray
+    states: np.ndarray = None
     label: str = ""
     parts: InitVar[tuple | None] = None
     pinv: np.ndarray = field(init=False, repr=False)
     singular_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, parts):
-        if not len(self.states):
+        if parts is not None:
+            _check_parts(parts, self.states, InputEnsemble, "ensemble")
+            states = kron_stack([p.states for p in parts])
+        elif self.states is None or not len(self.states):
             raise ValueError("an ensemble needs at least one state")
-        states = square_stack(self.states, "ensemble states must be square matrices sharing one dimension")
-        d = states.shape[1]
-        if parts is None:
+        else:
+            states = square_stack(self.states, "ensemble states must be square matrices sharing one dimension")
             check_psd(states, "ensemble state", atol=1e-9, unit_trace=True)
-        elif not (
-            parts
-            and all(isinstance(p, InputEnsemble) for p in parts)
-            and np.array_equal(states, _kron_states(parts))
-        ):
-            raise ValueError("ensemble states are not the tensor products of its parts")
         object.__setattr__(self, "states", states)
+        d = states.shape[1]
         if len(states) < d * d:
             raise ValueError(
                 f"need at least d^2={d * d} states for informational completeness, got {len(states)}"
             )
-        if parts is None:
-            pinv, sv = pinv_with_spectrum(self.parameterization().T)
-        else:
-            # V^T is the Kronecker product of the parts' V^T with its columns
-            # moved from vec(rho_1) x vec(rho_2) x ... order to vec(rho_1 x rho_2 x ...).
-            factors = [(p.pinv, p.singular_values) for p in parts]
-            pinv, sv = pinv_with_spectrum(factors, cols=kron_regroup([(p.d, p.d) for p in parts]))
-        if sv[-1] <= RANK_RTOL * sv[0]:
-            raise ValueError("ensemble is not informationally complete (rank deficient V)")
-        object.__setattr__(self, "pinv", pinv)
-        object.__setattr__(self, "singular_values", sv)
+        error = "ensemble is not informationally complete (rank deficient V)"
+        _keep_pinv(self, parts, lambda: self.parameterization().T, slice(None), error)
 
     @property
     def d(self) -> int:
@@ -258,29 +272,22 @@ def product_ensemble(parts) -> InputEnsemble:
     if any(p.d != 2 for p in parts):
         raise ValueError("product ensembles are built from qubit parts only")
     label = "x".join(p.label or "qubit" for p in parts)
-    return InputEnsemble(_kron_states(parts), label=label, parts=parts)
-
-
-def _kron_states(parts) -> np.ndarray:
-    """All tensor products of one state from each part, first part slowest."""
-    return kron_stack([p.states for p in parts])
+    return InputEnsemble(label=label, parts=parts)
 
 
 def cube_states(m: int) -> InputEnsemble:
     """m-fold tensor products of the qubit MUB family (6^m states)."""
     if m < 1:
         raise ValueError("need at least one qubit")
-    parts = [mub_states(2)] * m
-    return InputEnsemble(_kron_states(parts), label=f"cube-states-{m}", parts=parts)
+    return InputEnsemble(label=f"cube-states-{m}", parts=[mub_states(2)] * m)
 
 
-def _gram_design(sv: np.ndarray, weight: float, target: np.ndarray, what: str):
+def _gram_design(sv: np.ndarray, weight: float, target: np.ndarray):
     """Descending spectrum of a design Gram matrix A^dag A from the singular values
     ``sv`` of A, its cost ``weight * Tr((A^dag A)^-1)``, its condition number
-    sqrt(max/min), and whether the spectrum attains ``target``."""
+    sqrt(max/min), and whether the spectrum attains ``target``.  The constructors
+    refuse rank-deficient designs, and designs are frozen, so A has full rank."""
     eigs = sv**2
-    if sv[-1] <= RANK_RTOL * sv[0]:  # the constructors' rank rule
-        raise ValueError(f"{what} is singular")
     achieves = bool(np.all(np.abs(eigs - target) <= ACHIEVE_RTOL * target))
     return eigs, weight * float(np.sum(1.0 / eigs)), float(np.sqrt(eigs[0] / eigs[-1])), achieves
 
@@ -291,7 +298,7 @@ def design_metrics_V(ensemble: InputEnsemble) -> EnsembleDesignReport:
     target = np.full(d * d, m / (d * (d + 1.0)))
     target[0] = m / d
     # V* V^T = (V^T)^dag V^T, so its eigenvalues are the squared singular values of V^T.
-    eigs, cost, cond, achieves = _gram_design(ensemble.singular_values, m, target, "V* V^T")
+    eigs, cost, cond, achieves = _gram_design(ensemble.singular_values, m, target)
     return EnsembleDesignReport(
         cost=cost,
         cond=cond,

@@ -115,30 +115,27 @@ def kron_regroup(pairs) -> np.ndarray:
     return grid.transpose([*range(0, k, 2), *range(1, k, 2)]).reshape(-1)
 
 
-def pinv_with_spectrum(a, rows=None, cols=None):
+def pinv_with_spectrum(a: np.ndarray):
     """``(np.linalg.pinv(a), s)``: the pseudo-inverse at numpy's default cutoff and
-    the descending singular values ``s`` of ``a``.
-
-    For a matrix ``a`` both come from one thin SVD that mirrors numpy's ``pinv``
-    step by step, so the pseudo-inverse is bit-identical to it and one SVD
-    serves both a rank check and the solve.
-
-    ``a`` may instead be the ``(pinv, s)`` pairs of Kronecker factors A_i of the
-    matrix ``(A_1 x ... x A_k)[rows][:, cols]`` (index arrays, None for all).
-    Then no SVD runs: the pseudo-inverse is ``(pinv_1 x ... x pinv_k)[cols][:, rows]``
-    and ``s`` the sorted products of the factors' singular values.
+    the descending singular values ``s`` of ``a``, from one thin SVD that mirrors
+    numpy's ``pinv`` step by step, so the pseudo-inverse is bit-identical to it and
+    one SVD serves both a rank check and the solve.
     """
-    if not isinstance(a, np.ndarray):
-        pinv = kron_stack([p[None] for p, _ in a])[0]
-        s = kron_stack([s[None, None] for _, s in a]).reshape(-1)
-        rows = slice(None) if rows is None else rows
-        cols = slice(None) if cols is None else cols
-        return pinv[cols][:, rows], np.sort(s)[::-1]
     u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
     large = s > PINV_RCOND * np.amax(s, axis=-1, keepdims=True)
     inv = np.divide(1, s, where=large, out=s.copy())
     inv[~large] = 0
     return np.matmul(np.transpose(vt), np.multiply(inv[..., None], np.transpose(u))), s
+
+
+def kron_pinv(factors, rows=slice(None), cols=slice(None)):
+    """:func:`pinv_with_spectrum` of ``(A_1 x ... x A_k)[rows][:, cols]`` from the
+    ``(pinv, s)`` pairs of the factors A_i, with no SVD: the pseudo-inverse is
+    ``(pinv_1 x ... x pinv_k)[cols][:, rows]`` and ``s`` the sorted products of
+    the factors' singular values."""
+    pinv = kron_stack([p[None] for p, _ in factors])[0]
+    s = kron_stack([s[None, None] for _, s in factors]).reshape(-1)
+    return pinv[cols][:, rows], np.sort(s)[::-1]
 
 
 def unvec(v: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:

@@ -19,8 +19,16 @@ import numpy as np
 from .linalg import dagger, frob, psd_factor
 
 
+def _same_shape(x_hat, x_true, dtype=None) -> tuple:
+    """Both arguments as arrays, refused with ValueError unless they share one shape."""
+    a, b = np.asarray(x_hat, dtype=dtype), np.asarray(x_true, dtype=dtype)
+    if a.shape != b.shape:
+        raise ValueError(f"cannot compare an estimate of shape {a.shape} with a truth of shape {b.shape}")
+    return a, b
+
+
 def squared_error(x_hat: np.ndarray, x_true: np.ndarray) -> float:
-    return frob(np.asarray(x_hat) - np.asarray(x_true)) ** 2
+    return frob(np.subtract(*_same_shape(x_hat, x_true))) ** 2
 
 
 def fidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
@@ -35,8 +43,7 @@ def fidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     O(d^4 r) for rank r; a matrix whose factor leaves a residual above the PSD
     tolerance raises ValueError.
     """
-    a = np.asarray(x_hat, dtype=complex)
-    b = np.asarray(x_true, dtype=complex)
+    a, b = _same_shape(x_hat, x_true, complex)
     ta, tb = np.trace(a).real, np.trace(b).real
     if ta <= 0 or tb <= 0:
         raise ValueError("fidelity requires positive-trace arguments")

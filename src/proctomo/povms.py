@@ -10,23 +10,24 @@ attain both bounds.
 
 Validation finds the singular values of C, which decide informational
 completeness, and the pseudo-inverse pinv(C), which the collection keeps for
-reconstruction.  Most collections get both from one thin SVD.  Product
-collections (``cube_povm``) take them from their parts instead: pinv(C) is the
-permuted Kronecker product of the parts' pseudo-inverses, and the singular
-values are the products of theirs, so no SVD of the product runs.  Every
-collection keeps its singular values, and the design metrics read the
-spectrum of C^dag C as their squares.
+reconstruction.  Most collections get both from one thin SVD.  A product
+collection (``cube_povm``) is given by its parts alone: its elements are
+built once from theirs, pinv(C) is the permuted Kronecker product of their
+pseudo-inverses, and the singular values are the products of theirs, so no
+SVD of the product runs.  The design metrics read the spectrum of C^dag C as
+the squares of the kept singular values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .ensembles import RANK_RTOL, _pauli_vector, _projector, _gram_design, mub_vectors, _sic_vectors_d4
-from .linalg import check_psd, frob, herm_coords, kron_regroup, kron_stack, pinv_with_spectrum, square_stack
+from .ensembles import _gram_design, _keep_pinv, _pauli_vector, _check_parts, _projector, _sic_vectors_d4, mub_vectors
+from .linalg import check_psd, frob, herm_coords, kron_regroup, kron_stack, square_stack
 
 POVM_ATOL = 1e-9
 
@@ -39,14 +40,14 @@ class PovmCollection:
     ``set_sizes`` the number of elements of each set, and ``sets`` the
     constructor's sets held as per-set views of ``elements``.  ``pinv`` is
     pinv(C), the d^2 x L pseudo-inverse kept from validation, and
-    ``singular_values`` the descending singular values of C.  ``parts`` (init
-    only) are validated collections whose tensor products, grouped as
-    ``_kron_sets`` groups them, must equal ``sets`` exactly; both are then taken
-    from the parts, and the sets need no check of their own, since tensor
+    ``singular_values`` the descending singular values of C.  A product
+    collection is given by ``parts`` (init only) alone, validated collections
+    with sets of one size each: its sets are the tensor products of one set from
+    each part, first part slowest.  They need no check of their own, since tensor
     products of complete POVM sets are complete POVM sets.
     """
 
-    sets: tuple
+    sets: tuple = None
     label: str = ""
     parts: InitVar[tuple | None] = None
     elements: np.ndarray = field(init=False, repr=False)
@@ -55,8 +56,20 @@ class PovmCollection:
     singular_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, parts):
-        sizes = tuple(len(group) for group in self.sets)
-        elements = square_stack([p for group in self.sets for p in group], "POVM element must be a square matrix")
+        if parts is not None:
+            _check_parts(parts, self.sets, PovmCollection, "POVM")
+            if any(len(set(p.set_sizes)) != 1 for p in parts):
+                raise ValueError("POVM parts need sets of one size")
+            # Products are indexed (set_1, element_1, ..., set_k, element_k); rows
+            # regroups them set-major, as (set_1 ... set_k, element_1 ... element_k).
+            rows = kron_regroup([(p.num_sets, p.set_sizes[0]) for p in parts])
+            elements = kron_stack([p.elements for p in parts])[rows]
+            sizes = (math.prod(p.set_sizes[0] for p in parts),) * math.prod(p.num_sets for p in parts)
+        else:
+            groups = () if self.sets is None else self.sets
+            rows = slice(None)
+            sizes = tuple(len(group) for group in groups)
+            elements = square_stack([p for group in groups for p in group], "POVM element must be a square matrix")
         sets = np.split(elements, np.cumsum(sizes)[:-1])
         d = elements.shape[-1]
         if parts is None:
@@ -64,33 +77,13 @@ class PovmCollection:
             for j, group in enumerate(sets):
                 if frob(group.sum(axis=0) - np.eye(d)) > POVM_ATOL * d:
                     raise ValueError(f"POVM set {j} does not sum to the identity")
-        else:
-            if not parts or not all(isinstance(p, PovmCollection) for p in parts):
-                raise ValueError("POVM parts must be POVM collections")
-            grouped = _kron_sets(parts)
-            if sizes != (grouped.shape[1],) * len(grouped) or not np.array_equal(
-                elements, grouped.reshape(-1, *grouped.shape[2:])
-            ):
-                raise ValueError("POVM sets are not the tensor products of its parts")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "set_sizes", sizes)
         object.__setattr__(self, "sets", tuple(sets))
+        error = "measurement is not informationally complete (rank deficient C)"
         if len(elements) < d * d:
-            raise ValueError("measurement is not informationally complete (rank deficient C)")
-        if parts is None:
-            pinv, sv = pinv_with_spectrum(self.parameterization())
-        else:
-            # C is the Kronecker product of the parts' C with its rows regrouped
-            # set-major and its columns moved to the flattening of the products.
-            pinv, sv = pinv_with_spectrum(
-                [(p.pinv, p.singular_values) for p in parts],
-                rows=kron_regroup([(p.num_sets, p.set_sizes[0]) for p in parts]),
-                cols=kron_regroup([(p.d, p.d) for p in parts]),
-            )
-        if sv[-1] <= RANK_RTOL * sv[0]:
-            raise ValueError("measurement is not informationally complete (rank deficient C)")
-        object.__setattr__(self, "pinv", pinv)
-        object.__setattr__(self, "singular_values", sv)
+            raise ValueError(error)
+        _keep_pinv(self, parts, self.parameterization, rows, error)
 
     @property
     def d(self) -> int:
@@ -137,28 +130,14 @@ class PovmDesignReport:
     achieves: bool
 
 
-def _kron_sets(parts) -> np.ndarray:
-    """All tensor products of one element from each part as a (sets, elements, D, D)
-    stack.  Products are indexed (set_1, element_1, ..., set_k, element_k), first
-    part slowest; they are regrouped as (set_1 ... set_k) sets of
-    (element_1 ... element_k) elements.  Each part needs sets of one size."""
-    if any(len(set(p.set_sizes)) != 1 for p in parts):
-        raise ValueError("POVM parts need sets of one size")
-    ops = kron_stack([p.elements for p in parts])
-    ops = ops[kron_regroup([(p.num_sets, p.set_sizes[0]) for p in parts])]
-    return ops.reshape(int(np.prod([p.num_sets for p in parts])), -1, *ops.shape[1:])
-
-
-def cube_povm(m: int, axes: tuple = ("x", "y", "z")) -> PovmCollection:
+def cube_povm(m: int) -> PovmCollection:
     """Pauli-axis projective measurements on m qubits: 3^m sets of 2^m elements,
     the m-fold product of the one-qubit collection."""
     if m < 1:
         raise ValueError("need at least one qubit")
-    paulis = dict(zip("xyz", _pauli_vector()))
     eye = np.eye(2, dtype=complex)
-    single = PovmCollection(tuple(((eye + paulis[a]) / 2, (eye - paulis[a]) / 2) for a in axes))
-    parts = [single] * m
-    return PovmCollection(_kron_sets(parts), label=f"cube-{m}", parts=parts)
+    single = PovmCollection(tuple(((eye + p) / 2, (eye - p) / 2) for p in _pauli_vector()))
+    return PovmCollection(label=f"cube-{m}", parts=[single] * m)
 
 
 def mub_povm(d: int) -> PovmCollection:
@@ -178,11 +157,8 @@ def sic_povm(d: int = 4) -> PovmCollection:
 
 def projective_povm(bases, label: str = "projective") -> PovmCollection:
     """POVM collection from a list of unitary matrices (columns = basis kets)."""
-    sets = []
-    for u in bases:
-        u = np.asarray(u, dtype=complex)
-        sets.append(tuple(_projector(u[:, k]) for k in range(u.shape[1])))
-    return PovmCollection(tuple(sets), label=label)
+    sets = tuple(tuple(_projector(ket) for ket in np.asarray(u, dtype=complex).T) for u in bases)
+    return PovmCollection(sets, label=label)
 
 
 def design_metrics_C(povm: PovmCollection) -> PovmDesignReport:
@@ -193,7 +169,7 @@ def design_metrics_C(povm: PovmCollection) -> PovmDesignReport:
     target = np.full(d * d, rest)
     target[0] = s
     # The eigenvalues of C^dag C are the squared singular values of C.
-    eigs, cost, cond, achieves = _gram_design(povm.singular_values, j, target, "C^dag C")
+    eigs, cost, cond, achieves = _gram_design(povm.singular_values, j, target)
     return PovmDesignReport(
         cost=cost,
         cond=cond,

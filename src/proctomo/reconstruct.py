@@ -157,6 +157,8 @@ class TwoStageReconstructor:
     def estimate(self, record, tp_prior: bool = False) -> ProcessEstimate:
         """Run all four steps on a record or a raw frequency matrix."""
         if isinstance(record, MeasurementRecord):
+            if record.set_sizes != self.povm.set_sizes:
+                raise ValueError(f"record set sizes {record.set_sizes} do not match the POVM's {self.povm.set_sizes}")
             freq = record.freq
             copies = record.copies_per_state
         else:

@@ -76,6 +76,22 @@ def test_simulate_then_reconstruct(tmp_path, capsys):
     assert np.array_equal(text_rec.freq, pio.load_json(rec_path).freq)
 
 
+def test_reconstruct_refuses_a_truth_of_another_dimension(tmp_path, capsys):
+    rec_path = tmp_path / "rec.json"
+    assert main([
+        "simulate", "--channel", "cnot", "--ensemble", "mub:4", "--povm", "cube-povm:2",
+        "--seed", "1", "--output", str(rec_path),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "reconstruct", "--record", str(rec_path), "--ensemble", "mub:4",
+        "--povm", "cube-povm:2", "--truth", "identity:2",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "--truth 'identity:2'" in err and "d=2" in err and "d=4" in err
+    assert "broadcast" not in err and "Traceback" not in err
+
+
 def test_simulate_exact_flag(tmp_path):
     rec_path = tmp_path / "exact.json"
     assert main([

@@ -16,6 +16,7 @@ from proctomo.ensembles import (
     sic_states,
 )
 from proctomo.linalg import dagger, vec
+from proctomo.povms import mub_povm
 
 def pairwise_overlaps(states):
     return np.array([[np.trace(a @ b).real for b in states] for a in states])
@@ -266,16 +267,19 @@ def test_one_part_product_keeps_numpys_pinv():
 @pytest.mark.parametrize(
     "states, parts",
     [
-        (lambda: cube_states(2).states, lambda: [mub_states(2), sic_states(2)]),
-        (lambda: cube_states(2).states, lambda: [mub_states(2)]),
-        (lambda: product_ensemble([mub_states(2), sic_states(2)]).states, lambda: [sic_states(2), mub_states(2)]),
-        (lambda: cube_states(2).states[::-1], lambda: [mub_states(2)] * 2),
-        (lambda: cube_states(1).states, lambda: [mub_states(2).states]),
-        (lambda: cube_states(1).states, lambda: []),
+        # parts beside a stack, even the stack they give
+        (lambda: cube_states(2).states, lambda: [mub_states(2)] * 2),
+        (lambda: cube_states(1).states, lambda: [mub_states(2)]),
+        # empty parts
+        (lambda: None, lambda: []),
+        # parts that are not ensembles
+        (lambda: None, lambda: [mub_states(2).states]),
+        (lambda: None, lambda: [mub_states(2), mub_povm(2)]),
+        (lambda: None, lambda: mub_states(2)),
     ],
 )
 def test_mismatched_parts_raise(states, parts):
-    with pytest.raises(ValueError, match="tensor products"):
+    with pytest.raises(ValueError, match="given by its parts alone|parts must be one or more InputEnsemble"):
         InputEnsemble(states(), parts=parts())
 
 

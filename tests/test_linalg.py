@@ -12,6 +12,7 @@ from proctomo.linalg import (
     hermitian_eig,
     hermitian_eigvals,
     hermitian_part,
+    kron_pinv,
     kron_regroup,
     kron_stack,
     partial_trace_first,
@@ -77,7 +78,7 @@ def test_factored_pinv_matches_the_dense_one():
     mats = [random_complex(rng, (6, 4)), random_complex(rng, (5, 3)), random_complex(rng, (2, 2))]
     rows, cols = rng.permutation(60), rng.permutation(24)
     dense = kron_stack([m[None] for m in mats])[0][rows][:, cols]
-    pinv, s = pinv_with_spectrum([pinv_with_spectrum(m) for m in mats], rows=rows, cols=cols)
+    pinv, s = kron_pinv([pinv_with_spectrum(m) for m in mats], rows=rows, cols=cols)
     assert np.abs(pinv - np.linalg.pinv(dense)).max() <= 1e-13
     sv = np.linalg.svd(dense, compute_uv=False)
     assert np.abs(s - sv).max() <= 1e-13 * sv[0]
@@ -87,7 +88,7 @@ def test_one_factor_pinv_is_the_factors_own():
     a = random_complex(np.random.default_rng(13), (7, 3))
     pinv, s = pinv_with_spectrum(a)
     assert np.array_equal(pinv, np.linalg.pinv(a))
-    one_pinv, one_s = pinv_with_spectrum([(pinv, s)])
+    one_pinv, one_s = kron_pinv([(pinv, s)])
     assert np.array_equal(one_pinv, pinv) and np.array_equal(one_s, s)
 
 

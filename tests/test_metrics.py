@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,15 @@ def test_scaling_functional_rejects_nonpositive():
 def test_loglog_slope_recovers_power_law():
     x = np.array([10.0, 100.0, 1000.0])
     assert loglog_slope(x, 5.0 * x**-1.5) == pytest.approx(-1.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", [squared_error, fidelity])
+@pytest.mark.parametrize("other", [np.eye(16) / 16, np.eye(4)[:1] / 4, np.full(4, 0.25)], ids=["16x16", "1x4", "4"])
+def test_metrics_refuse_arguments_of_different_shapes(metric, other):
+    # (1, 4) and (4,) broadcast against (4, 4): squared_error must not.
+    a = np.eye(4) / 4
+    shapes = rf"\(4, 4\).*{re.escape(str(other.shape))}"
+    with pytest.raises(ValueError, match=shapes):
+        metric(a, other)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(other.shape))}.*\(4, 4\)"):
+        metric(other, a)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from proctomo.ensembles import InputEnsemble, cube_states, mub_states
 from proctomo.linalg import dagger, haar_unitary
 from proctomo.povms import (
     PovmCollection,
@@ -169,18 +170,41 @@ def test_one_part_cube_povm_keeps_numpys_pinv():
 @pytest.mark.parametrize(
     "sets, parts",
     [
-        (lambda: cube_povm(2).sets, lambda: [cube_povm(1)]),
-        (lambda: cube_povm(2).sets, lambda: [cube_povm(1), mub_povm(2)]),
-        (lambda: cube_povm(2).sets[::-1], lambda: [cube_povm(1)] * 2),
-        (lambda: cube_povm(1).sets, lambda: [cube_povm(1).sets]),
-        (lambda: cube_povm(1).sets, lambda: []),
-        (lambda: tuple(g[::-1] if j == 4 else g for j, g in enumerate(cube_povm(2).sets)),
-         lambda: [cube_povm(1)] * 2),
+        # parts beside a stack, even the stack they give
+        (lambda: cube_povm(2).sets, lambda: [cube_povm(1)] * 2),
+        (lambda: cube_povm(1).sets, lambda: [cube_povm(1)]),
+        # empty parts
+        (lambda: None, lambda: []),
+        # parts that are not POVM collections
+        (lambda: None, lambda: [cube_povm(1).sets]),
+        (lambda: None, lambda: [cube_povm(1), mub_states(2)]),
+        (lambda: None, lambda: cube_povm(1)),
     ],
 )
 def test_mismatched_parts_raise(sets, parts):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="given by its parts alone|parts must be one or more PovmCollection"):
         PovmCollection(sets(), parts=parts())
+
+
+def test_parts_need_sets_of_one_size():
+    ragged = PovmCollection(((np.eye(2),), *cube_povm(1).sets))
+    with pytest.raises(ValueError, match="POVM parts need sets of one size"):
+        PovmCollection(parts=[cube_povm(1), ragged])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_product_designs_match_their_stacks_through_the_svd_path(m):
+    ensemble, povm = cube_states(m), cube_povm(m)
+    dense_povm = PovmCollection(povm.sets)
+    assert dense_povm.set_sizes == povm.set_sizes
+    for product, dense, stack in [
+        (ensemble, InputEnsemble(ensemble.states), "states"),
+        (povm, dense_povm, "elements"),
+    ]:
+        assert np.array_equal(getattr(dense, stack), getattr(product, stack))
+        assert np.abs(product.pinv - dense.pinv).max() <= 1e-13
+        sv = dense.singular_values
+        assert np.abs(product.singular_values - sv).max() <= 1e-13 * sv[0]
 
 
 @pytest.mark.parametrize(
@@ -213,8 +237,15 @@ def test_parameterization_equals_the_row_loop():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_rank_deficient_povms_still_raise(m):
+    # The x and z measurements alone, on each of m qubits: 2^m sets of 2^m
+    # elements, 4^m elements in all, which span only a 3^m-dimensional space.
+    eye, x, z = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    single = [((eye + a) / 2, (eye - a) / 2) for a in (x, z)]
+    sets = single
+    for _ in range(m - 1):
+        sets = [tuple(np.kron(p, q) for p in g for q in h) for g in sets for h in single]
     with pytest.raises(ValueError, match="rank deficient"):
-        cube_povm(m, axes=("x", "z"))
+        PovmCollection(sets)
 
 
 def test_nested_sets_and_stacked_sets_build_the_same_collection():

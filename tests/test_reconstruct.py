@@ -13,7 +13,7 @@ from proctomo.linalg import (
 from proctomo.oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
 from proctomo.povms import PovmCollection, cube_povm, projective_povm
 from proctomo.reconstruct import TwoStageReconstructor, nearest_psd
-from proctomo.simulate import exact_record, ideal_probabilities, sample_record
+from proctomo.simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 from proctomo.linalg import haar_unitary
 
 
@@ -324,3 +324,13 @@ def test_complex_frequencies_raise():
         rec.output_coefficients(freq)
     with pytest.raises(ValueError, match="real"):
         rec.estimate(freq)
+
+
+def test_estimate_refuses_a_record_whose_set_sizes_are_not_the_povms():
+    # Six columns either way, so only the set sizes tell the record from the POVM's.
+    record = MeasurementRecord(freq=np.full((6, 6), 1 / 3), set_sizes=(3, 3), shots_per_set=3)
+    rec = TwoStageReconstructor(mub_states(2), cube_povm(1))
+    with pytest.raises(ValueError, match=r"\(3, 3\).*\(2, 2, 2\)"):
+        rec.estimate(record)
+    # A raw frequency matrix carries no set sizes and is still accepted.
+    assert rec.estimate(record.freq).x_hat.shape == (4, 4)
