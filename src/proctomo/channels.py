@@ -21,7 +21,6 @@ from .linalg import (
     dagger,
     frob,
     haar_unitary,
-    hermitian_eigvals,
     hermitian_part,
     partial_trace_first,
     psd_sqrt,
@@ -48,9 +47,9 @@ class KrausChannel:
         if not np.all(np.isfinite(kraus)):
             raise ValueError("Kraus operators contain non-finite entries")
         object.__setattr__(self, "kraus", kraus)
-        w = hermitian_eigvals(self.contraction())
-        if w[0] > 1.0 + CHANNEL_ATOL:
-            raise ValueError(f"sum of A^dag A exceeds identity (max eigenvalue {w[0]:.6g})")
+        top = np.linalg.eigvalsh(self.contraction())[-1]  # Hermitian by construction
+        if top > 1.0 + CHANNEL_ATOL:
+            raise ValueError(f"sum of A^dag A exceeds identity (max eigenvalue {top:.6g})")
 
     @property
     def d(self) -> int:
@@ -86,14 +85,10 @@ class ProcessMatrix:
         d = math.isqrt(m.shape[0]) if m.ndim == 2 else 0
         if m.shape != (d * d, d * d) or not d:
             raise ValueError(f"process matrix must be d^2 x d^2, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("process matrix has non-finite entries")
-        w = hermitian_eigvals(m)  # also checks Hermiticity, to HERMITIAN_RTOL * max(frob, 1)
-        if w[-1] < -CHANNEL_ATOL * max(frob(m), 1.0):
-            raise ValueError(f"process matrix has negative eigenvalue {w[-1]:.3e}")
-        f = hermitian_eigvals(self.success_operator())
-        if f[0] > 1.0 + CHANNEL_ATOL:
-            raise ValueError(f"partial trace exceeds identity (max eigenvalue {f[0]:.6g})")
+        check_psd(m, "process matrix", CHANNEL_ATOL * max(frob(m), 1.0))
+        top = np.linalg.eigvalsh(self.success_operator())[-1]
+        if top > 1.0 + CHANNEL_ATOL:
+            raise ValueError(f"partial trace exceeds identity (max eigenvalue {top:.6g})")
 
     @property
     def d(self) -> int:
@@ -179,11 +174,8 @@ def random_channel(
     if d < 2:
         raise ValueError("dimension must be at least 2")
     rng = np.random.default_rng(seed)
-    partial = []
-    for diag in _SEED_DIAGS:
-        g = np.zeros(d)
-        g[: len(diag)] = diag
-        partial.append(haar_unitary(d, rng) @ np.diag(g.astype(complex)))
+    diags = [np.pad(diag, (0, d - len(diag))).astype(complex) for diag in _SEED_DIAGS]
+    partial = [haar_unitary(d, rng) @ np.diag(g) for g in diags]
     u3 = haar_unitary(d, rng)
     if tp:
         target = np.eye(d, dtype=complex)

@@ -22,6 +22,7 @@ from .simulate import MeasurementRecord, exact_record, ideal_probabilities, samp
 from .studies import (
     SPECS,
     ExperimentConfig,
+    check_dimensions,
     copies_per_state,
     design_audit,
     format_audit,
@@ -43,12 +44,11 @@ def _cmd_simulate(args) -> int:
     channel = make_channel(args.channel)
     ensemble = make_ensemble(args.ensemble)
     povm = make_povm(args.povm)
+    check_dimensions({f"--channel {args.channel!r}": channel.d, f"--ensemble {args.ensemble!r}": ensemble.d,
+                      f"--povm {args.povm!r}": povm.d})
+    per_state = None if args.exact else copies_per_state(args.copies, ensemble, args.ensemble, povm, args.povm)
     probs = ideal_probabilities(channel, ensemble, povm)
-    if args.exact:
-        record = exact_record(probs, povm)
-    else:
-        per_state = copies_per_state(args.copies, ensemble, args.ensemble)
-        record = sample_record(probs, per_state, povm, seed=args.seed)
+    record = exact_record(probs, povm) if args.exact else sample_record(probs, per_state, povm, seed=args.seed)
     pio.save_json(record, args.output)
     if args.text:
         Path(args.text).write_text(pio.record_to_text(record))
@@ -65,9 +65,9 @@ def _cmd_reconstruct(args) -> int:
     ensemble = make_ensemble(args.ensemble)
     povm = make_povm(args.povm)
     truth = as_process_matrix(make_channel(args.truth)) if args.truth else None
+    dims = {f"--ensemble {args.ensemble!r}": ensemble.d, f"--povm {args.povm!r}": povm.d}
+    check_dimensions(dims | ({f"--truth {args.truth!r}": truth.d} if truth else {}))
     est = TwoStageReconstructor(ensemble, povm).estimate(record, tp_prior=args.tp_prior)
-    if truth is not None and truth.d != est.d:
-        raise ValueError(f"--truth {args.truth!r} has d={truth.d}, but the estimate has d={est.d}")
     if args.output:
         pio.save_json(est, args.output, include_intermediates=args.intermediates)
     print(
@@ -89,20 +89,19 @@ def _cmd_scaling_study(args) -> int:
     # Every config field has a flag of the same dest; flags that were given win.
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    result = run_scaling_study(cfg)
-    for line in result.format_lines():
-        print(line)
-    if cfg.output:
-        print(f"table written to {cfg.output}")
-    return 0
+    return _print_study(run_scaling_study(cfg), cfg.output)
 
 
 def _cmd_m_scaling_study(args) -> int:
     # Every study parameter has a flag of the same dest.
     params = inspect.signature(run_m_scaling_study).parameters
-    result = run_m_scaling_study(**{name: getattr(args, name) for name in params})
-    for line in result.format_lines():
-        print(line)
+    return _print_study(run_m_scaling_study(**{name: getattr(args, name) for name in params}), args.output)
+
+
+def _print_study(result, output) -> int:
+    print("\n".join(result.format_lines()))
+    if output:
+        print(f"table written to {output}")
     return 0
 
 
@@ -115,11 +114,9 @@ def _cmd_design_audit(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     results = oracle_check(seed=args.seed)
-    ok = True
     for name, passed, detail in results:
         print(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
-        ok &= passed
-    return 0 if ok else 1
+    return 0 if all(passed for _, passed, _ in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

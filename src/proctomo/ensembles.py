@@ -235,11 +235,9 @@ def natural_basis_states(d: int) -> InputEnsemble:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     eye = np.eye(d, dtype=complex)
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
     states = [_projector(eye[:, j]) for j in range(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            states.append(_projector(eye[:, j] + eye[:, k]))
-            states.append(_projector(eye[:, j] + 1j * eye[:, k]))
+    states += [_projector(eye[:, j] + phase * eye[:, k]) for j, k in pairs for phase in (1, 1j)]
     return InputEnsemble(states, label=f"natural-{d}")
 
 

@@ -138,19 +138,13 @@ def load_json(path, kinds: tuple = (object,)):
 
 def record_to_text(r: MeasurementRecord) -> str:
     """Delimited-text export: commented header, then the frequency matrix."""
-    copies = r.copies_per_state
-    lines = [
-        f"# states\t{r.num_states}",
-        f"# operators\t{r.num_operators}",
-        f"# sets\t{r.num_sets}",
-        f"# set_sizes\t{','.join(str(n) for n in r.set_sizes)}",
-        f"# copies_per_state\t{'' if copies is None else copies}",
-        f"# shots_per_set\t{'' if r.shots_per_set is None else r.shots_per_set}",
-        f"# seed\t{'' if r.seed is None else r.seed}",
-        f"# sampler\t{'' if r.sampler is None else r.sampler}",
-    ]
-    for row in r.freq:
-        lines.append("\t".join(repr(float(v)) for v in row))
+    header = {
+        "states": r.num_states, "operators": r.num_operators, "sets": r.num_sets,
+        "set_sizes": ",".join(str(n) for n in r.set_sizes), "copies_per_state": r.copies_per_state,
+        "shots_per_set": r.shots_per_set, "seed": r.seed, "sampler": r.sampler,
+    }
+    lines = [f"# {key}\t{'' if value is None else value}" for key, value in header.items()]
+    lines += ["\t".join(repr(float(v)) for v in row) for row in r.freq]
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-# Hermiticity check, relative to the matrix norm.
+# Hermiticity tolerance of is_hermitian, relative to the matrix norm.
 HERMITIAN_RTOL = 1e-10
 # Eigenvalues below this fraction of the largest are clamped to zero in
 # psd_root; eigenvalues more negative than NEGATIVE_EIG_RTOL are an error.
@@ -34,12 +34,24 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + dagger(a)) / 2
+    """(a + a^dag) / 2 of one matrix or of each matrix in a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def frob(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
+
+
+def is_hermitian(x: np.ndarray) -> bool:
+    """Whether ``x``, one matrix or a stack, is Hermitian within tolerance: each matrix
+    has ||x - x^dag||_F <= HERMITIAN_RTOL * max(||x||_F, 1).  This is the package's one
+    Hermiticity rule.  A NaN norm fails no comparison, so callers that need finite
+    input check it themselves."""
+    if x.ndim == 2:  # frob, not norm(axis=...), keeps the per-estimate calls cheap
+        return not frob(x - dagger(x)) > HERMITIAN_RTOL * max(frob(x), 1.0)
+    skew = np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return not np.any(skew > HERMITIAN_RTOL * np.maximum(np.linalg.norm(x, axis=(-2, -1)), 1.0))
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -163,12 +175,11 @@ def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _hermitian(x: np.ndarray, check: bool = True) -> np.ndarray:
-    """Hermitian part of a square matrix; with ``check`` the matrix must be Hermitian
-    within HERMITIAN_RTOL relative to its norm."""
+    """Hermitian part of a square matrix; with ``check`` it must pass :func:`is_hermitian`."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    if check and frob(x - dagger(x)) > HERMITIAN_RTOL * max(frob(x), 1.0):
+    if check and not is_hermitian(x):
         raise ValueError("matrix is not Hermitian within tolerance")
     return hermitian_part(x)
 
@@ -178,16 +189,10 @@ def hermitian_eig(x: np.ndarray, check: bool = True):
 
     Returns ``(w, u)`` with eigenvalues ``w`` sorted descending and unitary
     ``u`` such that ``x = u @ diag(w) @ u^dag``.  The input is symmetrized
-    first; it must be Hermitian within HERMITIAN_RTOL relative to its norm.
+    first; with ``check`` it must pass :func:`is_hermitian`.
     """
     w, u = np.linalg.eigh(_hermitian(x, check))
     return w[::-1], u[:, ::-1]
-
-
-def hermitian_eigvals(x: np.ndarray) -> np.ndarray:
-    """The eigenvalues of :func:`hermitian_eig`, descending, after the same check,
-    without computing eigenvectors."""
-    return np.linalg.eigvalsh(_hermitian(x))[::-1]
 
 
 def square_stack(x, error: str) -> np.ndarray:
@@ -203,16 +208,18 @@ def square_stack(x, error: str) -> np.ndarray:
 
 def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray:
     """Return ``x`` (one matrix or a stack) as a complex array after checking that
-    each matrix is finite, Hermitian and PSD within ``atol``, and of unit trace if asked."""
+    each matrix is finite, Hermitian by :func:`is_hermitian`, PSD within ``atol``,
+    and of unit trace within ``atol`` if asked.  Constructors of states, POVM
+    elements and process matrices validate through it, so nothing downstream
+    decides Hermiticity again."""
     x = np.asarray(x, dtype=complex)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"{what} must be a square matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what} has non-finite entries")
-    xh = x.conj().swapaxes(-1, -2)
-    if np.any(np.linalg.norm(x - xh, axis=(-2, -1)) > atol):
+    if not is_hermitian(x):
         raise ValueError(f"{what} is not Hermitian")
-    w = np.linalg.eigvalsh((x + xh) / 2)[..., 0].min()
+    w = np.linalg.eigvalsh(hermitian_part(x))[..., 0].min()
     if w < -atol:
         raise ValueError(f"{what} has negative eigenvalue {w:.3e}")
     if unit_trace and np.any(np.abs(np.trace(x, axis1=-2, axis2=-1).real - 1.0) > atol):

@@ -103,15 +103,11 @@ class PovmCollection:
         return self.elements.reshape(self.num_elements, -1)
 
     @cached_property
-    def born_table(self) -> tuple:
-        """``(B, norm, skew)``: B holds the elements' ``herm_coords`` with the off-diagonal
-        ones doubled, so that ``herm_coords(sigma) @ B.T`` is [Tr(P_l sigma)]_l for
-        Hermitian sigma; norm and skew are the largest Frobenius norms of the elements
-        and of their anti-Hermitian parts."""
-        ops, d = self.elements, self.d
-        skew = np.linalg.norm(ops - ops.conj().swapaxes(-1, -2), axis=(-2, -1)).max() / 2
-        weights = np.where(np.arange(d * d) < d, 1.0, 2.0)
-        return herm_coords(ops) * weights, np.linalg.norm(ops, axis=(-2, -1)).max(), skew
+    def born_table(self) -> np.ndarray:
+        """The elements' ``herm_coords`` with the off-diagonal ones doubled, so that
+        ``herm_coords(sigma) @ born_table.T`` is [Tr(P_l sigma)]_l for Hermitian sigma."""
+        d = self.d
+        return herm_coords(self.elements) * np.where(np.arange(d * d) < d, 1.0, 2.0)
 
     @cached_property
     def pinv_coords(self) -> np.ndarray:

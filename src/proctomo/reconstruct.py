@@ -30,13 +30,7 @@ import numpy as np
 
 from .channels import ProcessMatrix
 from .ensembles import InputEnsemble
-from .linalg import (
-    HERMITIAN_RTOL,
-    dagger,
-    from_herm_coords,
-    hermitian_eig,
-    partial_trace_first,
-)
+from .linalg import dagger, from_herm_coords, hermitian_eig, hermitian_part, is_hermitian, partial_trace_first
 from .povms import PovmCollection
 from .simulate import MeasurementRecord
 
@@ -150,8 +144,8 @@ class TwoStageReconstructor:
             x_hat = np.ascontiguousarray(dagger(left(dagger(left(g_hat)))))
             # Rounding in a large G can leave X-hat outside the Hermitian tolerance that
             # ProcessMatrix checks; only then is its Hermitian part taken.
-            if np.linalg.norm(x_hat - dagger(x_hat)) > HERMITIAN_RTOL * max(np.linalg.norm(x_hat), 1.0):
-                x_hat = (x_hat + dagger(x_hat)) / 2
+            if not is_hermitian(x_hat):
+                x_hat = hermitian_part(x_hat)
         return x_hat, w, adjusted, capped, u, rank, tp_prior, fallback
 
     def estimate(self, record, tp_prior: bool = False) -> ProcessEstimate:

@@ -133,15 +133,34 @@ def trial_seed(global_seed: int, point: int, trial: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def copies_per_state(total: int, ensemble: InputEnsemble, spec: str) -> int:
-    """Copies per state of ``total`` spread evenly; total must be a positive multiple of M."""
+def copies_per_state(total: int, ensemble: InputEnsemble, spec: str, povm: PovmCollection, povm_spec: str) -> int:
+    """Copies per state of ``total`` spread evenly; total must be a positive multiple of M
+    that gives every set of the POVM a shot (see :func:`check_shots`)."""
     m = ensemble.num_states
     if total < 1 or total % m:
         raise ValueError(
             f"total copies {total} must be positive and divisible by the {m} input states "
             f"of {spec!r}; choose a multiple of {m}"
         )
+    check_shots(total // m, povm, povm_spec, f"total copies {total} ({total // m} per state of {spec!r})", m)
     return total // m
+
+
+def check_shots(per_state: int, povm: PovmCollection, povm_spec: str, given: str, states: int = 1) -> None:
+    """Refuse ``per_state`` copies per state, from the value ``given`` for ``states``
+    states, if they leave a set of the POVM ``povm_spec`` without a shot."""
+    if per_state < povm.num_sets:
+        raise ValueError(
+            f"{given} leave no shot for some of the {povm.num_sets} sets of POVM {povm_spec!r}; "
+            f"choose at least {povm.num_sets * states}"
+        )
+
+
+def check_dimensions(dims: dict) -> None:
+    """Refuse ``dims``, each spec or flag mapped to the dimension of what it gives,
+    unless they share one d; the message names each."""
+    if len(set(dims.values())) > 1:
+        raise ValueError("dimension mismatch: " + "; ".join(f"{name}: d={d}" for name, d in dims.items()))
 
 
 def _check_sweep(trials, grid, seed) -> None:
@@ -276,7 +295,9 @@ def run_scaling_study(cfg: ExperimentConfig) -> StudyResult:
 
     def series(spec):
         ensemble = make_ensemble(spec)
-        per_state = {total: copies_per_state(total, ensemble, spec) for total in cfg.copies}
+        check_dimensions({f"channel {cfg.channel!r}": channel.d, f"POVM {cfg.povm!r}": povm.d,
+                          f"ensemble {spec!r}": ensemble.d})
+        per_state = {total: copies_per_state(total, ensemble, spec, povm, cfg.povm) for total in cfg.copies}
         rec = TwoStageReconstructor(ensemble, povm)
         probs = ideal_probabilities(channel, ensemble, povm)
 
@@ -293,7 +314,7 @@ def run_scaling_study(cfg: ExperimentConfig) -> StudyResult:
     columns = ["ensemble", "total_copies", "mean_mse", "std_mse", "mean_infidelity", "runtime_s"]
     return _run_study(
         cfg.to_meta(), columns, ("mse", "infidelity"), cfg.copies, cfg.trials,
-        map(series, cfg.ensembles), cfg.output,
+        [series(spec) for spec in cfg.ensembles], cfg.output,  # every spec checked before any trial
     )
 
 
@@ -314,6 +335,9 @@ def run_m_scaling_study(
     """
     channel = make_channel(channel_spec)
     povm = make_povm(povm_spec)
+    check_dimensions({"random ensembles (d, --dim)": d, f"channel {channel_spec!r}": channel.d,
+                      f"POVM {povm_spec!r}": povm.d})
+    check_shots(copies_per_state, povm, povm_spec, f"copies_per_state (--copies-per-state) {copies_per_state}")
     x_true = as_process_matrix(channel).mat
 
     def trial(ip, m, it):

@@ -7,6 +7,7 @@ import pytest
 import proctomo.io as pio
 from proctomo.channels import cnot_channel
 from proctomo.cli import main
+from proctomo.simulate import MeasurementRecord
 from proctomo.studies import SPECS, make_povm, run_m_scaling_study
 
 
@@ -124,6 +125,26 @@ def test_simulate_copies_rule_names_the_total_the_states_and_the_ensemble(copies
     assert not (tmp_path / "x.json").exists()
 
 
+def write_skewed_povm(path):
+    """cube-povm:2 with +-3e-10 added at (0, 1) and (1, 0) of set 0's elements, opposite
+    signs so the set still sums to I: ||P - P^dag||_F = 8.5e-10, between the Hermitian
+    tolerance and 1e-9."""
+    doc = pio.to_dict(make_povm("cube-povm:2"))
+    for element, sign in zip(doc["sets"][0], (1.0, -1.0)):
+        element["re"][0][1] += sign * 3e-10
+        element["re"][1][0] -= sign * 3e-10
+    path.write_text(json.dumps(doc))
+
+
+def test_simulate_refuses_a_skewed_povm_file_naming_it(tmp_path, capsys):
+    path = tmp_path / "skewed.json"
+    write_skewed_povm(path)
+    assert main(["simulate", "--povm", f"file:{path}", "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"povm document {path}: POVM element is not Hermitian" in err
+    assert "imaginary" not in err and "Traceback" not in err
+
+
 def run_study(tmp_path, capsys, tag):
     out_path = tmp_path / f"table-{tag}.tsv"
     code = main([
@@ -184,6 +205,53 @@ def test_m_scaling_study_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "num_states" in out
     assert out_path.exists()
+    assert out.endswith(f"table written to {out_path}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["simulate", "--channel", "identity:2", "--ensemble", "mub:4", "--output", "{out}"],
+         ["--channel 'identity:2': d=2", "--ensemble 'mub:4': d=4", "--povm 'cube-povm:2': d=4"]),
+        (["reconstruct", "--record", "{out}", "--ensemble", "mub:2", "--povm", "cube-povm:2"],
+         ["--ensemble 'mub:2': d=2", "--povm 'cube-povm:2': d=4"]),
+        (["scaling-study", "--channel", "cnot", "--ensemble", "mub:2", "--povm", "cube-povm:2",
+          "--copies", "60", "--trials", "1"],
+         ["channel 'cnot': d=4", "POVM 'cube-povm:2': d=4", "ensemble 'mub:2': d=2"]),
+        (["m-scaling-study", "--dim", "2", "--num-states", "4", "--trials", "1", "--copies-per-state", "90"],
+         ["(d, --dim): d=2", "channel 'random:4:tp:7': d=4", "POVM 'cube-povm:2': d=4"]),
+    ],
+    ids=["simulate", "reconstruct", "scaling-study", "m-scaling-study"],
+)
+def test_dimension_mismatches_name_each_spec_and_flag(argv, named, tmp_path, capsys):
+    out = tmp_path / "record.json"
+    pio.save_json(MeasurementRecord(freq=[[0.5, 0.5]], set_sizes=(2,)), out)  # read by reconstruct
+    assert main([a.format(out=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dimension mismatch: ") and "Traceback" not in err
+    assert all(text in err for text in named), err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["simulate", "--ensemble", "cube-states:2", "--copies", "36", "--output", "{out}"],
+         "total copies 36 (1 per state of 'cube-states:2') leave no shot for some of the 9 sets "
+         "of POVM 'cube-povm:2'; choose at least 324"),
+        (["scaling-study", "--ensemble", "cube-states:2", "--copies", "36", "--trials", "1"],
+         "total copies 36 (1 per state of 'cube-states:2') leave no shot for some of the 9 sets "
+         "of POVM 'cube-povm:2'; choose at least 324"),
+        (["m-scaling-study", "--copies-per-state", "5", "--trials", "1"],
+         "copies_per_state (--copies-per-state) 5 leave no shot for some of the 9 sets "
+         "of POVM 'cube-povm:2'; choose at least 9"),
+    ],
+    ids=["simulate", "scaling-study", "m-scaling-study"],
+)
+def test_copies_too_few_for_the_povm_sets_are_refused_naming_them(argv, text, tmp_path, capsys):
+    out = tmp_path / "record.json"
+    assert main([a.format(out=out) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+    assert not out.exists()
 
 
 def test_oracle_check_passes(capsys):

@@ -1,17 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 
-from proctomo.channels import ProcessMatrix, apply_channel, identity_channel
+from proctomo.channels import ProcessMatrix, apply_channel, identity_channel, process_matrix, random_channel
 from proctomo.ensembles import InputEnsemble, mub_states, random_states
 from proctomo.linalg import (
+    HERMITIAN_RTOL,
     check_psd,
     dagger,
     from_herm_coords,
     haar_unitary,
     herm_coords,
     hermitian_eig,
-    hermitian_eigvals,
     hermitian_part,
+    is_hermitian,
     kron_pinv,
     kron_regroup,
     kron_stack,
@@ -210,13 +213,17 @@ def test_hermitian_eig_rejects_bad_input():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_hermitian_eigvals_are_hermitian_eigs_values():
+def test_process_matrix_and_check_psd_report_hermitian_eigs_least_value():
     rng = np.random.default_rng(7)
     x = hermitian_part(random_complex(rng, (16, 16)))
-    assert np.abs(hermitian_eigvals(x) - hermitian_eig(x)[0]).max() <= 1e-12
+    message = re.escape(f"process matrix has negative eigenvalue {hermitian_eig(x)[0][-1]:.3e}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProcessMatrix(x)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_psd(x, "process matrix", 1e-9)
 
 
-@pytest.mark.parametrize("method", [hermitian_eig, hermitian_eigvals, psd_factor])
+@pytest.mark.parametrize("method", [hermitian_eig, psd_factor])
 @pytest.mark.parametrize(
     "bad, message",
     [(np.ones((2, 3)), "expected a square matrix"), (np.array([[1.0, 1.0], [0.0, 1.0]]), "not Hermitian")],
@@ -224,6 +231,36 @@ def test_hermitian_eigvals_are_hermitian_eigs_values():
 def test_hermitian_checks_are_shared(method, bad, message):
     with pytest.raises(ValueError, match=message):
         method(bad)
+
+
+def skewed(x, skew, sign=1.0):
+    """``x`` plus sign times an anti-Hermitian part at entries (0, 1) and (1, 0), with
+    ||x' - x'^dag||_F = skew."""
+    k = np.zeros(np.shape(x), dtype=complex)
+    k[0, 1], k[1, 0] = sign * skew / 8**0.5, -sign * skew / 8**0.5
+    return x + k
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_one_hermitian_rule_for_matrices_stacks_and_process_matrices(ratio):
+    x = process_matrix(random_channel(2, tp=True, seed=3)).mat
+    bad = skewed(x, ratio * HERMITIAN_RTOL * np.linalg.norm(x))
+    assert np.linalg.norm(x) > 1.0  # so the rule is relative here
+    accepted = ratio < 1
+    assert is_hermitian(bad) is accepted
+    assert is_hermitian(np.stack([x, bad, x])) is accepted
+    checks = [
+        lambda: hermitian_eig(bad),
+        lambda: psd_factor(bad),
+        lambda: check_psd(np.stack([x, bad]), "process matrix", 1e-9),
+        lambda: ProcessMatrix(bad),
+    ]
+    for check in checks:
+        if accepted:
+            check()
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                check()
 
 
 def test_psd_sqrt_basics():
@@ -300,6 +337,30 @@ NAN2 = np.full((2, 2), np.nan)
 )
 def test_non_finite_matrices_rejected_by_name(build):
     with pytest.raises(ValueError, match="non-finite"):
+        build()
+
+
+# An anti-Hermitian part above HERMITIAN_RTOL * max(||x||_F, 1) but below 1e-9:
+# constructors refuse it, so nothing downstream meets it.
+SKEW = 5e-10
+X_AXIS = cube_povm(1).sets[0]
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        pytest.param(lambda: InputEnsemble((skewed(mub_states(2).states[0], SKEW), *mub_states(2).states[1:])),
+                     "ensemble state", id="ensemble-state"),
+        pytest.param(lambda: PovmCollection(((skewed(X_AXIS[0], SKEW), skewed(X_AXIS[1], SKEW, -1.0)),)
+                                            + cube_povm(1).sets[1:]), "POVM element", id="povm-element"),
+        pytest.param(lambda: ProcessMatrix(skewed(process_matrix(identity_channel(2)).mat, SKEW)),
+                     "process matrix", id="process-matrix"),
+        pytest.param(lambda: apply_channel(identity_channel(2), skewed(np.eye(2) / 2, SKEW)), "state",
+                     id="apply-channel"),
+    ],
+)
+def test_small_anti_hermitian_parts_are_refused_at_construction(build, what):
+    with pytest.raises(ValueError, match=f"^{what} is not Hermitian$"):
         build()
 
 

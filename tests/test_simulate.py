@@ -342,39 +342,3 @@ def test_ideal_probabilities_of_a_process_matrix_match_the_per_state_loop():
     x = process_matrix(random_channel(4, tp=False, seed=2))
     e, p = random_states(4, 130, seed=8), cube_povm(2)
     assert np.abs(ideal_probabilities(x, e, p) - ideal_probabilities_loop(x, e, p)).max() <= 1e-14
-
-
-def _skewed_outputs(monkeypatch, skew):
-    """Add ``skew`` to entry (0, 1) of every channel output, and count the calls
-    to C, which only the exact imaginary-part check builds."""
-    apply, param, calls = KrausChannel.apply, PovmCollection.parameterization, []
-    bump = np.zeros((4, 4), dtype=complex)
-    bump[0, 1] = skew
-    monkeypatch.setattr(KrausChannel, "apply", lambda self, rho: apply(self, rho) + bump)
-    monkeypatch.setattr(PovmCollection, "parameterization", lambda self: calls.append(1) or param(self))
-    return calls
-
-
-def imag_case():
-    return random_channel(4, tp=True, seed=4), random_states(4, 70, seed=5), cube_povm(2)
-
-
-@pytest.mark.parametrize("skew", [1e-9, 1e-6])
-def test_non_negligible_imaginary_parts_still_raise(monkeypatch, skew):
-    ch, e, p = imag_case()
-    # Im Tr(P sigma) is skew/2 for the y-axis elements, P_10 = +-i/2.
-    calls = _skewed_outputs(monkeypatch, skew)
-    with pytest.raises(ValueError, match="imaginary"):
-        ideal_probabilities(ch, e, p)
-    assert calls
-
-
-@pytest.mark.parametrize("skew, exact", [(0.0, False), (1.2e-10, False), (1.5e-10, True)])
-def test_small_imaginary_parts_pass(monkeypatch, skew, exact):
-    ch, e, p = imag_case()
-    want = ideal_probabilities(ch, e, p)
-    calls = _skewed_outputs(monkeypatch, skew)
-    # The bound ||P|| ||sigma_K|| = skew / sqrt(2) clears 1.2e-10 but not 1.5e-10;
-    # then the exact imaginary part, 0.75e-10, decides.
-    assert np.abs(ideal_probabilities(ch, e, p) - want).max() <= skew
-    assert bool(calls) == exact

@@ -88,3 +88,45 @@ def test_simulate_spec_flags_exit_0_or_2_without_traceback(flag, spec, tmp_path_
     code, err = run_cli(["simulate", *(a for kv in design.items() for a in kv), "--exact", "--output", str(output)])
     assert code in (0, 2)
     assert "Traceback" not in err
+
+
+# Both studies' numeric flags over tiny ranges, on d = 2 designs, so every run is
+# quick.  The examples are valid runs, so the success path is covered too.
+STUDY_FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+TINY = st.integers(-2, 3).map(str)
+D2 = ["--povm", "cube-povm:1", "--channel", "random:2:tp:5"]
+
+
+@STUDY_FUZZ
+@example(dim="2", num_states=["4", "6"], per_state="3", trials="1", seed="0")
+@example(dim="4", num_states=["4"], per_state="3", trials="1", seed="0")
+@given(
+    dim=st.integers(-1, 4).map(str),
+    num_states=st.lists(st.integers(-2, 8).map(str), min_size=1, max_size=2),
+    per_state=st.integers(-3, 6).map(str),
+    trials=TINY,
+    seed=TINY,
+)
+def test_m_scaling_study_numeric_flags_exit_0_or_2_without_traceback(dim, num_states, per_state, trials, seed):
+    code, err = run_cli([
+        "m-scaling-study", "--dim", dim, "--num-states", *num_states, "--copies-per-state", per_state,
+        "--trials", trials, "--seed", seed, *D2,
+    ])
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+@STUDY_FUZZ
+@example(copies=["18", "36"], trials="1", seed="0")
+@example(copies=["6"], trials="1", seed="0")
+@given(
+    copies=st.lists(st.integers(-6, 40).map(str), min_size=1, max_size=2),
+    trials=TINY,
+    seed=TINY,
+)
+def test_scaling_study_numeric_flags_exit_0_or_2_without_traceback(copies, trials, seed):
+    code, err = run_cli([
+        "scaling-study", "--ensemble", "mub:2", "--copies", *copies, "--trials", trials, "--seed", seed, *D2,
+    ])
+    assert code in (0, 2)
+    assert "Traceback" not in err
