@@ -4,9 +4,10 @@ A channel is held either as a Kraus family {A_i} with sum A_i^dag A_i <= I, or
 as its d^2 x d^2 process matrix X in the natural (elementary-matrix) operator
 basis.  The two representations are interchangeable: the coordinate vector of
 a Kraus operator in the natural basis is its row-major flattening, and
-X = sum_i c_i c_i^dag.  Trace-preserving channels have Tr_1(X) = I exactly;
-general channels satisfy Tr_1(X) <= I, and F = Tr_1(X) acts as the success
-operator of the process.
+X = sum_i c_i c_i^dag.  Both hold X as ``mat`` and act through its real
+``linalg.transfer_matrix``.  Trace-preserving channels have Tr_1(X) = I
+exactly; general channels satisfy Tr_1(X) <= I, and F = Tr_1(X) acts as the
+success operator of the process.
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ from .linalg import (
     check_psd,
     dagger,
     frob,
+    from_herm_coords,
     haar_unitary,
+    herm_coords,
     hermitian_part,
     partial_trace_first,
     psd_sqrt,
     square_stack,
+    transfer_matrix,
 )
 
 CHANNEL_ATOL = 1e-9
@@ -63,13 +67,11 @@ class KrausChannel:
     def is_trace_preserving(self) -> bool:
         return frob(self.contraction() - np.eye(self.d)) <= CHANNEL_ATOL * self.d
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """sum_i A_i rho A_i^dag for one matrix or a stack, without input validation."""
-        rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for a in self.kraus:
-            out += a @ rho @ dagger(a)
-        return out
+    @property
+    def mat(self) -> np.ndarray:
+        """Process matrix sum_i c_i c_i^dag, c_i = vec(A_i^T); PSD by construction, so not re-validated."""
+        coeffs = self.kraus.reshape(len(self.kraus), -1)
+        return coeffs.T @ coeffs.conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,39 +104,21 @@ class ProcessMatrix:
     def is_trace_preserving(self) -> bool:
         return frob(self.success_operator() - np.eye(self.d)) <= CHANNEL_ATOL * self.d
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the channel: sum_{jk} X_jk E_j rho E_k^dag in the natural basis, to one
-        matrix or a stack."""
-        d = self.d
-        rho = np.asarray(rho, dtype=complex)
-        xr = self.mat.reshape(d, d, d, d)
-        # E_j rho E_k^dag picks entry rho[col_j, col_k] into slot (row_j, row_k).
-        return np.einsum("abcd,...bd->...ac", xr, rho)
-
 
 def process_matrix(ch: KrausChannel, label: str | None = None) -> ProcessMatrix:
     """Process matrix of a Kraus channel in the natural basis."""
-    coeffs = ch.kraus.reshape(len(ch.kraus), -1)  # row-major = vec(A^T)
-    x = coeffs.T @ coeffs.conj()
-    return ProcessMatrix(x, label=label if label is not None else ch.label)
-
-
-def as_process_matrix(ch) -> ProcessMatrix:
-    """``ch`` itself if it is a ProcessMatrix, else the process matrix of its Kraus family."""
-    return ch if isinstance(ch, ProcessMatrix) else process_matrix(ch)
+    return ProcessMatrix(ch.mat, label=label if label is not None else ch.label)
 
 
 def apply_channel(op, rho: np.ndarray) -> np.ndarray:
-    """Output operator of the channel on a validated density matrix.
-
-    ``op`` may be a KrausChannel or a ProcessMatrix; both routes agree.
-    """
+    """Output operator of a KrausChannel or ProcessMatrix on a validated density matrix."""
     if not isinstance(op, (KrausChannel, ProcessMatrix)):
         raise TypeError(f"cannot apply object of type {type(op).__name__}")
     rho = np.asarray(rho)
     if rho.shape != (op.d, op.d):
         raise ValueError(f"state has shape {rho.shape}, expected ({op.d}, {op.d})")
-    return op.apply(check_psd(rho, "state", CHANNEL_ATOL, unit_trace=True))
+    rho = check_psd(rho, "state", CHANNEL_ATOL, unit_trace=True)
+    return from_herm_coords(transfer_matrix(op.mat) @ herm_coords(rho))
 
 
 def identity_channel(d: int) -> KrausChannel:

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import io as pio
-from .channels import as_process_matrix
 from .metrics import fidelity, squared_error
 from .oracle import oracle_check
 from .reconstruct import TwoStageReconstructor
@@ -64,9 +63,15 @@ def _cmd_reconstruct(args) -> int:
     record = pio.load_json(args.record, (MeasurementRecord,))
     ensemble = make_ensemble(args.ensemble)
     povm = make_povm(args.povm)
-    truth = as_process_matrix(make_channel(args.truth)) if args.truth else None
+    truth = make_channel(args.truth) if args.truth else None
     dims = {f"--ensemble {args.ensemble!r}": ensemble.d, f"--povm {args.povm!r}": povm.d}
     check_dimensions(dims | ({f"--truth {args.truth!r}": truth.d} if truth else {}))
+    if record.num_states != ensemble.num_states or record.set_sizes != povm.set_sizes:
+        raise ValueError(
+            f"record {args.record} ({record.num_states} states, set sizes {record.set_sizes}) was not drawn for "
+            f"--ensemble {args.ensemble!r} ({ensemble.num_states} states) and --povm {args.povm!r} "
+            f"(set sizes {povm.set_sizes})"
+        )
     est = TwoStageReconstructor(ensemble, povm).estimate(record, tp_prior=args.tp_prior)
     if args.output:
         pio.save_json(est, args.output, include_intermediates=args.intermediates)

@@ -97,6 +97,19 @@ def from_herm_coords(c) -> np.ndarray:
     return (c.take(back, axis=-1) * back_sign).view(complex).reshape(*c.shape[:-1], d, d)
 
 
+def transfer_matrix(x) -> np.ndarray:
+    """The real d^2 x d^2 T with ``herm_coords(E(rho)) = T @ herm_coords(rho)`` for Hermitian
+    rho, E(rho) = sum_jk x_jk E_j rho E_k^dag the channel of the process matrix ``x``.  Column
+    k of T holds the coordinates of E applied to the k-th basis matrix of :func:`from_herm_coords`."""
+    x = np.asarray(x, dtype=complex)
+    d = math.isqrt(x.shape[0])
+    # Swapping the middle digits gives the map on row-major flattenings:
+    # E(rho)[a, c] = sum_bd x[(a, b), (c, d)] rho[b, d].
+    flat_map = x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    basis = from_herm_coords(np.eye(d * d)).reshape(d * d, d * d)
+    return herm_coords((basis @ flat_map.T).reshape(-1, d, d)).T
+
+
 def kron_stack(stacks) -> np.ndarray:
     """Kronecker products of one matrix from each ``(n_i, r_i, c_i)`` stack, first
     stack slowest, as an ``(n_1 ... n_k, r_1 ... r_k, c_1 ... c_k)`` stack.
@@ -175,10 +188,12 @@ def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _hermitian(x: np.ndarray, check: bool = True) -> np.ndarray:
-    """Hermitian part of a square matrix; with ``check`` it must pass :func:`is_hermitian`."""
+    """Hermitian part of a square matrix; with ``check`` it must be finite and pass :func:`is_hermitian`."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    if check and not np.all(np.isfinite(x)):
+        raise ValueError("matrix has non-finite entries")
     if check and not is_hermitian(x):
         raise ValueError("matrix is not Hermitian within tolerance")
     return hermitian_part(x)
@@ -189,7 +204,7 @@ def hermitian_eig(x: np.ndarray, check: bool = True):
 
     Returns ``(w, u)`` with eigenvalues ``w`` sorted descending and unitary
     ``u`` such that ``x = u @ diag(w) @ u^dag``.  The input is symmetrized
-    first; with ``check`` it must pass :func:`is_hermitian`.
+    first; with ``check`` it must be finite and pass :func:`is_hermitian`.
     """
     w, u = np.linalg.eigh(_hermitian(x, check))
     return w[::-1], u[:, ::-1]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import as_process_matrix, random_channel
+from .channels import random_channel
 from .ensembles import InputEnsemble, mub_states, random_states, sic_states
 from .linalg import dagger, frob, kron_regroup, unvec, vec
 from .povms import PovmCollection, cube_povm
@@ -119,7 +119,7 @@ def oracle_check(seed: int = 0) -> list:
     err = frob(d_struct - d_dense)
     results.append(("structured-vs-dense-noisy", err <= 1e-10, f"dev {err:.2e}"))
 
-    x_true = as_process_matrix(channel).mat
+    x_true = channel.mat
     clean = exact_record(probs, povm)
     two_step, global_ls = dense_estimates(clean, ensemble, povm)
     err = max(frob(two_step - x_true), frob(global_ls - x_true))

@@ -5,11 +5,11 @@ Copies assigned to one input state are split evenly across the J POVM sets
 For non-trace-preserving processes the missing trace is modeled as an
 explicit no-click outcome per cell: its counts are retained in the record but
 excluded from the frequency matrix, so frequencies stay unbiased estimates of
-Tr(E(rho_m) P_l).  Those probabilities are computed in real coordinates: the
-Hermitian outputs E(rho_m) and POVM elements P_l each have d^2 real
-``linalg.herm_coords``, so Tr(E(rho_m) P_l) is a real dot product.  Their
-Hermiticity was decided once, when the states, elements and channel were
-constructed, so no imaginary part is computed or checked here.
+Tr(E(rho_m) P_l).  Those probabilities are computed in real coordinates: states,
+outputs and POVM elements each have d^2 real ``linalg.herm_coords``, the channel
+maps a state's to its output's by its ``linalg.transfer_matrix``, and the trace
+is a real dot product.  Hermiticity was decided once, when the states, elements
+and channel were constructed, so no imaginary part is computed or checked here.
 
 A record is drawn from one Philox generator seeded by SeedSequence(seed):
 for each block of 64 states and each group of equally sized sets, one
@@ -30,12 +30,11 @@ import numpy as np
 
 from .channels import KrausChannel, ProcessMatrix
 from .ensembles import InputEnsemble
-from .linalg import herm_coords
+from .linalg import herm_coords, transfer_matrix
 from .povms import PovmCollection
 
 PROB_ATOL = 1e-12
-# States per block of channel outputs and of multinomial draws; bounds the
-# memory of both.
+# States per block of multinomial draws; bounds their memory.
 _STATE_BLOCK = 64
 # Version of the sampling algorithm stamped on the records sample_record draws.
 SAMPLER = 2
@@ -113,8 +112,8 @@ class MeasurementRecord:
 def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) -> np.ndarray:
     """M x L matrix of Born probabilities Tr(E(rho_m) P_l).
 
-    Each block of states is one real product of the outputs' ``herm_coords``
-    with the POVM's ``born_table``.  Both factors take Hermitian parts: the
+    The states' ``herm_coords`` go through the channel's ``transfer_matrix`` and
+    the POVM's ``born_table``, all real.  Each factor takes Hermitian parts: the
     constructors refuse states, elements and channels that are not Hermitian
     within ``linalg.is_hermitian``'s tolerance, so nothing is re-checked here.
     """
@@ -124,13 +123,7 @@ def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) 
         raise ValueError(
             f"dimension mismatch: process d={process.d}, ensemble d={ensemble.d}, povm d={povm.d}"
         )
-    born = povm.born_table
-    m = ensemble.num_states
-    probs = np.empty((m, born.shape[0]))
-    for start in range(0, m, _STATE_BLOCK):
-        outputs = process.apply(ensemble.states[start : start + _STATE_BLOCK])
-        probs[start : start + len(outputs)] = herm_coords(outputs) @ born.T
-    return probs
+    return herm_coords(ensemble.states) @ transfer_matrix(process.mat).T @ povm.born_table.T
 
 
 def sample_record(

@@ -22,7 +22,6 @@ from . import io as pio
 from .channels import (
     KrausChannel,
     ProcessMatrix,
-    as_process_matrix,
     cnot_channel,
     identity_channel,
     random_channel,
@@ -291,7 +290,7 @@ def run_scaling_study(cfg: ExperimentConfig) -> StudyResult:
     """
     channel = make_channel(cfg.channel)
     povm = make_povm(cfg.povm)
-    x_true = as_process_matrix(channel).mat
+    x_true = channel.mat
 
     def series(spec):
         ensemble = make_ensemble(spec)
@@ -338,7 +337,7 @@ def run_m_scaling_study(
     check_dimensions({"random ensembles (d, --dim)": d, f"channel {channel_spec!r}": channel.d,
                       f"POVM {povm_spec!r}": povm.d})
     check_shots(copies_per_state, povm, povm_spec, f"copies_per_state (--copies-per-state) {copies_per_state}")
-    x_true = as_process_matrix(channel).mat
+    x_true = channel.mat
 
     def trial(ip, m, it):
         ensemble = random_states(d, int(m), seed=trial_seed(seed, ip, 2 * it))

@@ -112,7 +112,7 @@ def test_acceptance_4_step1_statistical_bound():
     bound = povm.num_sets / (4 * copies) * (pt.design_metrics_C(povm).cost / povm.num_sets)
     rec = pt.TwoStageReconstructor(ensemble, povm)
     probs = pt.ideal_probabilities(channel, ensemble, povm)
-    a_true = np.array([vec(channel.apply(rho)) for rho in ensemble.states])
+    a_true = np.array([vec(sum(a @ rho @ dagger(a) for a in channel.kraus)) for rho in ensemble.states])
     sq = np.zeros((reps, ensemble.num_states))
     for r in range(reps):
         record = pt.sample_record(probs, copies, povm, seed=40_000 + r, keep_ideal=False)

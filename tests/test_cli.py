@@ -93,6 +93,18 @@ def test_reconstruct_refuses_a_truth_of_another_dimension(tmp_path, capsys):
     assert "broadcast" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("povm", ["cube-povm:2", "mub-povm:4"])
+def test_reconstruct_refuses_a_record_drawn_for_another_design(povm, tmp_path, capsys):
+    # The record has natural:4's 16 states and cube-povm:2's 9 sets; mub:4 has 20 states.
+    rec_path = tmp_path / "natural.json"
+    assert main(["simulate", "--ensemble", "natural:4", "--exact", "--output", str(rec_path)]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--record", str(rec_path), "--ensemble", "mub:4", "--povm", povm]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: record {rec_path} ")
+    assert "--ensemble 'mub:4'" in err and f"--povm {povm!r}" in err and "Traceback" not in err
+
+
 def test_simulate_exact_flag(tmp_path):
     rec_path = tmp_path / "exact.json"
     assert main([

@@ -23,6 +23,7 @@ from proctomo.linalg import (
     psd_factor,
     psd_root,
     psd_sqrt,
+    transfer_matrix,
     unvec,
     vec,
 )
@@ -333,6 +334,10 @@ NAN2 = np.full((2, 2), np.nan)
         pytest.param(lambda: PovmCollection(((NAN2, np.eye(2)),) + cube_povm(1).sets), id="povm-element"),
         pytest.param(lambda: apply_channel(identity_channel(2), NAN2), id="apply-channel"),
         pytest.param(lambda: ProcessMatrix(np.full((4, 4), np.nan)), id="process-matrix"),
+        pytest.param(lambda: hermitian_eig(NAN2), id="hermitian-eig"),
+        pytest.param(lambda: psd_root(NAN2), id="psd-root"),
+        pytest.param(lambda: psd_sqrt(np.diag([np.inf, 1.0])), id="psd-sqrt"),
+        pytest.param(lambda: psd_factor(NAN2), id="psd-factor"),
     ],
 )
 def test_non_finite_matrices_rejected_by_name(build):
@@ -362,6 +367,25 @@ X_AXIS = cube_povm(1).sets[0]
 def test_small_anti_hermitian_parts_are_refused_at_construction(build, what):
     with pytest.raises(ValueError, match=f"^{what} is not Hermitian$"):
         build()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_transfer_matrix_of_the_identity_channel_is_the_identity(d):
+    assert np.array_equal(transfer_matrix(identity_channel(d).mat), np.eye(d * d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_transfer_matrix_maps_coordinates_like_the_kraus_sum(d):
+    # Non-TP channels on Hermitian matrices that are not PSD: T is linear on all of them.
+    rng = np.random.default_rng(80 + d)
+    ch = random_channel(d, tp=False, seed=d)
+    t = transfer_matrix(ch.mat)
+    for _ in range(5):
+        g = random_complex(rng, (d, d))
+        h = g + dagger(g)
+        assert np.linalg.eigvalsh(h)[0] < 0
+        expected = sum(a @ h @ dagger(a) for a in ch.kraus)
+        assert np.abs(from_herm_coords(t @ herm_coords(h)) - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])

@@ -19,7 +19,7 @@ from proctomo.linalg import haar_unitary
 
 def output_coefficient_matrix(channel, ensemble):
     """Independent construction of the M x d^2 output-coordinate matrix."""
-    return np.array([vec(channel.apply(rho)) for rho in ensemble.states])
+    return np.array([vec(sum(a @ rho @ dagger(a) for a in channel.kraus)) for rho in ensemble.states])
 
 
 def test_step1_exact_on_noiseless_data():

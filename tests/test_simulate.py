@@ -322,8 +322,8 @@ def ideal_probabilities_loop(process, ensemble, povm):
             out = np.zeros_like(rho)
             for a in process.kraus:
                 out += a @ rho @ dagger(a)
-        else:
-            out = process.apply(rho)
+        else:  # E_j rho E_k^dag picks entry rho[col_j, col_k] into slot (row_j, row_k)
+            out = np.einsum("abcd,bd->ac", process.mat.reshape((process.d,) * 4), rho)
         outputs.append(vec(out))
     probs = (povm.parameterization() @ np.column_stack(outputs)).T
     return probs.real

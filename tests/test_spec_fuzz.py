@@ -90,6 +90,28 @@ def test_simulate_spec_flags_exit_0_or_2_without_traceback(flag, spec, tmp_path_
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="session")
+def d2_record(tmp_path_factory):
+    """One exact record of the d = 2 design mub:2 x cube-povm:1, written once for
+    every run of reconstruct's flag fuzz."""
+    path = tmp_path_factory.mktemp("reconstruct-fuzz") / "record.json"
+    design = ["--channel", "random:2", "--ensemble", "mub:2", "--povm", "cube-povm:1"]
+    assert run_cli(["simulate", *design, "--exact", "--output", str(path)])[0] == 0
+    return path
+
+
+@pytest.mark.parametrize("flag", ["--ensemble", "--povm", "--truth"])
+@FUZZ
+@with_edges
+@partial(with_edges, specs=SIMULATE_SPECS)
+@given(spec=SPEC_STRINGS)
+def test_reconstruct_spec_flags_exit_0_or_2_without_traceback(flag, spec, d2_record):
+    design = {"--ensemble": "mub:2", "--povm": "cube-povm:1", "--truth": "identity:2", flag: spec}
+    code, err = run_cli(["reconstruct", "--record", str(d2_record), *(a for kv in design.items() for a in kv)])
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
 # Both studies' numeric flags over tiny ranges, on d = 2 designs, so every run is
 # quick.  The examples are valid runs, so the success path is covered too.
 STUDY_FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
