@@ -64,10 +64,6 @@ class KrausChannel:
         return sum(dagger(a) @ a for a in self.kraus)
 
     @property
-    def is_trace_preserving(self) -> bool:
-        return frob(self.contraction() - np.eye(self.d)) <= CHANNEL_ATOL * self.d
-
-    @property
     def mat(self) -> np.ndarray:
         """Process matrix sum_i c_i c_i^dag, c_i = vec(A_i^T); PSD by construction, so not re-validated."""
         coeffs = self.kraus.reshape(len(self.kraus), -1)
@@ -99,10 +95,6 @@ class ProcessMatrix:
     def success_operator(self) -> np.ndarray:
         """F = Tr_1(X): Hermitian with spectrum in [0, 1], the identity iff TP."""
         return hermitian_part(partial_trace_first(self.mat, self.d))
-
-    @property
-    def is_trace_preserving(self) -> bool:
-        return frob(self.success_operator() - np.eye(self.d)) <= CHANNEL_ATOL * self.d
 
 
 def process_matrix(ch: KrausChannel, label: str | None = None) -> ProcessMatrix:

@@ -226,17 +226,23 @@ def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray
     each matrix is finite, Hermitian by :func:`is_hermitian`, PSD within ``atol``,
     and of unit trace within ``atol`` if asked.  Constructors of states, POVM
     elements and process matrices validate through it, so nothing downstream
-    decides Hermiticity again."""
+    decides Hermiticity again.  One batched Cholesky of the Hermitian parts plus
+    atol * I certifies PSD, as it succeeds exactly when no eigenvalue is below -atol.
+    If any matrix fails it, ``eigvalsh`` rules and names the least eigenvalue, so the
+    verdict can differ from eigvalsh's alone only by rounding at exactly -atol."""
     x = np.asarray(x, dtype=complex)
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or not x.size:
         raise ValueError(f"{what} must be a square matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what} has non-finite entries")
     if not is_hermitian(x):
         raise ValueError(f"{what} is not Hermitian")
-    w = np.linalg.eigvalsh(hermitian_part(x))[..., 0].min()
-    if w < -atol:
-        raise ValueError(f"{what} has negative eigenvalue {w:.3e}")
+    try:
+        np.linalg.cholesky(hermitian_part(x) + atol * np.eye(x.shape[-1]))
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(hermitian_part(x))[..., 0].min()
+        if w < -atol:
+            raise ValueError(f"{what} has negative eigenvalue {w:.3e}") from None
     if unit_trace and np.any(np.abs(np.trace(x, axis1=-2, axis2=-1).real - 1.0) > atol):
         raise ValueError(f"{what} does not have unit trace")
     return x

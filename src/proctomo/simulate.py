@@ -103,11 +103,6 @@ class MeasurementRecord:
     def copies_per_state(self) -> int | None:
         return None if self.shots_per_set is None else self.shots_per_set * self.num_sets
 
-    def survival_fractions(self) -> np.ndarray:
-        """Per-(state, set) sums of recorded frequencies (1 for TP sampling)."""
-        ends = np.cumsum(self.set_sizes)
-        return np.stack([self.freq[:, e - n : e].sum(axis=1) for n, e in zip(self.set_sizes, ends)], axis=1)
-
 
 def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) -> np.ndarray:
     """M x L matrix of Born probabilities Tr(E(rho_m) P_l).
@@ -136,12 +131,15 @@ def sample_record(
     """Draw a finite-shot record from ideal probabilities.
 
     ``copies`` is the number of copies per input state; each of the J sets
-    receives floor(copies/J) shots.  ``seed`` is a non-negative integer.
+    receives floor(copies/J) shots.  ``seed`` is a non-negative integer.  The
+    probabilities must be finite, >= -PROB_ATOL, and sum to <= 1 + PROB_ATOL per set.
     """
     probs = np.asarray(probs, dtype=float)
     m, ell = probs.shape
     if ell != povm.num_elements:
         raise ValueError("probability columns do not match the POVM elements")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities contain non-finite entries")
     if probs.min() < -PROB_ATOL:
         raise ValueError(f"negative probability {probs.min():.3e}")
     j = povm.num_sets
@@ -167,8 +165,12 @@ def sample_record(
         rows = slice(start, start + _STATE_BLOCK)
         for sets, cols in groups:
             p = np.clip(probs[rows, cols], 0.0, None)
+            total = p.sum(axis=-1, keepdims=True)
+            if total.max() > 1.0 + PROB_ATOL:
+                i, k, _ = np.argwhere(total > 1.0 + PROB_ATOL)[0]
+                raise ValueError(f"probabilities of state {start + i}, POVM set {sets[k]} sum to {total[i, k, 0]:.15g}")
             # each set's elements, then its no-click outcome, normalized per set
-            pfull = np.concatenate([p, np.maximum(1.0 - p.sum(axis=-1, keepdims=True), 0.0)], axis=-1)
+            pfull = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
             pfull /= pfull.sum(axis=-1, keepdims=True)
             draws = gen.multinomial(shots, pfull)
             counts[rows, cols] = draws[..., :-1]

@@ -3,7 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from proctomo.channels import ProcessMatrix, apply_channel, identity_channel, process_matrix, random_channel
+from proctomo.channels import (
+    CHANNEL_ATOL,
+    ProcessMatrix,
+    apply_channel,
+    identity_channel,
+    process_matrix,
+    random_channel,
+)
 from proctomo.ensembles import InputEnsemble, mub_states, random_states
 from proctomo.linalg import (
     HERMITIAN_RTOL,
@@ -28,7 +35,7 @@ from proctomo.linalg import (
     vec,
 )
 from proctomo.oracle import reshuffle_index, transpose_index
-from proctomo.povms import PovmCollection, cube_povm, projective_povm
+from proctomo.povms import POVM_ATOL, PovmCollection, cube_povm, projective_povm
 from proctomo.reconstruct import TwoStageReconstructor
 
 
@@ -307,6 +314,8 @@ def test_check_psd_single_and_stack():
         (np.eye(2), "unit trace"),
         (np.ones((2, 3)) / 3, "square"),
         (np.diag([np.inf, 0.0]), "non-finite"),
+        (np.zeros((0, 2, 2)), "square"),
+        (np.zeros((0, 0)), "square"),
     ],
 )
 def test_check_psd_names_the_failure(bad, message):
@@ -315,6 +324,75 @@ def test_check_psd_names_the_failure(bad, message):
     if np.shape(bad) == (2, 2):  # one bad matrix inside a stack
         with pytest.raises(ValueError, match=f"^state .*{message}"):
             check_psd([np.eye(2) / 2, bad, np.eye(2) / 2], "state", 1e-9, unit_trace=True)
+
+
+# The PSD certificate against the rule it replaced, at the atols the constructors
+# pass: 1e-9 for states, POVM_ATOL for POVM elements, and CHANNEL_ATOL * ||X||_F
+# for process matrices, built here with ||X||_F = 4 so the relative rule applies.
+PSD_KINDS = {
+    "state": ("ensemble state", 1e-9),
+    "povm": ("POVM element", POVM_ATOL),
+    "process": ("process matrix", CHANNEL_ATOL * 4),
+}
+# The least eigenvalue, in units of atol: just below -atol, just above, zero; or positive.
+LEAST = {"below": -(1 + 1e-3), "above": -(1 - 1e-3), "zero": 0.0, "positive": None}
+
+
+def spectral_matrix(rng, n, kind, least):
+    """U diag(lam) U^dag with Haar U, least eigenvalue LEAST[least] atols, and the
+    rest positive: of trace 1 for a state, of Frobenius norm 4 for a process matrix."""
+    rest = rng.uniform(0.1, 1.0, n - 1)
+    if kind == "process":
+        rest *= 4 / np.linalg.norm(rest)
+    low = 0.1 * rest.min() if least == "positive" else LEAST[least] * PSD_KINDS[kind][1]
+    if kind == "state":
+        rest *= (1 - low) / rest.sum()
+    u = haar_unitary(n, rng)
+    return (u * np.r_[low, rest]) @ dagger(u)
+
+
+def eigvalsh_refusal(x, what, atol):
+    """check_psd's PSD refusal as eigvalsh alone gave it, or None if it accepts."""
+    w = np.linalg.eigvalsh(hermitian_part(x))[..., 0].min()
+    return f"{what} has negative eigenvalue {w:.3e}" if w < -atol else None
+
+
+def check_psd_refusal(x, kind, atol):
+    what = PSD_KINDS[kind][0]
+    try:
+        check_psd(x, what, atol, unit_trace=kind == "state")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("least", sorted(LEAST))
+@pytest.mark.parametrize("kind", sorted(PSD_KINDS))
+@pytest.mark.parametrize("n", [2, 4, 16, 64, 256])
+def test_psd_certificate_agrees_with_eigvalsh(n, kind, least):
+    rng = np.random.default_rng([n, sorted(PSD_KINDS).index(kind), sorted(LEAST).index(least)])
+    x = spectral_matrix(rng, n, kind, least)
+    what, atol = PSD_KINDS[kind]
+    if kind == "process":
+        atol = CHANNEL_ATOL * max(np.linalg.norm(x), 1.0)  # as ProcessMatrix computes it
+    expected = eigvalsh_refusal(x, what, atol)
+    # rounding leaves the spectrum on its side of -atol, so both verdicts occur
+    assert (expected is not None) == (least == "below")
+    assert check_psd_refusal(x, kind, atol) == expected
+
+
+@pytest.mark.parametrize("size", [1, 16, 128])
+@pytest.mark.parametrize("kind", sorted(PSD_KINDS))
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_psd_certificate_refuses_the_one_failing_member_of_a_stack(n, kind, size):
+    rng = np.random.default_rng([n, sorted(PSD_KINDS).index(kind), size])
+    what, atol = PSD_KINDS[kind]
+    stack = np.stack([spectral_matrix(rng, n, kind, rng.choice(["above", "zero", "positive"])) for _ in range(size)])
+    assert check_psd_refusal(stack, kind, atol) is None
+    stack[rng.integers(size)] = spectral_matrix(rng, n, kind, "below")
+    expected = eigvalsh_refusal(stack, what, atol)
+    assert expected is not None
+    assert check_psd_refusal(stack, kind, atol) == expected
 
 
 def test_check_psd_tolerance_is_absolute():

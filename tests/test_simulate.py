@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,7 +43,7 @@ def test_non_tp_row_sums_equal_across_sets():
     ch = random_channel(4, tp=False, seed=3)
     e, p = mub_states(4), cube_povm(2)
     rec = exact_record(ideal_probabilities(ch, e, p), p)
-    surv = rec.survival_fractions()
+    surv = np.stack([rec.freq[:, sl].sum(axis=1) for sl in set_slices(p)], axis=1)
     assert np.abs(surv - surv[:, :1]).max() <= 1e-12
     assert surv.max() < 1.0
 
@@ -117,6 +120,33 @@ def test_sample_record_input_validation():
     bad[0, 0] = -1e-6
     with pytest.raises(ValueError):
         sample_record(bad, 600, p)
+
+
+@pytest.mark.parametrize("value", [0.9, 2.0])
+def test_sample_record_refuses_sets_summing_above_one(value):
+    p = cube_povm(1)  # three sets of two elements
+    with pytest.raises(ValueError, match=re.escape(f"probabilities of state 0, POVM set 0 sum to {2 * value:.15g}")):
+        sample_record(np.full((4, 6), value), 600, p)
+
+
+def test_sample_record_names_the_state_and_set_above_one():
+    p = cube_povm(1)
+    probs = np.full((70, 6), 0.5)
+    probs[66, 5] += 2e-12  # state 66 is in the second block of 64, column 5 in set 2
+    with pytest.raises(ValueError, match=re.escape("probabilities of state 66, POVM set 2 sum to 1.000000000002")):
+        sample_record(probs, 600, p)
+    probs[66, 5] = 0.5 + 0.5e-12  # within PROB_ATOL of 1
+    sample_record(probs, 600, p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sample_record_refuses_non_finite_probabilities(value):
+    probs = np.full((4, 6), 0.5)
+    probs[2, 3] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        with pytest.raises(ValueError, match="^probabilities contain non-finite entries$"):
+            sample_record(probs, 600, cube_povm(1))
 
 
 def test_record_validation():
@@ -248,7 +278,7 @@ def test_sampler_accounts_for_every_shot(case, seed):
         # the no-click column holds exactly the shots the set's elements missed
         assert np.array_equal(rec.lost_counts[:, j], 90 - rec.counts[:, sl].sum(axis=1))
     assert rec.counts.min() >= 0 and rec.lost_counts.min() >= 0
-    if ch.is_trace_preserving:
+    if np.linalg.norm(ch.contraction() - np.eye(ch.d)) <= 1e-9 * ch.d:  # trace preserving
         assert not rec.lost_counts.any()
     np.testing.assert_array_equal(rec.freq, rec.counts / 90)
     again = sample_record(probs, copies, p, seed=seed)

@@ -152,3 +152,32 @@ def test_scaling_study_numeric_flags_exit_0_or_2_without_traceback(copies, trial
     ])
     assert code in (0, 2)
     assert "Traceback" not in err
+
+
+# Both studies' spec flags, one at a time, on an otherwise valid d = 2 design with
+# one trial and a few copies (360 in all: a whole number per state of each d = 2
+# ensemble), so each run that builds its design is quick.
+@pytest.mark.parametrize("flag", ["--channel", "--ensemble", "--povm"])
+@FUZZ
+@with_edges
+@partial(with_edges, specs=SIMULATE_SPECS)
+@given(spec=SPEC_STRINGS)
+def test_scaling_study_spec_flags_exit_0_or_2_without_traceback(flag, spec):
+    design = {"--channel": "random:2:tp:5", "--ensemble": "mub:2", "--povm": "cube-povm:1", flag: spec}
+    argv = ["scaling-study", *(a for kv in design.items() for a in kv), "--copies", "360", "--trials", "1"]
+    code, err = run_cli(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--channel", "--povm"])
+@FUZZ
+@with_edges
+@partial(with_edges, specs=SIMULATE_SPECS)
+@given(spec=SPEC_STRINGS)
+def test_m_scaling_study_spec_flags_exit_0_or_2_without_traceback(flag, spec):
+    design = {"--channel": "random:2:tp:5", "--povm": "cube-povm:1", flag: spec}
+    argv = ["m-scaling-study", "--dim", "2", "--num-states", "4", "--copies-per-state", "3", "--trials", "1"]
+    code, err = run_cli([*argv, *(a for kv in design.items() for a in kv)])
+    assert code in (0, 2)
+    assert "Traceback" not in err

@@ -46,7 +46,7 @@ def test_factories(tmp_path):
     assert make_channel("identity:3").d == 3
     assert make_channel("cnot").d == 4
     ch = make_channel("random:2:nontp:9")
-    assert not ch.is_trace_preserving
+    assert np.linalg.norm(ch.contraction() - np.eye(2)) > 1e-9 * 2  # not trace preserving
     assert make_ensemble("cube-states:2").num_states == 36
     assert make_povm("mub:4").num_sets == 5  # -povm suffix optional
     path = tmp_path / "ch.json"
