@@ -27,6 +27,7 @@ import numpy as np
 from .linalg import check_psd, kron_pinv, kron_regroup, kron_stack, pinv_with_spectrum, square_stack
 
 RANK_RTOL = 1e-10
+STATE_ATOL = 1e-9
 ACHIEVE_RTOL = 1e-6
 
 
@@ -88,7 +89,7 @@ class InputEnsemble:
             raise ValueError("an ensemble needs at least one state")
         else:
             states = square_stack(self.states, "ensemble states must be square matrices sharing one dimension")
-            check_psd(states, "ensemble state", atol=1e-9, unit_trace=True)
+            check_psd(states, "ensemble state", atol=STATE_ATOL, unit_trace=True)
         object.__setattr__(self, "states", states)
         d = states.shape[1]
         if len(states) < d * d:

@@ -10,7 +10,7 @@ document becomes a ValueError naming the path, the kind and the field (or,
 when the class's own checks refuse the decoded fields, the class's message).
 Complex matrices are stored as real/imaginary nested lists and JSON writes
 doubles via repr, so round trips are bit-exact.  Records also export as
-tab-separated text for plotting tools; the JSON form is the lossless one.
+tab-separated text for plotting tools, never read back; JSON is the lossless form.
 """
 
 from __future__ import annotations
@@ -148,44 +148,8 @@ def record_to_text(r: MeasurementRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def record_from_text(text: str) -> MeasurementRecord:
-    """The record of a table written by :func:`record_to_text`.  A missing or
-    malformed header, or a malformed row, is a ValueError naming it."""
-    meta, rows = {}, []
-    for number, line in enumerate(text.splitlines(), 1):
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("\t")
-            meta[key.strip()] = value.strip()
-        elif line.strip():
-            try:
-                rows.append([float(v) for v in line.split("\t")])
-                if len(rows[-1]) != len(rows[0]):
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"record table line {number} is a malformed row: {line!r}") from None
-
-    def header(key, parse=int, default=""):
-        """The header's parsed value, None if empty; with ``default=None`` it is required."""
-        value = meta.get(key, default)
-        if value is None:
-            raise ValueError(f"record table lacks a {key!r} header")
-        try:
-            return parse(value) if value else None
-        except ValueError:
-            raise ValueError(f"record table header {key!r} is malformed: {value!r}") from None
-
-    return MeasurementRecord(
-        freq=np.asarray(rows, dtype=float),
-        set_sizes=header("set_sizes", lambda v: tuple(int(n) for n in v.split(",")), default=None),
-        shots_per_set=header("shots_per_set"),
-        seed=header("seed"),
-        # As in the JSON form, a table without a sampler line was drawn by sampler 1.
-        sampler=header("sampler", default="1"),
-    )
-
-
-def write_table(path, header_meta: dict, columns: list, rows: list, append: bool = True) -> None:
-    """Self-describing TSV table: '# key<TAB>value' lines, column names, rows."""
+def write_table(path, header_meta: dict, columns: list, rows: list) -> None:
+    """Append a self-describing TSV table: '# key<TAB>value' lines, column names, rows."""
     lines = [f"# {k}\t{v}" for k, v in header_meta.items()]
     lines.append("\t".join(columns))
     for row in rows:
@@ -194,6 +158,5 @@ def write_table(path, header_meta: dict, columns: list, rows: list, append: bool
                 repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row
             )
         )
-    mode = "a" if append and Path(path).exists() else "w"
-    with open(path, mode) as fh:
+    with open(path, "a") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -163,17 +163,13 @@ def kron_pinv(factors, rows=slice(None), cols=slice(None)):
     return pinv[cols][:, rows], np.sort(s)[::-1]
 
 
-def unvec(v: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`.  Defaults to a square matrix."""
+def unvec(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vec` for a square matrix."""
     v = np.asarray(v).reshape(-1)
-    if rows is None:
-        rows = math.isqrt(v.size)
-        cols = rows
-    elif cols is None:
-        cols = v.size // rows
-    if rows * cols != v.size:
-        raise ValueError(f"cannot unvec length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
+    n = math.isqrt(v.size)
+    if n * n != v.size:
+        raise ValueError(f"cannot unvec length {v.size} into {n}x{n}")
+    return v.reshape((n, n), order="F")
 
 
 def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:

@@ -24,11 +24,11 @@ finite input it returns a Hermitian PSD X-hat with Tr_1(X-hat) <= I.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ProcessMatrix
 from .ensembles import InputEnsemble
 from .linalg import dagger, from_herm_coords, hermitian_eig, hermitian_part, is_hermitian, partial_trace_first
 from .povms import PovmCollection
@@ -39,6 +39,11 @@ TRACE_RANK_RTOL = 1e-12
 # Minimum F-hat eigenvalue, relative to max(f1, 1), for the trace-preserving prior
 # to be usable: F-hat^(-1/2) amplifies the rounding in G-hat by f1 / f_d.
 TP_PRIOR_MIN_EIG = 1e-6
+# Step 4's result: the ProcessEstimate fields it fills, x_hat first and tp_fallback last.
+TraceCorrection = namedtuple(
+    "TraceCorrection",
+    "x_hat trace_spectrum adjusted_spectrum capped_spectrum trace_rotation trace_rank tp_prior tp_fallback",
+)
 
 
 @dataclass(eq=False)
@@ -62,9 +67,6 @@ class ProcessEstimate:
     @property
     def d(self) -> int:
         return math.isqrt(self.x_hat.shape[0])
-
-    def process(self, label: str = "estimate") -> ProcessMatrix:
-        return ProcessMatrix(self.x_hat, label=label)
 
 
 def nearest_psd(mat: np.ndarray):
@@ -112,7 +114,7 @@ class TwoStageReconstructor:
         z = (self._state_pinv @ coeffs).reshape(d, d, d, d)
         return z.transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
-    def trace_correct(self, g_hat: np.ndarray, copies: int | None, tp_prior: bool):
+    def trace_correct(self, g_hat: np.ndarray, copies: int | None, tp_prior: bool) -> TraceCorrection:
         """Step 4: conjugate by I (x) T so the partial trace obeys its cap."""
         d = self.d
         w, u = hermitian_eig(partial_trace_first(g_hat, d), check=False)
@@ -146,7 +148,7 @@ class TwoStageReconstructor:
             # ProcessMatrix checks; only then is its Hermitian part taken.
             if not is_hermitian(x_hat):
                 x_hat = hermitian_part(x_hat)
-        return x_hat, w, adjusted, capped, u, rank, tp_prior, fallback
+        return TraceCorrection(x_hat, w, adjusted, capped, u, rank, tp_prior, fallback)
 
     def estimate(self, record, tp_prior: bool = False) -> ProcessEstimate:
         """Run all four steps on a record or a raw frequency matrix."""
@@ -165,21 +167,11 @@ class TwoStageReconstructor:
         a_hat = self.output_coefficients(freq)
         d_hat = self.process_least_squares(a_hat)
         g_hat, clipped = nearest_psd(d_hat)
-        x_hat, w, adjusted, capped, u, rank, used_prior, fallback = self.trace_correct(
-            g_hat, copies, tp_prior
-        )
         return ProcessEstimate(
-            x_hat=x_hat,
+            **self.trace_correct(g_hat, copies, tp_prior)._asdict(),
             output_coeffs=a_hat,
             least_squares=d_hat,
             psd_projection=g_hat,
-            trace_spectrum=w,
-            adjusted_spectrum=adjusted,
-            capped_spectrum=capped,
-            trace_rotation=u,
-            trace_rank=rank,
             clipped_count=clipped,
-            tp_prior=used_prior,
-            tp_fallback=fallback,
             copies_per_state=copies,
         )

@@ -28,12 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, ProcessMatrix
-from .ensembles import InputEnsemble
+from .channels import CHANNEL_ATOL, KrausChannel, ProcessMatrix
+from .ensembles import STATE_ATOL, InputEnsemble
 from .linalg import herm_coords, transfer_matrix
-from .povms import PovmCollection
+from .povms import POVM_ATOL, PovmCollection
 
-PROB_ATOL = 1e-12
+# What the constructors let through, to first order: a state, POVM element or channel
+# at its tolerance moves a probability, or a set's sum, by at most that tolerance.
+PROB_ATOL = STATE_ATOL + POVM_ATOL + CHANNEL_ATOL
 # States per block of multinomial draws; bounds their memory.
 _STATE_BLOCK = 64
 # Version of the sampling algorithm stamped on the records sample_record draws.

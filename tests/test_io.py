@@ -100,62 +100,39 @@ def test_record_document_with_an_unknown_sampler_is_refused_naming_the_file(tmp_
     assert str(path) in str(info.value)
 
 
+def read_table(text):
+    """A record table's header and frequency rows, as a plotting tool reads them."""
+    header = dict(line[2:].split("\t") for line in text.splitlines() if line.startswith("# "))
+    freq = np.loadtxt(text.splitlines(), comments="#", delimiter="\t", ndmin=2)
+    return header, freq
+
+
 def test_record_text_round_trip():
     rec, _, _ = make_record()
-    text = pio.record_to_text(rec)
-    loaded = pio.record_from_text(text)
-    assert np.array_equal(loaded.freq, rec.freq)
-    assert loaded.shots_per_set == rec.shots_per_set
-    assert loaded.set_sizes == rec.set_sizes
+    header, freq = read_table(pio.record_to_text(rec))
+    assert np.array_equal(freq, rec.freq)
+    assert header["shots_per_set"] == str(rec.shots_per_set)
+    assert header["set_sizes"] == ",".join(map(str, rec.set_sizes))
 
 
 def test_exact_record_text_handles_missing_shots():
     ch = random_channel(2, tp=True, seed=64)
     e, p = mub_states(2), cube_povm(1)
     rec = exact_record(ideal_probabilities(ch, e, p), p)
-    loaded = pio.record_from_text(pio.record_to_text(rec))
-    assert loaded.shots_per_set is None
-    assert np.array_equal(loaded.freq, rec.freq)
+    header, freq = read_table(pio.record_to_text(rec))
+    assert header["shots_per_set"] == "" and header["copies_per_state"] == ""
+    assert np.array_equal(freq, rec.freq)
 
 
 def test_record_text_round_trip_keeps_the_sampler_stamp():
     rec, _, _ = make_record(66)
     assert rec.sampler == 2
-    assert pio.record_from_text(pio.record_to_text(rec)).sampler == 2
+    assert read_table(pio.record_to_text(rec))[0]["sampler"] == "2"
     ch = random_channel(2, tp=True, seed=67)
     e, p = mub_states(2), cube_povm(1)
     exact = exact_record(ideal_probabilities(ch, e, p), p)
     assert exact.sampler is None
-    assert pio.record_from_text(pio.record_to_text(exact)).sampler is None
-
-
-def test_record_text_without_a_sampler_line_loads_as_version_1():
-    rec, _, _ = make_record(68)
-    text = pio.record_to_text(rec)
-    stripped = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("# sampler"))
-    assert stripped != text
-    loaded = pio.record_from_text(stripped)
-    assert loaded.sampler == 1
-    assert np.array_equal(loaded.freq, rec.freq)
-
-
-@pytest.mark.parametrize(
-    "text, named",
-    [
-        ("# seed\t3\n0.5\t0.5\n", "lacks a 'set_sizes' header"),
-        ("# set_sizes\t2,x\n0.5\t0.5\n", "header 'set_sizes' is malformed"),
-        ("# set_sizes\t2\n# seed\tabc\n0.5\t0.5\n", "header 'seed' is malformed"),
-        ("# set_sizes\t2\n# shots_per_set\t1.5\n0.5\t0.5\n", "header 'shots_per_set' is malformed"),
-        ("# set_sizes\t2\n# sampler\tv2\n0.5\t0.5\n", "header 'sampler' is malformed"),
-        ("# set_sizes\t2\n0.5\tx\n", "line 2 "),
-        ("# set_sizes\t2\n0.5\t0.5\n\n0.5\n", "line 4 "),
-    ],
-    ids=["no-set_sizes", "set_sizes", "seed", "shots_per_set", "sampler", "non-number-row", "short-row"],
-)
-def test_malformed_record_tables_raise_value_error_naming_the_header_or_row(text, named):
-    with pytest.raises(ValueError, match=named) as info:
-        pio.record_from_text(text)
-    assert "invalid literal" not in str(info.value)
+    assert read_table(pio.record_to_text(exact))[0]["sampler"] == ""
 
 
 def test_estimate_round_trip(tmp_path):

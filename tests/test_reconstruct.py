@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proctomo.channels import cnot_channel, identity_channel, process_matrix, random_channel
+from proctomo.channels import ProcessMatrix, cnot_channel, identity_channel, process_matrix, random_channel
 from proctomo.ensembles import InputEnsemble, cube_states, mub_states, natural_basis_states, random_states, sic_states
 from proctomo.linalg import (
     dagger,
@@ -12,7 +12,7 @@ from proctomo.linalg import (
 )
 from proctomo.oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
 from proctomo.povms import PovmCollection, cube_povm, projective_povm
-from proctomo.reconstruct import TwoStageReconstructor, nearest_psd
+from proctomo.reconstruct import ProcessEstimate, TraceCorrection, TwoStageReconstructor, nearest_psd
 from proctomo.simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 from proctomo.linalg import haar_unitary
 
@@ -154,6 +154,20 @@ def test_trace_correction_caps_partial_trace():
     assert f.max() <= 1 + 1e-9
 
 
+def test_trace_correction_is_a_record_of_estimate_fields():
+    # Callers that trace step 4 read x-hat first and the fallback flag last, by position.
+    rec = TwoStageReconstructor(mub_states(2), cube_povm(1))
+    out = rec.trace_correct(1.2 * process_matrix(identity_channel(2)).mat, copies=1000, tp_prior=True)
+    assert isinstance(out, TraceCorrection)
+    assert out[0] is out.x_hat and out[-1] is out.tp_fallback
+    filled = (
+        "x_hat", "trace_spectrum", "adjusted_spectrum", "capped_spectrum",
+        "trace_rotation", "trace_rank", "tp_prior", "tp_fallback",
+    )
+    assert out._fields == filled
+    assert set(filled) <= set(ProcessEstimate.__dataclass_fields__)
+
+
 def test_tp_prior_enforces_identity_partial_trace():
     ch = random_channel(2, tp=True, seed=42)
     e, p = mub_states(2), cube_povm(1)
@@ -226,7 +240,7 @@ def test_pipeline_always_returns_physical_estimates():
         assert np.linalg.eigvalsh(hermitian_part(x)).min() >= -1e-9
         f = np.linalg.eigvalsh(hermitian_part(partial_trace_first(x, 2)))
         assert f.max() <= 1 + 1e-9
-        est.process()  # constructor re-validates the same invariants
+        ProcessMatrix(est.x_hat)  # constructor re-validates the same invariants
 
 
 def test_estimate_diagnostics_populated():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from proctomo.channels import KrausChannel, cnot_channel, identity_channel, process_matrix, random_channel
-from proctomo.ensembles import mub_states, natural_basis_states, random_states, sic_states
+from proctomo.ensembles import InputEnsemble, mub_states, natural_basis_states, random_states, sic_states
 from proctomo.linalg import dagger, vec
 from proctomo.oracle import dense_expansion_matrix, transpose_index
 from proctomo.povms import PovmCollection, cube_povm, sic_povm
@@ -132,11 +132,38 @@ def test_sample_record_refuses_sets_summing_above_one(value):
 def test_sample_record_names_the_state_and_set_above_one():
     p = cube_povm(1)
     probs = np.full((70, 6), 0.5)
-    probs[66, 5] += 2e-12  # state 66 is in the second block of 64, column 5 in set 2
-    with pytest.raises(ValueError, match=re.escape("probabilities of state 66, POVM set 2 sum to 1.000000000002")):
+    probs[66, 5] += 3.5e-9  # state 66 is in the second block of 64, column 5 in set 2
+    with pytest.raises(ValueError, match=re.escape("probabilities of state 66, POVM set 2 sum to 1.0000000035")):
         sample_record(probs, 600, p)
-    probs[66, 5] = 0.5 + 0.5e-12  # within PROB_ATOL of 1
+    probs[66, 5] = 0.5 + 2.5e-9  # within PROB_ATOL = 3e-9 of 1
     sample_record(probs, 600, p)
+
+
+@pytest.mark.parametrize("first", [(1 + 5e-10, -5e-10), (1 + 5e-10, 0.0)], ids=["negative-eigenvalue", "trace-above-one"])
+def test_states_the_constructors_accept_are_sampled_and_recorded(first):
+    # Construction accepts these states within 1e-9; their probabilities leave [0, 1] by
+    # 5e-10, within PROB_ATOL, so they are clipped and the set renormalized.
+    states = mub_states(2).states.copy()
+    states[0] = np.diag(first)
+    e, p = InputEnsemble(states=states), cube_povm(1)
+    probs = ideal_probabilities(identity_channel(2), e, p)
+    assert probs[0, 4:].sum() > 1 or probs.min() < 0
+    record = sample_record(probs, 600, p, seed=3)
+    assert record.counts[0, 4:].tolist() == [200, 0]  # set z of |0><0|
+    assert np.array_equal(exact_record(probs, p).freq, probs)
+
+
+def test_probabilities_beyond_the_tolerance_are_refused():
+    p = cube_povm(1)
+    probs = np.full((4, 6), 0.5)
+    probs[1, 2] = -3.5e-9
+    with pytest.raises(ValueError, match="^negative probability -3.500e-09$"):
+        sample_record(probs, 600, p)
+    with pytest.raises(ValueError, match=re.escape("frequencies must lie in [0, 1]")):
+        exact_record(probs, p)
+    probs[1, 2] = 1 + 3.5e-9
+    with pytest.raises(ValueError, match=re.escape("frequencies must lie in [0, 1]")):
+        exact_record(probs, p)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
