@@ -4,7 +4,6 @@ reconstruction, and optimal-design audits for input states and measurements."""
 from .channels import (
     KrausChannel,
     ProcessMatrix,
-    apply_channel,
     cnot_channel,
     identity_channel,
     process_matrix,
@@ -18,7 +17,6 @@ from .ensembles import (
     design_metrics_V,
     mub_states,
     natural_basis_states,
-    product_ensemble,
     random_states,
     sic_states,
 )
@@ -38,7 +36,6 @@ from .povms import (
     projective_povm,
     sic_povm,
 )
-from .oracle import dense_estimates, dense_expansion_matrix
 from .reconstruct import (
     ProcessEstimate,
     TwoStageReconstructor,

@@ -21,14 +21,11 @@ from .linalg import (
     check_psd,
     dagger,
     frob,
-    from_herm_coords,
     haar_unitary,
-    herm_coords,
     hermitian_part,
     partial_trace_first,
-    psd_sqrt,
+    psd_root,
     square_stack,
-    transfer_matrix,
 )
 
 CHANNEL_ATOL = 1e-9
@@ -102,17 +99,6 @@ def process_matrix(ch: KrausChannel, label: str | None = None) -> ProcessMatrix:
     return ProcessMatrix(ch.mat, label=label if label is not None else ch.label)
 
 
-def apply_channel(op, rho: np.ndarray) -> np.ndarray:
-    """Output operator of a KrausChannel or ProcessMatrix on a validated density matrix."""
-    if not isinstance(op, (KrausChannel, ProcessMatrix)):
-        raise TypeError(f"cannot apply object of type {type(op).__name__}")
-    rho = np.asarray(rho)
-    if rho.shape != (op.d, op.d):
-        raise ValueError(f"state has shape {rho.shape}, expected ({op.d}, {op.d})")
-    rho = check_psd(rho, "state", CHANNEL_ATOL, unit_trace=True)
-    return from_herm_coords(transfer_matrix(op.mat) @ herm_coords(rho))
-
-
 def identity_channel(d: int) -> KrausChannel:
     return KrausChannel((np.eye(d, dtype=complex),), label=f"identity-{d}")
 
@@ -165,7 +151,8 @@ def random_channel(
                 raise ValueError(f"f_spectrum must have {d} entries")
         target = (u4 * spec) @ dagger(u4)
     residual = target - sum(dagger(a) @ a for a in partial)
-    closing = u3 @ psd_sqrt(residual)
+    u, r = psd_root(residual)
+    closing = u3 @ ((u * r) @ dagger(u))
     if label is None:
         label = f"random-{d}-{'tp' if tp else 'nontp'}"
     return KrausChannel((*partial, closing), label=label)

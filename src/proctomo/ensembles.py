@@ -249,29 +249,13 @@ def random_states(d: int, m: int, seed=None) -> InputEnsemble:
     if m < d * d:
         raise ValueError(f"need M >= d^2 = {d * d} states, got {m}")
     rng = np.random.default_rng(seed)
-    for _ in range(10):
-        # The same normals, in the same order, as a real then an imaginary
-        # (d, d) draw per state.
-        z = rng.standard_normal((m, 2, d, d))
-        g = z[:, 0] + 1j * z[:, 1]
-        w = g @ g.conj().swapaxes(-1, -2)
-        states = w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
-        try:
-            return InputEnsemble(states, label=f"random-{d}-{m}")
-        except ValueError:
-            continue
-    raise ValueError("could not draw an informationally complete ensemble in 10 attempts")
-
-
-def product_ensemble(parts) -> InputEnsemble:
-    """Tensor products of qubit ensembles; V and the design metrics multiply."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("need at least one part")
-    if any(p.d != 2 for p in parts):
-        raise ValueError("product ensembles are built from qubit parts only")
-    label = "x".join(p.label or "qubit" for p in parts)
-    return InputEnsemble(label=label, parts=parts)
+    # The same normals, in the same order, as a real then an imaginary
+    # (d, d) draw per state.
+    z = rng.standard_normal((m, 2, d, d))
+    g = z[:, 0] + 1j * z[:, 1]
+    w = g @ g.conj().swapaxes(-1, -2)
+    states = w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
+    return InputEnsemble(states, label=f"random-{d}-{m}")
 
 
 def cube_states(m: int) -> InputEnsemble:

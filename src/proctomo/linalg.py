@@ -2,8 +2,8 @@
 
 Conventions fixed here and relied on everywhere else:
 
-* ``vec`` is strictly column-stacking (Fortran order).  The row-stacked
-  coordinate vector of a matrix ``A`` is obtained as ``vec(A.T)``, never via a
+* vec, in formulas, is strictly column-stacking: ``a.reshape(-1, order="F")``.
+  The row-stacked coordinate vector of a matrix ``A`` is ``vec(A.T)``, never a
   second convention.
 * ``partial_trace_first`` traces out the first (most significant) tensor
   factor, so that ``Tr_1(vec(S) vec(T)^dag) = S T^dag``.
@@ -52,14 +52,6 @@ def is_hermitian(x: np.ndarray) -> bool:
         return not frob(x - dagger(x)) > HERMITIAN_RTOL * max(frob(x), 1.0)
     skew = np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
     return not np.any(skew > HERMITIAN_RTOL * np.maximum(np.linalg.norm(x, axis=(-2, -1)), 1.0))
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a matrix."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"vec expects a non-empty matrix, got shape {a.shape}")
-    return a.reshape(-1, order="F")
 
 
 @functools.cache
@@ -163,15 +155,6 @@ def kron_pinv(factors, rows=slice(None), cols=slice(None)):
     return pinv[cols][:, rows], np.sort(s)[::-1]
 
 
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for a square matrix."""
-    v = np.asarray(v).reshape(-1)
-    n = math.isqrt(v.size)
-    if n * n != v.size:
-        raise ValueError(f"cannot unvec length {v.size} into {n}x{n}")
-    return v.reshape((n, n), order="F")
-
-
 def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:
     """Trace out the first tensor factor of a d^2 x d^2 matrix.
 
@@ -219,13 +202,15 @@ def square_stack(x, error: str) -> np.ndarray:
 
 def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray:
     """Return ``x`` (one matrix or a stack) as a complex array after checking that
-    each matrix is finite, Hermitian by :func:`is_hermitian`, PSD within ``atol``,
-    and of unit trace within ``atol`` if asked.  Constructors of states, POVM
-    elements and process matrices validate through it, so nothing downstream
-    decides Hermiticity again.  One batched Cholesky of the Hermitian parts plus
-    atol * I certifies PSD, as it succeeds exactly when no eigenvalue is below -atol.
-    If any matrix fails it, ``eigvalsh`` rules and names the least eigenvalue, so the
-    verdict can differ from eigvalsh's alone only by rounding at exactly -atol."""
+    each matrix is finite, Hermitian by :func:`is_hermitian`, PSD within ``atol``, and,
+    with ``unit_trace``, of trace within ``atol`` of 1 and of positive part's trace at
+    most 1 + atol, which bounds its probabilities' sums for any d.  Constructors of states,
+    POVM elements and process matrices validate through it, so nothing downstream decides
+    Hermiticity again.  One batched Cholesky of the Hermitian parts plus atol * I (plus 0
+    with ``unit_trace``: a positive definite matrix is its own positive part) certifies
+    them, as it succeeds exactly when no eigenvalue is below -atol (0).  If any matrix fails
+    it, ``eigvalsh`` rules and names the least eigenvalue or the matrix's index, so the
+    verdict can differ from eigvalsh's alone only by rounding at exactly -atol (0)."""
     x = np.asarray(x, dtype=complex)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2] or not x.size:
         raise ValueError(f"{what} must be a square matrix, got shape {x.shape}")
@@ -233,14 +218,19 @@ def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray
         raise ValueError(f"{what} has non-finite entries")
     if not is_hermitian(x):
         raise ValueError(f"{what} is not Hermitian")
+    w = None
     try:
-        np.linalg.cholesky(hermitian_part(x) + atol * np.eye(x.shape[-1]))
+        np.linalg.cholesky(hermitian_part(x) + (0.0 if unit_trace else atol) * np.eye(x.shape[-1]))
     except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(hermitian_part(x))[..., 0].min()
-        if w < -atol:
-            raise ValueError(f"{what} has negative eigenvalue {w:.3e}") from None
+        w = np.linalg.eigvalsh(hermitian_part(x))
+        if w[..., 0].min() < -atol:
+            raise ValueError(f"{what} has negative eigenvalue {w[..., 0].min():.3e}") from None
     if unit_trace and np.any(np.abs(np.trace(x, axis1=-2, axis2=-1).real - 1.0) > atol):
         raise ValueError(f"{what} does not have unit trace")
+    positive = np.maximum(w, 0.0).sum(axis=-1).reshape(-1) if unit_trace and w is not None else [0.0]
+    if max(positive) > 1.0 + atol:
+        i = int(np.argmax(positive))
+        raise ValueError(f"{what} {i} has a positive part of trace {positive[i]:.15g}, above 1 + {atol:g}")
     return x
 
 
@@ -253,12 +243,6 @@ def psd_root(x: np.ndarray):
     if w[-1] < -NEGATIVE_EIG_RTOL * max(top, 1.0):
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e}")
     return u, np.sqrt(np.where(w > EIG_CLIP_RTOL * top, w, 0.0))
-
-
-def psd_sqrt(x: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix, clipped as in :func:`psd_root`."""
-    u, r = psd_root(x)
-    return (u * r) @ dagger(u)
 
 
 def psd_factor(x: np.ndarray) -> np.ndarray:

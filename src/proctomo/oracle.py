@@ -8,7 +8,7 @@ import numpy as np
 
 from .channels import random_channel
 from .ensembles import InputEnsemble, mub_states, random_states, sic_states
-from .linalg import dagger, frob, kron_regroup, unvec, vec
+from .linalg import dagger, frob, kron_regroup
 from .povms import PovmCollection, cube_povm
 from .reconstruct import TwoStageReconstructor
 from .simulate import MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
@@ -55,7 +55,7 @@ def dense_expansion_matrix(ensemble: InputEnsemble) -> np.ndarray:
         for j in range(d * d):
             col = k * d * d + j
             for im, rho in enumerate(ensemble.states):
-                b[rows + im, col] = vec(basis[j] @ rho @ ek_dag)
+                b[rows + im, col] = (basis[j] @ rho @ ek_dag).reshape(-1, order="F")
     return b
 
 
@@ -76,17 +76,17 @@ def dense_estimates(record, ensemble: InputEnsemble, povm: PovmCollection):
     data = freq.reshape(-1)  # vec of the transposed frequency matrix
 
     y = np.kron(np.eye(m), c) @ k_mat @ b
-    global_ls = unvec(np.linalg.pinv(y) @ data)
+    global_ls = (np.linalg.pinv(y) @ data).reshape(d * d, d * d, order="F")
 
     w_c = np.linalg.pinv(c)
     w_v = np.linalg.pinv(ensemble.parameterization().T)
-    two_step = unvec(
+    two_step = (
         r_mat.T
         @ np.kron(np.eye(d * d), w_v)
         @ k_mat.T
         @ np.kron(np.eye(m), w_c)
         @ data
-    )
+    ).reshape(d * d, d * d, order="F")
     return two_step, global_ls
 
 

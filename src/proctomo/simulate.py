@@ -33,8 +33,9 @@ from .ensembles import STATE_ATOL, InputEnsemble
 from .linalg import herm_coords, transfer_matrix
 from .povms import POVM_ATOL, PovmCollection
 
-# What the constructors let through, to first order: a state, POVM element or channel
-# at its tolerance moves a probability, or a set's sum, by at most that tolerance.
+# What the constructors let through, to first order: a set's probabilities sum to at most the
+# trace of the state's positive part (at most 1 + STATE_ATOL for any d) scaled by the channel's
+# and the set's tolerances, and a probability is at least -(2 STATE_ATOL + POVM_ATOL).
 PROB_ATOL = STATE_ATOL + POVM_ATOL + CHANNEL_ATOL
 # States per block of multinomial draws; bounds their memory.
 _STATE_BLOCK = 64
@@ -79,6 +80,8 @@ class MeasurementRecord:
             raise ValueError(f"seed must be a non-negative integer or None, got {self.seed!r}")
         if not (self.sampler is None or (_whole(self.sampler, 1) and self.sampler <= SAMPLER)):
             raise ValueError(f"sampler must be a sampler version 1..{SAMPLER} or None, got {self.sampler!r}")
+        if np.iscomplexobj(self.freq):
+            raise ValueError("frequency matrix must be real")
         self.freq = np.asarray(self.freq, dtype=float)
         if self.freq.ndim != 2:
             raise ValueError("frequency matrix must be 2-D (states x operators)")

@@ -205,8 +205,8 @@ class ExperimentConfig:
         if isinstance(self.ensembles, str):
             self.ensembles = (self.ensembles,)
         specs, totals = self.ensembles, self.copies
-        if not isinstance(specs, (list, tuple)) or not all(isinstance(s, str) for s in specs):
-            raise ValueError(f"config key 'ensembles' must be a list of spec strings, got {specs!r}")
+        if not isinstance(specs, (list, tuple)) or not specs or not all(isinstance(s, str) for s in specs):
+            raise ValueError(f"config key 'ensembles' must be a non-empty list of spec strings, got {specs!r}")
         # A fractional total would otherwise be truncated; bool is an int too.
         if not isinstance(totals, (list, tuple)) or not all(
             isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in totals

@@ -15,7 +15,6 @@ from proctomo.linalg import (
     haar_unitary,
     hermitian_part,
     partial_trace_first,
-    vec,
 )
 from proctomo.metrics import loglog_slope
 from proctomo.oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
@@ -90,7 +89,7 @@ def test_acceptance_3_design_exactness():
     rc = pt.design_metrics_C(pt.mub_povm(4))
     checks.append(abs(rc.cost - 76.0) <= 1e-6 and abs(rc.cond - np.sqrt(5)) <= 1e-6)
 
-    rp = pt.design_metrics_V(pt.product_ensemble([pt.mub_states(2), pt.mub_states(2)]))
+    rp = pt.design_metrics_V(pt.InputEnsemble(parts=[pt.mub_states(2), pt.mub_states(2)]))
     checks.append(abs(rp.cost - 400.0) <= 1e-6 and abs(rp.cond - 3.0) <= 1e-6)
 
     rcube = pt.design_metrics_C(pt.cube_povm(1))
@@ -112,7 +111,8 @@ def test_acceptance_4_step1_statistical_bound():
     bound = povm.num_sets / (4 * copies) * (pt.design_metrics_C(povm).cost / povm.num_sets)
     rec = pt.TwoStageReconstructor(ensemble, povm)
     probs = pt.ideal_probabilities(channel, ensemble, povm)
-    a_true = np.array([vec(sum(a @ rho @ dagger(a) for a in channel.kraus)) for rho in ensemble.states])
+    outputs = [sum(a @ rho @ dagger(a) for a in channel.kraus) for rho in ensemble.states]
+    a_true = np.array([out.reshape(-1, order="F") for out in outputs])
     sq = np.zeros((reps, ensemble.num_states))
     for r in range(reps):
         record = pt.sample_record(probs, copies, povm, seed=40_000 + r, keep_ideal=False)

@@ -4,7 +4,6 @@ import pytest
 from proctomo.channels import (
     KrausChannel,
     ProcessMatrix,
-    apply_channel,
     cnot_channel,
     cnot_matrix,
     identity_channel,
@@ -13,13 +12,18 @@ from proctomo.channels import (
     unitary_channel,
 )
 from proctomo.ensembles import natural_basis_states
-from proctomo.linalg import dagger, hermitian_eig, partial_trace_first
+from proctomo.linalg import dagger, from_herm_coords, herm_coords, hermitian_eig, partial_trace_first, transfer_matrix
 
 
 def random_density(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
+
+
+def apply_channel(op, rho):
+    """E(rho) through the channel's transfer matrix, as ideal_probabilities applies it."""
+    return from_herm_coords(transfer_matrix(op.mat) @ herm_coords(rho))
 
 
 def test_identity_channel_process_matrix():
@@ -128,16 +132,6 @@ def test_generated_channels_satisfy_process_invariants():
             assert w[-1] >= -1e-9
             f, _ = hermitian_eig(partial_trace_first(x.mat, 2))
             assert f[0] <= 1 + 1e-9
-
-
-def test_apply_channel_validates_state():
-    ch = identity_channel(2)
-    with pytest.raises(ValueError):
-        apply_channel(ch, np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        apply_channel(ch, np.diag([1.5, -0.5]))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        apply_channel(ch, np.eye(3) / 3)  # wrong dimension
 
 
 def test_kraus_channel_rejects_expansion():

@@ -401,7 +401,7 @@ def test_design_audit_of_a_malformed_file_exits_2(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("cfg", [{"copies": 1200}, {"copies": [1200.9]}, {"ensembles": [4]}])
+@pytest.mark.parametrize("cfg", [{"copies": 1200}, {"copies": [1200.9]}, {"ensembles": [4]}, {"ensembles": []}])
 def test_scaling_study_config_with_mistyped_lists_exits_2(cfg, tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(cfg))

@@ -5,7 +5,7 @@ import pytest
 
 from proctomo.channels import process_matrix, random_channel, unitary_channel
 from proctomo.ensembles import design_metrics_V, sic_states
-from proctomo.linalg import dagger, haar_unitary, psd_sqrt
+from proctomo.linalg import dagger, haar_unitary, psd_root
 from proctomo.metrics import (
     error_scaling_functional,
     fidelity,
@@ -50,7 +50,8 @@ def test_fidelity_unitary_invariance():
 
 def fidelity_from_roots(a, b):
     """Oracle: the squared nuclear norm of sqrt(A) sqrt(B) from full square roots."""
-    sv = np.linalg.svd(psd_sqrt(a) @ psd_sqrt(b), compute_uv=False)
+    (ua, ra), (ub, rb) = psd_root(a), psd_root(b)
+    sv = np.linalg.svd((ua * ra) @ dagger(ua) @ (ub * rb) @ dagger(ub), compute_uv=False)
     return float(np.sum(sv) ** 2 / (np.trace(a).real * np.trace(b).real))
 
 

@@ -3,13 +3,13 @@ import proctomo
 # The package's public names; each must import from ``proctomo`` itself, also
 # through ``import *``.
 PUBLIC = """
-KrausChannel ProcessMatrix apply_channel cnot_channel identity_channel process_matrix
+KrausChannel ProcessMatrix cnot_channel identity_channel process_matrix
 random_channel unitary_channel
 EnsembleDesignReport InputEnsemble cube_states design_metrics_V mub_states
-natural_basis_states product_ensemble random_states sic_states
+natural_basis_states random_states sic_states
 error_scaling_functional fidelity infidelity loglog_slope squared_error
 PovmCollection PovmDesignReport cube_povm design_metrics_C mub_povm projective_povm sic_povm
-ProcessEstimate TwoStageReconstructor dense_estimates dense_expansion_matrix nearest_psd
+ProcessEstimate TwoStageReconstructor nearest_psd
 MeasurementRecord exact_record ideal_probabilities sample_record
 """.split()
 

@@ -7,8 +7,6 @@ from proctomo.linalg import (
     dagger,
     hermitian_part,
     partial_trace_first,
-    unvec,
-    vec,
 )
 from proctomo.oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
 from proctomo.povms import PovmCollection, cube_povm, projective_povm
@@ -19,7 +17,8 @@ from proctomo.linalg import haar_unitary
 
 def output_coefficient_matrix(channel, ensemble):
     """Independent construction of the M x d^2 output-coordinate matrix."""
-    return np.array([vec(sum(a @ rho @ dagger(a) for a in channel.kraus)) for rho in ensemble.states])
+    outputs = [sum(a @ rho @ dagger(a) for a in channel.kraus) for rho in ensemble.states]
+    return np.array([out.reshape(-1, order="F") for out in outputs])
 
 
 def test_step1_exact_on_noiseless_data():
@@ -37,7 +36,7 @@ def test_step1_rows_unvec_to_output_states():
     rec = TwoStageReconstructor(e, p)
     a_hat = rec.output_coefficients(ideal_probabilities(ch, e, p))
     for row, rho in zip(a_hat, e.states):
-        np.testing.assert_allclose(unvec(row), rho, atol=1e-10)
+        np.testing.assert_allclose(row.reshape(2, 2, order="F"), rho, atol=1e-10)
 
 
 @pytest.mark.parametrize("make_ensemble", [sic_states, mub_states, natural_basis_states])
@@ -101,13 +100,13 @@ def test_elementary_input_matrix_makes_step2_an_isometry():
     eye = np.eye(d, dtype=complex)
     for j in range(d):
         for k in range(d):
-            v[:, j * d + k] = vec(np.outer(eye[:, j], eye[:, k]))
+            v[:, j * d + k] = np.outer(eye[:, j], eye[:, k]).reshape(-1, order="F")
     w_v = np.linalg.pinv(v.T)
     forward = reshuffle_index(d)
     rng = np.random.default_rng(40)
 
     def step2(a):
-        return unvec(vec(w_v @ a)[forward])
+        return (w_v @ a).reshape(-1, order="F")[forward].reshape(d * d, d * d, order="F")
 
     a1 = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
     a2 = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
@@ -181,8 +180,8 @@ def test_tp_prior_enforces_identity_partial_trace():
 def test_tp_prior_falls_back_on_singular_trace():
     e, p = mub_states(2), cube_povm(1)
     rec = TwoStageReconstructor(e, p)
-    s = np.diag([1.0, 0.0]).astype(complex)
-    g = np.outer(vec(s), vec(s).conj())  # partial trace diag(1, 0)
+    s = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # vec of diag(1, 0)
+    g = np.outer(s, s.conj())  # partial trace diag(1, 0)
     x_hat, _, _, _, _, rank, used_prior, fallback = rec.trace_correct(g, 1000, tp_prior=True)
     assert fallback and not used_prior
     assert rank == 1
@@ -191,8 +190,8 @@ def test_tp_prior_falls_back_on_singular_trace():
 def test_tp_prior_falls_back_on_an_ill_conditioned_trace():
     # Tr_1 G = diag(1e4, 1e-3): F-hat^(-1/2) would amplify G's rounding 1e7-fold.
     rec = TwoStageReconstructor(mub_states(2), cube_povm(1))
-    s = np.diag([1e2, 1e-3**0.5]).astype(complex)
-    g = np.outer(vec(s), vec(s).conj())
+    s = np.array([1e2, 0.0, 0.0, 1e-3**0.5], dtype=complex)  # vec of diag(1e2, 1e-3**0.5)
+    g = np.outer(s, s.conj())
     *_, rank, used_prior, fallback = rec.trace_correct(g, 1000, tp_prior=True)
     assert fallback is True and used_prior is False
     assert rank == 2
@@ -327,8 +326,8 @@ def test_step1_matches_the_complex_product(case):
     assert a_hat.shape == (e.num_states, e.d**2)
     assert np.abs(a_hat - freq @ p.pinv.T).max() <= 1e-13
     # every row is the vec of a Hermitian matrix, exactly
-    for row in a_hat:
-        assert np.array_equal(unvec(row), dagger(unvec(row)))
+    for row in a_hat.reshape(-1, e.d, e.d).transpose(0, 2, 1):  # column-stacked rows
+        assert np.array_equal(row, dagger(row))
 
 
 def test_complex_frequencies_raise():

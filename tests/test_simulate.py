@@ -6,7 +6,7 @@ import pytest
 
 from proctomo.channels import KrausChannel, cnot_channel, identity_channel, process_matrix, random_channel
 from proctomo.ensembles import InputEnsemble, mub_states, natural_basis_states, random_states, sic_states
-from proctomo.linalg import dagger, vec
+from proctomo.linalg import dagger
 from proctomo.oracle import dense_expansion_matrix, transpose_index
 from proctomo.povms import PovmCollection, cube_povm, sic_povm
 from proctomo.simulate import SAMPLER, MeasurementRecord, exact_record, ideal_probabilities, sample_record
@@ -34,7 +34,7 @@ def test_probabilities_match_dense_linear_model():
     c = p.parameterization()
     b = dense_expansion_matrix(e)
     k = np.eye(e.num_states * d * d)[transpose_index(e.num_states, d * d)]
-    stacked = np.kron(np.eye(e.num_states), c) @ k @ b @ vec(x)
+    stacked = np.kron(np.eye(e.num_states), c) @ k @ b @ x.reshape(-1, order="F")
     probs = ideal_probabilities(ch, e, p)
     assert np.abs(stacked.reshape(e.num_states, -1) - probs).max() <= 1e-10
 
@@ -153,6 +153,22 @@ def test_states_the_constructors_accept_are_sampled_and_recorded(first):
     assert np.array_equal(exact_record(probs, p).freq, probs)
 
 
+def test_a_state_whose_positive_part_exceeds_the_tolerance_is_refused_at_construction():
+    # Trace 1 + 9.3e-10 and eigenvalues down to -9.9e-10, each within 1e-9, but its positive
+    # part has trace 1 + 3.9e-9: through diag(1, 0, 0, 0) every set would sum past PROB_ATOL.
+    states = mub_states(4).states.copy()
+    states[0] = np.diag([1 + 3.9e-9, -0.99e-9, -0.99e-9, -0.99e-9])
+    with pytest.raises(ValueError, match=r"^ensemble state 0 has a positive part of trace 1\.0000000039, above 1 \+ 1e-09$"):
+        InputEnsemble(states=states)
+    # The same state with its positive part's trace within 1e-9 is sampled and recorded.
+    states[0] = np.diag([1 + 0.9e-9, -0.3e-9, -0.3e-9, -0.3e-9])
+    p = cube_povm(2)
+    probs = ideal_probabilities(KrausChannel((np.diag([1.0, 0.0, 0.0, 0.0]),)), InputEnsemble(states=states), p)
+    assert probs[0, -4:].sum() > 1  # set z x z, the last
+    assert sample_record(probs, 900, p, seed=3).counts[0, -4:].tolist() == [100, 0, 0, 0]
+    assert np.array_equal(exact_record(probs, p).freq, probs)
+
+
 def test_probabilities_beyond_the_tolerance_are_refused():
     p = cube_povm(1)
     probs = np.full((4, 6), 0.5)
@@ -181,6 +197,10 @@ def test_record_validation():
         MeasurementRecord(freq=np.array([[0.5, 1.5]]), set_sizes=(2,))
     with pytest.raises(ValueError):
         MeasurementRecord(freq=np.array([[0.5, 0.5]]), set_sizes=(3,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not cast to real with a ComplexWarning
+        with pytest.raises(ValueError, match="^frequency matrix must be real$"):
+            MeasurementRecord(freq=np.array([[0.5 + 1e-3j, 0.5]]), set_sizes=(2,))
 
 
 @pytest.mark.parametrize(
@@ -381,7 +401,7 @@ def ideal_probabilities_loop(process, ensemble, povm):
                 out += a @ rho @ dagger(a)
         else:  # E_j rho E_k^dag picks entry rho[col_j, col_k] into slot (row_j, row_k)
             out = np.einsum("abcd,bd->ac", process.mat.reshape((process.d,) * 4), rho)
-        outputs.append(vec(out))
+        outputs.append(out.reshape(-1, order="F"))
     probs = (povm.parameterization() @ np.column_stack(outputs)).T
     return probs.real
 

@@ -277,7 +277,7 @@ def test_experiment_config_rejects_non_integer_copies(copies):
         ExperimentConfig(copies=copies)
 
 
-@pytest.mark.parametrize("ensembles", [5, [5], ["mub:2", None]])
+@pytest.mark.parametrize("ensembles", [5, [5], ["mub:2", None], []])
 def test_experiment_config_rejects_non_string_ensembles(ensembles):
     with pytest.raises(ValueError, match="'ensembles'"):
         ExperimentConfig(ensembles=ensembles)
