@@ -21,10 +21,11 @@ kept singular values.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import check_psd, kron_pinv, kron_regroup, kron_stack, pinv_with_spectrum, square_stack
+from .linalg import check_psd, column_herm_coords, kron_pinv, kron_regroup, kron_stack, pinv_with_spectrum, square_stack
 
 RANK_RTOL = 1e-10
 STATE_ATOL = 1e-9
@@ -111,6 +112,11 @@ class InputEnsemble:
         """V: d^2 x M matrix with columns vec(rho_m)."""
         # Entry (j d + i, m) of V is rho_m[i, j].
         return self.states.transpose(2, 1, 0).reshape(self.d**2, -1)
+
+    @cached_property
+    def pinv_coords(self) -> np.ndarray:
+        """The d^2 x M rows of pinv(V^T) in ``herm_coords`` order; its columns are Hermitian."""
+        return column_herm_coords(self.pinv)
 
 
 @dataclass(frozen=True)

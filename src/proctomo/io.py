@@ -71,8 +71,9 @@ KINDS = {
         *(Field(n, section="diagnostics")
           for n in ("trace_rank", "clipped_count", "tp_prior", "tp_fallback", "copies_per_state")),
         *(Field(n, REAL, section="diagnostics") for n in ("trace_spectrum", "adjusted_spectrum", "capped_spectrum")),
-        *(Field(n, MATRIX, None, "intermediates")
-          for n in ("output_coeffs", "least_squares", "psd_projection", "trace_rotation")),
+        # Step 1's coordinates are real; an older file's complex {"re", "im"} value is refused.
+        Field("output_coeffs", REAL, None, "intermediates"),
+        *(Field(n, MATRIX, None, "intermediates") for n in ("least_squares", "psd_projection", "trace_rotation")),
     )),
 }
 

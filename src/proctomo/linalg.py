@@ -79,6 +79,15 @@ def herm_coords(x) -> np.ndarray:
     return (v.take(first, axis=-1) + sign * v.take(second, axis=-1)) / 2
 
 
+def column_herm_coords(a) -> np.ndarray:
+    """``herm_coords(a.T.reshape(N, d, d)).T`` of a d^2 x N ``a``, bit for bit: the coordinates of its
+    columns as row-major d x d matrices, gathered from its rows with no transposed copy of ``a``."""
+    first, second, sign, _, _ = _herm_index(math.isqrt(len(a)))
+    (e1, p1), (e2, p2) = divmod(first, 2), divmod(second, 2)  # (entry, real or imaginary part)
+    v = np.ascontiguousarray(a, dtype=complex).view(float).reshape(len(a), -1, 2)
+    return (v[e1, :, p1] + sign[:, None] * v[e2, :, p2]) / 2
+
+
 def from_herm_coords(c) -> np.ndarray:
     """The Hermitian matrices with coordinates ``c``; inverts :func:`herm_coords`."""
     c = np.asarray(c, dtype=float)
@@ -87,6 +96,16 @@ def from_herm_coords(c) -> np.ndarray:
         raise ValueError(f"{c.shape[-1]} coordinates are not those of a square matrix")
     _, _, _, back, back_sign = _herm_index(d)
     return (c.take(back, axis=-1) * back_sign).view(complex).reshape(*c.shape[:-1], d, d)
+
+
+def from_herm_bilinear(z) -> np.ndarray:
+    """B z B^T of a real d^2 x d^2 ``z``, column k of B the row-major k-th basis matrix of
+    :func:`from_herm_coords`: its gather along the rows of ``z``, then along the columns."""
+    z = np.asarray(z, dtype=float)
+    _, _, _, back, back_sign = _herm_index(math.isqrt(len(z)))
+    y = (z.take(back, axis=1) * back_sign).view(complex)
+    # Entry e of B c is c[back[2e]] + i back_sign[2e + 1] c[back[2e + 1]].
+    return y.take(back[::2], axis=0) + 1j * back_sign[1::2, None] * y.take(back[1::2], axis=0)
 
 
 def transfer_matrix(x) -> np.ndarray:

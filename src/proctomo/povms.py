@@ -75,7 +75,9 @@ class PovmCollection:
         if parts is None:
             check_psd(elements, "POVM element", POVM_ATOL)
             for j, group in enumerate(sets):
-                if frob(group.sum(axis=0) - np.eye(d)) > POVM_ATOL * d:
+                # In operator norm; the Frobenius norm bounds it and is cheaper, so it screens first.
+                gap = group.sum(axis=0) - np.eye(d)
+                if frob(gap) > POVM_ATOL and np.linalg.norm(gap, 2) > POVM_ATOL:
                     raise ValueError(f"POVM set {j} does not sum to the identity")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "set_sizes", sizes)

@@ -2,14 +2,15 @@
 
 The estimator runs four steps on a frequency matrix P-hat:
 
-1. Per-state least squares: A-hat = P-hat @ pinv(C)^T recovers the natural-
-   basis coordinates of every output state.  No physicality constraint is
-   imposed here; A-hat is only an intermediate.  It runs as one real product
-   on Hermitian coordinates (``linalg.herm_coords``) of pinv(C)'s columns.
+1. Per-state least squares: A-hat = P-hat @ pinv(C)^T recovers every output
+   state, as the real product of P-hat with pinv(C) in Hermitian coordinates
+   (``linalg.herm_coords``).  No physicality constraint is imposed here; A-hat
+   is only an intermediate.
 2. Structured least squares: because the stacked coefficient matrix factors
    as (I (x) V^T) R with an index reshuffle R, the global least-squares
    process estimate is D-hat = unvec(R^T vec(pinv(V^T) @ A-hat)) at cost
-   O(M d^4), never materializing the d^4-column system.
+   O(M d^4), never materializing the d^4-column system.  The product is real
+   in Hermitian coordinates; gathers with the imaginary parts' signs make it complex.
 3. Spectral PSD projection: G-hat is the Frobenius-nearest Hermitian PSD
    matrix to D-hat (negative eigenvalues clipped).
 4. Partial-trace correction: the spectrum of F-hat = Tr_1(G-hat) is capped at
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import InputEnsemble
-from .linalg import dagger, from_herm_coords, hermitian_eig, hermitian_part, is_hermitian, partial_trace_first
+from .linalg import dagger, from_herm_bilinear, hermitian_eig, hermitian_part, is_hermitian, partial_trace_first
 from .povms import PovmCollection
 from .simulate import MeasurementRecord
 
@@ -51,7 +52,7 @@ class ProcessEstimate:
     """Estimated process matrix with all pipeline intermediates."""
 
     x_hat: np.ndarray
-    output_coeffs: np.ndarray  # step 1, M x d^2
+    output_coeffs: np.ndarray  # step 1, real M x d^2 herm_coords of the output states
     least_squares: np.ndarray  # step 2, unconstrained d^2 x d^2
     psd_projection: np.ndarray  # step 3
     trace_spectrum: np.ndarray  # eigenvalues of Tr_1 of step 3, descending
@@ -90,13 +91,12 @@ class TwoStageReconstructor:
         self.d = ensemble.d
         # The designs keep pinv(C) and pinv(V^T) from their rank checks: SVD-based
         # least-squares inverses, avoiding the squared conditioning of explicit
-        # normal equations.
+        # normal equations.  Steps 1 and 2 use them in real Hermitian coordinates, the
+        # ensemble's built when step 2 first runs so a study does not hold them while it samples.
         self._povm_coords = povm.pinv_coords
-        self._state_pinv = ensemble.pinv
 
     def output_coefficients(self, freq: np.ndarray) -> np.ndarray:
-        """Step 1: M x d^2 natural-basis coordinates of the output states, from
-        their ``herm_coords`` (one real product) by one gather."""
+        """Step 1: the real M x d^2 ``herm_coords`` of the output states, one real product."""
         freq = np.asarray(freq)
         if np.iscomplexobj(freq):
             raise ValueError("frequency matrix must be real")
@@ -105,14 +105,15 @@ class TwoStageReconstructor:
                 f"frequency matrix has shape {freq.shape}, expected "
                 f"({self.ensemble.num_states}, {self.povm.num_elements})"
             )
-        return from_herm_coords(freq @ self._povm_coords).reshape(len(freq), -1)
+        return freq @ self._povm_coords
 
-    def process_least_squares(self, coeffs: np.ndarray) -> np.ndarray:
-        """Step 2: unconstrained least-squares process matrix."""
-        d = self.d
+    def process_least_squares(self, coords: np.ndarray) -> np.ndarray:
+        """Step 2 from step 1's real coordinates: z = pinv(V^T) @ A-hat is B Z B^T of the real
+        Z = ``ensemble.pinv_coords`` @ ``coords`` (``linalg.from_herm_bilinear``), then reshuffled."""
+        d, n = self.d, self.d**2
+        z = from_herm_bilinear(self.ensemble.pinv_coords @ coords)
         # unvec(R^T vec(z)): D-hat[(x, y), (u, v)] = z[(v, y), (u, x)], digits in base d.
-        z = (self._state_pinv @ coeffs).reshape(d, d, d, d)
-        return z.transpose(3, 1, 2, 0).reshape(d * d, d * d)
+        return z.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(n, n)
 
     def trace_correct(self, g_hat: np.ndarray, copies: int | None, tp_prior: bool) -> TraceCorrection:
         """Step 4: conjugate by I (x) T so the partial trace obeys its cap."""
@@ -164,12 +165,12 @@ class TwoStageReconstructor:
             if not np.all(np.isfinite(freq)):
                 raise ValueError("frequency matrix contains non-finite entries")
             copies = None
-        a_hat = self.output_coefficients(freq)
-        d_hat = self.process_least_squares(a_hat)
+        coords = self.output_coefficients(freq)
+        d_hat = self.process_least_squares(coords)
         g_hat, clipped = nearest_psd(d_hat)
         return ProcessEstimate(
             **self.trace_correct(g_hat, copies, tp_prior)._asdict(),
-            output_coeffs=a_hat,
+            output_coeffs=coords,
             least_squares=d_hat,
             psd_projection=g_hat,
             clipped_count=clipped,

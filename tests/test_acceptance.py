@@ -12,6 +12,7 @@ import numpy as np
 import proctomo as pt
 from proctomo.linalg import (
     dagger,
+    from_herm_coords,
     haar_unitary,
     hermitian_part,
     partial_trace_first,
@@ -116,7 +117,7 @@ def test_acceptance_4_step1_statistical_bound():
     sq = np.zeros((reps, ensemble.num_states))
     for r in range(reps):
         record = pt.sample_record(probs, copies, povm, seed=40_000 + r, keep_ideal=False)
-        a_hat = rec.output_coefficients(record.freq)
+        a_hat = from_herm_coords(rec.output_coefficients(record.freq)).reshape(len(a_true), -1)
         sq[r] = np.sum(np.abs(a_hat - a_true) ** 2, axis=1)
     mse = sq.mean(axis=0)
     se = sq.std(axis=0) / np.sqrt(reps)

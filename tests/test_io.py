@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import proctomo.io as pio
 from proctomo.channels import process_matrix, random_channel
 from proctomo.ensembles import mub_states, random_states
+from proctomo.linalg import from_herm_coords
 from proctomo.povms import cube_povm, sic_povm
 from proctomo.reconstruct import TwoStageReconstructor
 from proctomo.simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
@@ -150,6 +152,23 @@ def test_estimate_round_trip(tmp_path):
     slim = pio.load_json(path)
     assert np.array_equal(slim.x_hat, est.x_hat)
     assert slim.least_squares is None
+
+
+def test_estimate_output_coeffs_are_written_real(tmp_path):
+    rec, e, p = make_record(68)
+    est = TwoStageReconstructor(e, p).estimate(rec)
+    path = tmp_path / "estimate.json"
+    pio.save_json(est, path, include_intermediates=True)
+    doc = json.loads(path.read_text())
+    assert np.array_equal(np.asarray(doc["intermediates"]["output_coeffs"]), est.output_coeffs)
+    loaded = pio.load_json(path)
+    assert loaded.output_coeffs.dtype == float and np.array_equal(loaded.output_coeffs, est.output_coeffs)
+    # A file written while step 1's output was complex holds {"re", "im"} there; it is refused,
+    # naming the field and the file.
+    doc["intermediates"]["output_coeffs"] = pio.MATRIX[0](from_herm_coords(est.output_coeffs).reshape(6, 4))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"estimate document {path} has a malformed field 'output_coeffs'")):
+        pio.load_json(path)
 
 
 def test_write_table_appends_with_provenance(tmp_path):

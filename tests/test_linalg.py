@@ -14,7 +14,9 @@ from proctomo.ensembles import InputEnsemble, mub_states, random_states
 from proctomo.linalg import (
     HERMITIAN_RTOL,
     check_psd,
+    column_herm_coords,
     dagger,
+    from_herm_bilinear,
     from_herm_coords,
     haar_unitary,
     herm_coords,
@@ -112,14 +114,19 @@ def test_reshuffle_is_involution_and_bijection(d):
     r = reshuffle_index(d)
     assert np.array_equal(np.sort(r), np.arange(d**4))
     assert np.array_equal(r[r], np.arange(d**4))
-    # Step 2's reshape is the oracle's gather unvec(vec(z)[R]), bit for bit.
+    # Step 2's gathers and reshape are the oracle's gather unvec(vec(z)[R]) of
+    # z = B^T Z B, B the basis of from_herm_coords, bit for bit.  With the real
+    # pinv(V^T) replaced by I and integer coordinates Z, both are exact.
     rng = np.random.default_rng(d)
     ensemble = mub_states(d) if d != 3 else random_states(3, 10, seed=3)
     povm = projective_povm([haar_unitary(d, rng) for _ in range(d + 1)])
     rec = TwoStageReconstructor(ensemble, povm)
-    coeffs = random_complex(rng, (ensemble.num_states, d * d))
-    expected = (ensemble.pinv @ coeffs).reshape(-1, order="F")[r].reshape(d * d, d * d, order="F")
-    assert np.array_equal(rec.process_least_squares(coeffs), expected)
+    vars(ensemble)["pinv_coords"] = np.eye(d * d)  # where the cached_property keeps its value
+    coords = rng.integers(-8, 9, size=(d * d, d * d)).astype(float)
+    basis = from_herm_coords(np.eye(d * d)).reshape(d * d, d * d)
+    z = basis.T @ coords @ basis
+    expected = z.reshape(-1, order="F")[r].reshape(d * d, d * d, order="F")
+    assert np.array_equal(rec.process_least_squares(coords), expected)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -466,6 +473,29 @@ def test_herm_coords_round_trip(d):
     g = hermitian_part(x[1])
     weights = np.where(np.arange(d * d) < d, 1.0, 2.0)
     assert abs(herm_coords(h) * weights @ herm_coords(g) - np.trace(h @ g).real) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_column_herm_coords_are_herm_coords_of_the_columns_bit_for_bit(d):
+    # Any d^2 x N array in either memory order, Hermitian or not, and the pinvs of both designs.
+    a = random_complex(np.random.default_rng(d), (d * d, 7))
+    assert np.array_equal(column_herm_coords(a), herm_coords(a.T.reshape(7, d, d)).T)
+    assert np.array_equal(column_herm_coords(np.asfortranarray(a)), herm_coords(a.T.reshape(7, d, d)).T)
+    if d in (2, 4):
+        p, e = cube_povm(d // 2), mub_states(d)
+        assert np.array_equal(p.pinv_coords, column_herm_coords(p.pinv).T)
+        assert np.array_equal(e.pinv_coords, herm_coords(e.pinv.T.reshape(e.num_states, d, d)).T)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_from_herm_bilinear_is_the_basis_on_both_sides(d):
+    # B z B^T, B^T the stack of basis matrices of from_herm_coords; exact for integer z.
+    basis = from_herm_coords(np.eye(d * d)).reshape(d * d, d * d)
+    z = np.random.default_rng(d).integers(-8, 9, size=(d * d, d * d)).astype(float)
+    assert np.array_equal(from_herm_bilinear(z), basis.T @ z @ basis)
+    # Each row of z is the coordinates of a Hermitian matrix, and so is each column of z B^T.
+    rows = from_herm_coords(z).reshape(d * d, d * d)
+    assert np.array_equal(from_herm_bilinear(z), basis.T @ rows)
 
 
 def test_from_herm_coords_rejects_a_non_square_count():

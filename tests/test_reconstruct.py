@@ -5,7 +5,10 @@ from proctomo.channels import ProcessMatrix, cnot_channel, identity_channel, pro
 from proctomo.ensembles import InputEnsemble, cube_states, mub_states, natural_basis_states, random_states, sic_states
 from proctomo.linalg import (
     dagger,
+    from_herm_coords,
+    herm_coords,
     hermitian_part,
+    is_hermitian,
     partial_trace_first,
 )
 from proctomo.oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
@@ -21,12 +24,26 @@ def output_coefficient_matrix(channel, ensemble):
     return np.array([out.reshape(-1, order="F") for out in outputs])
 
 
+def natural_coefficients(coords):
+    """Step 1's real coordinates as the complex M x d^2 natural-basis coefficients: row m
+    is vec of output state m, the row-major flattening of the Hermitian matrix they give."""
+    return from_herm_coords(coords).reshape(len(coords), -1)
+
+
+def complex_route(ensemble, coords):
+    """Steps 1-2 through the complex natural basis: the from_herm_coords gather,
+    pinv(V^T) @ A-hat, and the reshuffle D-hat[(x, y), (u, v)] = z[(v, y), (u, x)]."""
+    d = ensemble.d
+    z = (ensemble.pinv @ natural_coefficients(coords)).reshape(d, d, d, d)
+    return z.transpose(3, 1, 2, 0).reshape(d * d, d * d)
+
+
 def test_step1_exact_on_noiseless_data():
     ch = random_channel(2, tp=True, seed=31)
     e, p = mub_states(2), cube_povm(1)
     rec = TwoStageReconstructor(e, p)
     probs = ideal_probabilities(ch, e, p)
-    a_hat = rec.output_coefficients(probs)
+    a_hat = natural_coefficients(rec.output_coefficients(probs))
     assert np.abs(a_hat - output_coefficient_matrix(ch, e)).max() <= 1e-10
 
 
@@ -34,7 +51,7 @@ def test_step1_rows_unvec_to_output_states():
     ch = identity_channel(2)
     e, p = mub_states(2), cube_povm(1)
     rec = TwoStageReconstructor(e, p)
-    a_hat = rec.output_coefficients(ideal_probabilities(ch, e, p))
+    a_hat = natural_coefficients(rec.output_coefficients(ideal_probabilities(ch, e, p)))
     for row, rho in zip(a_hat, e.states):
         np.testing.assert_allclose(row.reshape(2, 2, order="F"), rho, atol=1e-10)
 
@@ -45,7 +62,9 @@ def test_step2_inverts_exactly(make_ensemble):
     ch = random_channel(4, tp=False, seed=32)
     x = process_matrix(ch).mat
     rec = TwoStageReconstructor(ensemble, cube_povm(2))
-    d_hat = rec.process_least_squares(output_coefficient_matrix(ch, ensemble))
+    # Row m of the coefficient matrix is the row-major flattening of output m's transpose.
+    coords = herm_coords(output_coefficient_matrix(ch, ensemble).reshape(-1, ensemble.d, ensemble.d))
+    d_hat = rec.process_least_squares(coords)
     assert np.linalg.norm(d_hat - x) <= 1e-9
 
 
@@ -284,9 +303,12 @@ def test_reconstructor_pinvs_equal_numpys():
     e, p = random_states(4, 40, seed=2), cube_povm(2)
     rec = TwoStageReconstructor(e, p)
     # cube_povm(2) is a product design: its pinv comes from its parts and
-    # matches numpy's to rounding; the random ensemble's is numpy's own.
+    # matches numpy's to rounding; the random ensemble's is numpy's own, and step 2
+    # uses its real rows.
     assert np.abs(rec.povm.pinv - np.linalg.pinv(p.parameterization())).max() <= 1e-13
-    assert np.array_equal(rec._state_pinv, np.linalg.pinv(e.parameterization().T))
+    assert np.array_equal(e.pinv, np.linalg.pinv(e.parameterization().T))
+    pinv = np.linalg.pinv(e.parameterization().T)
+    assert np.array_equal(e.pinv_coords, herm_coords(pinv.T.reshape(e.num_states, 4, 4)).T)
 
 
 COMPOSITION_CASES = {
@@ -322,12 +344,59 @@ def test_estimate_is_the_composition_of_its_steps(case, tp_prior):
 def test_step1_matches_the_complex_product(case):
     ch, e, p = COMPOSITION_CASES[case]()
     freq = sample_record(ideal_probabilities(ch, e, p), 60 * p.num_sets, p, seed=75).freq
-    a_hat = TwoStageReconstructor(e, p).output_coefficients(freq)
-    assert a_hat.shape == (e.num_states, e.d**2)
+    coords = TwoStageReconstructor(e, p).output_coefficients(freq)
+    assert coords.shape == (e.num_states, e.d**2) and coords.dtype == float
+    a_hat = natural_coefficients(coords)
     assert np.abs(a_hat - freq @ p.pinv.T).max() <= 1e-13
     # every row is the vec of a Hermitian matrix, exactly
     for row in a_hat.reshape(-1, e.d, e.d).transpose(0, 2, 1):  # column-stacked rows
         assert np.array_equal(row, dagger(row))
+
+
+def near_singular_states():
+    """Three MUB states and a nearly maximally mixed one: V^T's singular-value ratio is near 1e-9."""
+    y = np.array([[0, -1j], [1j, 0]])
+    return InputEnsemble((*mub_states(2).states[:3], (np.eye(2) + 2.5e-9 * y) / 2), label="near-singular")
+
+
+def random_design_3():
+    rng = np.random.default_rng(77)
+    return random_states(3, 10, seed=76), projective_povm([haar_unitary(3, rng) for _ in range(4)])
+
+
+EQUIVALENCE_DESIGNS = {
+    "mub4": lambda: (mub_states(4), cube_povm(2)),
+    "sic2": lambda: (sic_states(2), cube_povm(1)),
+    "natural4": lambda: (natural_basis_states(4), cube_povm(2)),
+    "cube-states3": lambda: (cube_states(3), cube_povm(3)),
+    "random-3-10": random_design_3,
+    "near-singular": lambda: (near_singular_states(), cube_povm(1)),
+}
+
+
+def test_near_singular_equivalence_design_is_near_singular():
+    sv = near_singular_states().singular_values
+    assert 3e-10 <= sv[-1] / sv[0] <= 3e-9
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_DESIGNS))
+def test_steps_1_2_match_the_complex_route(case):
+    e, p = EQUIVALENCE_DESIGNS[case]()
+    rec = TwoStageReconstructor(e, p)
+    rng = np.random.default_rng(78)
+    sampled = sample_record(ideal_probabilities(random_channel(e.d, tp=False, seed=79), e, p), 60 * p.num_sets, p, seed=80)
+    for freq in (sampled.freq, rng.uniform(0, 1, size=(e.num_states, p.num_elements))):
+        coords = rec.output_coefficients(freq)
+        d_hat = rec.process_least_squares(coords)
+        want = complex_route(e, coords)
+        tol = 1e-14 * max(1.0, np.abs(want).max())
+        # Step 3 reads only the Hermitian part of D-hat.  Near singular, the complex
+        # route's D-hat also has an anti-Hermitian part of rounding, amplified by the
+        # design (about 2e-8 of its largest entry here), which the real route drops.
+        assert np.abs(d_hat - hermitian_part(want)).max() <= tol
+        if case != "near-singular":
+            assert np.abs(d_hat - want).max() <= tol
+        assert is_hermitian(d_hat)
 
 
 def test_complex_frequencies_raise():

@@ -169,6 +169,24 @@ def test_a_state_whose_positive_part_exceeds_the_tolerance_is_refused_at_constru
     assert np.array_equal(exact_record(probs, p).freq, probs)
 
 
+def test_a_povm_set_beyond_the_tolerance_in_operator_norm_is_refused_at_construction():
+    # A state and a channel each within 1e-9 of their limits construct.  A z set of diag(1 + 1.9e-9, 0)
+    # and diag(0, 1) is within POVM_ATOL * d of I in Frobenius norm, but not in operator norm; with
+    # it, state 0's set would sum to 1 + 3.7e-9, past PROB_ATOL, so it is refused when it is built.
+    states = mub_states(2).states.copy()
+    states[0] = np.diag([1 + 0.9e-9, 0.0])
+    e, channel = InputEnsemble(states=states), KrausChannel((np.sqrt(1 + 0.9e-9) * np.eye(2),))
+    xy = cube_povm(1).sets[:2]
+    with pytest.raises(ValueError, match="^POVM set 2 does not sum to the identity$"):
+        PovmCollection((*xy, (np.diag([1 + 1.9e-9, 0.0]), np.diag([0.0, 1.0]))))
+    # The same z set within 1e-9 in operator norm is accepted, sampled and recorded.
+    p = PovmCollection((*xy, (np.diag([1 + 0.9e-9, 0.0]), np.diag([0.0, 1.0]))))
+    probs = ideal_probabilities(channel, e, p)
+    assert probs[0, 4:].sum() > 1 + 2.6e-9
+    assert sample_record(probs, 600, p, seed=3).counts[0, 4:].tolist() == [200, 0]
+    assert np.array_equal(exact_record(probs, p).freq, probs)
+
+
 def test_probabilities_beyond_the_tolerance_are_refused():
     p = cube_povm(1)
     probs = np.full((4, 6), 0.5)

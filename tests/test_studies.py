@@ -170,31 +170,31 @@ def test_m_scaling_study_checks_trials_and_grid(trials, grid):
 GOLDEN_SCALING = {
     False: (
         [
-            ["mub-2", 1200, 0.04401195993743126, 0.01285144905999972, 0.06139235162414084],
-            ["mub-2", 6000, 0.007559585278550708, 0.003173052641350268, 0.018775365453303494],
-            ["sic-2", 1200, 0.03290344838756009, 0.01810508607853521, 0.036526498847444376],
-            ["sic-2", 6000, 0.004749304069244711, 0.0020267739870459627, 0.009490704849386744],
+            ["mub-2", 1200, 0.044011959937431254, 0.012851449059999678, 0.06139235162414088],
+            ["mub-2", 6000, 0.007559585278550741, 0.0031730526413503222, 0.018775365453303716],
+            ["sic-2", 1200, 0.03290344838756002, 0.01810508607853525, 0.03652649884744449],
+            ["sic-2", 6000, 0.004749304069244731, 0.0020267739870459757, 0.009490704849386966],
         ],
         {
-            "mse[mub-2]": -1.094571631984315,
-            "infidelity[mub-2]": -0.7361201010045644,
-            "mse[sic-2]": -1.2026430817627523,
-            "infidelity[sic-2]": -0.8373886932022649,
+            "mse[mub-2]": -1.0945716319843126,
+            "infidelity[mub-2]": -0.736120101004557,
+            "mse[sic-2]": -1.2026430817627478,
+            "infidelity[sic-2]": -0.8373886932022524,
         },
         "91213697b7a600fb",
     ),
     True: (
         [
-            ["mub-2", 1200, 0.23485838214231083, 0.027838892305945006, 0.08677171831690626],
-            ["mub-2", 6000, 0.22241957777648524, 0.005209810452262577, 0.0420863967101344],
-            ["sic-2", 1200, 0.21469783182671556, 0.02649522916505315, 0.05734632280674734],
-            ["sic-2", 6000, 0.22947971659288982, 0.006327011332737941, 0.03196048474658227],
+            ["mub-2", 1200, 0.23485838214231033, 0.027838892305945398, 0.08677171831690629],
+            ["mub-2", 6000, 0.22241957777648502, 0.005209810452262591, 0.042086396710134956],
+            ["sic-2", 1200, 0.21469783182671554, 0.026495229165053178, 0.05734632280674745],
+            ["sic-2", 6000, 0.22947971659288977, 0.006327011332737907, 0.03196048474658227],
         ],
         {
-            "mse[mub-2]": -0.03381125473406747,
-            "infidelity[mub-2]": -0.4495707272652509,
-            "mse[sic-2]": 0.041370367881709384,
-            "infidelity[sic-2]": -0.3632376437001889,
+            "mse[mub-2]": -0.0338112547340665,
+            "infidelity[mub-2]": -0.44957072726524294,
+            "mse[sic-2]": 0.041370367881709495,
+            "infidelity[sic-2]": -0.3632376437001901,
         },
         "c09ac471c18caaf6",
     ),
@@ -224,10 +224,10 @@ def test_m_scaling_study_golden():
         channel_spec="random:2:tp:5", trials=3, seed=23,
     )
     assert [row[:-1] for row in result.rows] == [
-        [6, 0.10081137899729604, 0.08362925749624202],
-        [10, 0.038861030279211915, 0.0013169866901792532],
+        [6, 0.10081137899729585, 0.08362925749624177],
+        [10, 0.03886103027921183, 0.0013169866901792582],
     ]
-    assert result.slopes == {"mse[num_states]": -1.8661148454716519}
+    assert result.slopes == {"mse[num_states]": -1.8661148454716532}
     assert result.meta["config"] == (
         '{"channel": "random:2:tp:5", "copies_per_state": 500, "d": 2, "num_states": [6, 10], '
         '"povm": "cube-povm:1", "trials": 3}'
