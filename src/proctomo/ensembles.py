@@ -9,23 +9,23 @@ MUB families attain both bounds; tensor products of optimal qubit families
 attain the multiplicative m-qubit bounds (20^m and sqrt(3^m)).
 
 Validation finds the singular values of V^T, which decide informational
-completeness, and the pseudo-inverse pinv(V^T), which the ensemble keeps for
-reconstruction.  Most ensembles get both from one thin SVD.  A product
-ensemble is given by its parts alone: its states are built once from theirs,
-pinv(V^T) is the vec-permuted Kronecker product of their pseudo-inverses, and
-the singular values are the products of theirs, so no SVD of the product
-runs.  The design metrics read the spectrum of V* V^T as the squares of the
-kept singular values.
+completeness, and pinv(V^T), which the ensemble keeps for reconstruction in
+real Hermitian coordinates, from one real SVD of the states' ``herm_coords``.
+A product ensemble is given by its parts alone: its states are built once from
+theirs, its pseudo-inverse is ``linalg.herm_kron`` of theirs, and the singular
+values are the products of theirs, so no SVD of the product runs.  The design
+metrics read the spectrum of V* V^T as the squares of the kept singular
+values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .linalg import check_psd, column_herm_coords, kron_pinv, kron_regroup, kron_stack, pinv_with_spectrum, square_stack
+from .linalg import check_psd, herm_coords, herm_kron, herm_pinv, kron_stack, square_stack
 
 RANK_RTOL = 1e-10
 STATE_ATOL = 1e-9
@@ -46,21 +46,21 @@ def _check_parts(parts, stack, cls, what: str) -> None:
         raise ValueError(f"{what} parts must be one or more {cls.__name__} designs")
 
 
-def _keep_pinv(design, parts, matrix, rows, error: str) -> None:
-    """Keep pinv(A) and the descending singular values of A = ``matrix()`` on ``design``,
-    from one SVD or, for a product design, from its ``parts``: A is then the Kronecker
-    product of theirs with its rows taken at ``rows`` and its columns moved from
-    vec(x_1) x vec(x_2) x ... to vec(x_1 x x_2 x ...).  A rank-deficient A raises
-    ValueError(error); this is the one place the rank rule is written.
+def _keep_pinv(design, parts, coords, rows, axis: int, error: str) -> None:
+    """Keep on ``design`` the descending singular values of its matrix A and, as ``pinv_coords``,
+    pinv(A) in ``herm_coords`` along ``axis``, from one real SVD of the coordinates ``coords()``
+    gives or, for a product design, from its ``parts`` by ``linalg.herm_kron``, its rows then
+    taken at ``rows``.  A rank-deficient A raises ValueError(error) before anything divides by
+    its singular values; this is the one place the rank rule is written.
     """
     if parts is None:
-        pinv, sv = pinv_with_spectrum(matrix())
+        sv, pinv = herm_pinv(coords())
     else:
-        cols = kron_regroup([(p.d, p.d) for p in parts])
-        pinv, sv = kron_pinv([(p.pinv, p.singular_values) for p in parts], rows, cols)
+        sv = np.sort(kron_stack([p.singular_values[None, None] for p in parts]).reshape(-1))[::-1]
+        pinv = lambda: functools.reduce(herm_kron, [np.moveaxis(p.pinv_coords, axis, 0) for p in parts])
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise ValueError(error)
-    object.__setattr__(design, "pinv", pinv)
+    object.__setattr__(design, "pinv_coords", np.ascontiguousarray(np.moveaxis(pinv(), 0, axis)[rows]))
     object.__setattr__(design, "singular_values", sv)
 
 
@@ -68,18 +68,18 @@ def _keep_pinv(design, parts, matrix, rows, error: str) -> None:
 class InputEnsemble:
     """An informationally complete set of input density matrices.
 
-    ``states`` is held as one complex (M, d, d) stack.  ``pinv`` is pinv(V^T),
-    the d^2 x M pseudo-inverse kept from validation, and ``singular_values``
-    the descending singular values of V^T.  A product ensemble is given by
-    ``parts`` (init only) alone, validated ensembles: its states are built once
-    as their tensor products, first part slowest, and need no check of their
-    own, since a tensor product of states is a state.
+    ``states`` is held as one complex (M, d, d) stack.  ``pinv_coords`` is the
+    real d^2 x M pinv(V^T) kept from validation, each column in ``herm_coords``,
+    and ``singular_values`` the descending singular values of V^T.  A product
+    ensemble is given by ``parts`` (init only) alone, validated ensembles: its
+    states are built once as their tensor products, first part slowest, and need
+    no check of their own, since a tensor product of states is a state.
     """
 
     states: np.ndarray = None
     label: str = ""
     parts: InitVar[tuple | None] = None
-    pinv: np.ndarray = field(init=False, repr=False)
+    pinv_coords: np.ndarray = field(init=False, repr=False)
     singular_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, parts):
@@ -98,7 +98,7 @@ class InputEnsemble:
                 f"need at least d^2={d * d} states for informational completeness, got {len(states)}"
             )
         error = "ensemble is not informationally complete (rank deficient V)"
-        _keep_pinv(self, parts, lambda: self.parameterization().T, slice(None), error)
+        _keep_pinv(self, parts, lambda: herm_coords(states), slice(None), 0, error)
 
     @property
     def d(self) -> int:
@@ -112,11 +112,6 @@ class InputEnsemble:
         """V: d^2 x M matrix with columns vec(rho_m)."""
         # Entry (j d + i, m) of V is rho_m[i, j].
         return self.states.transpose(2, 1, 0).reshape(self.d**2, -1)
-
-    @cached_property
-    def pinv_coords(self) -> np.ndarray:
-        """The d^2 x M rows of pinv(V^T) in ``herm_coords`` order; its columns are Hermitian."""
-        return column_herm_coords(self.pinv)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ HERMITIAN_RTOL = 1e-10
 # psd_root; eigenvalues more negative than NEGATIVE_EIG_RTOL are an error.
 EIG_CLIP_RTOL = 1e-12
 NEGATIVE_EIG_RTOL = 1e-10
-# numpy's default pinv cutoff, relative to the largest singular value.
-PINV_RCOND = 1e-15
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -77,15 +75,6 @@ def herm_coords(x) -> np.ndarray:
     first, second, sign, _, _ = _herm_index(x.shape[-1])
     v = x.reshape(*x.shape[:-2], x.shape[-1] ** 2).view(float)
     return (v.take(first, axis=-1) + sign * v.take(second, axis=-1)) / 2
-
-
-def column_herm_coords(a) -> np.ndarray:
-    """``herm_coords(a.T.reshape(N, d, d)).T`` of a d^2 x N ``a``, bit for bit: the coordinates of its
-    columns as row-major d x d matrices, gathered from its rows with no transposed copy of ``a``."""
-    first, second, sign, _, _ = _herm_index(math.isqrt(len(a)))
-    (e1, p1), (e2, p2) = divmod(first, 2), divmod(second, 2)  # (entry, real or imaginary part)
-    v = np.ascontiguousarray(a, dtype=complex).view(float).reshape(len(a), -1, 2)
-    return (v[e1, :, p1] + sign[:, None] * v[e2, :, p2]) / 2
 
 
 def from_herm_coords(c) -> np.ndarray:
@@ -151,27 +140,41 @@ def kron_regroup(pairs) -> np.ndarray:
     return grid.transpose([*range(0, k, 2), *range(1, k, 2)]).reshape(-1)
 
 
-def pinv_with_spectrum(a: np.ndarray):
-    """``(np.linalg.pinv(a), s)``: the pseudo-inverse at numpy's default cutoff and
-    the descending singular values ``s`` of ``a``, from one thin SVD that mirrors
-    numpy's ``pinv`` step by step, so the pseudo-inverse is bit-identical to it and
-    one SVD serves both a rank check and the solve.
-    """
-    u, s, vt = np.linalg.svd(a.conjugate(), full_matrices=False)
-    large = s > PINV_RCOND * np.amax(s, axis=-1, keepdims=True)
-    inv = np.divide(1, s, where=large, out=s.copy())
-    inv[~large] = 0
-    return np.matmul(np.transpose(vt), np.multiply(inv[..., None], np.transpose(u))), s
+def herm_pinv(coords):
+    """``(s, pinv)`` of the real N x d^2 ``coords``, row n the ``herm_coords`` of a Hermitian x_n:
+    the descending singular values s of the map X -> [Tr(x_n X)]_n, and a function returning
+    its d^2 x N pseudo-inverse, column n in ``herm_coords``.  One real SVD in orthonormal
+    coordinates, the off-diagonal ones times sqrt 2, gives both, and s is also the spectrum of
+    the complex map on all d x d matrices.  The pseudo-inverse is formed only on call, so a
+    caller can refuse a rank-deficient map before dividing by s."""
+    scale = np.where(np.arange(coords.shape[1]) < math.isqrt(coords.shape[1]), 1.0, math.sqrt(2.0))
+    u, s, vt = np.linalg.svd(coords * scale, full_matrices=False)
+    # pinv = D^-1 pinv(coords D) = D^-1 vt^T s^-1 u^T, D = diag(scale).
+    return s, lambda: (vt.T / np.outer(scale, s)) @ u.T
 
 
-def kron_pinv(factors, rows=slice(None), cols=slice(None)):
-    """:func:`pinv_with_spectrum` of ``(A_1 x ... x A_k)[rows][:, cols]`` from the
-    ``(pinv, s)`` pairs of the factors A_i, with no SVD: the pseudo-inverse is
-    ``(pinv_1 x ... x pinv_k)[cols][:, rows]`` and ``s`` the sorted products of
-    the factors' singular values."""
-    pinv = kron_stack([p[None] for p, _ in factors])[0]
-    s = kron_stack([s[None, None] for _, s in factors]).reshape(-1)
-    return pinv[cols][:, rows], np.sort(s)[::-1]
+@functools.cache
+def _herm_kron_index(d1: int, d2: int):
+    """Gather of :func:`herm_kron`: herm_coords(x (x) y) = G (herm_coords(x) (x) herm_coords(y)),
+    column (k1, k2) of G ``herm_coords(E_k1 x F_k2)``, E and F the basis matrices of
+    :func:`from_herm_coords`.  G's entries are 0 and +-1, at most two non-zero in a row; returns
+    the k1 and the k2 of two per row, as 2 x d1^2 d2^2 arrays, and their signs.  A row with one
+    gets a second of sign 0."""
+    g_t = herm_coords(kron_stack([from_herm_coords(np.eye(d * d)) for d in (d1, d2)]))
+    index = np.argsort(g_t == 0, axis=0, kind="stable")[:2]
+    return *np.divmod(index, d2 * d2), np.take_along_axis(g_t, index, axis=0)
+
+
+def herm_kron(a, b) -> np.ndarray:
+    """``herm_coords`` of the Kronecker products x (x) y, y fastest, from the d_1^2 x N_1 ``a``
+    and d_2^2 x N_2 ``b`` that hold those of the x and the y in their columns.  Row g of the
+    result is a sum of two signed Kronecker products of a row of ``a`` and one of ``b``.  It
+    maps the pseudo-inverses of :func:`herm_pinv` of two designs to that of their product,
+    since the map is orthogonal in the orthonormal coordinates."""
+    i, j, sign = _herm_kron_index(math.isqrt(len(a)), math.isqrt(len(b)))
+    # One batch of rank-2 outer products, (N_1 x 2) @ (2 x N_2) per row.
+    rows = np.matmul((a[i] * sign[:, :, None]).transpose(1, 2, 0), b[j].transpose(1, 0, 2))
+    return rows.reshape(len(rows), -1)
 
 
 def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:

@@ -9,13 +9,13 @@ when the spectrum of C^dag C is (s, (Jd-s)/(d^2-1), ...); MUB measurements
 attain both bounds.
 
 Validation finds the singular values of C, which decide informational
-completeness, and the pseudo-inverse pinv(C), which the collection keeps for
-reconstruction.  Most collections get both from one thin SVD.  A product
-collection (``cube_povm``) is given by its parts alone: its elements are
-built once from theirs, pinv(C) is the permuted Kronecker product of their
-pseudo-inverses, and the singular values are the products of theirs, so no
-SVD of the product runs.  The design metrics read the spectrum of C^dag C as
-the squares of the kept singular values.
+completeness, and pinv(C), which the collection keeps for reconstruction in
+real Hermitian coordinates, from one real SVD of the ``herm_coords`` of the
+conjugated elements.  A product collection (``cube_povm``) is given by its
+parts alone: its elements are built once from theirs, its pseudo-inverse is
+``linalg.herm_kron`` of theirs, and the singular values are the products of
+theirs, so no SVD of the product runs.  The design metrics read the spectrum
+of C^dag C as the squares of the kept singular values.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ class PovmCollection:
 
     ``elements`` is the complex (L, d, d) stack of all elements, set by set,
     ``set_sizes`` the number of elements of each set, and ``sets`` the
-    constructor's sets held as per-set views of ``elements``.  ``pinv`` is
-    pinv(C), the d^2 x L pseudo-inverse kept from validation, and
-    ``singular_values`` the descending singular values of C.  A product
-    collection is given by ``parts`` (init only) alone, validated collections
-    with sets of one size each: its sets are the tensor products of one set from
-    each part, first part slowest.  They need no check of their own, since tensor
-    products of complete POVM sets are complete POVM sets.
+    constructor's sets held as per-set views of ``elements``.  ``pinv_coords``
+    is the real L x d^2 transpose of pinv(C) kept from validation, each row in
+    ``herm_coords``, and ``singular_values`` the descending singular values of
+    C.  A product collection is given by ``parts`` (init only) alone, validated
+    collections with sets of one size each: its sets are the tensor products of
+    one set from each part, first part slowest.  They need no check of their
+    own, since tensor products of complete POVM sets are complete POVM sets.
     """
 
     sets: tuple = None
@@ -52,7 +52,7 @@ class PovmCollection:
     parts: InitVar[tuple | None] = None
     elements: np.ndarray = field(init=False, repr=False)
     set_sizes: tuple = field(init=False)
-    pinv: np.ndarray = field(init=False, repr=False)
+    pinv_coords: np.ndarray = field(init=False, repr=False)
     singular_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, parts):
@@ -85,7 +85,8 @@ class PovmCollection:
         error = "measurement is not informationally complete (rank deficient C)"
         if len(elements) < d * d:
             raise ValueError(error)
-        _keep_pinv(self, parts, self.parameterization, rows, error)
+        # C @ vec(X) is [Tr(P_l^T X)]_l, and P_l^T is the conjugate of the Hermitian P_l.
+        _keep_pinv(self, parts, lambda: herm_coords(elements.conj()), rows, 1, error)
 
     @property
     def d(self) -> int:
@@ -110,11 +111,6 @@ class PovmCollection:
         ``herm_coords(sigma) @ born_table.T`` is [Tr(P_l sigma)]_l for Hermitian sigma."""
         d = self.d
         return herm_coords(self.elements) * np.where(np.arange(d * d) < d, 1.0, 2.0)
-
-    @cached_property
-    def pinv_coords(self) -> np.ndarray:
-        """``herm_coords`` of the rows of pinv(C)^T as row-major d x d matrices."""
-        return herm_coords(self.pinv.T.reshape(self.num_elements, self.d, self.d))
 
 
 @dataclass(frozen=True)

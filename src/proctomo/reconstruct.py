@@ -4,8 +4,9 @@ The estimator runs four steps on a frequency matrix P-hat:
 
 1. Per-state least squares: A-hat = P-hat @ pinv(C)^T recovers every output
    state, as the real product of P-hat with pinv(C) in Hermitian coordinates
-   (``linalg.herm_coords``).  No physicality constraint is imposed here; A-hat
-   is only an intermediate.
+   (``linalg.herm_coords``): row m holds the coordinates of the transpose (the
+   conjugate) of output state m, since C @ vec(X) is [Tr(P_l^T X)]_l.  No
+   physicality constraint is imposed here; A-hat is only an intermediate.
 2. Structured least squares: because the stacked coefficient matrix factors
    as (I (x) V^T) R with an index reshuffle R, the global least-squares
    process estimate is D-hat = unvec(R^T vec(pinv(V^T) @ A-hat)) at cost
@@ -52,7 +53,7 @@ class ProcessEstimate:
     """Estimated process matrix with all pipeline intermediates."""
 
     x_hat: np.ndarray
-    output_coeffs: np.ndarray  # step 1, real M x d^2 herm_coords of the output states
+    output_coeffs: np.ndarray  # step 1, real M x d^2 herm_coords of the output states' transposes
     least_squares: np.ndarray  # step 2, unconstrained d^2 x d^2
     psd_projection: np.ndarray  # step 3
     trace_spectrum: np.ndarray  # eigenvalues of Tr_1 of step 3, descending
@@ -89,14 +90,13 @@ class TwoStageReconstructor:
         self.ensemble = ensemble
         self.povm = povm
         self.d = ensemble.d
-        # The designs keep pinv(C) and pinv(V^T) from their rank checks: SVD-based
-        # least-squares inverses, avoiding the squared conditioning of explicit
-        # normal equations.  Steps 1 and 2 use them in real Hermitian coordinates, the
-        # ensemble's built when step 2 first runs so a study does not hold them while it samples.
-        self._povm_coords = povm.pinv_coords
+        # The designs keep pinv(C) and pinv(V^T) in real Hermitian coordinates from their
+        # rank checks: SVD-based least-squares inverses, avoiding the squared conditioning
+        # of explicit normal equations.
 
     def output_coefficients(self, freq: np.ndarray) -> np.ndarray:
-        """Step 1: the real M x d^2 ``herm_coords`` of the output states, one real product."""
+        """Step 1: the real M x d^2 ``herm_coords`` of the output states' transposes (their
+        conjugates), one real product."""
         freq = np.asarray(freq)
         if np.iscomplexobj(freq):
             raise ValueError("frequency matrix must be real")
@@ -105,7 +105,7 @@ class TwoStageReconstructor:
                 f"frequency matrix has shape {freq.shape}, expected "
                 f"({self.ensemble.num_states}, {self.povm.num_elements})"
             )
-        return freq @ self._povm_coords
+        return freq @ self.povm.pinv_coords
 
     def process_least_squares(self, coords: np.ndarray) -> np.ndarray:
         """Step 2 from step 1's real coordinates: z = pinv(V^T) @ A-hat is B Z B^T of the real

@@ -14,8 +14,25 @@ from proctomo.ensembles import (
     random_states,
     sic_states,
 )
-from proctomo.linalg import dagger
+from proctomo.linalg import dagger, herm_coords
 from proctomo.povms import mub_povm
+
+
+def assert_matches_numpys_pinv(design):
+    """``pinv_coords`` and ``singular_values`` of an ensemble or a POVM collection against
+    numpy's complex route: ``np.linalg.pinv`` of V^T or C, its columns read as row-major
+    d x d matrices in ``herm_coords``, within 1e-13 relative, and ``np.linalg.svd``'s
+    values within 1e-13 s_0.  The ensemble's is d^2 x M and the POVM's L x d^2, each
+    C-contiguous."""
+    ensemble = isinstance(design, InputEnsemble)
+    a = design.parameterization().T if ensemble else design.parameterization()
+    want = herm_coords(np.linalg.pinv(a).T.reshape(len(a), design.d, design.d))
+    want = want.T if ensemble else want
+    got = design.pinv_coords
+    assert got.dtype == float and got.flags.c_contiguous and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert np.abs(design.singular_values - sv).max() <= 1e-13 * sv[0]
 
 def pairwise_overlaps(states):
     return np.array([[np.trace(a @ b).real for b in states] for a in states])
@@ -181,10 +198,14 @@ def test_natural_basis_not_optimal_for_d4():
     assert not r.achieves
 
 
+@pytest.mark.filterwarnings("error")
 def test_ensemble_rejects_rank_deficiency():
+    # The rank rule is applied before anything divides by the singular values.
     rho = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         InputEnsemble((rho, rho, rho, rho))
+    with pytest.raises(ValueError, match="rank deficient"):
+        InputEnsemble((np.eye(2) / 2,) * 4)
 
 
 def test_ensemble_rejects_invalid_states():
@@ -231,31 +252,35 @@ def test_random_states_match_the_per_state_loop(d, m, seed):
     assert np.array_equal(np.asarray(random_states(d, m, seed=seed).states), random_states_loop(d, m, seed))
 
 
-@pytest.mark.parametrize("make", [lambda: sic_states(4), lambda: random_states(3, 30, seed=4)])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sic_states(4), lambda: random_states(3, 30, seed=4), lambda: random_states(4, 16, seed=5),
+     lambda: sic_states(2), lambda: mub_states(2), lambda: mub_states(4),
+     lambda: natural_basis_states(3), lambda: natural_basis_states(4)],
+)
 def test_ensemble_keeps_numpys_pinv(make):
-    e = make()
-    assert np.array_equal(e.pinv, np.linalg.pinv(e.parameterization().T))
+    assert_matches_numpys_pinv(make())
 
 
 PRODUCT_ENSEMBLES = {
     **{f"cube_states({m})": (lambda m=m: cube_states(m)) for m in (1, 2, 3, 4)},
     "mub2xsic2": lambda: InputEnsemble(parts=[mub_states(2), sic_states(2)]),
+    # parts of unequal d, both ways round
+    "mub2xmub4": lambda: InputEnsemble(parts=[mub_states(2), mub_states(4)]),
+    "mub4xsic2": lambda: InputEnsemble(parts=[mub_states(4), sic_states(2)]),
 }
 
 
 @pytest.mark.parametrize("name", PRODUCT_ENSEMBLES)
 def test_product_ensembles_match_numpys_pinv_and_svd(name):
-    e = PRODUCT_ENSEMBLES[name]()
-    vt = e.parameterization().T
-    assert np.abs(e.pinv - np.linalg.pinv(vt)).max() <= 1e-13
-    sv = np.linalg.svd(vt, compute_uv=False)
-    assert np.abs(e.singular_values - sv).max() <= 1e-13 * sv[0]
+    assert_matches_numpys_pinv(PRODUCT_ENSEMBLES[name]())
 
 
 def test_one_part_product_keeps_numpys_pinv():
     e = cube_states(1)
-    assert np.array_equal(e.pinv, np.linalg.pinv(e.parameterization().T))
-    assert np.array_equal(e.pinv, mub_states(2).pinv)
+    assert_matches_numpys_pinv(e)
+    assert np.array_equal(e.pinv_coords, mub_states(2).pinv_coords)
+    assert np.array_equal(e.singular_values, mub_states(2).singular_values)
 
 
 @pytest.mark.parametrize(
@@ -312,6 +337,7 @@ def test_parameterization_equals_the_column_loop(make):
     assert np.array_equal(v, loop)
 
 
+@pytest.mark.filterwarnings("error")
 def test_rank_deficient_ensembles_still_raise():
     zx = tuple(mub_states(2).states[:4])  # |0>, |1>, |+>, |->: no Y component
     with pytest.raises(ValueError, match="rank deficient"):

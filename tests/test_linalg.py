@@ -14,20 +14,19 @@ from proctomo.ensembles import InputEnsemble, mub_states, random_states
 from proctomo.linalg import (
     HERMITIAN_RTOL,
     check_psd,
-    column_herm_coords,
     dagger,
     from_herm_bilinear,
     from_herm_coords,
     haar_unitary,
     herm_coords,
+    herm_kron,
+    herm_pinv,
     hermitian_eig,
     hermitian_part,
     is_hermitian,
-    kron_pinv,
     kron_regroup,
     kron_stack,
     partial_trace_first,
-    pinv_with_spectrum,
     psd_factor,
     psd_root,
     transfer_matrix,
@@ -66,23 +65,44 @@ def test_kron_regroup_maps_vecs_and_flattenings_of_kron_products(shapes):
     assert np.array_equal(prod.reshape(-1), flats[kron_regroup(shapes)])
 
 
-def test_factored_pinv_matches_the_dense_one():
-    rng = np.random.default_rng(12)
-    mats = [random_complex(rng, (6, 4)), random_complex(rng, (5, 3)), random_complex(rng, (2, 2))]
-    rows, cols = rng.permutation(60), rng.permutation(24)
-    dense = kron_stack([m[None] for m in mats])[0][rows][:, cols]
-    pinv, s = kron_pinv([pinv_with_spectrum(m) for m in mats], rows=rows, cols=cols)
-    assert np.abs(pinv - np.linalg.pinv(dense)).max() <= 1e-13
-    sv = np.linalg.svd(dense, compute_uv=False)
+def random_hermitian(rng, n, d):
+    return hermitian_part(random_complex(rng, (n, d, d)))
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 4), (4, 2), (3, 3), (2, 3)])
+def test_herm_kron_is_the_kronecker_product_in_hermitian_coordinates(d1, d2):
+    # herm_coords(a x b) = G (herm_coords(a) x herm_coords(b)), G a signed gather, on
+    # random Hermitian pairs, b fastest.
+    rng = np.random.default_rng(10 * d1 + d2)
+    a, b = random_hermitian(rng, 3, d1), random_hermitian(rng, 4, d2)
+    want = herm_coords(kron_stack([a, b])).T
+    got = herm_kron(herm_coords(a).T, herm_coords(b).T)
+    assert got.shape == want.shape and np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_herm_pinv_is_numpys_pinv_in_hermitian_coordinates(d):
+    # Rows of coords are the herm_coords of Hermitian x_n, not necessarily PSD; the map is
+    # X -> [Tr(x_n X)]_n, whose matrix on row-major flattenings is that of the x_n^T.
+    x = random_hermitian(np.random.default_rng(d), d * d + 3, d)
+    a = x.transpose(0, 2, 1).reshape(len(x), -1)
+    want = herm_coords(np.linalg.pinv(a).T.reshape(len(x), d, d)).T
+    s, pinv = herm_pinv(herm_coords(x))
+    assert np.abs(pinv() - want).max() <= 1e-13 * np.abs(want).max()
+    sv = np.linalg.svd(a, compute_uv=False)
     assert np.abs(s - sv).max() <= 1e-13 * sv[0]
 
 
-def test_one_factor_pinv_is_the_factors_own():
-    a = random_complex(np.random.default_rng(13), (7, 3))
-    pinv, s = pinv_with_spectrum(a)
-    assert np.array_equal(pinv, np.linalg.pinv(a))
-    one_pinv, one_s = kron_pinv([(pinv, s)])
-    assert np.array_equal(one_pinv, pinv) and np.array_equal(one_s, s)
+def test_factored_pinv_matches_the_dense_one():
+    # herm_kron of the parts' pseudo-inverses is the product's, and the product's
+    # singular values are the products of theirs.
+    rng = np.random.default_rng(12)
+    parts = [random_hermitian(rng, 6, 2), random_hermitian(rng, 10, 3)]
+    (s1, p1), (s2, p2) = (herm_pinv(herm_coords(x)) for x in parts)
+    s, pinv = herm_pinv(herm_coords(kron_stack(parts)))
+    want = pinv()
+    assert np.abs(herm_kron(p1(), p2()) - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(np.sort(np.outer(s1, s2).reshape(-1))[::-1] - s).max() <= 1e-13 * s[0]
 
 
 def test_transpose_permutation_trivial():
@@ -121,7 +141,7 @@ def test_reshuffle_is_involution_and_bijection(d):
     ensemble = mub_states(d) if d != 3 else random_states(3, 10, seed=3)
     povm = projective_povm([haar_unitary(d, rng) for _ in range(d + 1)])
     rec = TwoStageReconstructor(ensemble, povm)
-    vars(ensemble)["pinv_coords"] = np.eye(d * d)  # where the cached_property keeps its value
+    object.__setattr__(ensemble, "pinv_coords", np.eye(d * d))
     coords = rng.integers(-8, 9, size=(d * d, d * d)).astype(float)
     basis = from_herm_coords(np.eye(d * d)).reshape(d * d, d * d)
     z = basis.T @ coords @ basis
@@ -473,18 +493,6 @@ def test_herm_coords_round_trip(d):
     g = hermitian_part(x[1])
     weights = np.where(np.arange(d * d) < d, 1.0, 2.0)
     assert abs(herm_coords(h) * weights @ herm_coords(g) - np.trace(h @ g).real) <= 1e-13
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_column_herm_coords_are_herm_coords_of_the_columns_bit_for_bit(d):
-    # Any d^2 x N array in either memory order, Hermitian or not, and the pinvs of both designs.
-    a = random_complex(np.random.default_rng(d), (d * d, 7))
-    assert np.array_equal(column_herm_coords(a), herm_coords(a.T.reshape(7, d, d)).T)
-    assert np.array_equal(column_herm_coords(np.asfortranarray(a)), herm_coords(a.T.reshape(7, d, d)).T)
-    if d in (2, 4):
-        p, e = cube_povm(d // 2), mub_states(d)
-        assert np.array_equal(p.pinv_coords, column_herm_coords(p.pinv).T)
-        assert np.array_equal(e.pinv_coords, herm_coords(e.pinv.T.reshape(e.num_states, d, d)).T)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

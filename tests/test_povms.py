@@ -5,6 +5,7 @@ import pytest
 
 from proctomo.ensembles import InputEnsemble, cube_states, mub_states
 from proctomo.linalg import dagger, haar_unitary
+from test_ensembles import assert_matches_numpys_pinv
 from proctomo.povms import (
     PovmCollection,
     cube_povm,
@@ -110,6 +111,7 @@ def test_projective_povm_from_bases():
         assert np.linalg.norm(sum(group) - np.eye(3)) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
 def test_povm_validation_errors():
     z = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
@@ -147,24 +149,27 @@ def test_cube_povm_matches_the_kron_loop(m):
     assert np.array_equal(np.asarray(cube_povm(m).sets), cube_povm_loop(m))
 
 
-@pytest.mark.parametrize("make", [lambda: mub_povm(4), lambda: sic_povm(4)])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: mub_povm(4), lambda: sic_povm(4), lambda: mub_povm(2),
+     lambda: projective_povm([haar_unitary(3, np.random.default_rng(k)) for k in range(4)])],
+)
 def test_povm_keeps_numpys_pinv(make):
-    p = make()
-    assert np.array_equal(p.pinv, np.linalg.pinv(p.parameterization()))
+    assert_matches_numpys_pinv(make())
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_cube_povm_matches_numpys_pinv_and_svd(m):
-    p = cube_povm(m)
-    c = p.parameterization()
-    assert np.abs(p.pinv - np.linalg.pinv(c)).max() <= 1e-13
-    sv = np.linalg.svd(c, compute_uv=False)
-    assert np.abs(p.singular_values - sv).max() <= 1e-13 * sv[0]
+    assert_matches_numpys_pinv(cube_povm(m))
 
 
 def test_one_part_cube_povm_keeps_numpys_pinv():
     p = cube_povm(1)
-    assert np.array_equal(p.pinv, np.linalg.pinv(p.parameterization()))
+    assert_matches_numpys_pinv(p)
+    # its one part is the same collection built from the stack
+    dense = PovmCollection(p.sets)
+    assert np.array_equal(p.pinv_coords, dense.pinv_coords)
+    assert np.array_equal(p.singular_values, dense.singular_values)
 
 
 @pytest.mark.parametrize(
@@ -202,7 +207,7 @@ def test_product_designs_match_their_stacks_through_the_svd_path(m):
         (povm, dense_povm, "elements"),
     ]:
         assert np.array_equal(getattr(dense, stack), getattr(product, stack))
-        assert np.abs(product.pinv - dense.pinv).max() <= 1e-13
+        assert np.abs(product.pinv_coords - dense.pinv_coords).max() <= 1e-13 * np.abs(dense.pinv_coords).max()
         sv = dense.singular_values
         assert np.abs(product.singular_values - sv).max() <= 1e-13 * sv[0]
 
@@ -235,6 +240,7 @@ def test_parameterization_equals_the_row_loop():
     assert np.array_equal(c, loop)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_rank_deficient_povms_still_raise(m):
     # The x and z measurements alone, on each of m qubits: 2^m sets of 2^m
@@ -258,7 +264,7 @@ def test_nested_sets_and_stacked_sets_build_the_same_collection():
         assert p.elements.dtype == complex and p.elements.shape == (6, 2, 2)
         assert np.array_equal(p.elements, ref.elements)
         assert p.set_sizes == (2, 2, 2)
-        assert np.array_equal(p.pinv, ref.pinv)
+        assert np.array_equal(p.pinv_coords, ref.pinv_coords)
         # the sets are views of the one stack, not copies
         assert all(np.shares_memory(group, p.elements) for group in p.sets)
         assert np.array_equal(np.concatenate(p.sets), p.elements)

@@ -16,6 +16,7 @@ from proctomo.povms import PovmCollection, cube_povm, projective_povm
 from proctomo.reconstruct import ProcessEstimate, TraceCorrection, TwoStageReconstructor, nearest_psd
 from proctomo.simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 from proctomo.linalg import haar_unitary
+from test_ensembles import assert_matches_numpys_pinv
 
 
 def output_coefficient_matrix(channel, ensemble):
@@ -32,9 +33,9 @@ def natural_coefficients(coords):
 
 def complex_route(ensemble, coords):
     """Steps 1-2 through the complex natural basis: the from_herm_coords gather,
-    pinv(V^T) @ A-hat, and the reshuffle D-hat[(x, y), (u, v)] = z[(v, y), (u, x)]."""
+    numpy's pinv(V^T) @ A-hat, and the reshuffle D-hat[(x, y), (u, v)] = z[(v, y), (u, x)]."""
     d = ensemble.d
-    z = (ensemble.pinv @ natural_coefficients(coords)).reshape(d, d, d, d)
+    z = (np.linalg.pinv(ensemble.parameterization().T) @ natural_coefficients(coords)).reshape(d, d, d, d)
     return z.transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
@@ -302,13 +303,21 @@ def test_estimate_rejects_non_finite_raw_frequencies(bad):
 def test_reconstructor_pinvs_equal_numpys():
     e, p = random_states(4, 40, seed=2), cube_povm(2)
     rec = TwoStageReconstructor(e, p)
-    # cube_povm(2) is a product design: its pinv comes from its parts and
-    # matches numpy's to rounding; the random ensemble's is numpy's own, and step 2
-    # uses its real rows.
-    assert np.abs(rec.povm.pinv - np.linalg.pinv(p.parameterization())).max() <= 1e-13
-    assert np.array_equal(e.pinv, np.linalg.pinv(e.parameterization().T))
-    pinv = np.linalg.pinv(e.parameterization().T)
-    assert np.array_equal(e.pinv_coords, herm_coords(pinv.T.reshape(e.num_states, 4, 4)).T)
+    # cube_povm(2) is a product design, whose pinv comes from its parts; the random
+    # ensemble's comes from one real SVD.  Both match numpy's complex pinv to rounding.
+    assert rec.ensemble is e and rec.povm is p
+    assert_matches_numpys_pinv(e)
+    assert_matches_numpys_pinv(p)
+
+
+def test_step1_gives_the_coordinates_of_the_output_states_transposes():
+    # C @ vec(X) is [Tr(P_l^T X)]_l, so on exact data step 1 recovers E(rho_m)^T, the
+    # conjugate of each output state, not E(rho_m) (they differ by 0.5 here).
+    ch, e, p = cnot_channel(), mub_states(4), cube_povm(2)
+    est = TwoStageReconstructor(e, p).estimate(exact_record(ideal_probabilities(ch, e, p), p))
+    outputs = np.array([sum(a @ rho @ dagger(a) for a in ch.kraus) for rho in e.states])
+    assert np.abs(est.output_coeffs - herm_coords(outputs.transpose(0, 2, 1))).max() <= 1e-14
+    assert np.abs(est.output_coeffs - herm_coords(outputs)).max() > 0.4
 
 
 COMPOSITION_CASES = {
@@ -347,7 +356,7 @@ def test_step1_matches_the_complex_product(case):
     coords = TwoStageReconstructor(e, p).output_coefficients(freq)
     assert coords.shape == (e.num_states, e.d**2) and coords.dtype == float
     a_hat = natural_coefficients(coords)
-    assert np.abs(a_hat - freq @ p.pinv.T).max() <= 1e-13
+    assert np.abs(a_hat - freq @ np.linalg.pinv(p.parameterization()).T).max() <= 1e-13
     # every row is the vec of a Hermitian matrix, exactly
     for row in a_hat.reshape(-1, e.d, e.d).transpose(0, 2, 1):  # column-stacked rows
         assert np.array_equal(row, dagger(row))

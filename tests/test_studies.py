@@ -170,31 +170,31 @@ def test_m_scaling_study_checks_trials_and_grid(trials, grid):
 GOLDEN_SCALING = {
     False: (
         [
-            ["mub-2", 1200, 0.044011959937431254, 0.012851449059999678, 0.06139235162414088],
-            ["mub-2", 6000, 0.007559585278550741, 0.0031730526413503222, 0.018775365453303716],
-            ["sic-2", 1200, 0.03290344838756002, 0.01810508607853525, 0.03652649884744449],
-            ["sic-2", 6000, 0.004749304069244731, 0.0020267739870459757, 0.009490704849386966],
+            ["mub-2", 1200, 0.044011959937431254, 0.012851449059999666, 0.06139235162414077],
+            ["mub-2", 6000, 0.007559585278550728, 0.003173052641350303, 0.018775365453303827],
+            ["sic-2", 1200, 0.0329034483875601, 0.018105086078535167, 0.03652649884744482],
+            ["sic-2", 6000, 0.004749304069244688, 0.0020267739870459558, 0.00949070484938667],
         ],
         {
-            "mse[mub-2]": -1.0945716319843126,
-            "infidelity[mub-2]": -0.736120101004557,
-            "mse[sic-2]": -1.2026430817627478,
-            "infidelity[sic-2]": -0.8373886932022524,
+            "mse[mub-2]": -1.094571631984314,
+            "infidelity[mub-2]": -0.7361201010045526,
+            "mse[sic-2]": -1.2026430817627545,
+            "infidelity[sic-2]": -0.8373886932022775,
         },
         "91213697b7a600fb",
     ),
     True: (
         [
-            ["mub-2", 1200, 0.23485838214231033, 0.027838892305945398, 0.08677171831690629],
-            ["mub-2", 6000, 0.22241957777648502, 0.005209810452262591, 0.042086396710134956],
-            ["sic-2", 1200, 0.21469783182671554, 0.026495229165053178, 0.05734632280674745],
-            ["sic-2", 6000, 0.22947971659288977, 0.006327011332737907, 0.03196048474658227],
+            ["mub-2", 1200, 0.23485838214231067, 0.027838892305944943, 0.08677171831690622],
+            ["mub-2", 6000, 0.2224195777764848, 0.005209810452262868, 0.042086396710134845],
+            ["sic-2", 1200, 0.21469783182671545, 0.026495229165053275, 0.05734632280674756],
+            ["sic-2", 6000, 0.22947971659288982, 0.006327011332738127, 0.031960484746582384],
         ],
         {
-            "mse[mub-2]": -0.0338112547340665,
-            "infidelity[mub-2]": -0.44957072726524294,
-            "mse[sic-2]": 0.041370367881709495,
-            "infidelity[sic-2]": -0.3632376437001901,
+            "mse[mub-2]": -0.033811254734068194,
+            "infidelity[mub-2]": -0.44957072726524416,
+            "mse[sic-2]": 0.04137036788170974,
+            "infidelity[sic-2]": -0.36323764370018924,
         },
         "c09ac471c18caaf6",
     ),
@@ -224,10 +224,10 @@ def test_m_scaling_study_golden():
         channel_spec="random:2:tp:5", trials=3, seed=23,
     )
     assert [row[:-1] for row in result.rows] == [
-        [6, 0.10081137899729585, 0.08362925749624177],
-        [10, 0.03886103027921183, 0.0013169866901792582],
+        [6, 0.10081137899729559, 0.08362925749624164],
+        [10, 0.038861030279211776, 0.0013169866901792295],
     ]
-    assert result.slopes == {"mse[num_states]": -1.8661148454716532}
+    assert result.slopes == {"mse[num_states]": -1.86611484547165}
     assert result.meta["config"] == (
         '{"channel": "random:2:tp:5", "copies_per_state": 500, "d": 2, "num_states": [6, 10], '
         '"povm": "cube-povm:1", "trials": 3}'
