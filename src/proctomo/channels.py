@@ -48,9 +48,7 @@ class KrausChannel:
         if not np.all(np.isfinite(kraus)):
             raise ValueError("Kraus operators contain non-finite entries")
         object.__setattr__(self, "kraus", kraus)
-        top = np.linalg.eigvalsh(self.contraction())[-1]  # Hermitian by construction
-        if top > 1.0 + CHANNEL_ATOL:
-            raise ValueError(f"sum of A^dag A exceeds identity (max eigenvalue {top:.6g})")
+        check_psd(np.eye(self.d) - self.contraction(), "identity minus the Kraus sum of A^dag A", CHANNEL_ATOL)
 
     @property
     def d(self) -> int:
@@ -81,9 +79,7 @@ class ProcessMatrix:
         if m.shape != (d * d, d * d) or not d:
             raise ValueError(f"process matrix must be d^2 x d^2, got {m.shape}")
         check_psd(m, "process matrix", CHANNEL_ATOL * max(frob(m), 1.0))
-        top = np.linalg.eigvalsh(self.success_operator())[-1]
-        if top > 1.0 + CHANNEL_ATOL:
-            raise ValueError(f"partial trace exceeds identity (max eigenvalue {top:.6g})")
+        check_psd(np.eye(d) - self.success_operator(), "identity minus the partial trace Tr_1 X", CHANNEL_ATOL)
 
     @property
     def d(self) -> int:
@@ -94,9 +90,9 @@ class ProcessMatrix:
         return hermitian_part(partial_trace_first(self.mat, self.d))
 
 
-def process_matrix(ch: KrausChannel, label: str | None = None) -> ProcessMatrix:
-    """Process matrix of a Kraus channel in the natural basis."""
-    return ProcessMatrix(ch.mat, label=label if label is not None else ch.label)
+def process_matrix(ch: KrausChannel) -> ProcessMatrix:
+    """Process matrix of a Kraus channel in the natural basis, under the channel's label."""
+    return ProcessMatrix(ch.mat, label=ch.label)
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -125,7 +121,6 @@ def random_channel(
     tp: bool = True,
     seed=None,
     f_spectrum=None,
-    label: str | None = None,
 ) -> KrausChannel:
     """Reproducible random channel with three Kraus operators.
 
@@ -153,6 +148,4 @@ def random_channel(
     residual = target - sum(dagger(a) @ a for a in partial)
     u, r = psd_root(residual)
     closing = u3 @ ((u * r) @ dagger(u))
-    if label is None:
-        label = f"random-{d}-{'tp' if tp else 'nontp'}"
-    return KrausChannel((*partial, closing), label=label)
+    return KrausChannel((*partial, closing), label=f"random-{d}-{'tp' if tp else 'nontp'}")

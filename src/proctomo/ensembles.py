@@ -56,7 +56,7 @@ def _keep_pinv(design, parts, coords, rows, axis: int, error: str) -> None:
     if parts is None:
         sv, pinv = herm_pinv(coords())
     else:
-        sv = np.sort(kron_stack([p.singular_values[None, None] for p in parts]).reshape(-1))[::-1]
+        sv = np.sort(kron_stack([p.singular_values for p in parts]))[::-1]
         pinv = lambda: functools.reduce(herm_kron, [np.moveaxis(p.pinv_coords, axis, 0) for p in parts])
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise ValueError(error)

@@ -70,7 +70,8 @@ KINDS = {
         Field("x_hat", MATRIX),
         *(Field(n, section="diagnostics")
           for n in ("trace_rank", "clipped_count", "tp_prior", "tp_fallback", "copies_per_state")),
-        *(Field(n, REAL, section="diagnostics") for n in ("trace_spectrum", "adjusted_spectrum", "capped_spectrum")),
+        # Older files also carry two derived spectra; from_dict reads only the keys listed here.
+        Field("trace_spectrum", REAL, section="diagnostics"),
         # Step 1's coordinates are real; an older file's complex {"re", "im"} value is refused.
         Field("output_coeffs", REAL, None, "intermediates"),
         *(Field(n, MATRIX, None, "intermediates") for n in ("least_squares", "psd_projection", "trace_rotation")),

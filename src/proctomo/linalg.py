@@ -111,17 +111,19 @@ def transfer_matrix(x) -> np.ndarray:
 
 
 def kron_stack(stacks) -> np.ndarray:
-    """Kronecker products of one matrix from each ``(n_i, r_i, c_i)`` stack, first
-    stack slowest, as an ``(n_1 ... n_k, r_1 ... r_k, c_1 ... c_k)`` stack.
+    """Kronecker product along every axis of arrays of one rank, first array slowest:
+    ``(n_i, r_i, c_i)`` stacks give the ``(n_1 ... n_k, r_1 ... r_k, c_1 ... c_k)`` stack
+    of the Kronecker products of one matrix from each, and 1-D arrays their np.kron.
 
-    Folds left with one broadcast multiply per stack, in np.kron's operand
-    order, so every entry is bit-identical to ``np.kron(np.kron(a, b), c)``.
+    Folds left with one broadcast multiply per array, its axes interleaved with the
+    accumulator's by reshape, in np.kron's operand order, so every entry is
+    bit-identical to ``np.kron(np.kron(a, b), c)``.
     """
     acc = stacks[0]
     for s in stacks[1:]:
-        (n, r, c), (k, p, q) = acc.shape, s.shape
-        prod = np.multiply(acc[:, None, :, None, :, None], s[None, :, None, :, None, :])
-        acc = prod.reshape(n * k, r * p, c * q)
+        a = acc.reshape([n for k in acc.shape for n in (k, 1)])  # acc's axes at even positions
+        b = s.reshape([n for k in s.shape for n in (1, k)])  # and s's at odd ones
+        acc = np.multiply(a, b).reshape([m * n for m, n in zip(acc.shape, s.shape)])
     return acc
 
 

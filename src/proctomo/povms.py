@@ -20,7 +20,6 @@ of C^dag C as the squares of the kept singular values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -60,11 +59,13 @@ class PovmCollection:
             _check_parts(parts, self.sets, PovmCollection, "POVM")
             if any(len(set(p.set_sizes)) != 1 for p in parts):
                 raise ValueError("POVM parts need sets of one size")
-            # Products are indexed (set_1, element_1, ..., set_k, element_k); rows
-            # regroups them set-major, as (set_1 ... set_k, element_1 ... element_k).
+            # Folded as (sets, elements, d, d) arrays, the products come out set-major, indexed
+            # (set_1 ... set_k, element_1 ... element_k); rows takes the pseudo-inverse's
+            # (set_1, element_1, ..., set_k, element_k) columns to that order.
             rows = kron_regroup([(p.num_sets, p.set_sizes[0]) for p in parts])
-            elements = kron_stack([p.elements for p in parts])[rows]
-            sizes = (math.prod(p.set_sizes[0] for p in parts),) * math.prod(p.num_sets for p in parts)
+            grid = kron_stack([p.elements.reshape(p.num_sets, p.set_sizes[0], p.d, p.d) for p in parts])
+            elements = grid.reshape(-1, *grid.shape[2:])
+            sizes = (grid.shape[1],) * grid.shape[0]
         else:
             groups = () if self.sets is None else self.sets
             rows = slice(None)

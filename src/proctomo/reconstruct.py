@@ -15,9 +15,9 @@ The estimator runs four steps on a frequency matrix P-hat:
 3. Spectral PSD projection: G-hat is the Frobenius-nearest Hermitian PSD
    matrix to D-hat (negative eigenvalues clipped).
 4. Partial-trace correction: the spectrum of F-hat = Tr_1(G-hat) is capped at
-   one by conjugating with I (x) T, T = U diag(min(f,1)/f)^(1/2) U^dag, which
-   guarantees Tr_1(X-hat) <= I.  With a trace-preserving prior T = F-hat^(-1/2)
-   instead, forcing Tr_1(X-hat) = I exactly.
+   one by conjugating with I (x) T, T = U diag(min(f,1)/f)^(1/2) U^dag (1 on
+   rank-zero f), which guarantees Tr_1(X-hat) <= I.  With a trace-preserving
+   prior T = F-hat^(-1/2) instead, forcing Tr_1(X-hat) = I exactly.
 
 On exact data the pipeline is the identity on valid process matrices; on any
 finite input it returns a Hermitian PSD X-hat with Tr_1(X-hat) <= I.
@@ -43,8 +43,7 @@ TRACE_RANK_RTOL = 1e-12
 TP_PRIOR_MIN_EIG = 1e-6
 # Step 4's result: the ProcessEstimate fields it fills, x_hat first and tp_fallback last.
 TraceCorrection = namedtuple(
-    "TraceCorrection",
-    "x_hat trace_spectrum adjusted_spectrum capped_spectrum trace_rotation trace_rank tp_prior tp_fallback",
+    "TraceCorrection", "x_hat trace_spectrum trace_rotation copies_per_state trace_rank tp_prior tp_fallback"
 )
 
 
@@ -56,11 +55,9 @@ class ProcessEstimate:
     output_coeffs: np.ndarray  # step 1, real M x d^2 herm_coords of the output states' transposes
     least_squares: np.ndarray  # step 2, unconstrained d^2 x d^2
     psd_projection: np.ndarray  # step 3
-    trace_spectrum: np.ndarray  # eigenvalues of Tr_1 of step 3, descending
-    adjusted_spectrum: np.ndarray  # spectrum with rank-zero filler
-    capped_spectrum: np.ndarray  # spectrum capped at one
-    trace_rotation: np.ndarray  # eigenvectors of Tr_1 of step 3
-    trace_rank: int
+    trace_spectrum: np.ndarray  # step 4, eigenvalues of Tr_1 of step 3, descending
+    trace_rotation: np.ndarray  # step 4, their eigenvectors
+    trace_rank: int  # step 4, how many exceed TRACE_RANK_RTOL * max(f_1, 1); only those are capped
     clipped_count: int
     tp_prior: bool
     tp_fallback: bool
@@ -116,25 +113,19 @@ class TwoStageReconstructor:
         return z.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(n, n)
 
     def trace_correct(self, g_hat: np.ndarray, copies: int | None, tp_prior: bool) -> TraceCorrection:
-        """Step 4: conjugate by I (x) T so the partial trace obeys its cap."""
+        """Step 4: conjugate by I (x) T so the partial trace obeys its cap; ``copies`` passes through."""
         d = self.d
         w, u = hermitian_eig(partial_trace_first(g_hat, d), check=False)
         rank = int(np.sum(w > TRACE_RANK_RTOL * max(w[0], 1.0)))
-        filler = 0.0
-        if rank and copies:
-            filler = w[rank - 1] / copies
-        adjusted = np.concatenate([w[:rank], np.full(d - rank, filler)])
-        capped = np.minimum(adjusted, 1.0)
         # With too little data to invert F-hat, fall back to the general path.
         fallback = bool(tp_prior and w[-1] < TP_PRIOR_MIN_EIG * max(w[0], 1.0))
         tp_prior = tp_prior and not fallback
         if tp_prior:
             scale = 1.0 / np.sqrt(w)
         else:
-            # On rank-zero directions the filler cancels and the factor is 1.
-            ratios = np.ones(d)
-            ratios[:rank] = capped[:rank] / adjusted[:rank]
-            scale = np.sqrt(ratios)
+            # Rank-zero directions keep the factor 1.
+            scale = np.ones(d)
+            scale[:rank] = np.sqrt(np.minimum(w[:rank], 1.0) / w[:rank])
         if np.all(scale == 1.0):
             x_hat = g_hat
         else:
@@ -149,7 +140,7 @@ class TwoStageReconstructor:
             # ProcessMatrix checks; only then is its Hermitian part taken.
             if not is_hermitian(x_hat):
                 x_hat = hermitian_part(x_hat)
-        return TraceCorrection(x_hat, w, adjusted, capped, u, rank, tp_prior, fallback)
+        return TraceCorrection(x_hat, w, u, copies, rank, tp_prior, fallback)
 
     def estimate(self, record, tp_prior: bool = False) -> ProcessEstimate:
         """Run all four steps on a record or a raw frequency matrix."""
@@ -174,5 +165,4 @@ class TwoStageReconstructor:
             least_squares=d_hat,
             psd_projection=g_hat,
             clipped_count=clipped,
-            copies_per_state=copies,
         )

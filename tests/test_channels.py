@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,21 @@ def test_process_matrix_rejects_invalid():
     for shape in [(), (4,), (0, 0), (3, 3), (4, 5)]:  # not d^2 x d^2 for a d >= 1
         with pytest.raises(ValueError, match="d\\^2 x d\\^2"):
             ProcessMatrix(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda f: KrausChannel((np.sqrt(f) * np.eye(2),)), "Kraus sum of A^dag A"),
+        (lambda f: ProcessMatrix(f * process_matrix(identity_channel(2)).mat), "partial trace Tr_1 X"),
+    ],
+)
+def test_channel_bounds_hold_at_channel_atol(make, name):
+    # The Kraus sum and Tr_1 X may exceed I by CHANNEL_ATOL = 1e-9 in operator norm, not more;
+    # a refusal names the quantity, and I minus it has the excess as a negative eigenvalue.
+    make(1 + 5e-10)
+    with pytest.raises(ValueError, match=re.escape(f"identity minus the {name} has negative eigenvalue -2.000e-09")):
+        make(1 + 2e-9)
 
 
 def test_kraus_mat_is_the_process_matrix_bit_for_bit():

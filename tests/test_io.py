@@ -154,6 +154,27 @@ def test_estimate_round_trip(tmp_path):
     assert slim.least_squares is None
 
 
+def test_estimate_documents_omit_the_retired_spectra_and_older_ones_still_load(tmp_path):
+    rec, e, p = make_record(70)
+    est = TwoStageReconstructor(e, p).estimate(rec)
+    path = tmp_path / "estimate.json"
+    pio.save_json(est, path)
+    doc = json.loads(path.read_text())
+    assert set(doc["diagnostics"]) == {
+        "trace_rank", "clipped_count", "tp_prior", "tp_fallback", "copies_per_state", "trace_spectrum",
+    }
+    # Documents written before the two derived spectra were dropped carry them as well.
+    spectrum = doc["diagnostics"]["trace_spectrum"]
+    doc["diagnostics"]["adjusted_spectrum"] = spectrum
+    doc["diagnostics"]["capped_spectrum"] = [min(f, 1.0) for f in spectrum]
+    path.write_text(json.dumps(doc))
+    loaded = pio.load_json(path)
+    assert np.array_equal(loaded.x_hat, est.x_hat)
+    assert np.array_equal(loaded.trace_spectrum, est.trace_spectrum)
+    assert loaded.trace_rank == est.trace_rank and loaded.copies_per_state == est.copies_per_state == 900
+    assert not hasattr(loaded, "adjusted_spectrum") and not hasattr(loaded, "capped_spectrum")
+
+
 def test_estimate_output_coeffs_are_written_real(tmp_path):
     rec, e, p = make_record(68)
     est = TwoStageReconstructor(e, p).estimate(rec)

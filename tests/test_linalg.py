@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -63,6 +64,14 @@ def test_kron_regroup_maps_vecs_and_flattenings_of_kron_products(shapes):
     flats = kron_stack([m.reshape(1, -1, 1) for m in mats])[0, :, 0]
     assert np.array_equal(prod.reshape(-1, order="F"), vecs[kron_regroup([(c, r) for r, c in shapes])])
     assert np.array_equal(prod.reshape(-1), flats[kron_regroup(shapes)])
+
+
+def test_kron_stack_folds_arrays_of_any_equal_rank_as_np_kron():
+    # np.kron takes the Kronecker product along every axis of equal-rank arrays, bit for bit.
+    rng = np.random.default_rng(13)
+    for shapes in [[(3,), (2,), (4,)], [(2, 3, 3), (3, 2, 2)], [(3, 2, 2, 2), (2, 3, 2, 2), (1, 2, 3, 3)]]:
+        arrays = [random_complex(rng, shape) for shape in shapes]
+        assert np.array_equal(kron_stack(arrays), functools.reduce(np.kron, arrays))
 
 
 def random_hermitian(rng, n, d):

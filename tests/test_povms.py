@@ -197,6 +197,18 @@ def test_parts_need_sets_of_one_size():
         PovmCollection(parts=[cube_povm(1), ragged])
 
 
+@pytest.mark.parametrize("make_parts", [lambda: [mub_povm(2), mub_povm(4)], lambda: [mub_povm(4), cube_povm(1)]])
+def test_products_of_unlike_parts_are_set_major(make_parts):
+    # Parts with different set counts and sizes: set (g, h) holds the products of the
+    # elements of set g of the first part with those of set h of the second, second fastest.
+    first, second = make_parts()
+    product = PovmCollection(parts=[first, second])
+    sets = [tuple(np.kron(a, b) for a in g for b in h) for g in first.sets for h in second.sets]
+    assert product.set_sizes == PovmCollection(sets).set_sizes
+    assert np.array_equal(product.elements, np.concatenate(sets))
+    assert_matches_numpys_pinv(product)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_product_designs_match_their_stacks_through_the_svd_path(m):
     ensemble, povm = cube_states(m), cube_povm(m)

@@ -176,15 +176,15 @@ def test_trace_correction_caps_partial_trace():
 def test_trace_correction_is_a_record_of_estimate_fields():
     # Callers that trace step 4 read x-hat first and the fallback flag last, by position.
     rec = TwoStageReconstructor(mub_states(2), cube_povm(1))
-    out = rec.trace_correct(1.2 * process_matrix(identity_channel(2)).mat, copies=1000, tp_prior=True)
+    out = rec.trace_correct(1.2 * process_matrix(identity_channel(2)).mat, 1000, True)
     assert isinstance(out, TraceCorrection)
     assert out[0] is out.x_hat and out[-1] is out.tp_fallback
-    filled = (
-        "x_hat", "trace_spectrum", "adjusted_spectrum", "capped_spectrum",
-        "trace_rotation", "trace_rank", "tp_prior", "tp_fallback",
-    )
+    filled = ("x_hat", "trace_spectrum", "trace_rotation", "copies_per_state", "trace_rank", "tp_prior", "tp_fallback")
     assert out._fields == filled
     assert set(filled) <= set(ProcessEstimate.__dataclass_fields__)
+    # copies only passes through to the record.
+    assert out.copies_per_state == 1000
+    assert rec.trace_correct(1.2 * process_matrix(identity_channel(2)).mat, None, True).copies_per_state is None
 
 
 def test_tp_prior_enforces_identity_partial_trace():
@@ -202,9 +202,9 @@ def test_tp_prior_falls_back_on_singular_trace():
     rec = TwoStageReconstructor(e, p)
     s = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # vec of diag(1, 0)
     g = np.outer(s, s.conj())  # partial trace diag(1, 0)
-    x_hat, _, _, _, _, rank, used_prior, fallback = rec.trace_correct(g, 1000, tp_prior=True)
+    x_hat, _, _, copies, rank, used_prior, fallback = rec.trace_correct(g, 1000, tp_prior=True)
     assert fallback and not used_prior
-    assert rank == 1
+    assert rank == 1 and copies == 1000
 
 
 def test_tp_prior_falls_back_on_an_ill_conditioned_trace():
@@ -337,15 +337,13 @@ def test_estimate_is_the_composition_of_its_steps(case, tp_prior):
     a_hat = rec.output_coefficients(record.freq)
     d_hat = rec.process_least_squares(a_hat)
     g_hat, clipped = nearest_psd(d_hat)
-    x_hat, w, adjusted, capped, u, rank, used, fallback = rec.trace_correct(
-        g_hat, record.copies_per_state, tp_prior
-    )
+    x_hat, w, u, copies, rank, used, fallback = rec.trace_correct(g_hat, record.copies_per_state, tp_prior)
     for got, want in [
         (est.output_coeffs, a_hat), (est.least_squares, d_hat), (est.psd_projection, g_hat),
-        (est.x_hat, x_hat), (est.trace_spectrum, w), (est.adjusted_spectrum, adjusted),
-        (est.capped_spectrum, capped), (est.trace_rotation, u),
+        (est.x_hat, x_hat), (est.trace_spectrum, w), (est.trace_rotation, u),
     ]:
         assert np.array_equal(got, want)
+    assert copies == est.copies_per_state == record.copies_per_state
     assert (est.clipped_count, est.trace_rank, est.tp_prior, est.tp_fallback) == (clipped, rank, used, fallback)
 
 
