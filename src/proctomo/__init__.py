@@ -11,7 +11,7 @@ from .channels import (
     unitary_channel,
 )
 from .ensembles import (
-    EnsembleDesignReport,
+    DesignReport,
     InputEnsemble,
     cube_states,
     design_metrics_V,
@@ -29,7 +29,6 @@ from .metrics import (
 )
 from .povms import (
     PovmCollection,
-    PovmDesignReport,
     cube_povm,
     design_metrics_C,
     mub_povm,

@@ -116,17 +116,12 @@ def cnot_channel() -> KrausChannel:
     return unitary_channel(cnot_matrix(), label="cnot")
 
 
-def random_channel(
-    d: int,
-    tp: bool = True,
-    seed=None,
-    f_spectrum=None,
-) -> KrausChannel:
+def random_channel(d: int, tp: bool = True, seed=None) -> KrausChannel:
     """Reproducible random channel with three Kraus operators.
 
     Two operators are random rotations of small fixed diagonals; the third
     completes sum A^dag A to the identity (``tp=True``) or to a random
-    rotation of ``f_spectrum`` (defaults to uniform draws in [0.4, 1]).
+    rotation of d uniform draws in [0.4, 1].
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
@@ -138,12 +133,7 @@ def random_channel(
         target = np.eye(d, dtype=complex)
     else:
         u4 = haar_unitary(d, rng)
-        if f_spectrum is None:
-            spec = np.sort(rng.uniform(0.4, 1.0, size=d))[::-1]
-        else:
-            spec = np.asarray(f_spectrum, dtype=float)
-            if spec.size != d:
-                raise ValueError(f"f_spectrum must have {d} entries")
+        spec = np.sort(rng.uniform(0.4, 1.0, size=d))[::-1]
         target = (u4 * spec) @ dagger(u4)
     residual = target - sum(dagger(a) @ a for a in partial)
     u, r = psd_root(residual)

@@ -2,7 +2,8 @@
 
 Subcommands: simulate, reconstruct, scaling-study, m-scaling-study,
 design-audit, oracle-check.  scaling-study accepts a JSON config file and/or
-flags (flags win).  Exit code 0 on success, 2 on validation errors.
+flags (flags win).  Exit code 0 on success, 2 on validation errors, 141 when the reader of
+stdout closed it early (``| head``).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -190,7 +192,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a pipe closed before the exit flush is caught here too
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone (``| head``): exit quietly, as under SIGPIPE, writing on to devnull.
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

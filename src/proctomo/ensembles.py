@@ -46,21 +46,22 @@ def _check_parts(parts, stack, cls, what: str) -> None:
         raise ValueError(f"{what} parts must be one or more {cls.__name__} designs")
 
 
-def _keep_pinv(design, parts, coords, rows, axis: int, error: str) -> None:
+def _keep_pinv(design, parts, coords, fold, axis: int, error: str) -> None:
     """Keep on ``design`` the descending singular values of its matrix A and, as ``pinv_coords``,
     pinv(A) in ``herm_coords`` along ``axis``, from one real SVD of the coordinates ``coords()``
-    gives or, for a product design, from its ``parts`` by ``linalg.herm_kron``, its rows then
-    taken at ``rows``.  A rank-deficient A raises ValueError(error) before anything divides by
-    its singular values; this is the one place the rank rule is written.
+    gives or, for a product design, from its ``parts`` by ``linalg.herm_kron`` of ``fold(part)``,
+    a part's pseudo-inverse shaped (d^2, sets, elements) for a POVM or (d^2, M) for an ensemble.
+    A rank-deficient A raises ValueError(error) before anything divides by its singular values;
+    this is the one place the rank rule is written.
     """
     if parts is None:
         sv, pinv = herm_pinv(coords())
     else:
         sv = np.sort(kron_stack([p.singular_values for p in parts]))[::-1]
-        pinv = lambda: functools.reduce(herm_kron, [np.moveaxis(p.pinv_coords, axis, 0) for p in parts])
+        pinv = lambda: functools.reduce(herm_kron, map(fold, parts))
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise ValueError(error)
-    object.__setattr__(design, "pinv_coords", np.ascontiguousarray(np.moveaxis(pinv(), 0, axis)[rows]))
+    object.__setattr__(design, "pinv_coords", np.ascontiguousarray(np.moveaxis(pinv().reshape(len(sv), -1), 0, axis)))
     object.__setattr__(design, "singular_values", sv)
 
 
@@ -98,7 +99,7 @@ class InputEnsemble:
                 f"need at least d^2={d * d} states for informational completeness, got {len(states)}"
             )
         error = "ensemble is not informationally complete (rank deficient V)"
-        _keep_pinv(self, parts, lambda: herm_coords(states), slice(None), 0, error)
+        _keep_pinv(self, parts, lambda: herm_coords(states), lambda p: p.pinv_coords, 0, error)
 
     @property
     def d(self) -> int:
@@ -115,10 +116,11 @@ class InputEnsemble:
 
 
 @dataclass(frozen=True)
-class EnsembleDesignReport:
+class DesignReport:
     cost: float
     cond: float
     eigvals: np.ndarray
+    top_eig_lower: float  # the floor for the top eigenvalue: M/d, or s = sum_j d / n_j for a POVM
     lower_cost: float
     lower_cond: float
     achieves: bool
@@ -266,28 +268,22 @@ def cube_states(m: int) -> InputEnsemble:
     return InputEnsemble(label=f"cube-states-{m}", parts=[mub_states(2)] * m)
 
 
-def _gram_design(sv: np.ndarray, weight: float, target: np.ndarray):
-    """Descending spectrum of a design Gram matrix A^dag A from the singular values
-    ``sv`` of A, its cost ``weight * Tr((A^dag A)^-1)``, its condition number
-    sqrt(max/min), and whether the spectrum attains ``target``.  The constructors
-    refuse rank-deficient designs, and designs are frozen, so A has full rank."""
+def _design_report(sv, weight: float, top: float, rest: float, lower_cost: float, lower_cond: float) -> DesignReport:
+    """The :class:`DesignReport` of a design whose matrix A has the singular values ``sv``: the
+    spectrum of A^dag A is their squares, its cost ``weight * Tr((A^dag A)^-1)`` and its
+    condition number sqrt(max/min).  The constructors refuse rank-deficient designs, and
+    designs are frozen, so A has full rank."""
     eigs = sv**2
+    target = np.full(len(eigs), rest)
+    target[0] = top
     achieves = bool(np.all(np.abs(eigs - target) <= ACHIEVE_RTOL * target))
-    return eigs, weight * float(np.sum(1.0 / eigs)), float(np.sqrt(eigs[0] / eigs[-1])), achieves
+    cost, cond = weight * float(np.sum(1.0 / eigs)), float(np.sqrt(eigs[0] / eigs[-1]))
+    return DesignReport(cost, cond, eigs, top, lower_cost, lower_cond, achieves)
 
 
-def design_metrics_V(ensemble: InputEnsemble) -> EnsembleDesignReport:
-    """Design cost, condition number and the spectrum of V* V^T."""
+def design_metrics_V(ensemble: InputEnsemble) -> DesignReport:
+    """Design cost, condition number and the spectrum of V* V^T = (V^T)^dag V^T, whose top
+    eigenvalue is at least M/d."""
     d, m = ensemble.d, ensemble.num_states
-    target = np.full(d * d, m / (d * (d + 1.0)))
-    target[0] = m / d
-    # V* V^T = (V^T)^dag V^T, so its eigenvalues are the squared singular values of V^T.
-    eigs, cost, cond, achieves = _gram_design(ensemble.singular_values, m, target)
-    return EnsembleDesignReport(
-        cost=cost,
-        cond=cond,
-        eigvals=eigs,
-        lower_cost=float(d**4 + d**3 - d**2),
-        lower_cond=float(np.sqrt(d + 1.0)),
-        achieves=achieves,
-    )
+    return _design_report(ensemble.singular_values, m, top=m / d, rest=m / (d * (d + 1.0)),
+                          lower_cost=float(d**4 + d**3 - d**2), lower_cond=float(np.sqrt(d + 1.0)))

@@ -127,21 +127,6 @@ def kron_stack(stacks) -> np.ndarray:
     return acc
 
 
-def kron_regroup(pairs) -> np.ndarray:
-    """Index array taking a Kronecker index (a_1, b_1, ..., a_k, b_k), first digit
-    slowest and digit ranges ``pairs = [(A_1, B_1), ...]``, to the grouped index
-    (a_1 ... a_k, b_1 ... b_k): entry g is the Kronecker position of grouped position g.
-
-    Two instances: vec(A_1 x ... x A_k) is vec(A_1) x ... x vec(A_k) read at
-    ``kron_regroup([(c_i, r_i)])``, and so is the row-major flattening with
-    ``kron_regroup([(r_i, c_i)])``.
-    """
-    shape = [n for pair in pairs for n in pair]
-    k = len(shape)
-    grid = np.arange(int(np.prod(shape))).reshape(shape)
-    return grid.transpose([*range(0, k, 2), *range(1, k, 2)]).reshape(-1)
-
-
 def herm_pinv(coords):
     """``(s, pinv)`` of the real N x d^2 ``coords``, row n the ``herm_coords`` of a Hermitian x_n:
     the descending singular values s of the map X -> [Tr(x_n X)]_n, and a function returning
@@ -168,15 +153,21 @@ def _herm_kron_index(d1: int, d2: int):
 
 
 def herm_kron(a, b) -> np.ndarray:
-    """``herm_coords`` of the Kronecker products x (x) y, y fastest, from the d_1^2 x N_1 ``a``
-    and d_2^2 x N_2 ``b`` that hold those of the x and the y in their columns.  Row g of the
-    result is a sum of two signed Kronecker products of a row of ``a`` and one of ``b``.  It
-    maps the pseudo-inverses of :func:`herm_pinv` of two designs to that of their product,
-    since the map is orthogonal in the orthonormal coordinates."""
+    """``herm_coords`` of the Kronecker products x (x) y, y fastest, from ``a`` and ``b`` of one
+    rank whose first axes hold the d_1^2 and d_2^2 coordinates of the x and the y.  Their other
+    axes interleave as in :func:`kron_stack`: d^2 x N arrays give all N_1 N_2 products, and
+    (d^2, sets, elements) arrays give them set-major.  Row g of the result is a sum of two
+    signed Kronecker products of a row of ``a`` and one of ``b``.  It maps the pseudo-inverses
+    of :func:`herm_pinv` of two designs to that of their product, since the map is orthogonal
+    in the orthonormal coordinates."""
     i, j, sign = _herm_kron_index(math.isqrt(len(a)), math.isqrt(len(b)))
-    # One batch of rank-2 outer products, (N_1 x 2) @ (2 x N_2) per row.
-    rows = np.matmul((a[i] * sign[:, :, None]).transpose(1, 2, 0), b[j].transpose(1, 0, 2))
-    return rows.reshape(len(rows), -1)
+    # One batch of rank-2 outer products, (N_1 x 2) @ (2 x N_2) per row, N the other axes' sizes.
+    x = a[i].reshape(*i.shape, -1) * sign[:, :, None]
+    rows = np.matmul(x.transpose(1, 2, 0), b[j].reshape(*j.shape, -1).transpose(1, 0, 2))
+    k = a.ndim - 1  # rows holds a's other axes, then b's: interleave them, a's first
+    order = np.arange(1, 2 * k + 1).reshape(2, k).T.flat
+    rows = rows.reshape(len(rows), *a.shape[1:], *b.shape[1:]).transpose(0, *order)
+    return rows.reshape(len(rows), *np.multiply(a.shape[1:], b.shape[1:]))
 
 
 def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .channels import random_channel
 from .ensembles import InputEnsemble, mub_states, random_states, sic_states
-from .linalg import dagger, frob, kron_regroup
+from .linalg import dagger, frob
 from .povms import PovmCollection, cube_povm
 from .reconstruct import TwoStageReconstructor
 from .simulate import MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
@@ -32,7 +32,7 @@ def reshuffle_index(d: int) -> np.ndarray:
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    return kron_regroup([(d, d), (d, d)])
+    return np.arange(d**4).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(-1)
 
 
 def _elementary_basis(d: int) -> list:

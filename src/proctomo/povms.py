@@ -25,8 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensembles import _gram_design, _keep_pinv, _pauli_vector, _check_parts, _projector, _sic_vectors_d4, mub_vectors
-from .linalg import check_psd, frob, herm_coords, kron_regroup, kron_stack, square_stack
+from .ensembles import (
+    DesignReport, _check_parts, _design_report, _keep_pinv, _pauli_vector, _projector, _sic_vectors_d4, mub_vectors
+)
+from .linalg import check_psd, frob, herm_coords, kron_stack, square_stack
 
 POVM_ATOL = 1e-9
 
@@ -59,16 +61,12 @@ class PovmCollection:
             _check_parts(parts, self.sets, PovmCollection, "POVM")
             if any(len(set(p.set_sizes)) != 1 for p in parts):
                 raise ValueError("POVM parts need sets of one size")
-            # Folded as (sets, elements, d, d) arrays, the products come out set-major, indexed
-            # (set_1 ... set_k, element_1 ... element_k); rows takes the pseudo-inverse's
-            # (set_1, element_1, ..., set_k, element_k) columns to that order.
-            rows = kron_regroup([(p.num_sets, p.set_sizes[0]) for p in parts])
+            # Folded as (sets, elements, d, d) arrays, the products come out set-major.
             grid = kron_stack([p.elements.reshape(p.num_sets, p.set_sizes[0], p.d, p.d) for p in parts])
             elements = grid.reshape(-1, *grid.shape[2:])
             sizes = (grid.shape[1],) * grid.shape[0]
         else:
             groups = () if self.sets is None else self.sets
-            rows = slice(None)
             sizes = tuple(len(group) for group in groups)
             elements = square_stack([p for group in groups for p in group], "POVM element must be a square matrix")
         sets = np.split(elements, np.cumsum(sizes)[:-1])
@@ -87,7 +85,9 @@ class PovmCollection:
         if len(elements) < d * d:
             raise ValueError(error)
         # C @ vec(X) is [Tr(P_l^T X)]_l, and P_l^T is the conjugate of the Hermitian P_l.
-        _keep_pinv(self, parts, lambda: herm_coords(elements.conj()), rows, 1, error)
+        # A part's pseudo-inverse folds as (d^2, sets, elements), set-major like its elements.
+        fold = lambda p: p.pinv_coords.T.reshape(-1, p.num_sets, p.set_sizes[0])
+        _keep_pinv(self, parts, lambda: herm_coords(elements.conj()), fold, 1, error)
 
     @property
     def d(self) -> int:
@@ -112,17 +112,6 @@ class PovmCollection:
         ``herm_coords(sigma) @ born_table.T`` is [Tr(P_l sigma)]_l for Hermitian sigma."""
         d = self.d
         return herm_coords(self.elements) * np.where(np.arange(d * d) < d, 1.0, 2.0)
-
-
-@dataclass(frozen=True)
-class PovmDesignReport:
-    cost: float
-    cond: float
-    eigvals: np.ndarray
-    top_eig_lower: float  # s = sum_j d / n_j, the floor for the top eigenvalue
-    lower_cost: float
-    lower_cond: float
-    achieves: bool
 
 
 def cube_povm(m: int) -> PovmCollection:
@@ -156,21 +145,11 @@ def projective_povm(bases, label: str = "projective") -> PovmCollection:
     return PovmCollection(sets, label=label)
 
 
-def design_metrics_C(povm: PovmCollection) -> PovmDesignReport:
-    """Design cost, condition number and the spectrum of C^dag C."""
+def design_metrics_C(povm: PovmCollection) -> DesignReport:
+    """Design cost, condition number and the spectrum of C^dag C, whose top eigenvalue is at
+    least s = sum_j d / n_j."""
     d, j = povm.d, povm.num_sets
     s = float(sum(d / n for n in povm.set_sizes))
-    rest = (j * d - s) / (d * d - 1.0)
-    target = np.full(d * d, rest)
-    target[0] = s
-    # The eigenvalues of C^dag C are the squared singular values of C.
-    eigs, cost, cond, achieves = _gram_design(povm.singular_values, j, target)
-    return PovmDesignReport(
-        cost=cost,
-        cond=cond,
-        eigvals=eigs,
-        top_eig_lower=s,
-        lower_cost=float(j * (1.0 / s + (d * d - 1.0) ** 2 / (j * d - s))),
-        lower_cond=float(np.sqrt((d * d - 1.0) * s / (j * d - s))),
-        achieves=achieves,
-    )
+    return _design_report(povm.singular_values, j, top=s, rest=(j * d - s) / (d * d - 1.0),
+                          lower_cost=float(j * (1.0 / s + (d * d - 1.0) ** 2 / (j * d - s))),
+                          lower_cond=float(np.sqrt((d * d - 1.0) * s / (j * d - s))))

@@ -77,7 +77,7 @@ def nearest_psd(mat: np.ndarray):
 
 
 class TwoStageReconstructor:
-    """Caches the design pseudo-inverses for one (ensemble, POVM) pair."""
+    """The two-stage estimator of one (ensemble, POVM) pair, from the pseudo-inverses the designs keep."""
 
     def __init__(self, ensemble: InputEnsemble, povm: PovmCollection):
         if ensemble.d != povm.d:
@@ -87,9 +87,6 @@ class TwoStageReconstructor:
         self.ensemble = ensemble
         self.povm = povm
         self.d = ensemble.d
-        # The designs keep pinv(C) and pinv(V^T) in real Hermitian coordinates from their
-        # rank checks: SVD-based least-squares inverses, avoiding the squared conditioning
-        # of explicit normal equations.
 
     def output_coefficients(self, freq: np.ndarray) -> np.ndarray:
         """Step 1: the real M x d^2 ``herm_coords`` of the output states' transposes (their

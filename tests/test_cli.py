@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,30 @@ def test_design_audit_reads_a_povm_file(tmp_path, capsys):
     assert main(["design-audit", f"file:{path}"]) == 0
     out = capsys.readouterr().out
     assert "mub-povm-4" in out and "76" in out and "yes" in out
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone, as under ``| head``: ``write`` fails, or only ``flush``."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(failing, monkeypatch, capsys):
+    # A closed pipe is no validation error; one first seen at the flush is caught too.
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(failing))
+    assert main(["design-audit", "cube-povm", "4"]) == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_design_audit_rejects_unknown(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from proctomo.ensembles import (
+    DesignReport,
     InputEnsemble,
     cube_states,
     design_metrics_V,
@@ -15,7 +16,8 @@ from proctomo.ensembles import (
     sic_states,
 )
 from proctomo.linalg import dagger, herm_coords
-from proctomo.povms import mub_povm
+from proctomo.povms import design_metrics_C, mub_povm
+from proctomo.studies import make_ensemble
 
 
 def assert_matches_numpys_pinv(design):
@@ -181,6 +183,16 @@ def test_design_proof_constraints_hold():
         assert r.eigvals[0] >= m / d - 1e-9
         assert r.cost >= r.lower_cost - 1e-6
         assert r.cond >= r.lower_cond - 1e-9
+
+
+@pytest.mark.parametrize("spec", ["mub:4", "sic:4", "random:4:40"])
+def test_ensembles_and_povms_report_through_one_type(spec):
+    # An ensemble's floor for the top eigenvalue of V* V^T is M/d, as s is a POVM's.
+    e = make_ensemble(spec)
+    r = design_metrics_V(e)
+    assert type(r) is DesignReport and type(design_metrics_C(mub_povm(4))) is DesignReport
+    assert r.top_eig_lower == e.num_states / e.d
+    assert r.eigvals[0] >= r.top_eig_lower - 1e-9
 
 
 def test_design_metrics_permutation_invariant():

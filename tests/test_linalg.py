@@ -25,7 +25,6 @@ from proctomo.linalg import (
     hermitian_eig,
     hermitian_part,
     is_hermitian,
-    kron_regroup,
     kron_stack,
     partial_trace_first,
     psd_factor,
@@ -53,17 +52,6 @@ def test_vec_kron_identity():
     np.testing.assert_allclose(
         (x @ y @ z).reshape(-1, order="F"), np.kron(z.T, x) @ y.reshape(-1, order="F"), atol=1e-12
     )
-
-
-@pytest.mark.parametrize("shapes", [[(2, 3)], [(2, 2), (3, 3)], [(2, 3), (4, 1), (1, 2)]])
-def test_kron_regroup_maps_vecs_and_flattenings_of_kron_products(shapes):
-    rng = np.random.default_rng(11)
-    mats = [random_complex(rng, shape) for shape in shapes]
-    prod = kron_stack([m[None] for m in mats])[0]
-    vecs = kron_stack([m.reshape(-1, order="F")[None, :, None] for m in mats])[0, :, 0]
-    flats = kron_stack([m.reshape(1, -1, 1) for m in mats])[0, :, 0]
-    assert np.array_equal(prod.reshape(-1, order="F"), vecs[kron_regroup([(c, r) for r, c in shapes])])
-    assert np.array_equal(prod.reshape(-1), flats[kron_regroup(shapes)])
 
 
 def test_kron_stack_folds_arrays_of_any_equal_rank_as_np_kron():
@@ -100,6 +88,20 @@ def test_herm_pinv_is_numpys_pinv_in_hermitian_coordinates(d):
     assert np.abs(pinv() - want).max() <= 1e-13 * np.abs(want).max()
     sv = np.linalg.svd(a, compute_uv=False)
     assert np.abs(s - sv).max() <= 1e-13 * sv[0]
+
+
+@pytest.mark.parametrize("first, second", [((2, 3, 2), (4, 5, 4)), ((4, 5, 4), (2, 3, 2))])
+def test_herm_kron_of_set_grids_is_the_flat_fold_regrouped_set_major(first, second):
+    # (d^2, sets, elements) arrays interleave their axes as kron_stack does: the result is
+    # the fold of the flattened arrays, its (set_1, element_1, set_2, element_2) columns
+    # regrouped as (set_1, set_2, element_1, element_2), bit for bit.
+    rng = np.random.default_rng(14)
+    (d1, s1, e1), (d2, s2, e2) = first, second
+    a, b = rng.standard_normal((d1 * d1, s1, e1)), rng.standard_normal((d2 * d2, s2, e2))
+    flat = herm_kron(a.reshape(d1 * d1, -1), b.reshape(d2 * d2, -1))
+    want = flat.reshape(-1, s1, e1, s2, e2).transpose(0, 1, 3, 2, 4).reshape(-1, s1 * s2, e1 * e2)
+    got = herm_kron(a, b)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_factored_pinv_matches_the_dense_one():

@@ -5,10 +5,10 @@ import proctomo
 PUBLIC = """
 KrausChannel ProcessMatrix cnot_channel identity_channel process_matrix
 random_channel unitary_channel
-EnsembleDesignReport InputEnsemble cube_states design_metrics_V mub_states
+DesignReport InputEnsemble cube_states design_metrics_V mub_states
 natural_basis_states random_states sic_states
 error_scaling_functional fidelity infidelity loglog_slope squared_error
-PovmCollection PovmDesignReport cube_povm design_metrics_C mub_povm projective_povm sic_povm
+PovmCollection cube_povm design_metrics_C mub_povm projective_povm sic_povm
 ProcessEstimate TwoStageReconstructor nearest_psd
 MeasurementRecord exact_record ideal_probabilities sample_record
 """.split()
