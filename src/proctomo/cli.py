@@ -26,7 +26,6 @@ from .studies import (
     check_dimensions,
     copies_per_state,
     design_audit,
-    format_audit,
     make_channel,
     make_ensemble,
     make_povm,
@@ -113,8 +112,7 @@ def _print_study(result, output) -> int:
 
 
 def _cmd_design_audit(args) -> int:
-    report = design_audit(" ".join(args.spec))
-    for line in format_audit(report):
+    for line in design_audit(" ".join(args.spec)):
         print(line)
     return 0
 

@@ -46,12 +46,14 @@ def _check_parts(parts, stack, cls, what: str) -> None:
         raise ValueError(f"{what} parts must be one or more {cls.__name__} designs")
 
 
-def _keep_pinv(design, parts, coords, fold, axis: int, error: str) -> None:
-    """Keep on ``design`` the descending singular values of its matrix A and, as ``pinv_coords``,
-    pinv(A) in ``herm_coords`` along ``axis``, from one real SVD of the coordinates ``coords()``
-    gives or, for a product design, from its ``parts`` by ``linalg.herm_kron`` of ``fold(part)``,
-    a part's pseudo-inverse shaped (d^2, sets, elements) for a POVM or (d^2, M) for an ensemble.
-    A rank-deficient A raises ValueError(error) before anything divides by its singular values;
+def _keep_pinv(design, parts, coords, fold, error: str) -> None:
+    """Keep on ``design`` the descending singular values of its N x d^2 matrix A and, as
+    ``pinv_coords``, pinv(A) as a C-contiguous real d^2 x N matrix, column n in ``herm_coords``,
+    from one real SVD of the coordinates ``coords()`` gives or, for a product design, from its
+    ``parts`` by ``linalg.herm_kron`` of ``fold(part)``, a part's pseudo-inverse shaped
+    (d^2, sets, elements) for a POVM or (d^2, M) for an ensemble.  An A with fewer than d^2
+    singular values, or whose smallest is at most RANK_RTOL times its largest, is not
+    informationally complete and raises ValueError(error) before anything divides by them;
     this is the one place the rank rule is written.
     """
     if parts is None:
@@ -59,9 +61,9 @@ def _keep_pinv(design, parts, coords, fold, axis: int, error: str) -> None:
     else:
         sv = np.sort(kron_stack([p.singular_values for p in parts]))[::-1]
         pinv = lambda: functools.reduce(herm_kron, map(fold, parts))
-    if sv[-1] <= RANK_RTOL * sv[0]:
+    if len(sv) < design.d**2 or sv[-1] <= RANK_RTOL * sv[0]:
         raise ValueError(error)
-    object.__setattr__(design, "pinv_coords", np.ascontiguousarray(np.moveaxis(pinv().reshape(len(sv), -1), 0, axis)))
+    object.__setattr__(design, "pinv_coords", pinv().reshape(len(sv), -1))
     object.__setattr__(design, "singular_values", sv)
 
 
@@ -93,13 +95,8 @@ class InputEnsemble:
             states = square_stack(self.states, "ensemble states must be square matrices sharing one dimension")
             check_psd(states, "ensemble state", atol=STATE_ATOL, unit_trace=True)
         object.__setattr__(self, "states", states)
-        d = states.shape[1]
-        if len(states) < d * d:
-            raise ValueError(
-                f"need at least d^2={d * d} states for informational completeness, got {len(states)}"
-            )
-        error = "ensemble is not informationally complete (rank deficient V)"
-        _keep_pinv(self, parts, lambda: herm_coords(states), lambda p: p.pinv_coords, 0, error)
+        error = f"ensemble of {len(states)} states is not informationally complete (rank deficient V, d^2={self.d**2})"
+        _keep_pinv(self, parts, lambda: herm_coords(states), lambda p: p.pinv_coords, error)
 
     @property
     def d(self) -> int:

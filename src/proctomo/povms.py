@@ -40,7 +40,7 @@ class PovmCollection:
     ``elements`` is the complex (L, d, d) stack of all elements, set by set,
     ``set_sizes`` the number of elements of each set, and ``sets`` the
     constructor's sets held as per-set views of ``elements``.  ``pinv_coords``
-    is the real L x d^2 transpose of pinv(C) kept from validation, each row in
+    is the real d^2 x L pinv(C) kept from validation, each column in
     ``herm_coords``, and ``singular_values`` the descending singular values of
     C.  A product collection is given by ``parts`` (init only) alone, validated
     collections with sets of one size each: its sets are the tensor products of
@@ -81,13 +81,11 @@ class PovmCollection:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "set_sizes", sizes)
         object.__setattr__(self, "sets", tuple(sets))
-        error = "measurement is not informationally complete (rank deficient C)"
-        if len(elements) < d * d:
-            raise ValueError(error)
+        error = f"measurement of {len(elements)} elements is not informationally complete (rank deficient C, d^2={d**2})"
         # C @ vec(X) is [Tr(P_l^T X)]_l, and P_l^T is the conjugate of the Hermitian P_l.
         # A part's pseudo-inverse folds as (d^2, sets, elements), set-major like its elements.
-        fold = lambda p: p.pinv_coords.T.reshape(-1, p.num_sets, p.set_sizes[0])
-        _keep_pinv(self, parts, lambda: herm_coords(elements.conj()), fold, 1, error)
+        fold = lambda p: p.pinv_coords.reshape(-1, p.num_sets, p.set_sizes[0])
+        _keep_pinv(self, parts, lambda: herm_coords(elements.conj()), fold, error)
 
     @property
     def d(self) -> int:

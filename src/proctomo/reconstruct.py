@@ -90,7 +90,7 @@ class TwoStageReconstructor:
 
     def output_coefficients(self, freq: np.ndarray) -> np.ndarray:
         """Step 1: the real M x d^2 ``herm_coords`` of the output states' transposes (their
-        conjugates), one real product."""
+        conjugates), one real product with the POVM's d^2 x L pinv(C), which BLAS reads transposed."""
         freq = np.asarray(freq)
         if np.iscomplexobj(freq):
             raise ValueError("frequency matrix must be real")
@@ -99,7 +99,7 @@ class TwoStageReconstructor:
                 f"frequency matrix has shape {freq.shape}, expected "
                 f"({self.ensemble.num_states}, {self.povm.num_elements})"
             )
-        return freq @ self.povm.pinv_coords
+        return freq @ self.povm.pinv_coords.T
 
     def process_least_squares(self, coords: np.ndarray) -> np.ndarray:
         """Step 2 from step 1's real coordinates: z = pinv(V^T) @ A-hat is B Z B^T of the real

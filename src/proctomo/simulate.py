@@ -22,8 +22,8 @@ reproduced only by releases before it was replaced.
 
 from __future__ import annotations
 
+import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +49,13 @@ def _whole(n, least: int) -> bool:
 
 
 def check_seed(seed) -> int:
-    """``seed`` as an int, or a ValueError naming it unless it is non-negative."""
-    seed = operator.index(seed)
+    """``seed`` as an int, or a ValueError naming it unless it is a non-negative integer, not a bool.
+    This is the one seed rule."""
+    if not _whole(seed, -math.inf):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
+    return int(seed)
 
 
 @dataclass(eq=False)
@@ -76,8 +78,8 @@ class MeasurementRecord:
         self.set_sizes = tuple(self.set_sizes)
         if not (self.shots_per_set is None or _whole(self.shots_per_set, 1)):
             raise ValueError(f"shots per set must be a positive integer or None, got {self.shots_per_set!r}")
-        if not (self.seed is None or _whole(self.seed, 0)):
-            raise ValueError(f"seed must be a non-negative integer or None, got {self.seed!r}")
+        if self.seed is not None:
+            self.seed = check_seed(self.seed)
         if not (self.sampler is None or (_whole(self.sampler, 1) and self.sampler <= SAMPLER)):
             raise ValueError(f"sampler must be a sampler version 1..{SAMPLER} or None, got {self.sampler!r}")
         if np.iscomplexobj(self.freq):

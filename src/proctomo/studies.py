@@ -13,7 +13,7 @@ import json
 import numbers
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +175,7 @@ def _meta(config: dict, seed: int) -> dict:
     """Table header: the config as sorted JSON, its short sha256, and the seed."""
     blob = json.dumps(config, sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    return {"config": blob, "config_sha256": digest, "seed": seed}
+    return {"config": blob, "config_sha256": digest, "seed": check_seed(seed)}
 
 
 # Config keys whose type is checked up front, so a JSON typo fails by name.
@@ -361,20 +361,15 @@ def run_m_scaling_study(
     )
 
 
-def design_audit(spec: str) -> dict:
-    """Design metrics for an ensemble or POVM spec, as a printable report."""
+def design_audit(spec: str) -> list:
+    """The printed lines of the design metrics of an ensemble or POVM spec."""
     design = build_spec(spec, "ensemble", "POVM")
     rep = design_metrics_C(design) if isinstance(design, PovmCollection) else design_metrics_V(design)
-    return {"label": design.label, **asdict(rep), "eigvals": rep.eigvals.tolist()}
-
-
-def format_audit(report: dict) -> list:
-    eigs = ", ".join(f"{v:.6g}" for v in report["eigvals"])
     return [
-        f"design audit: {report['label']}",
-        f"  cost        {report['cost']:.6f}   (lower bound {report['lower_cost']:.6f})",
-        f"  cond        {report['cond']:.6f}   (lower bound {report['lower_cond']:.6f})",
-        f"  eigenvalues {eigs}",
-        f"  achieves lower bounds: {'yes' if report['achieves'] else 'no'}",
+        f"design audit: {design.label}",
+        f"  cost        {rep.cost:.6f}   (lower bound {rep.lower_cost:.6f})",
+        f"  cond        {rep.cond:.6f}   (lower bound {rep.lower_cond:.6f})",
+        f"  eigenvalues {', '.join(f'{v:.6g}' for v in rep.eigvals)}",
+        f"  achieves lower bounds: {'yes' if rep.achieves else 'no'}",
     ]
 

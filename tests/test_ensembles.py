@@ -24,12 +24,10 @@ def assert_matches_numpys_pinv(design):
     """``pinv_coords`` and ``singular_values`` of an ensemble or a POVM collection against
     numpy's complex route: ``np.linalg.pinv`` of V^T or C, its columns read as row-major
     d x d matrices in ``herm_coords``, within 1e-13 relative, and ``np.linalg.svd``'s
-    values within 1e-13 s_0.  The ensemble's is d^2 x M and the POVM's L x d^2, each
-    C-contiguous."""
-    ensemble = isinstance(design, InputEnsemble)
-    a = design.parameterization().T if ensemble else design.parameterization()
-    want = herm_coords(np.linalg.pinv(a).T.reshape(len(a), design.d, design.d))
-    want = want.T if ensemble else want
+    values within 1e-13 s_0.  Both kinds keep one layout: a C-contiguous d^2 x N matrix,
+    N the number of states or elements."""
+    a = design.parameterization().T if isinstance(design, InputEnsemble) else design.parameterization()
+    want = herm_coords(np.linalg.pinv(a).T.reshape(len(a), design.d, design.d)).T
     got = design.pinv_coords
     assert got.dtype == float and got.flags.c_contiguous and got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from proctomo.ensembles import InputEnsemble, cube_states, mub_states
+from proctomo.ensembles import InputEnsemble, cube_states, mub_states, sic_states
 from proctomo.linalg import dagger, haar_unitary
 from test_ensembles import assert_matches_numpys_pinv
 from proctomo.povms import (
@@ -204,9 +204,15 @@ def test_products_of_unlike_parts_are_set_major(make_parts):
     first, second = make_parts()
     product = PovmCollection(parts=[first, second])
     sets = [tuple(np.kron(a, b) for a in g for b in h) for g in first.sets for h in second.sets]
-    assert product.set_sizes == PovmCollection(sets).set_sizes
+    dense = PovmCollection(sets)
+    assert product.set_sizes == dense.set_sizes
     assert np.array_equal(product.elements, np.concatenate(sets))
     assert_matches_numpys_pinv(product)
+    # Column l of the d^2 x L pseudo-inverse pairs with element l, set by set.
+    stops = np.cumsum(product.set_sizes)
+    for start, stop in zip(stops - product.set_sizes, stops):
+        want = dense.pinv_coords[:, start:stop]
+        assert np.abs(product.pinv_coords[:, start:stop] - want).max() <= 1e-13 * np.abs(dense.pinv_coords).max()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -264,6 +270,22 @@ def test_rank_deficient_povms_still_raise(m):
         sets = [tuple(np.kron(p, q) for p in g for q in h) for g in sets for h in single]
     with pytest.raises(ValueError, match="rank deficient"):
         PovmCollection(sets)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "make, what",
+    [(lambda: InputEnsemble(mub_states(4).states[:15]), "ensemble of 15 states"),
+     (lambda: PovmCollection(mub_povm(4).sets[:2]), "measurement of 8 elements"),
+     # Linearly independent, so every one of their singular values is well above RANK_RTOL.
+     (lambda: InputEnsemble(sic_states(4).states[:15]), "ensemble of 15 states"),
+     (lambda: PovmCollection(mub_povm(4).sets[:1]), "measurement of 4 elements")],
+)
+def test_one_rank_rule_refuses_fewer_than_d2_states_or_elements(make, what):
+    # Fewer than d^2 = 16 columns cannot span the d^2-dimensional operator space,
+    # whatever their singular values.
+    with pytest.raises(ValueError, match=rf"^{what} is not informationally complete \(rank deficient [VC], d\^2=16\)$"):
+        make()
 
 
 def test_nested_sets_and_stacked_sets_build_the_same_collection():

@@ -9,7 +9,8 @@ from proctomo.ensembles import InputEnsemble, mub_states, natural_basis_states, 
 from proctomo.linalg import dagger
 from proctomo.oracle import dense_expansion_matrix, transpose_index
 from proctomo.povms import PovmCollection, cube_povm, sic_povm
-from proctomo.simulate import SAMPLER, MeasurementRecord, exact_record, ideal_probabilities, sample_record
+from proctomo.simulate import SAMPLER, MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
+from proctomo.studies import run_m_scaling_study
 
 
 def set_slices(povm):
@@ -405,8 +406,40 @@ def test_sampler_rejects_non_integer_seeds():
     probs, p = np.full((4, 6), 0.5), cube_povm(1)
     with pytest.raises(ValueError):
         sample_record(probs, 600, p, seed=-1)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="got None"):
         sample_record(probs, 600, p, seed=None)
+
+
+def seed_entries():
+    """The four entry points that take a seed, each called with a seed alone."""
+    probs, p = np.full((4, 6), 0.5), cube_povm(1)
+    study = dict(povm_spec="cube-povm:1", channel_spec="identity:2", trials=1)
+    return {
+        "check_seed": check_seed,
+        "sample_record": lambda seed: sample_record(probs, 600, p, seed=seed),
+        "run_m_scaling_study": lambda seed: run_m_scaling_study(2, (4,), 30, seed=seed, **study),
+        "MeasurementRecord": lambda seed: MeasurementRecord(probs, (2, 2, 2), seed=seed),
+    }
+
+
+@pytest.mark.parametrize("entry", ["check_seed", "sample_record", "run_m_scaling_study", "MeasurementRecord"])
+def test_one_seed_rule_refuses_what_is_not_a_non_negative_integer_naming_it(entry):
+    for seed in (1.5, True, "3", -1):
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            seed_entries()[entry](seed)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        seed_entries()[entry](-1)
+
+
+def test_one_seed_rule_accepts_numpy_integers_as_plain_ints():
+    entries = seed_entries()
+    assert entries["check_seed"](np.int64(3)) == 3 and type(entries["check_seed"](np.int64(3))) is int
+    assert np.array_equal(entries["sample_record"](np.int64(3)).counts, entries["sample_record"](3).counts)
+    study = entries["run_m_scaling_study"](np.int64(3))
+    assert study.rows[0][1:3] == entries["run_m_scaling_study"](3).rows[0][1:3]
+    assert type(study.meta["seed"]) is int and study.meta["seed"] == 3
+    record = entries["MeasurementRecord"](np.int64(3))
+    assert type(record.seed) is int and record.seed == 3
 
 
 def ideal_probabilities_loop(process, ensemble, povm):
