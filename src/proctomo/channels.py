@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    check_int,
     check_psd,
     dagger,
     frob,
@@ -96,7 +97,7 @@ def process_matrix(ch: KrausChannel) -> ProcessMatrix:
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel((np.eye(d, dtype=complex),), label=f"identity-{d}")
+    return KrausChannel((np.eye(check_int(d, "dimension", 1), dtype=complex),), label=f"identity-{d}")
 
 
 def unitary_channel(u: np.ndarray, label: str = "") -> KrausChannel:
@@ -123,8 +124,7 @@ def random_channel(d: int, tp: bool = True, seed=None) -> KrausChannel:
     completes sum A^dag A to the identity (``tp=True``) or to a random
     rotation of d uniform draws in [0.4, 1].
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    d = check_int(d, "dimension", 2)
     rng = np.random.default_rng(seed)
     diags = [np.pad(diag, (0, d - len(diag))).astype(complex) for diag in _SEED_DIAGS]
     partial = [haar_unitary(d, rng) @ np.diag(g) for g in diags]

@@ -99,9 +99,9 @@ def _cmd_scaling_study(args) -> int:
 
 
 def _cmd_m_scaling_study(args) -> int:
-    # Every study parameter has a flag of the same dest.
-    params = inspect.signature(run_m_scaling_study).parameters
-    return _print_study(run_m_scaling_study(**{name: getattr(args, name) for name in params}), args.output)
+    # Every study parameter has a flag of the same dest; the study's defaults fill those not given.
+    flags = {name: getattr(args, name) for name in inspect.signature(run_m_scaling_study).parameters}
+    return _print_study(run_m_scaling_study(**{k: v for k, v in flags.items() if v is not None}), args.output)
 
 
 def _print_study(result, output) -> int:
@@ -165,14 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scaling_study)
 
     p = sub.add_parser("m-scaling-study", help="MSE versus the number of random input states")
-    p.add_argument("--dim", type=int, default=4, dest="d", metavar="DIM")
-    p.add_argument("--num-states", type=int, nargs="+", default=[16, 32, 64, 128])
-    p.add_argument("--copies-per-state", type=int, default=90_000)
-    _spec_arg(p, "--povm", "POVM", default="cube-povm:2", dest="povm_spec", metavar="POVM")
-    _spec_arg(p, "--channel", "channel", default="random:4:tp:7", dest="channel_spec", metavar="CHANNEL")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
+    p.add_argument("--dim", type=int, dest="d", metavar="DIM")
+    p.add_argument("--num-states", type=int, nargs="+")
+    p.add_argument("--copies-per-state", type=int)
+    _spec_arg(p, "--povm", "POVM", dest="povm_spec", metavar="POVM")
+    _spec_arg(p, "--channel", "channel", dest="channel_spec", metavar="CHANNEL")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--output")
     p.set_defaults(func=_cmd_m_scaling_study)
 
     p = sub.add_parser("design-audit", help="cost/cond/eigenvalues of a state or measurement design")

@@ -25,7 +25,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linalg import check_psd, herm_coords, herm_kron, herm_pinv, kron_stack, square_stack
+from .linalg import check_int, check_psd, herm_coords, herm_kron, herm_pinv, kron_stack, square_stack
 
 RANK_RTOL = 1e-10
 STATE_ATOL = 1e-9
@@ -155,6 +155,7 @@ def _sic_vectors_d4() -> np.ndarray:
 def sic_states(d: int) -> InputEnsemble:
     """Symmetric informationally complete family: d^2 pure states with
     pairwise overlap 1/(d+1).  Supported for d in {2, 4}."""
+    d = check_int(d, "dimension", 2)
     if d == 2:
         # Regular tetrahedron on the Bloch sphere, apex fixed at +z.
         ct, st = -1.0 / 3.0, np.sqrt(8.0) / 3.0
@@ -184,6 +185,7 @@ def _pauli_vector() -> np.ndarray:
 
 def mub_vectors(d: int) -> list:
     """d+1 mutually unbiased orthonormal bases as lists of column vectors."""
+    d = check_int(d, "dimension", 2)
     q = qubit_states()
     if d == 2:
         return [
@@ -233,9 +235,7 @@ def natural_basis_states(d: int) -> InputEnsemble:
     onto (|j> + |k>)/sqrt(2) and (|j> + i|k>)/sqrt(2).  Any |j><k| is the
     combination plus + i*imag - (1+i)/2 (|j><j| + |k><k|).
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(check_int(d, "dimension", 2), dtype=complex)
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
     states = [_projector(eye[:, j]) for j in range(d)]
     states += [_projector(eye[:, j] + phase * eye[:, k]) for j, k in pairs for phase in (1, 1j)]
@@ -244,10 +244,7 @@ def natural_basis_states(d: int) -> InputEnsemble:
 
 def random_states(d: int, m: int, seed=None) -> InputEnsemble:
     """M random full-rank density matrices (normalized Wishart draws)."""
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
-    if m < d * d:
-        raise ValueError(f"need M >= d^2 = {d * d} states, got {m}")
+    d, m = check_int(d, "dimension", 1), check_int(m, "number of states M", 1)
     rng = np.random.default_rng(seed)
     # The same normals, in the same order, as a real then an imaginary
     # (d, d) draw per state.
@@ -260,9 +257,7 @@ def random_states(d: int, m: int, seed=None) -> InputEnsemble:
 
 def cube_states(m: int) -> InputEnsemble:
     """m-fold tensor products of the qubit MUB family (6^m states)."""
-    if m < 1:
-        raise ValueError("need at least one qubit")
-    return InputEnsemble(label=f"cube-states-{m}", parts=[mub_states(2)] * m)
+    return InputEnsemble(label=f"cube-states-{m}", parts=[mub_states(2)] * check_int(m, "number of qubits", 1))
 
 
 def _design_report(sv, weight: float, top: float, rest: float, lower_cost: float, lower_cond: float) -> DesignReport:

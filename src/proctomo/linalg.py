@@ -7,6 +7,9 @@ Conventions fixed here and relied on everywhere else:
   second convention.
 * ``partial_trace_first`` traces out the first (most significant) tensor
   factor, so that ``Tr_1(vec(S) vec(T)^dag) = S T^dag``.
+* ``check_int`` is the one rule for every count, dimension and seed a caller
+  supplies: an integer, not a bool, of at least a floor.  A fractional count
+  is refused, never truncated.
 
 Everything is a pure function of its inputs and safe to share across threads.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -24,6 +28,17 @@ HERMITIAN_RTOL = 1e-10
 # psd_root; eigenvalues more negative than NEGATIVE_EIG_RTOL are an error.
 EIG_CLIP_RTOL = 1e-12
 NEGATIVE_EIG_RTOL = 1e-10
+
+
+def check_int(value, what: str, least: int) -> int:
+    """``value`` as a plain int if it is an integer (numpy's included), not a bool, of at
+    least ``least``; otherwise a ValueError naming ``what`` and the value."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        floor = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {floor}, got {int(value)}")
+    return int(value)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

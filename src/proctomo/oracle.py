@@ -8,7 +8,7 @@ import numpy as np
 
 from .channels import random_channel
 from .ensembles import InputEnsemble, mub_states, random_states, sic_states
-from .linalg import dagger, frob
+from .linalg import check_int, dagger, frob
 from .povms import PovmCollection, cube_povm
 from .reconstruct import TwoStageReconstructor
 from .simulate import MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
@@ -18,8 +18,7 @@ _DENSE_MAX_D = 3
 
 def transpose_index(rows: int, cols: int) -> np.ndarray:
     """Index array K with ``vec(A)[K] == vec(A.T)`` for rows x cols A."""
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
+    rows, cols = check_int(rows, "rows", 1), check_int(cols, "columns", 1)
     return np.arange(rows * cols).reshape(cols, rows).T.reshape(-1)
 
 
@@ -30,8 +29,7 @@ def reshuffle_index(d: int) -> np.ndarray:
     Writing an index of length d^4 in base d as (u, v, x, y), R swaps the two
     middle digits.  R is an involution, so R == R^T == R^-1.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    d = check_int(d, "dimension", 2)
     return np.arange(d**4).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(-1)
 
 

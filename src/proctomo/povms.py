@@ -28,7 +28,7 @@ import numpy as np
 from .ensembles import (
     DesignReport, _check_parts, _design_report, _keep_pinv, _pauli_vector, _projector, _sic_vectors_d4, mub_vectors
 )
-from .linalg import check_psd, frob, herm_coords, kron_stack, square_stack
+from .linalg import check_int, check_psd, frob, herm_coords, kron_stack, square_stack
 
 POVM_ATOL = 1e-9
 
@@ -115,11 +115,9 @@ class PovmCollection:
 def cube_povm(m: int) -> PovmCollection:
     """Pauli-axis projective measurements on m qubits: 3^m sets of 2^m elements,
     the m-fold product of the one-qubit collection."""
-    if m < 1:
-        raise ValueError("need at least one qubit")
     eye = np.eye(2, dtype=complex)
     single = PovmCollection(tuple(((eye + p) / 2, (eye - p) / 2) for p in _pauli_vector()))
-    return PovmCollection(label=f"cube-{m}", parts=[single] * m)
+    return PovmCollection(label=f"cube-{m}", parts=[single] * check_int(m, "number of qubits", 1))
 
 
 def mub_povm(d: int) -> PovmCollection:
@@ -130,7 +128,7 @@ def mub_povm(d: int) -> PovmCollection:
 
 def sic_povm(d: int = 4) -> PovmCollection:
     """Single-set SIC measurement: d^2 subnormalized projectors summing to I."""
-    if d != 4:
+    if check_int(d, "dimension", 2) != 4:
         raise ValueError("the SIC measurement is built in for d=4 only")
     cols = _sic_vectors_d4()
     group = tuple(_projector(cols[:, n]) / d for n in range(d * d))

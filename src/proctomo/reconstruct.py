@@ -32,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import InputEnsemble
-from .linalg import dagger, from_herm_bilinear, hermitian_eig, hermitian_part, is_hermitian, partial_trace_first
+from .linalg import (
+    check_int, dagger, from_herm_bilinear, hermitian_eig, hermitian_part, is_hermitian, partial_trace_first
+)
 from .povms import PovmCollection
 from .simulate import MeasurementRecord
 
@@ -82,11 +84,9 @@ class TwoStageReconstructor:
     def __init__(self, ensemble: InputEnsemble, povm: PovmCollection):
         if ensemble.d != povm.d:
             raise ValueError(f"ensemble d={ensemble.d} does not match POVM d={povm.d}")
-        if ensemble.d < 2:
-            raise ValueError("dimension must be at least 2")
         self.ensemble = ensemble
         self.povm = povm
-        self.d = ensemble.d
+        self.d = check_int(ensemble.d, "dimension", 2)
 
     def output_coefficients(self, freq: np.ndarray) -> np.ndarray:
         """Step 1: the real M x d^2 ``herm_coords`` of the output states' transposes (their

@@ -22,15 +22,13 @@ reproduced only by releases before it was replaced.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import CHANNEL_ATOL, KrausChannel, ProcessMatrix
 from .ensembles import STATE_ATOL, InputEnsemble
-from .linalg import herm_coords, transfer_matrix
+from .linalg import check_int, herm_coords, transfer_matrix
 from .povms import POVM_ATOL, PovmCollection
 
 # What the constructors let through, to first order: a set's probabilities sum to at most the
@@ -43,19 +41,9 @@ _STATE_BLOCK = 64
 SAMPLER = 2
 
 
-def _whole(n, least: int) -> bool:
-    """``n`` is an integer (not a bool) of at least ``least``."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
-
-
 def check_seed(seed) -> int:
-    """``seed`` as an int, or a ValueError naming it unless it is a non-negative integer, not a bool.
-    This is the one seed rule."""
-    if not _whole(seed, -math.inf):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return int(seed)
+    """``seed`` as an int, or a ValueError naming it unless it is a non-negative integer, not a bool."""
+    return check_int(seed, "seed", 0)
 
 
 @dataclass(eq=False)
@@ -73,15 +61,21 @@ class MeasurementRecord:
     sampler: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.set_sizes, (tuple, list)) or not all(_whole(n, 1) for n in self.set_sizes):
-            raise ValueError(f"set sizes must be positive integers, got {self.set_sizes!r}")
-        self.set_sizes = tuple(self.set_sizes)
-        if not (self.shots_per_set is None or _whole(self.shots_per_set, 1)):
-            raise ValueError(f"shots per set must be a positive integer or None, got {self.shots_per_set!r}")
+        if not isinstance(self.set_sizes, (tuple, list)):
+            raise ValueError(f"set sizes must be a list of integers, got {self.set_sizes!r}")
+        # From a list: tuple(generator) resizes, and the freed resized tuples pile up on a free list.
+        self.set_sizes = tuple([check_int(n, "a set size", 1) for n in self.set_sizes])
+        if self.shots_per_set is not None:
+            self.shots_per_set = check_int(self.shots_per_set, "shots per set", 1)
         if self.seed is not None:
             self.seed = check_seed(self.seed)
-        if not (self.sampler is None or (_whole(self.sampler, 1) and self.sampler <= SAMPLER)):
-            raise ValueError(f"sampler must be a sampler version 1..{SAMPLER} or None, got {self.sampler!r}")
+        try:  # every refusal of the sampler names the known versions
+            if self.sampler is not None:
+                self.sampler = check_int(self.sampler, "sampler", 1)
+                if self.sampler > SAMPLER:
+                    raise ValueError
+        except ValueError:
+            raise ValueError(f"sampler must be a sampler version 1..{SAMPLER} or None, got {self.sampler!r}") from None
         if np.iscomplexobj(self.freq):
             raise ValueError("frequency matrix must be real")
         self.freq = np.asarray(self.freq, dtype=float)
@@ -150,7 +144,7 @@ def sample_record(
     if probs.min() < -PROB_ATOL:
         raise ValueError(f"negative probability {probs.min():.3e}")
     j = povm.num_sets
-    shots = int(copies) // j
+    shots = check_int(copies, "copies", 1) // j
     if shots < 1:
         raise ValueError(f"{copies} copies leave no shots for {j} POVM sets")
     seed = check_seed(seed)

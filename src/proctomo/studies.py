@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -35,6 +34,7 @@ from .ensembles import (
     random_states,
     sic_states,
 )
+from .linalg import check_int
 from .metrics import infidelity, loglog_slope, squared_error
 from .povms import PovmCollection, cube_povm, design_metrics_C, mub_povm, sic_povm
 from .reconstruct import TwoStageReconstructor
@@ -109,7 +109,10 @@ def build_spec(spec: str, *kinds: str):
         raise ValueError(f"spec {spec!r} does not match {form}; give each field once, in order")
     if PATH in entry.fields:  # the document may be of any of the kinds
         args.append(sum((FILE_CLASSES[kind] for kind in kinds), ()))
-    return entry.build(*args)
+    try:
+        return entry.build(*args)
+    except ValueError as exc:  # the builder's own refusal, e.g. of a dimension
+        raise ValueError(f"spec {spec!r}: {exc}") from None
 
 
 def make_channel(spec: str):
@@ -162,25 +165,25 @@ def check_dimensions(dims: dict) -> None:
         raise ValueError("dimension mismatch: " + "; ".join(f"{name}: d={d}" for name, d in dims.items()))
 
 
-def _check_sweep(trials, grid, seed) -> None:
-    """A study needs at least one trial, a non-empty positive grid and a seed >= 0."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if not grid or min(grid) < 1:
-        raise ValueError(f"the study grid must be non-empty and positive, got {list(grid)}")
-    check_seed(seed)
+def _check_sweep(trials, grid, name: str, seed) -> tuple:
+    """``(trials, grid, seed)`` as plain ints, the grid a tuple, or a ValueError: a study needs
+    at least one trial, a non-empty list ``name`` of positive integers and a seed >= 0."""
+    if not isinstance(grid, (list, tuple)) or not grid:
+        raise ValueError(f"the study grid {name} must be a non-empty list of integers, got {grid!r}")
+    points = tuple(check_int(n, f"an entry of {name}", 1) for n in grid)
+    return check_int(trials, "trials", 1), points, check_seed(seed)
 
 
 def _meta(config: dict, seed: int) -> dict:
     """Table header: the config as sorted JSON, its short sha256, and the seed."""
     blob = json.dumps(config, sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
-    return {"config": blob, "config_sha256": digest, "seed": check_seed(seed)}
+    return {"config": blob, "config_sha256": digest, "seed": seed}
 
 
-# Config keys whose type is checked up front, so a JSON typo fails by name.
-# Plain types only: the table header is JSON, which takes no numpy scalars.
-_CONFIG_TYPES = {"channel": str, "povm": str, "trials": int, "tp_prior": bool, "seed": int}
+# Config keys whose type is checked up front, so a JSON typo fails by name;
+# the integer keys go through _check_sweep.
+_CONFIG_TYPES = {"channel": str, "povm": str, "tp_prior": bool}
 
 
 @dataclass
@@ -199,22 +202,16 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, kind in _CONFIG_TYPES.items():
             value = getattr(self, key)
-            # bool is an int too; only tp_prior takes one.
-            if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
+            if not isinstance(value, kind):
                 raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         if isinstance(self.ensembles, str):
             self.ensembles = (self.ensembles,)
-        specs, totals = self.ensembles, self.copies
+        specs = self.ensembles
         if not isinstance(specs, (list, tuple)) or not specs or not all(isinstance(s, str) for s in specs):
             raise ValueError(f"config key 'ensembles' must be a non-empty list of spec strings, got {specs!r}")
-        # A fractional total would otherwise be truncated; bool is an int too.
-        if not isinstance(totals, (list, tuple)) or not all(
-            isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in totals
-        ):
-            raise ValueError(f"config key 'copies' must be a list of integer totals, got {totals!r}")
         self.ensembles = tuple(self.ensembles)
-        self.copies = tuple(int(n) for n in self.copies)
-        _check_sweep(self.trials, self.copies, self.seed)
+        # Plain ints: the table header is JSON, which takes no numpy scalars.
+        self.trials, self.copies, self.seed = _check_sweep(self.trials, self.copies, "config key 'copies'", self.seed)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -259,7 +256,6 @@ def _run_study(meta, columns, scores, grid, trials, series, output) -> StudyResu
     score's mean and std and the other scores' means.  With two or more grid
     points each score's means get a log-log slope, keyed ``score[tag]``.
     """
-    _check_sweep(trials, grid, meta["seed"])
     rows, slopes = [], {}
     for tag, prefix, trial in series:
         curve = []
@@ -318,9 +314,9 @@ def run_scaling_study(cfg: ExperimentConfig) -> StudyResult:
 
 
 def run_m_scaling_study(
-    d: int,
-    num_states: tuple,
-    copies_per_state: int,
+    d: int = 4,
+    num_states: tuple = (16, 32, 64, 128),
+    copies_per_state: int = 90_000,
     povm_spec: str = "cube-povm:2",
     channel_spec: str = "random:4:tp:7",
     trials: int = 10,
@@ -332,6 +328,9 @@ def run_m_scaling_study(
     Each trial draws a fresh random ensemble, so the study averages over the
     input-state distribution as well as shot noise.
     """
+    trials, num_states, seed = _check_sweep(trials, num_states, "num_states (--num-states)", seed)
+    d = check_int(d, "d (--dim)", 2)
+    copies_per_state = check_int(copies_per_state, "copies_per_state (--copies-per-state)", 1)
     channel = make_channel(channel_spec)
     povm = make_povm(povm_spec)
     check_dimensions({"random ensembles (d, --dim)": d, f"channel {channel_spec!r}": channel.d,
@@ -340,7 +339,7 @@ def run_m_scaling_study(
     x_true = channel.mat
 
     def trial(ip, m, it):
-        ensemble = random_states(d, int(m), seed=trial_seed(seed, ip, 2 * it))
+        ensemble = random_states(d, m, seed=trial_seed(seed, ip, 2 * it))
         probs = ideal_probabilities(channel, ensemble, povm)
         record = sample_record(
             probs, copies_per_state, povm, seed=trial_seed(seed, ip, 2 * it + 1), keep_ideal=False

@@ -390,6 +390,17 @@ def test_studies_refuse_a_negative_seed_naming_it(argv, capsys):
     assert err.startswith("error: seed") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, spec, text",
+    [("--channel", "random:1", "dimension must be at least 2, got 1"),
+     ("--channel", "identity:0", "dimension must be at least 1, got 0"),
+     ("--povm", "cube-povm:0", "number of qubits must be at least 1, got 0")],
+)
+def test_a_builders_refusal_names_its_spec(flag, spec, text, tmp_path, capsys):
+    assert main(["simulate", flag, spec, "--output", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == f"error: spec {spec!r}: {text}\n"
+
+
 def test_oracle_check_refuses_a_negative_seed_naming_it(capsys):
     assert main(["oracle-check", "--seed", "-1"]) == 2
     err = capsys.readouterr().err
@@ -426,7 +437,9 @@ def test_design_audit_of_a_malformed_file_exits_2(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("cfg", [{"copies": 1200}, {"copies": [1200.9]}, {"ensembles": [4]}, {"ensembles": []}])
+@pytest.mark.parametrize(
+    "cfg", [{"copies": 1200}, {"copies": [1200.9]}, {"ensembles": [4]}, {"ensembles": []}, {"trials": 2.5}]
+)
 def test_scaling_study_config_with_mistyped_lists_exits_2(cfg, tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(cfg))

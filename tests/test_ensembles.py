@@ -140,7 +140,8 @@ def test_random_states_cost_above_bound():
 
 
 def test_random_states_rejects_small_m():
-    with pytest.raises(ValueError):
+    # Fewer than d^2 states fail the one rank rule, in its words.
+    with pytest.raises(ValueError, match=r"^ensemble of 10 states is not informationally complete \(rank deficient V, d\^2=16\)$"):
         random_states(4, 10)
 
 

@@ -11,9 +11,12 @@ from proctomo.channels import (
     process_matrix,
     random_channel,
 )
-from proctomo.ensembles import InputEnsemble, mub_states, random_states
+from proctomo.ensembles import (
+    InputEnsemble, cube_states, mub_states, natural_basis_states, random_states, sic_states
+)
 from proctomo.linalg import (
     HERMITIAN_RTOL,
+    check_int,
     check_psd,
     dagger,
     from_herm_bilinear,
@@ -32,8 +35,10 @@ from proctomo.linalg import (
     transfer_matrix,
 )
 from proctomo.oracle import reshuffle_index, transpose_index
-from proctomo.povms import POVM_ATOL, PovmCollection, cube_povm, projective_povm
+from proctomo.povms import POVM_ATOL, PovmCollection, cube_povm, mub_povm, projective_povm, sic_povm
 from proctomo.reconstruct import TwoStageReconstructor
+from proctomo.simulate import MeasurementRecord, check_seed, sample_record
+from proctomo.studies import ExperimentConfig, run_m_scaling_study
 
 
 def random_complex(rng, shape):
@@ -114,6 +119,66 @@ def test_factored_pinv_matches_the_dense_one():
     want = pinv()
     assert np.abs(herm_kron(p1(), p2()) - want).max() <= 1e-13 * np.abs(want).max()
     assert np.abs(np.sort(np.outer(s1, s2).reshape(-1))[::-1] - s).max() <= 1e-13 * s[0]
+
+
+def count_entries():
+    """Every entry point that takes a count, dimension or seed from its caller: a call with
+    that value alone, the value's floor, the name its refusal gives it, and a valid value."""
+    probs, p = np.full((4, 6), 0.5), cube_povm(1)
+    freq = np.full((1, 2), 0.5)
+    study = dict(d=2, num_states=(4,), copies_per_state=30, povm_spec="cube-povm:1", channel_spec="identity:2",
+                 trials=1)
+
+    def m_study(**value):
+        return run_m_scaling_study(**{**study, **value})
+
+    return {
+        "check_int": (lambda n: check_int(n, "a count", 3), 3, "a count", 3),
+        "check_seed": (check_seed, 0, "seed", 3),
+        "MeasurementRecord set size": (lambda n: MeasurementRecord(freq, (n,)), 1, "set size", 2),
+        "MeasurementRecord shots": (lambda n: MeasurementRecord(freq, (2,), shots_per_set=n), 1, "shots per set", 4),
+        "MeasurementRecord sampler": (lambda n: MeasurementRecord(freq, (2,), sampler=n), 1, "sampler", 2),
+        "sample_record copies": (lambda n: sample_record(probs, n, p), 1, "copies", 600),
+        "ExperimentConfig trials": (lambda n: ExperimentConfig(trials=n), 1, "trials", 2),
+        "ExperimentConfig copies": (lambda n: ExperimentConfig(copies=(n,)), 1, "'copies'", 36),
+        "ExperimentConfig seed": (lambda n: ExperimentConfig(seed=n), 0, "seed", 3),
+        "run_m_scaling_study d": (lambda n: m_study(d=n), 2, "d (--dim)", 2),
+        "run_m_scaling_study num_states": (lambda n: m_study(num_states=(n,)), 1, "num_states (--num-states)", 4),
+        "run_m_scaling_study copies_per_state": (lambda n: m_study(copies_per_state=n), 1, "copies_per_state", 30),
+        "run_m_scaling_study trials": (lambda n: m_study(trials=n), 1, "trials", 1),
+        "run_m_scaling_study seed": (lambda n: m_study(seed=n), 0, "seed", 3),
+        "natural_basis_states": (natural_basis_states, 2, "dimension", 2),
+        "sic_states": (sic_states, 2, "dimension", 2),
+        "mub_states": (mub_states, 2, "dimension", 2),
+        "mub_povm": (mub_povm, 2, "dimension", 2),
+        "sic_povm": (sic_povm, 2, "dimension", 4),
+        "random_states d": (lambda n: random_states(n, 4, seed=0), 1, "dimension", 2),
+        "random_states M": (lambda n: random_states(2, n, seed=0), 1, "number of states M", 4),
+        "cube_states": (cube_states, 1, "number of qubits", 1),
+        "cube_povm": (cube_povm, 1, "number of qubits", 1),
+        "random_channel": (random_channel, 2, "dimension", 2),
+        "identity_channel": (identity_channel, 1, "dimension", 2),
+        "transpose_index rows": (lambda n: transpose_index(n, 3), 1, "rows", 2),
+        "transpose_index columns": (lambda n: transpose_index(2, n), 1, "columns", 3),
+        "reshuffle_index": (reshuffle_index, 2, "dimension", 2),
+    }
+
+
+@pytest.mark.parametrize("entry", list(count_entries()))
+def test_one_integer_rule_refuses_what_is_not_a_count_naming_it(entry):
+    call, least, what, _ = count_entries()[entry]
+    for value in (2.5, True, "3", least - 1):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert what in str(info.value) and f"got {value!r}" in str(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("entry", list(count_entries()))
+def test_one_integer_rule_accepts_numpy_integers(entry):
+    call, _, _, valid = count_entries()[entry]
+    call(np.int64(valid))
+    if entry.startswith("check"):
+        assert type(call(np.int64(valid))) is int and call(np.int64(valid)) == valid
 
 
 def test_transpose_permutation_trivial():

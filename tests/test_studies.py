@@ -284,6 +284,6 @@ def test_experiment_config_rejects_non_string_ensembles(ensembles):
 
 
 def test_experiment_config_keeps_integer_copies():
-    cfg = ExperimentConfig(copies=[np.int64(600), 1200])
-    assert cfg.copies == (600, 1200) and all(type(n) is int for n in cfg.copies)
-    assert cfg.to_meta() == ExperimentConfig(copies=(600, 1200)).to_meta()
+    cfg = ExperimentConfig(copies=[np.int64(600), 1200], trials=np.int64(2), seed=np.int64(3))
+    assert cfg.copies == (600, 1200) and all(type(n) is int for n in (*cfg.copies, cfg.trials, cfg.seed))
+    assert cfg.to_meta() == ExperimentConfig(copies=(600, 1200), trials=2, seed=3).to_meta()
