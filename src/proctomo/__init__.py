@@ -13,11 +13,17 @@ from .channels import (
 from .ensembles import (
     DesignReport,
     InputEnsemble,
+    PovmCollection,
+    cube_povm,
     cube_states,
+    design_metrics_C,
     design_metrics_V,
+    mub_povm,
     mub_states,
     natural_basis_states,
+    projective_povm,
     random_states,
+    sic_povm,
     sic_states,
 )
 from .metrics import (
@@ -26,14 +32,6 @@ from .metrics import (
     infidelity,
     loglog_slope,
     squared_error,
-)
-from .povms import (
-    PovmCollection,
-    cube_povm,
-    design_metrics_C,
-    mub_povm,
-    projective_povm,
-    sic_povm,
 )
 from .reconstruct import (
     ProcessEstimate,

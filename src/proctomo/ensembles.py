@@ -1,21 +1,30 @@
-"""Input-state families and their design metrics.
+"""Input-state ensembles, POVM collections and their design metrics.
 
-An ensemble of M density matrices is summarized by the d^2 x M stacked
-parameterization V whose columns are vec(rho_m).  Reconstruction quality is
-governed by the spectrum of V* V^T: the design cost M * Tr((V* V^T)^-1) is
-bounded below by d^4 + d^3 - d^2 and cond(V) by sqrt(d+1), with equality
-exactly when the eigenvalues are (M/d, M/(d(d+1)), ..., M/(d(d+1))).  SIC and
-MUB families attain both bounds; tensor products of optimal qubit families
-attain the multiplicative m-qubit bounds (20^m and sqrt(3^m)).
+Both designs are sets of PSD matrices that must span the Hermitian matrices,
+and both are handled alike here.  An ensemble of M density matrices is
+summarized by the d^2 x M stacked parameterization V whose columns are
+vec(rho_m).  Its design cost M * Tr((V* V^T)^-1) is bounded below by
+d^4 + d^3 - d^2 and cond(V) by sqrt(d+1), with equality exactly when the
+eigenvalues are (M/d, M/(d(d+1)), ..., M/(d(d+1))).  A measurement plan is J
+POVM sets; set j has n_j PSD elements summing to the identity.  All
+L = sum n_j elements are stacked into the L x d^2 parameterization C, row
+l = vec(P_l^T), so that C @ vec(rho) is the vector of outcome probabilities
+Tr(P_l rho).  Its design cost J * Tr((C^dag C)^-1) and cond(C) are bounded
+below in terms of s = sum_j d/n_j, with equality exactly when the spectrum of
+C^dag C is (s, (Jd-s)/(d^2-1), ...).  SIC and MUB ensembles and MUB
+measurements attain both bounds; tensor products of optimal qubit families
+attain the multiplicative m-qubit bounds (costs 20^m for states and 10^m for
+measurements, condition number sqrt(3^m)).
 
-Validation finds the singular values of V^T, which decide informational
-completeness, and pinv(V^T), which the ensemble keeps for reconstruction in
-real Hermitian coordinates, from one real SVD of the states' ``herm_coords``.
-A product ensemble is given by its parts alone: its states are built once from
-theirs, its pseudo-inverse is ``linalg.herm_kron`` of theirs, and the singular
-values are the products of theirs, so no SVD of the product runs.  The design
-metrics read the spectrum of V* V^T as the squares of the kept singular
-values.
+Validation of either design finds the singular values of its matrix A (V^T
+or C), which decide informational completeness, and pinv(A), which the design
+keeps for reconstruction in real Hermitian coordinates, from one real SVD of
+the ``herm_coords`` of its matrices (conjugated, for POVM elements).  A
+product design is given by its parts alone: its matrices are built once from
+theirs, its pseudo-inverse is ``linalg.herm_kron`` of theirs, and the
+singular values are the products of theirs, so no SVD of the product runs.
+The design metrics read the spectrum of A^dag A as the squares of the kept
+singular values.
 """
 
 from __future__ import annotations
@@ -25,10 +34,11 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linalg import check_int, check_psd, herm_coords, herm_kron, herm_pinv, kron_stack, square_stack
+from .linalg import check_int, check_psd, frob, herm_coords, herm_kron, herm_pinv, kron_stack, square_stack
 
 RANK_RTOL = 1e-10
 STATE_ATOL = 1e-9
+POVM_ATOL = 1e-9
 ACHIEVE_RTOL = 1e-6
 
 
@@ -71,12 +81,11 @@ def _keep_pinv(design, parts, coords, fold, error: str) -> None:
 class InputEnsemble:
     """An informationally complete set of input density matrices.
 
-    ``states`` is held as one complex (M, d, d) stack.  ``pinv_coords`` is the
-    real d^2 x M pinv(V^T) kept from validation, each column in ``herm_coords``,
-    and ``singular_values`` the descending singular values of V^T.  A product
-    ensemble is given by ``parts`` (init only) alone, validated ensembles: its
-    states are built once as their tensor products, first part slowest, and need
-    no check of their own, since a tensor product of states is a state.
+    ``states`` is held as one complex (M, d, d) stack; ``pinv_coords`` and
+    ``singular_values`` hold pinv(V^T) and the singular values of V^T, kept by
+    ``_keep_pinv``.  A product ensemble's ``parts`` (init only) are validated
+    ensembles; its states are their tensor products, first part slowest, and
+    need no check of their own, since a tensor product of states is a state.
     """
 
     states: np.ndarray = None
@@ -110,6 +119,84 @@ class InputEnsemble:
         """V: d^2 x M matrix with columns vec(rho_m)."""
         # Entry (j d + i, m) of V is rho_m[i, j].
         return self.states.transpose(2, 1, 0).reshape(self.d**2, -1)
+
+
+@dataclass(frozen=True, eq=False)
+class PovmCollection:
+    """J complete POVM sets over one Hilbert space.
+
+    ``elements`` is the complex (L, d, d) stack of all elements, set by set,
+    ``set_sizes`` the number of elements of each set, and ``sets`` the
+    constructor's sets held as per-set views of ``elements``; ``pinv_coords``
+    and ``singular_values`` hold pinv(C) and the singular values of C, kept by
+    ``_keep_pinv``.  A product collection's ``parts`` (init only) are validated
+    collections with sets of one size each; its sets are the tensor products of
+    one set from each part, first part slowest, and need no check of their own,
+    since tensor products of complete POVM sets are complete POVM sets.
+    """
+
+    sets: tuple = None
+    label: str = ""
+    parts: InitVar[tuple | None] = None
+    elements: np.ndarray = field(init=False, repr=False)
+    set_sizes: tuple = field(init=False)
+    pinv_coords: np.ndarray = field(init=False, repr=False)
+    singular_values: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, parts):
+        if parts is not None:
+            _check_parts(parts, self.sets, PovmCollection, "POVM")
+            if any(len(set(p.set_sizes)) != 1 for p in parts):
+                raise ValueError("POVM parts need sets of one size")
+            # Folded as (sets, elements, d, d) arrays, the products come out set-major.
+            grid = kron_stack([p.elements.reshape(p.num_sets, p.set_sizes[0], p.d, p.d) for p in parts])
+            elements = grid.reshape(-1, *grid.shape[2:])
+            sizes = (grid.shape[1],) * grid.shape[0]
+        else:
+            groups = () if self.sets is None else self.sets
+            sizes = tuple(len(group) for group in groups)
+            elements = square_stack([p for group in groups for p in group], "POVM element must be a square matrix")
+        sets = np.split(elements, np.cumsum(sizes)[:-1])
+        d = elements.shape[-1]
+        if parts is None:
+            check_psd(elements, "POVM element", POVM_ATOL)
+            for j, group in enumerate(sets):
+                # In operator norm; the Frobenius norm bounds it and is cheaper, so it screens first.
+                gap = group.sum(axis=0) - np.eye(d)
+                if frob(gap) > POVM_ATOL and np.linalg.norm(gap, 2) > POVM_ATOL:
+                    raise ValueError(f"POVM set {j} does not sum to the identity")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "set_sizes", sizes)
+        object.__setattr__(self, "sets", tuple(sets))
+        error = f"measurement of {len(elements)} elements is not informationally complete (rank deficient C, d^2={d**2})"
+        # C @ vec(X) is [Tr(P_l^T X)]_l, and P_l^T is the conjugate of the Hermitian P_l.
+        # A part's pseudo-inverse folds as (d^2, sets, elements), set-major like its elements.
+        fold = lambda p: p.pinv_coords.reshape(-1, p.num_sets, p.set_sizes[0])
+        _keep_pinv(self, parts, lambda: herm_coords(elements.conj()), fold, error)
+
+    @property
+    def d(self) -> int:
+        return self.elements.shape[-1]
+
+    @property
+    def num_sets(self) -> int:
+        return len(self.set_sizes)
+
+    @property
+    def num_elements(self) -> int:
+        return len(self.elements)
+
+    def parameterization(self) -> np.ndarray:
+        """C: L x d^2 matrix such that C @ vec(rho) = [Tr(P_l rho)]_l."""
+        # vec(P^T) in column-major order equals the row-major flattening of P.
+        return self.elements.reshape(self.num_elements, -1)
+
+    @functools.cached_property
+    def born_table(self) -> np.ndarray:
+        """The elements' ``herm_coords`` with the off-diagonal ones doubled, so that
+        ``herm_coords(sigma) @ born_table.T`` is [Tr(P_l sigma)]_l for Hermitian sigma."""
+        d = self.d
+        return herm_coords(self.elements) * np.where(np.arange(d * d) < d, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -260,6 +347,35 @@ def cube_states(m: int) -> InputEnsemble:
     return InputEnsemble(label=f"cube-states-{m}", parts=[mub_states(2)] * check_int(m, "number of qubits", 1))
 
 
+def cube_povm(m: int) -> PovmCollection:
+    """Pauli-axis projective measurements on m qubits: 3^m sets of 2^m elements,
+    the m-fold product of the one-qubit collection."""
+    eye = np.eye(2, dtype=complex)
+    single = PovmCollection(tuple(((eye + p) / 2, (eye - p) / 2) for p in _pauli_vector()))
+    return PovmCollection(label=f"cube-{m}", parts=[single] * check_int(m, "number of qubits", 1))
+
+
+def mub_povm(d: int) -> PovmCollection:
+    """Rank-1 projective measurements onto the d+1 mutually unbiased bases."""
+    sets = tuple(tuple(_projector(v) for v in basis) for basis in mub_vectors(d))
+    return PovmCollection(sets, label=f"mub-povm-{d}")
+
+
+def sic_povm(d: int = 4) -> PovmCollection:
+    """Single-set SIC measurement: d^2 subnormalized projectors summing to I."""
+    if check_int(d, "dimension", 2) != 4:
+        raise ValueError("the SIC measurement is built in for d=4 only")
+    cols = _sic_vectors_d4()
+    group = tuple(_projector(cols[:, n]) / d for n in range(d * d))
+    return PovmCollection((group,), label="sic-povm-4")
+
+
+def projective_povm(bases, label: str = "projective") -> PovmCollection:
+    """POVM collection from a list of unitary matrices (columns = basis kets)."""
+    sets = tuple(tuple(_projector(ket) for ket in np.asarray(u, dtype=complex).T) for u in bases)
+    return PovmCollection(sets, label=label)
+
+
 def _design_report(sv, weight: float, top: float, rest: float, lower_cost: float, lower_cond: float) -> DesignReport:
     """The :class:`DesignReport` of a design whose matrix A has the singular values ``sv``: the
     spectrum of A^dag A is their squares, its cost ``weight * Tr((A^dag A)^-1)`` and its
@@ -279,3 +395,13 @@ def design_metrics_V(ensemble: InputEnsemble) -> DesignReport:
     d, m = ensemble.d, ensemble.num_states
     return _design_report(ensemble.singular_values, m, top=m / d, rest=m / (d * (d + 1.0)),
                           lower_cost=float(d**4 + d**3 - d**2), lower_cond=float(np.sqrt(d + 1.0)))
+
+
+def design_metrics_C(povm: PovmCollection) -> DesignReport:
+    """Design cost, condition number and the spectrum of C^dag C, whose top eigenvalue is at
+    least s = sum_j d / n_j."""
+    d, j = povm.d, povm.num_sets
+    s = float(sum(d / n for n in povm.set_sizes))
+    return _design_report(povm.singular_values, j, top=s, rest=(j * d - s) / (d * d - 1.0),
+                          lower_cost=float(j * (1.0 / s + (d * d - 1.0) ** 2 / (j * d - s))),
+                          lower_cond=float(np.sqrt((d * d - 1.0) * s / (j * d - s))))

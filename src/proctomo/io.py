@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import KrausChannel, ProcessMatrix
-from .ensembles import InputEnsemble
-from .povms import PovmCollection
+from .ensembles import InputEnsemble, PovmCollection
 from .reconstruct import ProcessEstimate
 from .simulate import MeasurementRecord
 

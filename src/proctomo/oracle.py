@@ -7,9 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import random_channel
-from .ensembles import InputEnsemble, mub_states, random_states, sic_states
+from .ensembles import InputEnsemble, PovmCollection, cube_povm, mub_states, random_states, sic_states
 from .linalg import check_int, dagger, frob
-from .povms import PovmCollection, cube_povm
 from .reconstruct import TwoStageReconstructor
 from .simulate import MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
 

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import InputEnsemble
+from .ensembles import InputEnsemble, PovmCollection
 from .linalg import (
     check_int, dagger, from_herm_bilinear, hermitian_eig, hermitian_part, is_hermitian, partial_trace_first
 )
-from .povms import PovmCollection
 from .simulate import MeasurementRecord
 
 # Eigenvalues of F-hat below this fraction of max(f1, 1) count as rank-zero.

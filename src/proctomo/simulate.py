@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CHANNEL_ATOL, KrausChannel, ProcessMatrix
-from .ensembles import STATE_ATOL, InputEnsemble
+from .ensembles import POVM_ATOL, STATE_ATOL, InputEnsemble, PovmCollection
 from .linalg import check_int, herm_coords, transfer_matrix
-from .povms import POVM_ATOL, PovmCollection
 
 # What the constructors let through, to first order: a set's probabilities sum to at most the
 # trace of the state's positive part (at most 1 + STATE_ATOL for any d) scaled by the channel's

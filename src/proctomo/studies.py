@@ -27,16 +27,20 @@ from .channels import (
 )
 from .ensembles import (
     InputEnsemble,
+    PovmCollection,
+    cube_povm,
     cube_states,
+    design_metrics_C,
     design_metrics_V,
+    mub_povm,
     mub_states,
     natural_basis_states,
     random_states,
+    sic_povm,
     sic_states,
 )
 from .linalg import check_int
 from .metrics import infidelity, loglog_slope, squared_error
-from .povms import PovmCollection, cube_povm, design_metrics_C, mub_povm, sic_povm
 from .reconstruct import TwoStageReconstructor
 from .simulate import check_seed, ideal_probabilities, sample_record
 
@@ -72,7 +76,8 @@ FILE_CLASSES = {"channel": (KrausChannel, ProcessMatrix), "ensemble": (InputEnse
 
 def build_spec(spec: str, *kinds: str):
     """The object a spec names, from the first of ``kinds`` with an entry of that name,
-    or a ValueError naming the spec (and its form, once the name is known).
+    or a ValueError naming the spec (and its form, once the name is known), or the path
+    for a document's own refusal.
 
     Fields follow ``:`` or spaces (``sic:4`` is ``sic 4``); a path keeps the rest verbatim.
     """
@@ -112,6 +117,8 @@ def build_spec(spec: str, *kinds: str):
     try:
         return entry.build(*args)
     except ValueError as exc:  # the builder's own refusal, e.g. of a dimension
+        if PATH in entry.fields:  # io.load_json names the path in every refusal
+            raise
         raise ValueError(f"spec {spec!r}: {exc}") from None
 
 
@@ -138,7 +145,8 @@ def trial_seed(global_seed: int, point: int, trial: int) -> int:
 def copies_per_state(total: int, ensemble: InputEnsemble, spec: str, povm: PovmCollection, povm_spec: str) -> int:
     """Copies per state of ``total`` spread evenly; total must be a positive multiple of M
     that gives every set of the POVM a shot (see :func:`check_shots`)."""
-    m = ensemble.num_states
+    # Any integer passes the integer rule; the sign is refused with the divisibility below.
+    total, m = check_int(total, "total copies", -np.inf), ensemble.num_states
     if total < 1 or total % m:
         raise ValueError(
             f"total copies {total} must be positive and divisible by the {m} input states "

@@ -9,7 +9,7 @@ import proctomo.io as pio
 from proctomo.channels import cnot_channel
 from proctomo.cli import main
 from proctomo.simulate import MeasurementRecord
-from proctomo.studies import SPECS, make_povm, run_m_scaling_study
+from proctomo.studies import SPECS, make_ensemble, make_povm, run_m_scaling_study
 
 
 def test_design_audit_sic_states(capsys):
@@ -513,3 +513,15 @@ def test_spec_flag_help_lists_every_form_of_its_kinds(command, flag, kinds, caps
 def test_readme_lists_every_spec_form():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert [e.form for e in SPECS if f"`{e.form}`" not in readme] == []
+
+
+def test_a_refused_file_spec_names_its_path_once(tmp_path, capsys, monkeypatch):
+    # mub:2 with state 0 at diag(1 + 5e-9, -5e-9), beyond the state tolerance.
+    doc = pio.to_dict(make_ensemble("mub:2"))
+    doc["states"][0] = {"re": [[1.000000005, 0.0], [0.0, -5e-9]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    (tmp_path / "edge.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--ensemble", "file:edge.json", "--povm", "cube-povm:1", "--channel", "identity:2"]
+    assert main([*argv, "--output", "edge_rec.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: ensemble document edge.json: ensemble state has negative eigenvalue -5.000e-09\n"

@@ -8,7 +8,9 @@ from proctomo.ensembles import (
     DesignReport,
     InputEnsemble,
     cube_states,
+    design_metrics_C,
     design_metrics_V,
+    mub_povm,
     mub_states,
     mub_vectors,
     natural_basis_states,
@@ -16,7 +18,6 @@ from proctomo.ensembles import (
     sic_states,
 )
 from proctomo.linalg import dagger, herm_coords
-from proctomo.povms import design_metrics_C, mub_povm
 from proctomo.studies import make_ensemble
 
 

@@ -16,9 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from proctomo.channels import CHANNEL_ATOL, ProcessMatrix  # noqa: E402
-from proctomo.ensembles import InputEnsemble, design_metrics_V, mub_states, random_states  # noqa: E402
+from proctomo.ensembles import (  # noqa: E402
+    InputEnsemble, cube_povm, design_metrics_V, mub_states, projective_povm, random_states
+)
 from proctomo.linalg import HERMITIAN_RTOL, dagger, haar_unitary, hermitian_part, partial_trace_first  # noqa: E402
-from proctomo.povms import cube_povm, projective_povm  # noqa: E402
 from proctomo.reconstruct import TwoStageReconstructor  # noqa: E402
 
 PROPS = settings(max_examples=100, deadline=None, derandomize=True, database=None)

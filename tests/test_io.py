@@ -6,9 +6,8 @@ import pytest
 
 import proctomo.io as pio
 from proctomo.channels import process_matrix, random_channel
-from proctomo.ensembles import mub_states, random_states
+from proctomo.ensembles import cube_povm, mub_states, random_states, sic_povm
 from proctomo.linalg import from_herm_coords
-from proctomo.povms import cube_povm, sic_povm
 from proctomo.reconstruct import TwoStageReconstructor
 from proctomo.simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 

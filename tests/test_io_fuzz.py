@@ -24,9 +24,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import proctomo.io as pio  # noqa: E402
 from proctomo.channels import process_matrix, random_channel  # noqa: E402
 from proctomo.cli import main  # noqa: E402
-from proctomo.ensembles import mub_states, random_states  # noqa: E402
+from proctomo.ensembles import cube_povm, mub_povm, mub_states, projective_povm, random_states  # noqa: E402
 from proctomo.linalg import haar_unitary  # noqa: E402
-from proctomo.povms import cube_povm, mub_povm, projective_povm  # noqa: E402
 from proctomo.reconstruct import TwoStageReconstructor  # noqa: E402
 from proctomo.simulate import exact_record, ideal_probabilities, sample_record  # noqa: E402
 

@@ -12,7 +12,8 @@ from proctomo.channels import (
     random_channel,
 )
 from proctomo.ensembles import (
-    InputEnsemble, cube_states, mub_states, natural_basis_states, random_states, sic_states
+    POVM_ATOL, InputEnsemble, PovmCollection, cube_povm, cube_states, mub_povm, mub_states, natural_basis_states,
+    projective_povm, random_states, sic_povm, sic_states,
 )
 from proctomo.linalg import (
     HERMITIAN_RTOL,
@@ -35,10 +36,9 @@ from proctomo.linalg import (
     transfer_matrix,
 )
 from proctomo.oracle import reshuffle_index, transpose_index
-from proctomo.povms import POVM_ATOL, PovmCollection, cube_povm, mub_povm, projective_povm, sic_povm
 from proctomo.reconstruct import TwoStageReconstructor
 from proctomo.simulate import MeasurementRecord, check_seed, sample_record
-from proctomo.studies import ExperimentConfig, run_m_scaling_study
+from proctomo.studies import ExperimentConfig, copies_per_state, run_m_scaling_study
 
 
 def random_complex(rng, shape):
@@ -139,6 +139,9 @@ def count_entries():
         "MeasurementRecord shots": (lambda n: MeasurementRecord(freq, (2,), shots_per_set=n), 1, "shots per set", 4),
         "MeasurementRecord sampler": (lambda n: MeasurementRecord(freq, (2,), sampler=n), 1, "sampler", 2),
         "sample_record copies": (lambda n: sample_record(probs, n, p), 1, "copies", 600),
+        # The total's sign is refused with its divisibility, so the integer rule sets no floor.
+        "copies_per_state total": (lambda n: copies_per_state(n, mub_states(2), "mub:2", p, "cube-povm:1"), -np.inf,
+                                   "total copies", 18),
         "ExperimentConfig trials": (lambda n: ExperimentConfig(trials=n), 1, "trials", 2),
         "ExperimentConfig copies": (lambda n: ExperimentConfig(copies=(n,)), 1, "'copies'", 36),
         "ExperimentConfig seed": (lambda n: ExperimentConfig(seed=n), 0, "seed", 3),

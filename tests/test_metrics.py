@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proctomo.channels import process_matrix, random_channel, unitary_channel
-from proctomo.ensembles import design_metrics_V, sic_states
+from proctomo.ensembles import design_metrics_C, design_metrics_V, mub_povm, sic_states
 from proctomo.linalg import dagger, haar_unitary, psd_root
 from proctomo.metrics import (
     error_scaling_functional,
@@ -13,7 +13,6 @@ from proctomo.metrics import (
     loglog_slope,
     squared_error,
 )
-from proctomo.povms import design_metrics_C, mub_povm
 
 
 def test_fidelity_of_matrix_with_itself():

@@ -3,17 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from proctomo.ensembles import InputEnsemble, cube_states, mub_states, sic_states
-from proctomo.linalg import dagger, haar_unitary
-from test_ensembles import assert_matches_numpys_pinv
-from proctomo.povms import (
+from proctomo.ensembles import (
+    InputEnsemble,
     PovmCollection,
     cube_povm,
+    cube_states,
     design_metrics_C,
     mub_povm,
+    mub_states,
     projective_povm,
     sic_povm,
+    sic_states,
 )
+from proctomo.linalg import dagger, haar_unitary
+from test_ensembles import assert_matches_numpys_pinv
 
 
 def test_cube1_design_values():

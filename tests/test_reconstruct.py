@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from proctomo.channels import ProcessMatrix, cnot_channel, identity_channel, process_matrix, random_channel
-from proctomo.ensembles import InputEnsemble, cube_states, mub_states, natural_basis_states, random_states, sic_states
+from proctomo.ensembles import (
+    InputEnsemble, PovmCollection, cube_povm, cube_states, mub_states, natural_basis_states, projective_povm,
+    random_states, sic_states,
+)
 from proctomo.linalg import (
     dagger,
     from_herm_coords,
@@ -12,7 +15,6 @@ from proctomo.linalg import (
     partial_trace_first,
 )
 from proctomo.oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
-from proctomo.povms import PovmCollection, cube_povm, projective_povm
 from proctomo.reconstruct import ProcessEstimate, TraceCorrection, TwoStageReconstructor, nearest_psd
 from proctomo.simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 from proctomo.linalg import haar_unitary

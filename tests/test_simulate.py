@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from proctomo.channels import KrausChannel, cnot_channel, identity_channel, process_matrix, random_channel
-from proctomo.ensembles import InputEnsemble, mub_states, natural_basis_states, random_states, sic_states
+from proctomo.ensembles import (
+    InputEnsemble, PovmCollection, cube_povm, mub_states, natural_basis_states, random_states, sic_povm, sic_states
+)
 from proctomo.linalg import dagger
 from proctomo.oracle import dense_expansion_matrix, transpose_index
-from proctomo.povms import PovmCollection, cube_povm, sic_povm
 from proctomo.simulate import SAMPLER, MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
 from proctomo.studies import run_m_scaling_study
 
