@@ -47,8 +47,8 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^dag) / 2 of one matrix or of each matrix in a stack."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    """(a + a^dag) / 2 of one matrix or each in a stack (times 0.5: numpy's complex / 2 is slower)."""
+    return (a + a.conj().swapaxes(-1, -2)) * 0.5
 
 
 def frob(a: np.ndarray) -> float:
@@ -201,7 +201,7 @@ def _hermitian(x: np.ndarray, check: bool = True) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    if check and not np.all(np.isfinite(x)):
+    if check and not np.isfinite(x).all():
         raise ValueError("matrix has non-finite entries")
     if check and not is_hermitian(x):
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -275,9 +275,9 @@ def psd_root(x: np.ndarray):
     return u, np.sqrt(np.where(w > EIG_CLIP_RTOL * top, w, 0.0))
 
 
-def psd_factor(x: np.ndarray) -> np.ndarray:
-    """An n x r factor K of a Hermitian PSD matrix, K K^dag = x up to what
-    :func:`psd_root` clips, by diagonal-pivoted Cholesky in O(n^2 r).
+def _pivoted_rows(xh: np.ndarray):
+    """Diagonal-pivoted Cholesky of the Hermitian ``xh``, O(n^2 r) for rank r: yields once before
+    each step and returns the rows of K^dag, kept in a buffer that doubles as it fills.
 
     Each step pivots on the largest remaining diagonal entry.  The loop stops
     once that entry is at most max(EIG_CLIP_RTOL / n, n eps) times the largest
@@ -286,36 +286,57 @@ def psd_factor(x: np.ndarray) -> np.ndarray:
     EIG_CLIP_RTOL * lambda_max, the level below which psd_root clips, for n <= 67;
     above that, n eps (LAPACK xPSTRF's default) keeps the loop from pivoting on
     the rounding the Schur updates leave.
-
-    The input must be Hermitian as in :func:`hermitian_eig`.  Separately from
-    the stopping rule, ||x - K K^dag||_F <= tau = NEGATIVE_EIG_RTOL * max(max
-    diagonal, 1) certifies it PSD: lambda_max >= max diagonal and lambda_min >=
-    -||x - K K^dag||, so no matrix that psd_root refuses is accepted.
     """
-    xh = _hermitian(x)
     n = len(xh)
     diag = xh.diagonal().real.copy()
-    top_diag = diag.max()
-    tau = NEGATIVE_EIG_RTOL * max(top_diag, 1.0)
-    stop = max(EIG_CLIP_RTOL / n, n * np.finfo(float).eps) * max(top_diag, 0.0)
-    rows = np.empty((n, n), dtype=complex)  # rows of K^dag
-    r = 0
-    while r < n:
+    stop = max(EIG_CLIP_RTOL / n, n * np.finfo(float).eps) * max(diag.max(), 0.0)
+    rows = np.empty((min(n, 8), n), dtype=complex)
+    for r in range(n):
         p = diag.argmax()
         top = diag[p]
         if not top > stop:
-            break
+            return rows[:r]
+        yield
+        if r == len(rows):
+            rows = np.concatenate([rows, np.empty((min(r, n - r), n), dtype=complex)])
         # Row r of K^dag is conj of the residual's column p over sqrt(top).
-        rows[r] = (xh[p] - rows[:r, p].conj() @ rows[:r]) / np.sqrt(top)
+        rows[r] = (xh[p] - rows[:r, p].conj() @ rows[:r]) / math.sqrt(top)
         diag -= np.square(np.abs(rows[r]))
-        r += 1
-    k = dagger(rows[:r])
-    residual = frob(xh - k @ rows[:r])
-    if not residual <= tau:  # also refuses NaN
-        raise ValueError(
-            f"matrix is not PSD: residual {residual:.3e} of its pivoted Cholesky factor exceeds {tau:.3e}"
-        )
-    return k
+    return rows
+
+
+def factor_first(*xs: np.ndarray) -> list:
+    """``[(xh, k), ...]``: each matrix's Hermitian part, checked as in :func:`hermitian_eig` and
+    certified PSD, and the factor k of each whose pivoted Cholesky stops first, the loops run in
+    lockstep; the others, stepped as often, get None.  All that stop in one round are factored,
+    so the argument order does not matter.  With tau = NEGATIVE_EIG_RTOL * max(max diagonal, 1),
+    ||xh - K K^dag||_F <= tau certifies a factored matrix and one LAPACK Cholesky of xh + tau I
+    any other, else ValueError (a LinAlgError from the Cholesky): either way lambda_min >= -tau,
+    so nothing psd_root refuses is accepted."""
+    hs = [_hermitian(x) for x in xs]
+    steps, ks = [_pivoted_rows(xh) for xh in hs], [None] * len(hs)
+    while all(k is None for k in ks):
+        for i, step in enumerate(steps):
+            try:
+                next(step)
+            except StopIteration as done:
+                ks[i] = dagger(done.value)
+    for xh, k in zip(hs, ks):
+        tau, diag = NEGATIVE_EIG_RTOL * max(xh.diagonal().real.max(), 1.0), xh.diagonal().copy()
+        if k is None:  # shifted and restored in place: no copy and no eye
+            np.fill_diagonal(xh, diag + tau)
+            np.linalg.cholesky(xh)
+            np.fill_diagonal(xh, diag)
+        elif not (residual := frob(xh - k @ dagger(k))) <= tau:  # also refuses NaN
+            raise ValueError(f"matrix is not PSD: residual {residual:.3e} of its pivoted Cholesky factor "
+                             f"exceeds {tau:.3e}")
+    return list(zip(hs, ks))
+
+
+def psd_factor(x: np.ndarray) -> np.ndarray:
+    """An n x r factor K of a Hermitian PSD matrix, K K^dag = x up to what :func:`psd_root`
+    clips: that of :func:`factor_first` of ``x`` alone."""
+    return factor_first(x)[0][1]
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

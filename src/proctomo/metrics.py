@@ -2,21 +2,19 @@
 
 The fidelity between two PSD matrices is normalized by both traces, so it is
 scale invariant, symmetric, and equals one exactly for proportional
-arguments.  It is computed from pivoted-Cholesky factors
-(``linalg.psd_factor``), whose residual certifies each argument PSD, so no
-d^2 x d^2 eigendecomposition runs.  The factor's stopping rule is relative to
-each argument's largest diagonal entry, so scaling an argument does not
-change the fidelity.  ``error_scaling_functional`` evaluates
-the bracketed part of the analytic error bound
-sqrt(d) Tr(F) sqrt(J tr_C) sqrt(M tr_V) / sqrt(N); it is a relative scaling
-functional, with no attempt to estimate the hidden constant.
+arguments.  It factors one argument by pivoted Cholesky, with a relative
+stopping rule, and certifies the other by one LAPACK Cholesky; two guards fall
+back to factoring both.  No d^2 x d^2 eigendecomposition runs.
+``error_scaling_functional`` evaluates the bracketed part of the analytic
+error bound sqrt(d) Tr(F) sqrt(J tr_C) sqrt(M tr_V) / sqrt(N); it is a
+relative scaling functional, with no attempt to estimate the hidden constant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger, frob, psd_factor
+from .linalg import dagger, factor_first, frob, psd_factor
 
 
 def _same_shape(x_hat, x_true, dtype=None) -> tuple:
@@ -31,25 +29,38 @@ def squared_error(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     return frob(np.subtract(*_same_shape(x_hat, x_true))) ** 2
 
 
+# Rounding moves each eigenvalue m of the Gram matrix over Tr A Tr B by about eps, so F =
+# (sum sqrt m)^2 by up to E = eps (sum sqrt m) (sum m^-1/2) to first order; one factor is
+# used while E <= GRAM_ATOL, a tenth of the 1e-12 fidelity is tested to against two factors.
+GRAM_ATOL = 1e-13
+
+
 def fidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     """[Tr sqrt(sqrt(A) B sqrt(A))]^2 / (Tr A Tr B) for PSD A, B.
 
-    Evaluated as the squared nuclear norm of sqrt(A) sqrt(B), which is
-    algebraically identical but avoids square roots of noise-level
-    eigenvalues when an argument is rank deficient.  Any factors A = K_a K_a^dag,
-    B = K_b K_b^dag give sqrt(A) sqrt(B) = W_a (K_a^dag K_b) W_b^dag with W_a, W_b
-    partial isometries (polar decomposition), so its singular values are those of
-    the rank A x rank B matrix K_a^dag K_b.  The factors are ``psd_factor``'s, in
-    O(d^4 r) for rank r; a matrix whose factor leaves a residual above the PSD
-    tolerance raises ValueError.
+    For any factor B = K K^dag it is (sum sqrt mu)^2 / (Tr A Tr B), mu the eigenvalues of
+    K^dag A K (sqrt(B) is K times a partial isometry), with no square root of a noise-level
+    eigenvalue of A or B.  ``linalg.factor_first`` factors whichever argument stops first
+    and certifies the other.  A tie, which factors both, takes the singular values of
+    K_a^dag K_b, and so do two guards: a Gram matrix too ill-conditioned to give F within
+    GRAM_ATOL, by factoring the other too; and any refusal, by ``psd_factor`` of both, which
+    then decides the verdict and words it.
     """
     a, b = _same_shape(x_hat, x_true, complex)
     ta, tb = np.trace(a).real, np.trace(b).real
     if ta <= 0 or tb <= 0:
         raise ValueError("fidelity requires positive-trace arguments")
-    ka, kb = psd_factor(a), psd_factor(b)
-    sv = np.linalg.svd(dagger(ka) @ kb, compute_uv=False)
-    return float(np.sum(sv) ** 2 / (ta * tb))
+    try:
+        (ah, ka), (bh, kb) = factor_first(a, b)
+        if ka is None or kb is None:
+            z, k = (bh, ka) if kb is None else (ah, kb)
+            m = np.linalg.eigvalsh(dagger(k) @ z @ k) / (ta * tb)
+            if m[0] > 0 and np.finfo(float).eps * (s := np.sqrt(m)).sum() * (1 / s).sum() <= GRAM_ATOL:
+                return float(s.sum() ** 2)
+            ka, kb = (ka, psd_factor(b)) if kb is None else (psd_factor(a), kb)  # the Gram guard
+    except ValueError:  # a refusal, LinAlgError included: the two-factor path words it
+        ka, kb = psd_factor(a), psd_factor(b)
+    return float(np.sum(np.linalg.svd(dagger(ka) @ kb, compute_uv=False)) ** 2 / (ta * tb))
 
 
 def infidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
@@ -70,8 +81,11 @@ def error_scaling_functional(
     ``povm_cost`` and ``ensemble_cost`` are the bare inverse-Gram traces; the
     J and M factors are applied here.
     """
-    if min(d, trace_f, num_sets, povm_cost, num_states, ensemble_cost, copies) <= 0:
-        raise ValueError("all scaling-functional arguments must be positive")
+    for name, value in dict(locals()).items():  # the seven arguments, by name
+        if value <= 0:
+            raise ValueError("all scaling-functional arguments must be positive")
+        if not np.isfinite(value):  # NaN passes the comparison above
+            raise ValueError(f"scaling-functional argument {name} must be finite, got {value!r}")
     return float(
         np.sqrt(d)
         * trace_f

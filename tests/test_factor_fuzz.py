@@ -17,7 +17,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from proctomo.linalg import EIG_CLIP_RTOL, NEGATIVE_EIG_RTOL, dagger, frob, haar_unitary, psd_factor, psd_root  # noqa: E402
+from proctomo.linalg import (  # noqa: E402
+    EIG_CLIP_RTOL,
+    NEGATIVE_EIG_RTOL,
+    dagger,
+    factor_first,
+    frob,
+    haar_unitary,
+    psd_factor,
+    psd_root,
+)
 from proctomo.metrics import fidelity  # noqa: E402
 from test_metrics import fidelity_from_roots  # noqa: E402
 
@@ -198,3 +207,68 @@ def test_psd_factor_stops_above_the_rounding_of_its_schur_updates(seed):
     x = random_psd(rng, n, rank, 1.0)
     assert psd_factor(x).shape == (n, rank)
     assert abs(fidelity(x, np.eye(n)) - fidelity_from_roots(x, np.eye(n))) <= 1e-12
+
+
+@PROPS
+@given(
+    st.integers(2, 40),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    LOG_SCALES,
+    LOG_SCALES,
+    SEEDS,
+)
+@example(40, 0.5, 0.5, 0.5, 0.0, 0.0, 0)
+@example(8, 0.0, 1.0, 0.0, -6.0, 6.0, 1)
+@example(40, 1.0, 0.0, 1.0, 6.0, -6.0, 2)
+def test_fidelity_of_a_support_split_between_range_and_kernel(n, frac_a, frac_range, frac_kernel, log_a, log_b, seed):
+    """A has a random rank and support; B has some of its support in A's range and
+    the rest, at least one direction, in A's kernel.  The Gram matrix of one factor
+    then has eigenvalues that are zero but for rounding, whose square roots would
+    move F by about 1e-8; the fidelity must still match the oracle in either order."""
+    rng = np.random.default_rng(seed)
+    rank_a = 1 + round(frac_a * (n - 2))
+    in_range = round(frac_range * rank_a)
+    in_kernel = 1 + round(frac_kernel * (n - rank_a - 1))
+    u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+    a = spectral(u, 10.0**log_a * rng.uniform(0.1, 1.0, rank_a))
+    # B's support: in_range directions of A's range and in_kernel of its kernel.
+    support = np.hstack([u[:, :rank_a] @ v[:rank_a, :in_range], u[:, rank_a:] @ v[rank_a:, :in_kernel]])
+    b = spectral(support, 10.0**log_b * rng.uniform(0.1, 1.0, in_range + in_kernel))
+    assert abs(fidelity(a, b) - fidelity_from_roots(a, b)) <= 1e-12
+    assert abs(fidelity(a, b) - fidelity(b, a)) <= 1e-12
+
+
+@PROPS
+@given(
+    st.integers(3, 32),
+    st.integers(1, 30),
+    LOG_SCALES,
+    LOG_SCALES,
+    st.one_of(st.sampled_from([0.5, 0.9, 1.1, 2.0]), st.floats(0.01, 100.0)),
+    st.booleans(),
+    SEEDS,
+)
+@example(8, 3, 0.0, 0.0, 1.1, False, 0)
+@example(8, 3, -6.0, 6.0, 1.1, True, 1)
+@example(32, 30, 6.0, -6.0, 0.9, False, 2)
+def test_fidelity_refuses_what_psd_root_refuses_in_either_position(n, positives, log_scale, log_partner, depth, first, seed):
+    """The Hermitian matrix of test_psd_factor_accepts_nothing_psd_root_refuses, with
+    at least two positive eigenvalues, against a rank-one PSD partner: the partner's
+    loop stops first, so the Cholesky certificate of the matrix is what refuses it."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    positives = min(positives, n - 2)
+    eigs = np.concatenate([[scale], scale * rng.uniform(0.1, 1.0, positives), [0.0] * (n - 2 - positives)])
+    eigs = np.append(eigs, -depth * NEGATIVE_EIG_RTOL * max(scale, 1.0))
+    x = spectral(haar_unitary(n, rng), eigs)
+    partner = random_psd(rng, n, 1, 10.0**log_partner)
+    pair = (x, partner) if first else (partner, x)
+    try:
+        psd_root(x)
+    except ValueError:
+        with pytest.raises(np.linalg.LinAlgError):  # the certificate, not a factor, refuses x
+            factor_first(*pair)
+        with pytest.raises(ValueError, match="not PSD"):
+            fidelity(*pair)

@@ -115,6 +115,23 @@ def test_scaling_functional_rejects_nonpositive():
         error_scaling_functional(4, 0.0, 5, 15.2, 16, 19.0, 100)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("position, name", enumerate(
+    ["d", "trace_f", "num_sets", "povm_cost", "num_states", "ensemble_cost", "copies"]
+))
+def test_scaling_functional_refuses_non_finite_arguments_by_name(position, name, value):
+    args = [4, 4.0, 9, 1.0, 16, 1.0, 1000]
+    args[position] = value
+    with pytest.raises(ValueError, match=rf"^scaling-functional argument {name} must be finite, got {value!r}$"):
+        error_scaling_functional(*args)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, -np.inf])
+def test_scaling_functional_keeps_the_positive_text_for_values_up_to_zero(value):
+    with pytest.raises(ValueError, match="^all scaling-functional arguments must be positive$"):
+        error_scaling_functional(4, value, 9, 1.0, 16, np.nan, 1000)
+
+
 def test_loglog_slope_recovers_power_law():
     x = np.array([10.0, 100.0, 1000.0])
     assert loglog_slope(x, 5.0 * x**-1.5) == pytest.approx(-1.5, abs=1e-12)
