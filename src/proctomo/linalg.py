@@ -275,9 +275,9 @@ def psd_root(x: np.ndarray):
     return u, np.sqrt(np.where(w > EIG_CLIP_RTOL * top, w, 0.0))
 
 
-def _pivoted_rows(xh: np.ndarray):
-    """Diagonal-pivoted Cholesky of the Hermitian ``xh``, O(n^2 r) for rank r: yields once before
-    each step and returns the rows of K^dag, kept in a buffer that doubles as it fills.
+def _pivoted_rows(xh: np.ndarray) -> np.ndarray:
+    """The rows of K^dag, K the diagonal-pivoted Cholesky factor of the Hermitian ``xh``, in
+    O(n^2 r) for rank r, kept in a buffer that doubles as it fills.
 
     Each step pivots on the largest remaining diagonal entry.  The loop stops
     once that entry is at most max(EIG_CLIP_RTOL / n, n eps) times the largest
@@ -296,7 +296,6 @@ def _pivoted_rows(xh: np.ndarray):
         top = diag[p]
         if not top > stop:
             return rows[:r]
-        yield
         if r == len(rows):
             rows = np.concatenate([rows, np.empty((min(r, n - r), n), dtype=complex)])
         # Row r of K^dag is conj of the residual's column p over sqrt(top).
@@ -305,38 +304,34 @@ def _pivoted_rows(xh: np.ndarray):
     return rows
 
 
-def factor_first(*xs: np.ndarray) -> list:
-    """``[(xh, k), ...]``: each matrix's Hermitian part, checked as in :func:`hermitian_eig` and
-    certified PSD, and the factor k of each whose pivoted Cholesky stops first, the loops run in
-    lockstep; the others, stepped as often, get None.  All that stop in one round are factored,
-    so the argument order does not matter.  With tau = NEGATIVE_EIG_RTOL * max(max diagonal, 1),
-    ||xh - K K^dag||_F <= tau certifies a factored matrix and one LAPACK Cholesky of xh + tau I
-    any other, else ValueError (a LinAlgError from the Cholesky): either way lambda_min >= -tau,
-    so nothing psd_root refuses is accepted."""
-    hs = [_hermitian(x) for x in xs]
-    steps, ks = [_pivoted_rows(xh) for xh in hs], [None] * len(hs)
-    while all(k is None for k in ks):
-        for i, step in enumerate(steps):
-            try:
-                next(step)
-            except StopIteration as done:
-                ks[i] = dagger(done.value)
-    for xh, k in zip(hs, ks):
-        tau, diag = NEGATIVE_EIG_RTOL * max(xh.diagonal().real.max(), 1.0), xh.diagonal().copy()
-        if k is None:  # shifted and restored in place: no copy and no eye
-            np.fill_diagonal(xh, diag + tau)
-            np.linalg.cholesky(xh)
-            np.fill_diagonal(xh, diag)
-        elif not (residual := frob(xh - k @ dagger(k))) <= tau:  # also refuses NaN
-            raise ValueError(f"matrix is not PSD: residual {residual:.3e} of its pivoted Cholesky factor "
-                             f"exceeds {tau:.3e}")
-    return list(zip(hs, ks))
-
-
 def psd_factor(x: np.ndarray) -> np.ndarray:
     """An n x r factor K of a Hermitian PSD matrix, K K^dag = x up to what :func:`psd_root`
-    clips: that of :func:`factor_first` of ``x`` alone."""
-    return factor_first(x)[0][1]
+    clips, from the pivoted Cholesky of its Hermitian part xh, checked as in :func:`hermitian_eig`.
+    With tau = NEGATIVE_EIG_RTOL * max(max diagonal, 1), the residual ||xh - K K^dag||_F <= tau
+    certifies x PSD, else ValueError: it gives lambda_min >= -tau, and lambda_max is at least
+    the largest diagonal entry, so nothing psd_root refuses is accepted."""
+    xh = _hermitian(x)
+    k = dagger(_pivoted_rows(xh))
+    tau = NEGATIVE_EIG_RTOL * max(xh.diagonal().real.max(), 1.0)
+    if not (residual := frob(xh - k @ dagger(k))) <= tau:  # also refuses NaN
+        raise ValueError(f"matrix is not PSD: residual {residual:.3e} of its pivoted Cholesky factor "
+                         f"exceeds {tau:.3e}")
+    return k
+
+
+def psd_certified(x: np.ndarray) -> np.ndarray:
+    """The Hermitian part xh of ``x``, checked as in :func:`hermitian_eig` and certified PSD by one
+    LAPACK Cholesky of xh + tau I, tau as in :func:`psd_factor`, else ValueError: the Cholesky
+    succeeds only if lambda_min > -tau, so nothing psd_root refuses is accepted."""
+    xh = _hermitian(x)
+    tau, diag = NEGATIVE_EIG_RTOL * max(xh.diagonal().real.max(), 1.0), xh.diagonal().copy()
+    np.fill_diagonal(xh, diag + tau)  # shifted and restored in place: no copy and no eye
+    try:
+        np.linalg.cholesky(xh)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"matrix is not PSD: no Cholesky factor with its diagonal shifted by {tau:.3e}") from None
+    np.fill_diagonal(xh, diag)
+    return xh
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 The fidelity between two PSD matrices is normalized by both traces, so it is
 scale invariant, symmetric, and equals one exactly for proportional
-arguments.  It factors one argument by pivoted Cholesky, with a relative
-stopping rule, and certifies the other by one LAPACK Cholesky; two guards fall
-back to factoring both.  No d^2 x d^2 eigendecomposition runs.
+arguments.  It factors the argument of lower effective rank by pivoted
+Cholesky, with a relative stopping rule, and certifies the other by one LAPACK
+Cholesky; a conditioning guard falls back to factoring both.  No d^2 x d^2
+eigendecomposition runs.
 ``error_scaling_functional`` evaluates the bracketed part of the analytic
 error bound sqrt(d) Tr(F) sqrt(J tr_C) sqrt(M tr_V) / sqrt(N); it is a
 relative scaling functional, with no attempt to estimate the hidden constant.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger, factor_first, frob, psd_factor
+from .linalg import dagger, frob, psd_certified, psd_factor
 
 
 def _same_shape(x_hat, x_true, dtype=None) -> tuple:
@@ -40,26 +41,26 @@ def fidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
 
     For any factor B = K K^dag it is (sum sqrt mu)^2 / (Tr A Tr B), mu the eigenvalues of
     K^dag A K (sqrt(B) is K times a partial isometry), with no square root of a noise-level
-    eigenvalue of A or B.  ``linalg.factor_first`` factors whichever argument stops first
-    and certifies the other.  A tie, which factors both, takes the singular values of
-    K_a^dag K_b, and so do two guards: a Gram matrix too ill-conditioned to give F within
-    GRAM_ATOL, by factoring the other too; and any refusal, by ``psd_factor`` of both, which
-    then decides the verdict and words it.
+    eigenvalue of A or B.  ``linalg.psd_factor`` factors the argument of lower effective rank
+    (Tr X)^2 / ||X||_F^2, the first on a tie, and ``linalg.psd_certified`` certifies the other.
+    A Gram matrix too ill-conditioned to give F within GRAM_ATOL is the one guard: it factors
+    the other argument too and takes the singular values of K_a^dag K_b.
     """
     a, b = _same_shape(x_hat, x_true, complex)
     ta, tb = np.trace(a).real, np.trace(b).real
     if ta <= 0 or tb <= 0:
         raise ValueError("fidelity requires positive-trace arguments")
-    try:
-        (ah, ka), (bh, kb) = factor_first(a, b)
-        if ka is None or kb is None:
-            z, k = (bh, ka) if kb is None else (ah, kb)
-            m = np.linalg.eigvalsh(dagger(k) @ z @ k) / (ta * tb)
-            if m[0] > 0 and np.finfo(float).eps * (s := np.sqrt(m)).sum() * (1 / s).sum() <= GRAM_ATOL:
-                return float(s.sum() ** 2)
-            ka, kb = (ka, psd_factor(b)) if kb is None else (psd_factor(a), kb)  # the Gram guard
-    except ValueError:  # a refusal, LinAlgError included: the two-factor path words it
-        ka, kb = psd_factor(a), psd_factor(b)
+    # The effective ranks, cross-multiplied.  A NaN fails the comparison; either way a is
+    # checked before b, and both are checked.
+    first = ta**2 * np.vdot(b, b).real <= tb**2 * np.vdot(a, a).real
+    if first:
+        k, z = psd_factor(a), psd_certified(b)
+    else:
+        z, k = psd_certified(a), psd_factor(b)
+    m = np.linalg.eigvalsh(dagger(k) @ z @ k) / (ta * tb)
+    if m[0] > 0 and np.finfo(float).eps * (s := np.sqrt(m)).sum() * (1 / s).sum() <= GRAM_ATOL:
+        return float(s.sum() ** 2)
+    ka, kb = (k, psd_factor(b)) if first else (psd_factor(a), k)  # the Gram guard
     return float(np.sum(np.linalg.svd(dagger(ka) @ kb, compute_uv=False)) ** 2 / (ta * tb))
 
 

@@ -130,8 +130,8 @@ def sample_record(
 ) -> MeasurementRecord:
     """Draw a finite-shot record from ideal probabilities.
 
-    ``copies`` is the number of copies per input state; each of the J sets
-    receives floor(copies/J) shots.  ``seed`` is a non-negative integer.  The
+    ``copies`` is the number of copies per input state; each of the J sets receives
+    floor(copies/J) shots, 1 to 2^63 - 1.  ``seed`` is a non-negative integer.  The
     probabilities must be finite, >= -PROB_ATOL, and sum to <= 1 + PROB_ATOL per set.
     """
     probs = np.asarray(probs, dtype=float)
@@ -146,6 +146,8 @@ def sample_record(
     shots = check_int(copies, "copies", 1) // j
     if shots < 1:
         raise ValueError(f"{copies} copies leave no shots for {j} POVM sets")
+    if shots > (most := np.iinfo(np.int64).max):  # the most shots one multinomial draw takes
+        raise ValueError(f"{copies} copies per state give {shots} shots to each of {j} POVM sets, above {most}")
     seed = check_seed(seed)
 
     # Sets of equal size share one (sets, size) slab of columns, drawn by one

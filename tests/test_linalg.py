@@ -17,6 +17,7 @@ from proctomo.ensembles import (
 )
 from proctomo.linalg import (
     HERMITIAN_RTOL,
+    NEGATIVE_EIG_RTOL,
     check_int,
     check_psd,
     dagger,
@@ -31,6 +32,7 @@ from proctomo.linalg import (
     is_hermitian,
     kron_stack,
     partial_trace_first,
+    psd_certified,
     psd_factor,
     psd_root,
     transfer_matrix,
@@ -468,6 +470,18 @@ def test_psd_certificate_agrees_with_eigvalsh(n, kind, least):
     # rounding leaves the spectrum on its side of -atol, so both verdicts occur
     assert (expected is not None) == (least == "below")
     assert check_psd_refusal(x, kind, atol) == expected
+    # psd_certified at its own tolerance tau, on x moved to a least eigenvalue of LEAST[least] taus;
+    # the move changes tau by a few parts in 1e9 at most
+    tau = NEGATIVE_EIG_RTOL * max(x.diagonal().real.max(), 1.0)
+    if least != "positive":
+        x = x + (LEAST[least] * tau - np.linalg.eigvalsh(hermitian_part(x))[0]) * np.eye(n)
+    assert (np.linalg.eigvalsh(hermitian_part(x))[0] < -tau) == (least == "below")
+    if least == "below":
+        refusal = f"^matrix is not PSD: no Cholesky factor with its diagonal shifted by {tau:.3e}$"
+        with pytest.raises(ValueError, match=refusal):
+            psd_certified(x)
+    else:  # the diagonal is restored
+        assert np.array_equal(psd_certified(x), hermitian_part(x))
 
 
 @pytest.mark.parametrize("size", [1, 16, 128])

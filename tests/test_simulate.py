@@ -212,6 +212,16 @@ def test_sample_record_refuses_non_finite_probabilities(value):
             sample_record(probs, 600, cube_povm(1))
 
 
+def test_sample_record_takes_shots_up_to_the_int64_maximum_and_refuses_more():
+    p, most = cube_povm(1), np.iinfo(np.int64).max  # three sets of two elements
+    probs = np.full((4, 6), 0.5)
+    rec = sample_record(probs, 3 * most, p)
+    assert rec.shots_per_set == most and np.all(rec.counts.reshape(4, 3, 2).sum(axis=-1) + rec.lost_counts == most)
+    message = f"{3 * most + 3} copies per state give {most + 1} shots to each of 3 POVM sets, above {most}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_record(probs, 3 * most + 3, p)
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         MeasurementRecord(freq=np.array([[0.5, 1.5]]), set_sizes=(2,))

@@ -113,19 +113,26 @@ def test_reconstruct_spec_flags_exit_0_or_2_without_traceback(flag, spec, d2_rec
 
 
 # Both studies' numeric flags over tiny ranges, on d = 2 designs, so every run is
-# quick.  The examples are valid runs, so the success path is covered too.
+# quick; copy counts also come from above 2^63.  The examples are valid runs, so
+# the success path is covered too, plus one count each whose shots outgrow an int64.
 STUDY_FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 TINY = st.integers(-2, 3).map(str)
 D2 = ["--povm", "cube-povm:1", "--channel", "random:2:tp:5"]
 
 
+def counts(least, most):
+    """A copy count least..most, or one above 2^63, which outgrows an int64, as text."""
+    return st.one_of(st.integers(least, most), st.integers(2**63, 2**70)).map(str)
+
+
 @STUDY_FUZZ
 @example(dim="2", num_states=["4", "6"], per_state="3", trials="1", seed="0")
 @example(dim="4", num_states=["4"], per_state="3", trials="1", seed="0")
+@example(dim="2", num_states=["4"], per_state="30000000000000000000000", trials="1", seed="0")
 @given(
     dim=st.integers(-1, 4).map(str),
     num_states=st.lists(st.integers(-2, 8).map(str), min_size=1, max_size=2),
-    per_state=st.integers(-3, 6).map(str),
+    per_state=counts(-3, 6),
     trials=TINY,
     seed=TINY,
 )
@@ -141,8 +148,9 @@ def test_m_scaling_study_numeric_flags_exit_0_or_2_without_traceback(dim, num_st
 @STUDY_FUZZ
 @example(copies=["18", "36"], trials="1", seed="0")
 @example(copies=["6"], trials="1", seed="0")
+@example(copies=["600000000000000000000"], trials="1", seed="0")
 @given(
-    copies=st.lists(st.integers(-6, 40).map(str), min_size=1, max_size=2),
+    copies=st.lists(counts(-6, 40), min_size=1, max_size=2),
     trials=TINY,
     seed=TINY,
 )

@@ -170,31 +170,31 @@ def test_m_scaling_study_checks_trials_and_grid(trials, grid):
 GOLDEN_SCALING = {
     False: (
         [
-            ["mub-2", 1200, 0.044011959937431254, 0.012851449059999666, 0.061392351624140584],
-            ["mub-2", 6000, 0.007559585278550728, 0.003173052641350303, 0.018775365453303865],
-            ["sic-2", 1200, 0.0329034483875601, 0.018105086078535167, 0.036526498847444556],
-            ["sic-2", 6000, 0.004749304069244688, 0.0020267739870459558, 0.00949070484938667],
+            ["mub-2", 1200, 0.044011959937431254, 0.012851449059999666, 0.061392351624140806],
+            ["mub-2", 6000, 0.007559585278550728, 0.003173052641350303, 0.018775365453303716],
+            ["sic-2", 1200, 0.0329034483875601, 0.018105086078535167, 0.0365264988474446],
+            ["sic-2", 6000, 0.004749304069244688, 0.0020267739870459558, 0.009490704849386708],
         ],
         {
             "mse[mub-2]": -1.094571631984314,
-            "infidelity[mub-2]": -0.7361201010045495,
+            "infidelity[mub-2]": -0.7361201010045566,
             "mse[sic-2]": -1.2026430817627545,
-            "infidelity[sic-2]": -0.8373886932022724,
+            "infidelity[sic-2]": -0.8373886932022712,
         },
         "91213697b7a600fb",
     ),
     True: (
         [
-            ["mub-2", 1200, 0.23485838214231067, 0.027838892305944943, 0.08677171831690629],
-            ["mub-2", 6000, 0.2224195777764848, 0.005209810452262868, 0.042086396710134734],
-            ["sic-2", 1200, 0.21469783182671545, 0.026495229165053275, 0.057346322806747674],
-            ["sic-2", 6000, 0.22947971659288982, 0.006327011332738127, 0.031960484746582384],
+            ["mub-2", 1200, 0.23485838214231067, 0.027838892305944943, 0.086771718316906],
+            ["mub-2", 6000, 0.2224195777764848, 0.005209810452262868, 0.042086396710134956],
+            ["sic-2", 1200, 0.21469783182671545, 0.026495229165053275, 0.05734632280674775],
+            ["sic-2", 6000, 0.22947971659288982, 0.006327011332738127, 0.03196048474658245],
         ],
         {
             "mse[mub-2]": -0.033811254734068194,
-            "infidelity[mub-2]": -0.4495707272652458,
+            "infidelity[mub-2]": -0.44957072726524105,
             "mse[sic-2]": 0.04137036788170974,
-            "infidelity[sic-2]": -0.36323764370019074,
+            "infidelity[sic-2]": -0.36323764370018996,
         },
         "c09ac471c18caaf6",
     ),
