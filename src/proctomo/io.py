@@ -124,14 +124,18 @@ def save_json(obj, path, include_intermediates: bool = False) -> None:
     Path(path).write_text(json.dumps(to_dict(obj, include_intermediates), indent=1))
 
 
+def read_json(path):
+    """The JSON value in the file at ``path``, or a ValueError naming the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
+        raise ValueError(f"{path} is not a JSON document: {exc}") from None
+
+
 def load_json(path, kinds: tuple = (object,)):
     """The object of the JSON document at ``path``, refused unless it is an
     instance of one of ``kinds``."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
-        raise ValueError(f"{path} is not a JSON document: {exc}") from None
-    obj = from_dict(doc, path)
+    obj = from_dict(read_json(path), path)
     if not isinstance(obj, kinds):
         raise ValueError(f"{path} does not contain a {' or '.join(k.__name__ for k in kinds)}")
     return obj

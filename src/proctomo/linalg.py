@@ -196,27 +196,28 @@ def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:
     return x.reshape(d, d, d, d).trace(axis1=0, axis2=2)
 
 
-def _hermitian(x: np.ndarray, check: bool = True) -> np.ndarray:
-    """Hermitian part of a square matrix; with ``check`` it must be finite and pass :func:`is_hermitian`."""
+def _hermitian(x: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Hermitian part of a square matrix or of each in a stack, which must be finite and pass
+    :func:`is_hermitian`, else a ValueError naming ``what``: the package's one Hermitian gate."""
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    if check and not np.isfinite(x).all():
-        raise ValueError("matrix has non-finite entries")
-    if check and not is_hermitian(x):
-        raise ValueError("matrix is not Hermitian within tolerance")
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or not x.size:
+        raise ValueError(f"{what} must be a square matrix, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} has non-finite entries")
+    if not is_hermitian(x):
+        raise ValueError(f"{what} is not Hermitian")
     return hermitian_part(x)
 
 
 def hermitian_eig(x: np.ndarray, check: bool = True):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of each in a stack.
 
     Returns ``(w, u)`` with eigenvalues ``w`` sorted descending and unitary
     ``u`` such that ``x = u @ diag(w) @ u^dag``.  The input is symmetrized
-    first; with ``check`` it must be finite and pass :func:`is_hermitian`.
+    first; with ``check`` it must pass :func:`_hermitian`.
     """
-    w, u = np.linalg.eigh(_hermitian(x, check))
-    return w[::-1], u[:, ::-1]
+    w, u = np.linalg.eigh(_hermitian(x) if check else hermitian_part(x))
+    return w[..., ::-1], u[..., ::-1]
 
 
 def square_stack(x, error: str) -> np.ndarray:
@@ -231,37 +232,35 @@ def square_stack(x, error: str) -> np.ndarray:
 
 
 def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray:
-    """Return ``x`` (one matrix or a stack) as a complex array after checking that
-    each matrix is finite, Hermitian by :func:`is_hermitian`, PSD within ``atol``, and,
-    with ``unit_trace``, of trace within ``atol`` of 1 and of positive part's trace at
-    most 1 + atol, which bounds its probabilities' sums for any d.  Constructors of states,
-    POVM elements and process matrices validate through it, so nothing downstream decides
-    Hermiticity again.  One batched Cholesky of the Hermitian parts plus atol * I (plus 0
-    with ``unit_trace``: a positive definite matrix is its own positive part) certifies
-    them, as it succeeds exactly when no eigenvalue is below -atol (0).  If any matrix fails
-    it, ``eigvalsh`` rules and names the least eigenvalue or the matrix's index, so the
-    verdict can differ from eigvalsh's alone only by rounding at exactly -atol (0)."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or not x.size:
-        raise ValueError(f"{what} must be a square matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{what} has non-finite entries")
-    if not is_hermitian(x):
-        raise ValueError(f"{what} is not Hermitian")
-    w = None
+    """The Hermitian part of ``x`` (one matrix or a stack), after checking that each
+    matrix passes :func:`_hermitian`, is PSD within ``atol``, and, with ``unit_trace``, has
+    trace within ``atol`` of 1 and a positive part of trace at most 1 + atol, which bounds
+    its probabilities' sums for any d.  Constructors of states, POVM elements and process
+    matrices validate through it, and so does ``metrics.fidelity``, so nothing downstream
+    decides Hermiticity again.  One batched Cholesky of the Hermitian parts, their diagonals
+    shifted by atol (by 0 with ``unit_trace``: a positive definite matrix is its own positive
+    part), certifies them, as it succeeds exactly when no eigenvalue is below -atol (0).  If
+    any matrix fails it, ``eigvalsh`` rules and names the least eigenvalue or the matrix's
+    index, so the verdict can differ from eigvalsh's alone only by rounding at exactly -atol (0)."""
+    xh = _hermitian(np.asarray(x, dtype=complex), what)
+    diag = np.einsum("...ii->...i", xh)  # a writable view: shifted and restored in place, no eye or copy
+    saved = diag.copy()
+    diag += 0.0 if unit_trace else atol
     try:
-        np.linalg.cholesky(hermitian_part(x) + (0.0 if unit_trace else atol) * np.eye(x.shape[-1]))
+        np.linalg.cholesky(xh)
+        failed = False
     except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(hermitian_part(x))
-        if w[..., 0].min() < -atol:
-            raise ValueError(f"{what} has negative eigenvalue {w[..., 0].min():.3e}") from None
-    if unit_trace and np.any(np.abs(np.trace(x, axis1=-2, axis2=-1).real - 1.0) > atol):
+        failed = True
+    diag[...] = saved
+    if failed and (w := np.linalg.eigvalsh(xh))[..., 0].min() < -atol:
+        raise ValueError(f"{what} has negative eigenvalue {w[..., 0].min():.3e}")
+    if unit_trace and np.any(np.abs(np.trace(xh, axis1=-2, axis2=-1).real - 1.0) > atol):
         raise ValueError(f"{what} does not have unit trace")
-    positive = np.maximum(w, 0.0).sum(axis=-1).reshape(-1) if unit_trace and w is not None else [0.0]
+    positive = np.maximum(w, 0.0).sum(axis=-1).reshape(-1) if unit_trace and failed else [0.0]
     if max(positive) > 1.0 + atol:
         i = int(np.argmax(positive))
         raise ValueError(f"{what} {i} has a positive part of trace {positive[i]:.15g}, above 1 + {atol:g}")
-    return x
+    return xh
 
 
 def psd_root(x: np.ndarray):
@@ -304,34 +303,24 @@ def _pivoted_rows(xh: np.ndarray) -> np.ndarray:
     return rows
 
 
+def psd_tolerance(x: np.ndarray) -> float:
+    """tau = NEGATIVE_EIG_RTOL * max(largest diagonal entry, 1), the PSD tolerance of :func:`psd_factor`
+    and ``metrics.fidelity``: as lambda_max >= that entry, lambda_min >= -tau passes :func:`psd_root`."""
+    return NEGATIVE_EIG_RTOL * max(x.diagonal().real.max(), 1.0)
+
+
 def psd_factor(x: np.ndarray) -> np.ndarray:
     """An n x r factor K of a Hermitian PSD matrix, K K^dag = x up to what :func:`psd_root`
     clips, from the pivoted Cholesky of its Hermitian part xh, checked as in :func:`hermitian_eig`.
-    With tau = NEGATIVE_EIG_RTOL * max(max diagonal, 1), the residual ||xh - K K^dag||_F <= tau
-    certifies x PSD, else ValueError: it gives lambda_min >= -tau, and lambda_max is at least
-    the largest diagonal entry, so nothing psd_root refuses is accepted."""
+    The residual ||xh - K K^dag||_F <= tau, tau of :func:`psd_tolerance`, certifies x PSD, else
+    ValueError: it gives lambda_min >= -tau, so nothing psd_root refuses is accepted."""
     xh = _hermitian(x)
     k = dagger(_pivoted_rows(xh))
-    tau = NEGATIVE_EIG_RTOL * max(xh.diagonal().real.max(), 1.0)
+    tau = psd_tolerance(xh)
     if not (residual := frob(xh - k @ dagger(k))) <= tau:  # also refuses NaN
         raise ValueError(f"matrix is not PSD: residual {residual:.3e} of its pivoted Cholesky factor "
                          f"exceeds {tau:.3e}")
     return k
-
-
-def psd_certified(x: np.ndarray) -> np.ndarray:
-    """The Hermitian part xh of ``x``, checked as in :func:`hermitian_eig` and certified PSD by one
-    LAPACK Cholesky of xh + tau I, tau as in :func:`psd_factor`, else ValueError: the Cholesky
-    succeeds only if lambda_min > -tau, so nothing psd_root refuses is accepted."""
-    xh = _hermitian(x)
-    tau, diag = NEGATIVE_EIG_RTOL * max(xh.diagonal().real.max(), 1.0), xh.diagonal().copy()
-    np.fill_diagonal(xh, diag + tau)  # shifted and restored in place: no copy and no eye
-    try:
-        np.linalg.cholesky(xh)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"matrix is not PSD: no Cholesky factor with its diagonal shifted by {tau:.3e}") from None
-    np.fill_diagonal(xh, diag)
-    return xh
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

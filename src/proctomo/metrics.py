@@ -3,9 +3,9 @@
 The fidelity between two PSD matrices is normalized by both traces, so it is
 scale invariant, symmetric, and equals one exactly for proportional
 arguments.  It factors the argument of lower effective rank by pivoted
-Cholesky, with a relative stopping rule, and certifies the other by one LAPACK
-Cholesky; a conditioning guard falls back to factoring both.  No d^2 x d^2
-eigendecomposition runs.
+Cholesky, with a relative stopping rule, and certifies the other with
+``linalg.check_psd``, the constructors' certificate; a conditioning guard
+falls back to factoring both.  No d^2 x d^2 eigendecomposition runs.
 ``error_scaling_functional`` evaluates the bracketed part of the analytic
 error bound sqrt(d) Tr(F) sqrt(J tr_C) sqrt(M tr_V) / sqrt(N); it is a
 relative scaling functional, with no attempt to estimate the hidden constant.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger, frob, psd_certified, psd_factor
+from .linalg import check_psd, dagger, frob, psd_factor, psd_tolerance
 
 
 def _same_shape(x_hat, x_true, dtype=None) -> tuple:
@@ -42,11 +42,13 @@ def fidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     For any factor B = K K^dag it is (sum sqrt mu)^2 / (Tr A Tr B), mu the eigenvalues of
     K^dag A K (sqrt(B) is K times a partial isometry), with no square root of a noise-level
     eigenvalue of A or B.  ``linalg.psd_factor`` factors the argument of lower effective rank
-    (Tr X)^2 / ||X||_F^2, the first on a tie, and ``linalg.psd_certified`` certifies the other.
-    A Gram matrix too ill-conditioned to give F within GRAM_ATOL is the one guard: it factors
-    the other argument too and takes the singular values of K_a^dag K_b.
+    (Tr X)^2 / ||X||_F^2, the first on a tie, and ``linalg.check_psd`` certifies the other, both
+    at ``linalg.psd_tolerance``.  A Gram matrix too ill-conditioned to give F within GRAM_ATOL
+    is the one guard: it factors the other argument too and takes the singular values of K_a^dag K_b.
     """
     a, b = _same_shape(x_hat, x_true, complex)
+    if a.ndim != 2:  # a stack would pass check_psd
+        raise ValueError(f"fidelity compares two matrices, got shape {a.shape}")
     ta, tb = np.trace(a).real, np.trace(b).real
     if ta <= 0 or tb <= 0:
         raise ValueError("fidelity requires positive-trace arguments")
@@ -54,9 +56,9 @@ def fidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     # checked before b, and both are checked.
     first = ta**2 * np.vdot(b, b).real <= tb**2 * np.vdot(a, a).real
     if first:
-        k, z = psd_factor(a), psd_certified(b)
+        k, z = psd_factor(a), check_psd(b, "matrix", psd_tolerance(b))
     else:
-        z, k = psd_certified(a), psd_factor(b)
+        z, k = check_psd(a, "matrix", psd_tolerance(a)), psd_factor(b)
     m = np.linalg.eigvalsh(dagger(k) @ z @ k) / (ta * tb)
     if m[0] > 0 and np.finfo(float).eps * (s := np.sqrt(m)).sum() * (1 / s).sum() <= GRAM_ATOL:
         return float(s.sum() ** 2)

@@ -34,6 +34,8 @@ from .linalg import check_int, herm_coords, transfer_matrix
 # trace of the state's positive part (at most 1 + STATE_ATOL for any d) scaled by the channel's
 # and the set's tolerances, and a probability is at least -(2 STATE_ATOL + POVM_ATOL).
 PROB_ATOL = STATE_ATOL + POVM_ATOL + CHANNEL_ATOL
+# The most shots per set: the most one multinomial draw takes.
+MAX_SHOTS = np.iinfo(np.int64).max
 # States per block of multinomial draws; bounds their memory.
 _STATE_BLOCK = 64
 # Version of the sampling algorithm stamped on the records sample_record draws.
@@ -131,7 +133,7 @@ def sample_record(
     """Draw a finite-shot record from ideal probabilities.
 
     ``copies`` is the number of copies per input state; each of the J sets receives
-    floor(copies/J) shots, 1 to 2^63 - 1.  ``seed`` is a non-negative integer.  The
+    floor(copies/J) shots, 1 to MAX_SHOTS = 2^63 - 1.  ``seed`` is a non-negative integer.  The
     probabilities must be finite, >= -PROB_ATOL, and sum to <= 1 + PROB_ATOL per set.
     """
     probs = np.asarray(probs, dtype=float)
@@ -146,8 +148,8 @@ def sample_record(
     shots = check_int(copies, "copies", 1) // j
     if shots < 1:
         raise ValueError(f"{copies} copies leave no shots for {j} POVM sets")
-    if shots > (most := np.iinfo(np.int64).max):  # the most shots one multinomial draw takes
-        raise ValueError(f"{copies} copies per state give {shots} shots to each of {j} POVM sets, above {most}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"{copies} copies per state give {shots} shots to each of {j} POVM sets, above {MAX_SHOTS}")
     seed = check_seed(seed)
 
     # Sets of equal size share one (sets, size) slab of columns, drawn by one

@@ -13,7 +13,6 @@ import json
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .ensembles import (
 from .linalg import check_int
 from .metrics import infidelity, loglog_slope, squared_error
 from .reconstruct import TwoStageReconstructor
-from .simulate import check_seed, ideal_probabilities, sample_record
+from .simulate import MAX_SHOTS, check_seed, ideal_probabilities, sample_record
 
 
 # A spec field: an integer, a seed (an integer >= 0) or a word, kept verbatim:
@@ -144,7 +143,7 @@ def trial_seed(global_seed: int, point: int, trial: int) -> int:
 
 def copies_per_state(total: int, ensemble: InputEnsemble, spec: str, povm: PovmCollection, povm_spec: str) -> int:
     """Copies per state of ``total`` spread evenly; total must be a positive multiple of M
-    that gives every set of the POVM a shot (see :func:`check_shots`)."""
+    that gives every set of the POVM from 1 to MAX_SHOTS shots (see :func:`check_shots`)."""
     # Any integer passes the integer rule; the sign is refused with the divisibility below.
     total, m = check_int(total, "total copies", -np.inf), ensemble.num_states
     if total < 1 or total % m:
@@ -157,13 +156,16 @@ def copies_per_state(total: int, ensemble: InputEnsemble, spec: str, povm: PovmC
 
 
 def check_shots(per_state: int, povm: PovmCollection, povm_spec: str, given: str, states: int = 1) -> None:
-    """Refuse ``per_state`` copies per state, from the value ``given`` for ``states``
-    states, if they leave a set of the POVM ``povm_spec`` without a shot."""
+    """Refuse ``per_state`` copies per state, from the value ``given`` for ``states`` states, if
+    they leave a set of the POVM ``povm_spec`` without a shot or give one more than MAX_SHOTS."""
     if per_state < povm.num_sets:
         raise ValueError(
             f"{given} leave no shot for some of the {povm.num_sets} sets of POVM {povm_spec!r}; "
             f"choose at least {povm.num_sets * states}"
         )
+    if (shots := per_state // povm.num_sets) > MAX_SHOTS:  # which sample_record would refuse
+        raise ValueError(f"{given} give {shots} shots to each of the {povm.num_sets} sets of POVM "
+                         f"{povm_spec!r}, above {MAX_SHOTS}")
 
 
 def check_dimensions(dims: dict) -> None:
@@ -191,7 +193,7 @@ def _meta(config: dict, seed: int) -> dict:
 
 # Config keys whose type is checked up front, so a JSON typo fails by name;
 # the integer keys go through _check_sweep.
-_CONFIG_TYPES = {"channel": str, "povm": str, "tp_prior": bool}
+_CONFIG_TYPES = {"channel": str, "povm": str, "tp_prior": bool, "output": (str, type(None))}
 
 
 @dataclass
@@ -223,7 +225,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        obj = json.loads(Path(path).read_text())
+        obj = pio.read_json(path)
         if not isinstance(obj, dict):
             raise ValueError(f"{path} does not hold a JSON object")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})

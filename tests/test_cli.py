@@ -280,8 +280,22 @@ def test_dimension_mismatches_name_each_spec_and_flag(argv, named, tmp_path, cap
         (["m-scaling-study", "--copies-per-state", "5", "--trials", "1"],
          "copies_per_state (--copies-per-state) 5 leave no shot for some of the 9 sets "
          "of POVM 'cube-povm:2'; choose at least 9"),
+        # More shots per set than an int64 count holds: refused naming what was typed, before sampling.
+        (["simulate", "--ensemble", "mub:2", "--povm", "cube-povm:1", "--channel", "identity:2",
+          "--copies", "600000000000000000000", "--output", "{out}"],
+         "total copies 600000000000000000000 (100000000000000000000 per state of 'mub:2') give "
+         "33333333333333333333 shots to each of the 3 sets of POVM 'cube-povm:1', above 9223372036854775807"),
+        (["scaling-study", "--ensemble", "mub:2", "--povm", "cube-povm:1", "--channel", "identity:2",
+          "--copies", "600", "600000000000000000000", "--trials", "1"],
+         "total copies 600000000000000000000 (100000000000000000000 per state of 'mub:2') give "
+         "33333333333333333333 shots to each of the 3 sets of POVM 'cube-povm:1', above 9223372036854775807"),
+        (["m-scaling-study", "--dim", "2", "--num-states", "4", "--povm", "cube-povm:1", "--channel", "identity:2",
+          "--copies-per-state", "27670116110564327424", "--trials", "1"],
+         "copies_per_state (--copies-per-state) 27670116110564327424 give 9223372036854775808 shots "
+         "to each of the 3 sets of POVM 'cube-povm:1', above 9223372036854775807"),
     ],
-    ids=["simulate", "scaling-study", "m-scaling-study"],
+    ids=["simulate", "scaling-study", "m-scaling-study",
+         "simulate-above-int64", "scaling-study-above-int64", "m-scaling-study-above-int64"],
 )
 def test_copies_too_few_for_the_povm_sets_are_refused_naming_them(argv, text, tmp_path, capsys):
     out = tmp_path / "record.json"
@@ -356,13 +370,23 @@ def test_design_audit_rejects_surplus_fields(spec, capsys):
     assert err.startswith("error:") and "expected" in err
 
 
-@pytest.mark.parametrize("cfg, key", [({"chanel": "cnot"}, "chanel"), ({"trials": "3"}, "trials")])
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"chanel": "cnot"}, "chanel"),
+        ({"trials": "3"}, "trials"),
+        # Not JSON: the refusal names the file.
+        *(pytest.param(content, "{path} is not a JSON document", id=name) for name, content in [
+            ("deep", b"[" * 100_000 + b"]" * 100_000), ("binary", bytes(range(256))), ("malformed", b"{1: 2}")]),
+    ],
+)
 def test_scaling_study_malformed_config_exits_2(cfg, key, tmp_path, capsys):
     path = tmp_path / "f.json"
-    path.write_text(json.dumps(cfg))
+    path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
     assert main(["scaling-study", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+    assert err.startswith("error:") and key.format(path=path) in err
+    assert "Traceback" not in err
 
 
 def test_m_scaling_study_rejects_zero_trials(capsys):
@@ -438,7 +462,9 @@ def test_design_audit_of_a_malformed_file_exits_2(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize(
-    "cfg", [{"copies": 1200}, {"copies": [1200.9]}, {"ensembles": [4]}, {"ensembles": []}, {"trials": 2.5}]
+    "cfg",
+    [{"copies": 1200}, {"copies": [1200.9]}, {"ensembles": [4]}, {"ensembles": []}, {"trials": 2.5},
+     {"output": 1}, {"output": ["a"]}],
 )
 def test_scaling_study_config_with_mistyped_lists_exits_2(cfg, tmp_path, capsys):
     path = tmp_path / "f.json"

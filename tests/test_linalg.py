@@ -32,7 +32,6 @@ from proctomo.linalg import (
     is_hermitian,
     kron_stack,
     partial_trace_first,
-    psd_certified,
     psd_factor,
     psd_root,
     transfer_matrix,
@@ -286,6 +285,10 @@ def test_hermitian_eig_reconstruction():
     w, u = hermitian_eig(x)
     assert np.all(np.diff(w) <= 1e-12)
     assert np.linalg.norm(u @ np.diag(w) @ dagger(u) - x) <= 1e-10
+    # a stack gives each matrix's decomposition, in stack order
+    ws, us = hermitian_eig(np.stack([x, -x]))
+    np.testing.assert_allclose(ws, [w, -w[::-1]], atol=1e-12)
+    assert np.linalg.norm(us[1] @ np.diag(ws[1]) @ dagger(us[1]) + x) <= 1e-10
 
 
 def test_hermitian_eig_weyl_inequalities():
@@ -319,10 +322,13 @@ def test_process_matrix_and_check_psd_report_hermitian_eigs_least_value():
         check_psd(x, "process matrix", 1e-9)
 
 
-@pytest.mark.parametrize("method", [hermitian_eig, psd_factor])
+@pytest.mark.parametrize(
+    "method",
+    [hermitian_eig, psd_factor, pytest.param(functools.partial(check_psd, what="matrix", atol=1e-9), id="check_psd")],
+)
 @pytest.mark.parametrize(
     "bad, message",
-    [(np.ones((2, 3)), "expected a square matrix"), (np.array([[1.0, 1.0], [0.0, 1.0]]), "not Hermitian")],
+    [(np.ones((2, 3)), "must be a square matrix"), (np.array([[1.0, 1.0], [0.0, 1.0]]), "not Hermitian")],
 )
 def test_hermitian_checks_are_shared(method, bad, message):
     with pytest.raises(ValueError, match=message):
@@ -470,18 +476,17 @@ def test_psd_certificate_agrees_with_eigvalsh(n, kind, least):
     # rounding leaves the spectrum on its side of -atol, so both verdicts occur
     assert (expected is not None) == (least == "below")
     assert check_psd_refusal(x, kind, atol) == expected
-    # psd_certified at its own tolerance tau, on x moved to a least eigenvalue of LEAST[least] taus;
+    # check_psd at fidelity's tolerance tau, on x moved to a least eigenvalue of LEAST[least] taus;
     # the move changes tau by a few parts in 1e9 at most
     tau = NEGATIVE_EIG_RTOL * max(x.diagonal().real.max(), 1.0)
     if least != "positive":
         x = x + (LEAST[least] * tau - np.linalg.eigvalsh(hermitian_part(x))[0]) * np.eye(n)
-    assert (np.linalg.eigvalsh(hermitian_part(x))[0] < -tau) == (least == "below")
+    assert ((least_eig := np.linalg.eigvalsh(hermitian_part(x))[0]) < -tau) == (least == "below")
     if least == "below":
-        refusal = f"^matrix is not PSD: no Cholesky factor with its diagonal shifted by {tau:.3e}$"
-        with pytest.raises(ValueError, match=refusal):
-            psd_certified(x)
+        with pytest.raises(ValueError, match=f"^matrix has negative eigenvalue {least_eig:.3e}$"):
+            check_psd(x, "matrix", tau)
     else:  # the diagonal is restored
-        assert np.array_equal(psd_certified(x), hermitian_part(x))
+        assert np.array_equal(check_psd(x, "matrix", tau), hermitian_part(x))
 
 
 @pytest.mark.parametrize("size", [1, 16, 128])

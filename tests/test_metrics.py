@@ -83,6 +83,14 @@ def test_fidelity_keeps_the_negative_eigenvalue_refusal():
         fidelity(np.diag([1.0, -0.5]), np.eye(2))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_fidelity_refuses_stacks_before_factoring_either(d):
+    # psd_factor and hermitian_eig take one matrix; check_psd would take a stack.
+    stack = np.stack([np.eye(d)] * 3)
+    with pytest.raises(ValueError, match=rf"^fidelity compares two matrices, got shape \(3, {d}, {d}\)$"):
+        fidelity(stack, stack)
+
+
 def test_fidelity_rejects_zero_trace():
     with pytest.raises(ValueError):
         fidelity(np.zeros((4, 4)), np.eye(4))

@@ -1,12 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import proctomo.io as pio
 from proctomo.channels import cnot_channel, process_matrix, random_channel
+from proctomo.ensembles import cube_povm, mub_states
 from proctomo.studies import (
     ExperimentConfig,
+    copies_per_state,
     make_channel,
     make_ensemble,
     make_povm,
@@ -66,6 +69,18 @@ def test_scaling_study_rejects_indivisible_copies():
         copies=(601,), trials=1,
     )
     with pytest.raises(ValueError, match="divisible"):
+        run_scaling_study(cfg)
+    # mub:2 has 6 states and cube-povm:1 3 sets: 18 (2^63 - 1) copies fill each set to the int64
+    # maximum, and 18 more are refused naming the total before any trial samples
+    most = np.iinfo(np.int64).max
+    assert copies_per_state(18 * most, mub_states(2), "mub:2", cube_povm(1), "cube-povm:1") == 3 * most
+    cfg = ExperimentConfig(
+        channel="random:2:tp:5", ensembles=("mub:2",), povm="cube-povm:1",
+        copies=(600, 18 * most + 18), trials=1,
+    )
+    message = (f"total copies {18 * most + 18} ({3 * most + 3} per state of 'mub:2') give {most + 1} shots "
+               f"to each of the 3 sets of POVM 'cube-povm:1', above {most}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_scaling_study(cfg)
 
 
