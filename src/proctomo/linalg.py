@@ -7,9 +7,9 @@ Conventions fixed here and relied on everywhere else:
   second convention.
 * ``partial_trace_first`` traces out the first (most significant) tensor
   factor, so that ``Tr_1(vec(S) vec(T)^dag) = S T^dag``.
-* ``check_int`` is the one rule for every count, dimension and seed a caller
-  supplies: an integer, not a bool, of at least a floor.  A fractional count
-  is refused, never truncated.
+* ``check_int`` is the one rule for every count, dimension and seed a caller supplies
+  (an integer, not a bool, of at least a floor; a fraction is refused, never truncated),
+  ``real_matrix`` for every probability and frequency matrix (real, 2-D, non-empty, finite).
 
 Everything is a pure function of its inputs and safe to share across threads.
 """
@@ -39,6 +39,18 @@ def check_int(value, what: str, least: int) -> int:
         floor = "non-negative" if least == 0 else f"at least {least}"
         raise ValueError(f"{what} must be {floor}, got {int(value)}")
     return int(value)
+
+
+def real_matrix(x, what: str) -> np.ndarray:
+    """``x`` as a float array if it is a real, non-empty, finite 2-D matrix, else a ValueError naming ``what``."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} must be real")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or not x.size:
+        raise ValueError(f"{what} must be 2-D (states x operators), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    return x
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -196,12 +208,17 @@ def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:
     return x.reshape(d, d, d, d).trace(axis1=0, axis2=2)
 
 
-def _hermitian(x: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Hermitian part of a square matrix or of each in a stack, which must be finite and pass
-    :func:`is_hermitian`, else a ValueError naming ``what``: the package's one Hermitian gate."""
+def _square(x, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    """``x`` as an array if it is one non-empty square matrix or, with ``stack`` (check_psd's), a stack of them."""
     x = np.asarray(x)
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or not x.size:
+    if not (x.ndim == 2 or stack and x.ndim > 2) or x.shape[-1] != x.shape[-2] or not x.size:
         raise ValueError(f"{what} must be a square matrix, got shape {x.shape}")
+    return x
+
+
+def _hermitian(x: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Hermitian part of what :func:`_square` passed, each matrix finite and passing :func:`is_hermitian`,
+    else a ValueError naming ``what``: with it, the package's one Hermitian gate."""
     if not np.isfinite(x).all():
         raise ValueError(f"{what} has non-finite entries")
     if not is_hermitian(x):
@@ -210,14 +227,14 @@ def _hermitian(x: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def hermitian_eig(x: np.ndarray, check: bool = True):
-    """Eigendecomposition of a Hermitian matrix or of each in a stack.
+    """Eigendecomposition of one Hermitian matrix.
 
     Returns ``(w, u)`` with eigenvalues ``w`` sorted descending and unitary
     ``u`` such that ``x = u @ diag(w) @ u^dag``.  The input is symmetrized
-    first; with ``check`` it must pass :func:`_hermitian`.
+    first; with ``check`` it must pass :func:`_hermitian`, and either way be one non-empty square matrix.
     """
-    w, u = np.linalg.eigh(_hermitian(x) if check else hermitian_part(x))
-    return w[..., ::-1], u[..., ::-1]
+    w, u = np.linalg.eigh(_hermitian(_square(x)) if check else hermitian_part(_square(x)))
+    return w[::-1], u[:, ::-1]
 
 
 def square_stack(x, error: str) -> np.ndarray:
@@ -242,7 +259,7 @@ def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray
     part), certifies them, as it succeeds exactly when no eigenvalue is below -atol (0).  If
     any matrix fails it, ``eigvalsh`` rules and names the least eigenvalue or the matrix's
     index, so the verdict can differ from eigvalsh's alone only by rounding at exactly -atol (0)."""
-    xh = _hermitian(np.asarray(x, dtype=complex), what)
+    xh = _hermitian(_square(np.asarray(x, dtype=complex), what, stack=True), what)
     diag = np.einsum("...ii->...i", xh)  # a writable view: shifted and restored in place, no eye or copy
     saved = diag.copy()
     diag += 0.0 if unit_trace else atol
@@ -276,7 +293,7 @@ def psd_root(x: np.ndarray):
 
 def _pivoted_rows(xh: np.ndarray) -> np.ndarray:
     """The rows of K^dag, K the diagonal-pivoted Cholesky factor of the Hermitian ``xh``, in
-    O(n^2 r) for rank r, kept in a buffer that doubles as it fills.
+    O(n^2 r) for rank r, in one n x n buffer of which np.empty maps only the rows written.
 
     Each step pivots on the largest remaining diagonal entry.  The loop stops
     once that entry is at most max(EIG_CLIP_RTOL / n, n eps) times the largest
@@ -289,14 +306,12 @@ def _pivoted_rows(xh: np.ndarray) -> np.ndarray:
     n = len(xh)
     diag = xh.diagonal().real.copy()
     stop = max(EIG_CLIP_RTOL / n, n * np.finfo(float).eps) * max(diag.max(), 0.0)
-    rows = np.empty((min(n, 8), n), dtype=complex)
+    rows = np.empty((n, n), dtype=complex)
     for r in range(n):
         p = diag.argmax()
         top = diag[p]
         if not top > stop:
             return rows[:r]
-        if r == len(rows):
-            rows = np.concatenate([rows, np.empty((min(r, n - r), n), dtype=complex)])
         # Row r of K^dag is conj of the residual's column p over sqrt(top).
         rows[r] = (xh[p] - rows[:r, p].conj() @ rows[:r]) / math.sqrt(top)
         diag -= np.square(np.abs(rows[r]))
@@ -314,7 +329,7 @@ def psd_factor(x: np.ndarray) -> np.ndarray:
     clips, from the pivoted Cholesky of its Hermitian part xh, checked as in :func:`hermitian_eig`.
     The residual ||xh - K K^dag||_F <= tau, tau of :func:`psd_tolerance`, certifies x PSD, else
     ValueError: it gives lambda_min >= -tau, so nothing psd_root refuses is accepted."""
-    xh = _hermitian(x)
+    xh = _hermitian(_square(x))
     k = dagger(_pivoted_rows(xh))
     tau = psd_tolerance(xh)
     if not (residual := frob(xh - k @ dagger(k))) <= tau:  # also refuses NaN

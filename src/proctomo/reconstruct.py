@@ -33,7 +33,7 @@ import numpy as np
 
 from .ensembles import InputEnsemble, PovmCollection
 from .linalg import (
-    check_int, dagger, from_herm_bilinear, hermitian_eig, hermitian_part, is_hermitian, partial_trace_first
+    check_int, dagger, from_herm_bilinear, hermitian_eig, hermitian_part, is_hermitian, partial_trace_first, real_matrix
 )
 from .simulate import MeasurementRecord
 
@@ -146,11 +146,7 @@ class TwoStageReconstructor:
             freq = record.freq
             copies = record.copies_per_state
         else:
-            freq = np.asarray(record)
-            # Complex frequencies go on to step 1, which refuses them.
-            freq = freq if np.iscomplexobj(freq) else freq.astype(float, copy=False)
-            if not np.all(np.isfinite(freq)):
-                raise ValueError("frequency matrix contains non-finite entries")
+            freq = real_matrix(record, "frequency matrix")
             copies = None
         coords = self.output_coefficients(freq)
         d_hat = self.process_least_squares(coords)

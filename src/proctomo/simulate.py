@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import CHANNEL_ATOL, KrausChannel, ProcessMatrix
 from .ensembles import POVM_ATOL, STATE_ATOL, InputEnsemble, PovmCollection
-from .linalg import check_int, herm_coords, transfer_matrix
+from .linalg import check_int, herm_coords, real_matrix, transfer_matrix
 
 # What the constructors let through, to first order: a set's probabilities sum to at most the
 # trace of the state's positive part (at most 1 + STATE_ATOL for any d) scaled by the channel's
@@ -49,7 +49,7 @@ def check_seed(seed) -> int:
 
 @dataclass(eq=False)
 class MeasurementRecord:
-    """Empirical frequency matrix P-hat with its sampling metadata."""
+    """Empirical frequency matrix P-hat, which passes ``linalg.real_matrix``, with its sampling metadata."""
 
     freq: np.ndarray
     set_sizes: tuple
@@ -77,13 +77,7 @@ class MeasurementRecord:
                     raise ValueError
         except ValueError:
             raise ValueError(f"sampler must be a sampler version 1..{SAMPLER} or None, got {self.sampler!r}") from None
-        if np.iscomplexobj(self.freq):
-            raise ValueError("frequency matrix must be real")
-        self.freq = np.asarray(self.freq, dtype=float)
-        if self.freq.ndim != 2:
-            raise ValueError("frequency matrix must be 2-D (states x operators)")
-        if not np.all(np.isfinite(self.freq)):
-            raise ValueError("frequency matrix contains non-finite entries")
+        self.freq = real_matrix(self.freq, "frequency matrix")
         if self.freq.min() < -PROB_ATOL or self.freq.max() > 1.0 + PROB_ATOL:
             raise ValueError("frequencies must lie in [0, 1]")
         if sum(self.set_sizes) != self.freq.shape[1]:
@@ -134,14 +128,12 @@ def sample_record(
 
     ``copies`` is the number of copies per input state; each of the J sets receives
     floor(copies/J) shots, 1 to MAX_SHOTS = 2^63 - 1.  ``seed`` is a non-negative integer.  The
-    probabilities must be finite, >= -PROB_ATOL, and sum to <= 1 + PROB_ATOL per set.
+    probabilities must pass ``linalg.real_matrix``, be >= -PROB_ATOL, and sum to <= 1 + PROB_ATOL per set.
     """
-    probs = np.asarray(probs, dtype=float)
+    probs = real_matrix(probs, "probability matrix")
     m, ell = probs.shape
     if ell != povm.num_elements:
         raise ValueError("probability columns do not match the POVM elements")
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("probabilities contain non-finite entries")
     if probs.min() < -PROB_ATOL:
         raise ValueError(f"negative probability {probs.min():.3e}")
     j = povm.num_sets
@@ -193,5 +185,5 @@ def sample_record(
 
 def exact_record(probs: np.ndarray, povm: PovmCollection) -> MeasurementRecord:
     """Infinite-shot record: frequencies equal the ideal probabilities."""
-    probs = np.asarray(probs, dtype=float)
+    probs = real_matrix(probs, "probability matrix")
     return MeasurementRecord(freq=probs.copy(), set_sizes=povm.set_sizes, ideal=probs.copy())

@@ -493,6 +493,11 @@ def test_scaling_study_config_with_mistyped_lists_exits_2(cfg, tmp_path, capsys)
             {"kind": "record", "set_sizes": [2], "freq": [[0.5, 0.5]], "sampler": "abc"},
             "sampler must be a sampler version 1..2 or None, got 'abc'",
         ),
+        (
+            ["reconstruct", "--ensemble", "mub:2", "--povm", "cube-povm:1", "--record", "{path}"],
+            {"kind": "record", "set_sizes": [2], "freq": [[]]},
+            "frequency matrix must be 2-D (states x operators), got shape (1, 0)",
+        ),
     ],
 )
 def test_documents_failing_their_class_checks_exit_2_naming_the_file(argv, doc, text, tmp_path, capsys):

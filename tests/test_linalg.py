@@ -37,7 +37,7 @@ from proctomo.linalg import (
     transfer_matrix,
 )
 from proctomo.oracle import reshuffle_index, transpose_index
-from proctomo.reconstruct import TwoStageReconstructor
+from proctomo.reconstruct import TwoStageReconstructor, nearest_psd
 from proctomo.simulate import MeasurementRecord, check_seed, sample_record
 from proctomo.studies import ExperimentConfig, copies_per_state, run_m_scaling_study
 
@@ -285,10 +285,9 @@ def test_hermitian_eig_reconstruction():
     w, u = hermitian_eig(x)
     assert np.all(np.diff(w) <= 1e-12)
     assert np.linalg.norm(u @ np.diag(w) @ dagger(u) - x) <= 1e-10
-    # a stack gives each matrix's decomposition, in stack order
-    ws, us = hermitian_eig(np.stack([x, -x]))
-    np.testing.assert_allclose(ws, [w, -w[::-1]], atol=1e-12)
-    assert np.linalg.norm(us[1] @ np.diag(ws[1]) @ dagger(us[1]) + x) <= 1e-10
+    # one matrix only: a stack is refused, naming its shape
+    with pytest.raises(ValueError, match=re.escape("matrix must be a square matrix, got shape (2, 16, 16)")):
+        hermitian_eig(np.stack([x, -x]))
 
 
 def test_hermitian_eig_weyl_inequalities():
@@ -322,16 +321,27 @@ def test_process_matrix_and_check_psd_report_hermitian_eigs_least_value():
         check_psd(x, "process matrix", 1e-9)
 
 
+CHECK_PSD = functools.partial(check_psd, what="matrix", atol=1e-9)
+
+
 @pytest.mark.parametrize(
-    "method",
-    [hermitian_eig, psd_factor, pytest.param(functools.partial(check_psd, what="matrix", atol=1e-9), id="check_psd")],
+    "method", [hermitian_eig, psd_factor, psd_root, nearest_psd, pytest.param(CHECK_PSD, id="check_psd")]
 )
 @pytest.mark.parametrize(
     "bad, message",
-    [(np.ones((2, 3)), "must be a square matrix"), (np.array([[1.0, 1.0], [0.0, 1.0]]), "not Hermitian")],
+    [
+        (np.ones((2, 3)), "must be a square matrix"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "not Hermitian"),
+        (np.ones((3, 2, 2)), "matrix must be a square matrix, got shape (3, 2, 2)"),
+        (np.ones((3, 1, 1)), "matrix must be a square matrix, got shape (3, 1, 1)"),
+    ],
 )
 def test_hermitian_checks_are_shared(method, bad, message):
-    with pytest.raises(ValueError, match=message):
+    # Only check_psd takes a stack, and nearest_psd symmetrizes its argument unchecked.
+    if method is CHECK_PSD and bad.ndim == 3 or method is nearest_psd and message == "not Hermitian":
+        method(bad)
+        return
+    with pytest.raises(ValueError, match=re.escape(message)):
         method(bad)
 
 

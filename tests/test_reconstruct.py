@@ -300,6 +300,10 @@ def test_estimate_rejects_non_finite_raw_frequencies(bad):
         rec.estimate(freq)
     with pytest.raises(ValueError, match="shape"):
         rec.estimate(np.full((6, 5), 0.5))
+    with pytest.raises(ValueError, match="^frequency matrix must be real$"):
+        rec.estimate(freq + 1e-3j)
+    with pytest.raises(ValueError, match=r"^frequency matrix must be 2-D \(states x operators\), got shape \(1, 0\)$"):
+        rec.estimate([[]])
 
 
 def test_reconstructor_pinvs_equal_numpys():

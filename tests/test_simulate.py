@@ -202,14 +202,27 @@ def test_probabilities_beyond_the_tolerance_are_refused():
         exact_record(probs, p)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_sample_record_refuses_non_finite_probabilities(value):
+def with_entry(value):
     probs = np.full((4, 6), 0.5)
     probs[2, 3] = value
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # refused before numpy warns
-        with pytest.raises(ValueError, match="^probabilities contain non-finite entries$"):
-            sample_record(probs, 600, cube_povm(1))
+    return probs
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        *(pytest.param(with_entry(v), "contains non-finite entries", id=str(v)) for v in (np.nan, np.inf, -np.inf)),
+        pytest.param(np.full((4, 6), 0.5 + 1e-3j), "must be real", id="complex"),
+        pytest.param(np.full(6, 0.5), "must be 2-D (states x operators), got shape (6,)", id="1-D"),
+        pytest.param(np.zeros((0, 6)), "must be 2-D (states x operators), got shape (0, 6)", id="empty"),
+    ],
+)
+def test_sample_record_refuses_non_finite_probabilities(probs, message):
+    for draw in (lambda p: sample_record(probs, 600, p), lambda p: exact_record(probs, p)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy warns or casts to real
+            with pytest.raises(ValueError, match=f"^probability matrix {re.escape(message)}$"):
+                draw(cube_povm(1))
 
 
 def test_sample_record_takes_shots_up_to_the_int64_maximum_and_refuses_more():
@@ -231,6 +244,9 @@ def test_record_validation():
         warnings.simplefilter("error")  # refused, not cast to real with a ComplexWarning
         with pytest.raises(ValueError, match="^frequency matrix must be real$"):
             MeasurementRecord(freq=np.array([[0.5 + 1e-3j, 0.5]]), set_sizes=(2,))
+    message = "frequency matrix must be 2-D (states x operators), got shape (0, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MeasurementRecord(freq=np.zeros((0, 2)), set_sizes=(2,))
 
 
 @pytest.mark.parametrize(
