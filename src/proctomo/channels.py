@@ -26,7 +26,7 @@ from .linalg import (
     hermitian_part,
     partial_trace_first,
     psd_root,
-    square_stack,
+    square_matrix,
 )
 
 CHANNEL_ATOL = 1e-9
@@ -45,9 +45,7 @@ class KrausChannel:
     label: str = ""
 
     def __post_init__(self):
-        kraus = square_stack(self.kraus, "Kraus operators must be a list of non-empty square matrices of equal size")
-        if not np.all(np.isfinite(kraus)):
-            raise ValueError("Kraus operators contain non-finite entries")
+        kraus = square_matrix(self.kraus, "Kraus operators", stack=True)
         object.__setattr__(self, "kraus", kraus)
         check_psd(np.eye(self.d) - self.contraction(), "identity minus the Kraus sum of A^dag A", CHANNEL_ATOL)
 

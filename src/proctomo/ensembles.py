@@ -34,7 +34,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .linalg import check_int, check_psd, frob, herm_coords, herm_kron, herm_pinv, kron_stack, square_stack
+from .linalg import check_int, check_psd, frob, herm_coords, herm_kron, herm_pinv, kron_stack, square_matrix
 
 RANK_RTOL = 1e-10
 STATE_ATOL = 1e-9
@@ -101,7 +101,7 @@ class InputEnsemble:
         elif self.states is None or not len(self.states):
             raise ValueError("an ensemble needs at least one state")
         else:
-            states = square_stack(self.states, "ensemble states must be square matrices sharing one dimension")
+            states = square_matrix(self.states, "ensemble states", stack=True)
             check_psd(states, "ensemble state", atol=STATE_ATOL, unit_trace=True)
         object.__setattr__(self, "states", states)
         error = f"ensemble of {len(states)} states is not informationally complete (rank deficient V, d^2={self.d**2})"
@@ -155,7 +155,7 @@ class PovmCollection:
         else:
             groups = () if self.sets is None else self.sets
             sizes = tuple(len(group) for group in groups)
-            elements = square_stack([p for group in groups for p in group], "POVM element must be a square matrix")
+            elements = square_matrix([p for group in groups for p in group], "POVM elements", stack=True)
         sets = np.split(elements, np.cumsum(sizes)[:-1])
         d = elements.shape[-1]
         if parts is None:

@@ -46,7 +46,6 @@ MATRIX = (_matrix_out, _matrix_in)
 MATRICES = (lambda ms: [_matrix_out(m) for m in ms], lambda obj: tuple(_matrix_in(m) for m in obj))
 SETS = (lambda sets: [MATRICES[0](g) for g in sets], lambda obj: tuple(MATRICES[1](g) for g in obj))
 REAL = (lambda a: np.asarray(a).tolist(), partial(np.asarray, dtype=float))
-INT64 = (REAL[0], partial(np.asarray, dtype=np.int64))
 
 REQUIRED = object()
 Field = namedtuple("Field", "name codec default section", defaults=(PLAIN, REQUIRED, None))
@@ -61,8 +60,8 @@ KINDS = {
         Field("set_sizes"),
         *(Field(n, default=None) for n in ("shots_per_set", "seed")),
         Field("sampler", default=1),  # records written before the field existed came from sampler 1
+        # Older files also carry counts and lost_counts, which the record derives from freq.
         Field("freq", REAL),
-        *(Field(n, INT64, None) for n in ("counts", "lost_counts")),
         Field("ideal", REAL, None),
     )),
     "estimate": (ProcessEstimate, True, (

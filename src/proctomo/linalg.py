@@ -9,7 +9,8 @@ Conventions fixed here and relied on everywhere else:
   factor, so that ``Tr_1(vec(S) vec(T)^dag) = S T^dag``.
 * ``check_int`` is the one rule for every count, dimension and seed a caller supplies
   (an integer, not a bool, of at least a floor; a fraction is refused, never truncated),
-  ``real_matrix`` for every probability and frequency matrix (real, 2-D, non-empty, finite).
+  ``real_matrix`` for every probability and frequency matrix (real, 2-D, non-empty, finite),
+  ``square_matrix`` for every matrix and stack of matrices that must be square (and finite).
 
 Everything is a pure function of its inputs and safe to share across threads.
 """
@@ -208,19 +209,24 @@ def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:
     return x.reshape(d, d, d, d).trace(axis1=0, axis2=2)
 
 
-def _square(x, what: str = "matrix", stack: bool = False) -> np.ndarray:
-    """``x`` as an array if it is one non-empty square matrix or, with ``stack`` (check_psd's), a stack of them."""
-    x = np.asarray(x)
-    if not (x.ndim == 2 or stack and x.ndim > 2) or x.shape[-1] != x.shape[-2] or not x.size:
-        raise ValueError(f"{what} must be a square matrix, got shape {x.shape}")
+def square_matrix(x, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    """``x`` as a complex array if it is one finite, non-empty square matrix or, with ``stack``, a
+    non-empty 3-D stack of them, else a ValueError naming ``what``, for ragged or non-numeric input too."""
+    rule = "a stack of square matrices of one size" if stack else "a square matrix"
+    try:
+        x = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be {rule}, got a ragged or non-numeric array") from None
+    if x.ndim != (3 if stack else 2) or x.shape[-1] != x.shape[-2] or not x.size:
+        raise ValueError(f"{what} must be {rule}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite, got non-finite entries")
     return x
 
 
 def _hermitian(x: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Hermitian part of what :func:`_square` passed, each matrix finite and passing :func:`is_hermitian`,
+    """Hermitian part of what :func:`square_matrix` passed, each matrix passing :func:`is_hermitian`,
     else a ValueError naming ``what``: with it, the package's one Hermitian gate."""
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} has non-finite entries")
     if not is_hermitian(x):
         raise ValueError(f"{what} is not Hermitian")
     return hermitian_part(x)
@@ -231,21 +237,10 @@ def hermitian_eig(x: np.ndarray, check: bool = True):
 
     Returns ``(w, u)`` with eigenvalues ``w`` sorted descending and unitary
     ``u`` such that ``x = u @ diag(w) @ u^dag``.  The input is symmetrized
-    first; with ``check`` it must pass :func:`_hermitian`, and either way be one non-empty square matrix.
+    first; with ``check`` it must pass :func:`_hermitian`, and either way :func:`square_matrix`.
     """
-    w, u = np.linalg.eigh(_hermitian(_square(x)) if check else hermitian_part(_square(x)))
+    w, u = np.linalg.eigh(_hermitian(square_matrix(x)) if check else hermitian_part(square_matrix(x)))
     return w[::-1], u[:, ::-1]
-
-
-def square_stack(x, error: str) -> np.ndarray:
-    """``x`` as a complex (n, d, d) stack with n, d >= 1, or ValueError(error)."""
-    try:
-        x = np.asarray(x, dtype=complex)
-    except ValueError:  # ragged
-        raise ValueError(error) from None
-    if x.ndim != 3 or x.shape[1] != x.shape[2] or not x.size:
-        raise ValueError(error)
-    return x
 
 
 def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray:
@@ -259,7 +254,7 @@ def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray
     part), certifies them, as it succeeds exactly when no eigenvalue is below -atol (0).  If
     any matrix fails it, ``eigvalsh`` rules and names the least eigenvalue or the matrix's
     index, so the verdict can differ from eigvalsh's alone only by rounding at exactly -atol (0)."""
-    xh = _hermitian(_square(np.asarray(x, dtype=complex), what, stack=True), what)
+    xh = _hermitian(square_matrix(x, what, stack=np.ndim(x) > 2), what)
     diag = np.einsum("...ii->...i", xh)  # a writable view: shifted and restored in place, no eye or copy
     saved = diag.copy()
     diag += 0.0 if unit_trace else atol
@@ -329,7 +324,7 @@ def psd_factor(x: np.ndarray) -> np.ndarray:
     clips, from the pivoted Cholesky of its Hermitian part xh, checked as in :func:`hermitian_eig`.
     The residual ||xh - K K^dag||_F <= tau, tau of :func:`psd_tolerance`, certifies x PSD, else
     ValueError: it gives lambda_min >= -tau, so nothing psd_root refuses is accepted."""
-    xh = _hermitian(_square(x))
+    xh = _hermitian(square_matrix(x))
     k = dagger(_pivoted_rows(xh))
     tau = psd_tolerance(xh)
     if not (residual := frob(xh - k @ dagger(k))) <= tau:  # also refuses NaN

@@ -3,8 +3,8 @@
 Copies assigned to one input state are split evenly across the J POVM sets
 (N/J shots per set), and every (state, set) cell is one multinomial draw.
 For non-trace-preserving processes the missing trace is modeled as an
-explicit no-click outcome per cell: its counts are retained in the record but
-excluded from the frequency matrix, so frequencies stay unbiased estimates of
+explicit no-click outcome per cell, drawn but left out of the frequency matrix,
+the one array a record stores, so frequencies stay unbiased estimates of
 Tr(E(rho_m) P_l).  Those probabilities are computed in real coordinates: states,
 outputs and POVM elements each have d^2 real ``linalg.herm_coords``, the channel
 maps a state's to its output's by its ``linalg.transfer_matrix``, and the trace
@@ -36,6 +36,9 @@ from .linalg import check_int, herm_coords, real_matrix, transfer_matrix
 PROB_ATOL = STATE_ATOL + POVM_ATOL + CHANNEL_ATOL
 # The most shots per set: the most one multinomial draw takes.
 MAX_SHOTS = np.iinfo(np.int64).max
+# The most shots per set s whose counts c <= s rint(fl(c / s) * s) recovers: two roundings
+# leave |fl(fl(c / s) * s) - c| <= c (2u + u^2), u = 2^-53, below 1/2 for c < 2^51.
+MAX_EXACT_SHOTS = 2**51 - 1
 # States per block of multinomial draws; bounds their memory.
 _STATE_BLOCK = 64
 # Version of the sampling algorithm stamped on the records sample_record draws.
@@ -55,10 +58,8 @@ class MeasurementRecord:
     set_sizes: tuple
     shots_per_set: int | None = None
     seed: int | None = None
-    counts: np.ndarray | None = None
-    lost_counts: np.ndarray | None = None
     ideal: np.ndarray | None = None
-    # Version of the sampler that drew ``counts``; None when nothing was drawn.
+    # Version of the sampler that drew the frequencies; None when nothing was drawn.
     sampler: int | None = None
 
     def __post_init__(self):
@@ -82,6 +83,25 @@ class MeasurementRecord:
             raise ValueError("frequencies must lie in [0, 1]")
         if sum(self.set_sizes) != self.freq.shape[1]:
             raise ValueError("set sizes do not match the number of frequency columns")
+        if self.ideal is not None:
+            self.ideal = real_matrix(self.ideal, "ideal probability matrix")
+            if self.ideal.shape != self.freq.shape:
+                raise ValueError(f"ideal probability matrix has shape {self.ideal.shape}, not {self.freq.shape}")
+
+    @property
+    def counts(self) -> np.ndarray | None:
+        """The int64 M x L counts rint(freq * shots_per_set), exact up to MAX_EXACT_SHOTS shots per set
+        and a ValueError above it; None for an exact record."""
+        if (shots := self.shots_per_set) is not None and shots > MAX_EXACT_SHOTS:
+            raise ValueError(f"counts are exact only up to {MAX_EXACT_SHOTS} shots per set, not {shots}")
+        return None if shots is None else np.rint(self.freq * shots).astype(np.int64)
+
+    @property
+    def lost_counts(self) -> np.ndarray | None:
+        """The M x J no-click counts: shots per set minus each set's counts; None for an exact record."""
+        if (counts := self.counts) is None:
+            return None
+        return self.shots_per_set - np.add.reduceat(counts, np.cumsum(self.set_sizes) - self.set_sizes, axis=1)
 
     @property
     def num_states(self) -> int:
@@ -155,8 +175,8 @@ def sample_record(
         groups.append((sets, starts[sets, None] + np.arange(n)))
 
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    counts = np.empty((m, ell), dtype=np.int64)
-    lost = np.empty((m, j), dtype=np.int64)
+    # Counts go straight into the float matrix, cast as counts / shots would cast them.
+    freq = np.empty((m, ell))
     for start in range(0, m, _STATE_BLOCK):
         rows = slice(start, start + _STATE_BLOCK)
         for sets, cols in groups:
@@ -168,16 +188,13 @@ def sample_record(
             # each set's elements, then its no-click outcome, normalized per set
             pfull = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
             pfull /= pfull.sum(axis=-1, keepdims=True)
-            draws = gen.multinomial(shots, pfull)
-            counts[rows, cols] = draws[..., :-1]
-            lost[rows, sets] = draws[..., -1]
+            freq[rows, cols] = gen.multinomial(shots, pfull)[..., :-1]
+    freq /= shots
     return MeasurementRecord(
-        freq=counts / shots,
+        freq=freq,
         set_sizes=povm.set_sizes,
         shots_per_set=shots,
         seed=seed,
-        counts=counts,
-        lost_counts=lost,
         ideal=probs.copy() if keep_ideal else None,
         sampler=SAMPLER,
     )

@@ -173,5 +173,6 @@ def test_kraus_operators_are_one_complex_stack():
     ch = random_channel(3, seed=2)
     assert isinstance(ch.kraus, np.ndarray) and ch.kraus.dtype == complex
     assert ch.kraus.shape == (3, 3, 3)
-    with pytest.raises(ValueError, match="non-empty square matrices of equal size"):
+    message = "Kraus operators must be a stack of square matrices of one size, got a ragged or non-numeric array"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         KrausChannel((np.eye(2), np.eye(3)))

@@ -65,6 +65,51 @@ def test_record_json_round_trip(tmp_path):
     assert loaded.shots_per_set == rec.shots_per_set
     assert loaded.seed == rec.seed
     assert loaded.set_sizes == rec.set_sizes
+    assert not {"counts", "lost_counts"} & set(json.loads(path.read_text()))
+
+
+# The counts and no-click counts that records of make_record() stored before a record
+# became its frequency matrix.
+LEGACY_COUNTS = [
+    [110, 114, 131, 104, 179, 65], [125, 121, 96, 131, 35, 195], [172, 61, 192, 55, 150, 90],
+    [55, 170, 71, 147, 63, 166], [139, 85, 73, 154, 81, 156], [107, 129, 186, 44, 142, 97],
+]
+LEGACY_LOST = [[76, 65, 56], [54, 73, 70], [67, 53, 60], [75, 82, 71], [76, 73, 63], [64, 70, 61]]
+
+
+@pytest.mark.parametrize("sampler", [True, False], ids=["with-sampler", "without-sampler"])
+def test_a_legacy_record_document_loads_its_counts_from_freq(tmp_path, sampler):
+    rec, _, _ = make_record()
+    doc = {**pio.to_dict(rec), "counts": LEGACY_COUNTS, "lost_counts": LEGACY_LOST}
+    if not sampler:
+        del doc["sampler"]
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(doc))
+    loaded = pio.load_json(path)
+    assert loaded.freq.tobytes() == rec.freq.tobytes()
+    assert loaded.counts.tolist() == LEGACY_COUNTS and loaded.lost_counts.tolist() == LEGACY_LOST
+    assert loaded.sampler == (2 if sampler else 1)
+
+
+def test_a_legacy_count_beyond_int64_is_ignored(tmp_path):
+    # The key is no longer read, so nothing refuses the count; counts come from freq.
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({"kind": "record", "freq": [[0.5, 0.5]], "set_sizes": [2], "shots_per_set": 2,
+                                "counts": [[2**70, 0]]}))
+    assert pio.load_json(path).counts.tolist() == [[1, 1]]
+
+
+def test_a_record_document_with_malformed_ideal_probabilities_is_refused_naming_the_file(tmp_path):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({"kind": "record", "freq": [[0.5, 0.5]], "set_sizes": [2],
+                                "ideal": [[float("nan"), 2.0, 3.0]]}))
+    with pytest.raises(ValueError, match=f"^record document {re.escape(str(path))}: ideal probability matrix") as info:
+        pio.load_json(path)
+    assert "non-finite" in str(info.value)
+    path.write_text(json.dumps({"kind": "record", "freq": [[0.5, 0.5]], "set_sizes": [2], "ideal": [[0.5, 0.5, 0.0]]}))
+    message = "ideal probability matrix has shape (1, 3), not (1, 2)"
+    with pytest.raises(ValueError, match=f"^record document {re.escape(str(path))}: {re.escape(message)}$"):
+        pio.load_json(path)
 
 
 def test_record_sampler_stamp_round_trips(tmp_path):
@@ -237,7 +282,7 @@ def test_missing_fields_raise_value_error_naming_kind_and_field(tmp_path, doc, f
         ({"kind": "channel", "kraus": [{"re": "ab", "im": 0}]}, "kraus"),
         ({"kind": "process", "mat": [1.0]}, "mat"),
         ({"kind": "record", "freq": [[0.5], [0.5, 0.5]], "set_sizes": [2]}, "freq"),
-        ({"kind": "record", "freq": [[0.5, 0.5]], "set_sizes": [2], "counts": [[2**70, 0]]}, "counts"),
+        ({"kind": "record", "freq": [[0.5, 0.5]], "set_sizes": [2], "ideal": [[0.5], [0.5, 0.5]]}, "ideal"),
         ({"kind": "estimate", "x_hat": {"re": [[1.0]], "im": [[0.0]]}, "diagnostics": 3}, "trace_rank"),
     ],
 )

@@ -6,6 +6,7 @@ import pytest
 
 from proctomo.channels import (
     CHANNEL_ATOL,
+    KrausChannel,
     ProcessMatrix,
     identity_channel,
     process_matrix,
@@ -34,6 +35,7 @@ from proctomo.linalg import (
     partial_trace_first,
     psd_factor,
     psd_root,
+    square_matrix,
     transfer_matrix,
 )
 from proctomo.oracle import reshuffle_index, transpose_index
@@ -533,11 +535,19 @@ NAN2 = np.full((2, 2), np.nan)
         pytest.param(lambda: psd_root(NAN2), id="psd-root"),
         pytest.param(lambda: psd_root(np.diag([np.inf, 1.0])), id="psd-root-inf"),
         pytest.param(lambda: psd_factor(NAN2), id="psd-factor"),
+        pytest.param(lambda: nearest_psd(NAN2), id="nearest-psd"),
+        pytest.param(lambda: KrausChannel((np.eye(2), NAN2)), id="kraus-operator"),
     ],
 )
 def test_non_finite_matrices_rejected_by_name(build):
     with pytest.raises(ValueError, match="non-finite"):
         build()
+
+
+def test_the_square_matrix_rule_refuses_non_finite_entries_by_name():
+    for x, what, stack in ((NAN2, "matrix", False), ((np.eye(2), NAN2), "Kraus operators", True)):
+        with pytest.raises(ValueError, match=f"^{what} must be finite, got non-finite entries$"):
+            square_matrix(x, what, stack=stack)
 
 
 # An anti-Hermitian part above HERMITIAN_RTOL * max(||x||_F, 1) but below 1e-9:

@@ -10,7 +10,9 @@ from proctomo.ensembles import (
 )
 from proctomo.linalg import dagger
 from proctomo.oracle import dense_expansion_matrix, transpose_index
-from proctomo.simulate import SAMPLER, MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
+from proctomo.simulate import (
+    MAX_EXACT_SHOTS, SAMPLER, MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
+)
 from proctomo.studies import run_m_scaling_study
 
 
@@ -229,10 +231,31 @@ def test_sample_record_takes_shots_up_to_the_int64_maximum_and_refuses_more():
     p, most = cube_povm(1), np.iinfo(np.int64).max  # three sets of two elements
     probs = np.full((4, 6), 0.5)
     rec = sample_record(probs, 3 * most, p)
-    assert rec.shots_per_set == most and np.all(rec.counts.reshape(4, 3, 2).sum(axis=-1) + rec.lost_counts == most)
+    assert rec.shots_per_set == most
+    # A float frequency cannot hold every count of 2^63 - 1 shots; the counts say so.
+    message = f"counts are exact only up to {MAX_EXACT_SHOTS} shots per set, not {most}"
+    for derived in ("counts", "lost_counts"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(rec, derived)
     message = f"{3 * most + 3} copies per state give {most + 1} shots to each of 3 POVM sets, above {most}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sample_record(probs, 3 * most + 3, p)
+
+
+def test_counts_are_exact_at_the_largest_shot_count_the_bound_serves():
+    p, most = cube_povm(1), MAX_EXACT_SHOTS  # three sets of two elements
+    assert most == 2**51 - 1
+    # Counts within a few of the bound, and small ones beside them, in every set.
+    counts = np.array([[most - 3, 1, most, 0, 2, most - 7], [most // 2, most // 2 + 1, 0, 0, most - 1, 1]])
+    rec = MeasurementRecord(counts / most, p.set_sizes, shots_per_set=most)
+    assert np.array_equal(rec.counts, counts)
+    assert rec.counts.dtype == np.int64 and np.array_equal(rec.lost_counts, [[2, 0, 5], [0, most, 0]])
+    assert np.all(rec.counts.reshape(2, 3, 2).sum(axis=-1) + rec.lost_counts == most)
+    # Sampled there, counts and no-click counts account for every shot.
+    sampled = sample_record(np.full((4, 6), 0.3), 3 * most, p, seed=4)
+    assert sampled.shots_per_set == most
+    assert np.all(sampled.counts.reshape(4, 3, 2).sum(axis=-1) + sampled.lost_counts == most)
+    assert sampled.lost_counts.min() > 0
 
 
 def test_record_validation():
