@@ -5,13 +5,14 @@ as its d^2 x d^2 process matrix X in the natural (elementary-matrix) operator
 basis.  The two representations are interchangeable: the coordinate vector of
 a Kraus operator in the natural basis is its row-major flattening, and
 X = sum_i c_i c_i^dag.  Both hold X as ``mat`` and act through its real
-``linalg.transfer_matrix``.  Trace-preserving channels have Tr_1(X) = I
-exactly; general channels satisfy Tr_1(X) <= I, and F = Tr_1(X) acts as the
-success operator of the process.
+``linalg.transfer_matrix``, built on first use and kept as ``transfer``.
+Trace-preserving channels have Tr_1(X) = I exactly; general channels satisfy
+Tr_1(X) <= I, and F = Tr_1(X) acts as the success operator of the process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .linalg import (
     partial_trace_first,
     psd_root,
     square_matrix,
+    transfer_matrix,
 )
 
 CHANNEL_ATOL = 1e-9
@@ -36,8 +38,16 @@ CHANNEL_ATOL = 1e-9
 _SEED_DIAGS = ((0.5, 0.4), (0.1, 0.2))
 
 
+class _Channel:
+    """``transfer``, the real ``linalg.transfer_matrix`` of ``mat``, built on first read and kept."""
+
+    @functools.cached_property
+    def transfer(self) -> np.ndarray:
+        return transfer_matrix(self.mat)
+
+
 @dataclass(frozen=True, eq=False)
-class KrausChannel:
+class KrausChannel(_Channel):
     """A completely positive map given by Kraus operators, held as one complex
     (K, d, d) stack."""
 
@@ -65,7 +75,7 @@ class KrausChannel:
 
 
 @dataclass(frozen=True, eq=False)
-class ProcessMatrix:
+class ProcessMatrix(_Channel):
     """d^2 x d^2 Hermitian PSD process matrix in the natural basis."""
 
     mat: np.ndarray

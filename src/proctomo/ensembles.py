@@ -20,16 +20,20 @@ Validation of either design finds the singular values of its matrix A (V^T
 or C), which decide informational completeness, and pinv(A), which the design
 keeps for reconstruction in real Hermitian coordinates, from one real SVD of
 the ``herm_coords`` of its matrices (conjugated, for POVM elements).  A
-product design is given by its parts alone: its matrices are built once from
-theirs, its pseudo-inverse is ``linalg.herm_kron`` of theirs, and the
-singular values are the products of theirs, so no SVD of the product runs.
-The design metrics read the spectrum of A^dag A as the squares of the kept
-singular values.
+product design is given by its parts and keeps them, not its d x d matrices:
+its pseudo-inverse is ``linalg.herm_kron`` of theirs, its singular values are
+the products of theirs, so no SVD of the product runs, and the real
+coordinates that the Born probabilities read (``InputEnsemble.herm_coords``,
+``PovmCollection.born_table``) are ``herm_kron`` of theirs too.  Its complex
+stack is built from the parts only when something reads it (documents, the
+dense oracle), and not kept.  The design metrics read the spectrum of
+A^dag A as the squares of the kept singular values.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -48,47 +52,87 @@ def _projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _check_parts(parts, stack, cls, what: str) -> None:
-    """Refuse ``parts`` that do not alone give a product ``cls`` design."""
+class _Stack:
+    """A design's matrix field (``states``, ``sets``) as its dataclass default, None on the class:
+    a plain design reads what its constructor stored, a product ``build(design)`` from its parts,
+    built on each read and not kept."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, design, owner=None):
+        if design is None:
+            return None
+        return self.build(design) if design.parts else vars(design)[self.name]
+
+    def __set__(self, design, value):
+        vars(design)[self.name] = value
+
+
+def _check_parts(parts, stack, cls, what: str) -> tuple:
+    """``parts`` as a tuple, refusing parts that do not alone give a product ``cls`` design."""
     if stack is not None:
         raise ValueError(f"a product {what} is given by its parts alone, not beside a stack")
     if not isinstance(parts, (list, tuple)) or not parts or not all(isinstance(p, cls) for p in parts):
         raise ValueError(f"{what} parts must be one or more {cls.__name__} designs")
+    return tuple(parts)
 
 
-def _keep_pinv(design, parts, coords, fold, error: str) -> None:
+def _kron_parts(design, rows) -> np.ndarray:
+    """``linalg.herm_kron`` over the parts of a product design, first slowest, of ``rows(part)``, a
+    part's d^2 x N rows, folded for a POVM part as (d^2, sets, elements), set-major like its elements."""
+    fold = lambda p, r: r.reshape(len(r), p.num_sets, -1) if isinstance(p, PovmCollection) else r
+    return functools.reduce(herm_kron, [fold(p, rows(p)) for p in design.parts])
+
+
+def _keep_pinv(design, coords, error: str) -> None:
     """Keep on ``design`` the descending singular values of its N x d^2 matrix A and, as
     ``pinv_coords``, pinv(A) as a C-contiguous real d^2 x N matrix, column n in ``herm_coords``,
-    from one real SVD of the coordinates ``coords()`` gives or, for a product design, from its
-    ``parts`` by ``linalg.herm_kron`` of ``fold(part)``, a part's pseudo-inverse shaped
-    (d^2, sets, elements) for a POVM or (d^2, M) for an ensemble.  An A with fewer than d^2
-    singular values, or whose smallest is at most RANK_RTOL times its largest, is not
-    informationally complete and raises ValueError(error) before anything divides by them;
-    this is the one place the rank rule is written.
+    from one real SVD of the coordinates ``coords()`` gives or, for a product design, by
+    ``_kron_parts`` of its parts' pseudo-inverses.  An A with fewer than d^2 singular values, or
+    whose smallest is at most RANK_RTOL times its largest, is not informationally complete and
+    raises ValueError(error) before anything divides by them; this is the one place the rank
+    rule is written.
     """
-    if parts is None:
+    if not design.parts:
         sv, pinv = herm_pinv(coords())
     else:
-        sv = np.sort(kron_stack([p.singular_values for p in parts]))[::-1]
-        pinv = lambda: functools.reduce(herm_kron, map(fold, parts))
+        sv = np.sort(kron_stack([p.singular_values for p in design.parts]))[::-1]
+        pinv = lambda: _kron_parts(design, lambda p: p.pinv_coords)
     if len(sv) < design.d**2 or sv[-1] <= RANK_RTOL * sv[0]:
         raise ValueError(error)
     object.__setattr__(design, "pinv_coords", pinv().reshape(len(sv), -1))
     object.__setattr__(design, "singular_values", sv)
 
 
+def _herm_rows(design, stack) -> np.ndarray:
+    """The real d^2 x N matrix whose column n is the ``herm_coords`` of matrix n of ``design``, by
+    one rule: ``_kron_parts`` of its parts' for a product, which forms no d x d stack, and those of
+    ``stack(design)`` for a plain design, the one-part case.  Where the parts are exactly
+    Hermitian, a product's equal herm_coords of its stack bit for bit."""
+    if not design.parts:
+        return herm_coords(stack(design)).T
+    rows = _kron_parts(design, lambda p: _herm_rows(p, stack))
+    return rows.reshape(len(rows), -1)
+
+
 @dataclass(frozen=True, eq=False)
 class InputEnsemble:
     """An informationally complete set of input density matrices.
 
-    ``states`` is held as one complex (M, d, d) stack; ``pinv_coords`` and
+    ``states`` is one complex (M, d, d) stack; ``pinv_coords`` and
     ``singular_values`` hold pinv(V^T) and the singular values of V^T, kept by
-    ``_keep_pinv``.  A product ensemble's ``parts`` (init only) are validated
-    ensembles; its states are their tensor products, first part slowest, and
-    need no check of their own, since a tensor product of states is a state.
+    ``_keep_pinv``.  A product ensemble is given by ``parts``, validated
+    ensembles, and keeps them as ``parts`` (None for a plain ensemble) instead
+    of a stack: its states are their tensor products, first part slowest,
+    built on each read of ``states``, and need no check of their own, since a
+    tensor product of states is a state.
     """
 
-    states: np.ndarray = None
+    states: np.ndarray = _Stack(lambda e: kron_stack([p.states for p in e.parts]))
     label: str = ""
     parts: InitVar[tuple | None] = None
     pinv_coords: np.ndarray = field(init=False, repr=False)
@@ -96,29 +140,33 @@ class InputEnsemble:
 
     def __post_init__(self, parts):
         if parts is not None:
-            _check_parts(parts, self.states, InputEnsemble, "ensemble")
-            states = kron_stack([p.states for p in parts])
+            parts = _check_parts(parts, self.states, InputEnsemble, "ensemble")
         elif self.states is None or not len(self.states):
             raise ValueError("an ensemble needs at least one state")
         else:
             states = square_matrix(self.states, "ensemble states", stack=True)
             check_psd(states, "ensemble state", atol=STATE_ATOL, unit_trace=True)
-        object.__setattr__(self, "states", states)
-        error = f"ensemble of {len(states)} states is not informationally complete (rank deficient V, d^2={self.d**2})"
-        _keep_pinv(self, parts, lambda: herm_coords(states), lambda p: p.pinv_coords, error)
+            object.__setattr__(self, "states", states)
+        object.__setattr__(self, "parts", parts)
+        error = f"ensemble of {self.num_states} states is not informationally complete (rank deficient V, d^2={self.d**2})"
+        _keep_pinv(self, self.herm_coords, error)
 
     @property
     def d(self) -> int:
-        return self.states.shape[1]
+        return math.prod(p.d for p in self.parts) if self.parts else self.states.shape[1]
 
     @property
     def num_states(self) -> int:
-        return len(self.states)
+        return math.prod(p.num_states for p in self.parts) if self.parts else len(self.states)
 
     def parameterization(self) -> np.ndarray:
         """V: d^2 x M matrix with columns vec(rho_m)."""
         # Entry (j d + i, m) of V is rho_m[i, j].
         return self.states.transpose(2, 1, 0).reshape(self.d**2, -1)
+
+    def herm_coords(self) -> np.ndarray:
+        """The states' ``linalg.herm_coords``, C-contiguous real M x d^2, by ``_herm_rows``; not kept."""
+        return np.ascontiguousarray(_herm_rows(self, lambda e: e.states).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,54 +177,54 @@ class PovmCollection:
     ``set_sizes`` the number of elements of each set, and ``sets`` the
     constructor's sets held as per-set views of ``elements``; ``pinv_coords``
     and ``singular_values`` hold pinv(C) and the singular values of C, kept by
-    ``_keep_pinv``.  A product collection's ``parts`` (init only) are validated
-    collections with sets of one size each; its sets are the tensor products of
-    one set from each part, first part slowest, and need no check of their own,
-    since tensor products of complete POVM sets are complete POVM sets.
+    ``_keep_pinv``.  A product collection is given by ``parts``, validated
+    collections with sets of one size each, and keeps them as ``parts`` (None
+    for a plain collection) instead of a stack: its sets are the tensor
+    products of one set from each part, first part slowest, built on each read
+    of ``elements`` or ``sets``, and need no check of their own, since tensor
+    products of complete POVM sets are complete POVM sets.
     """
 
-    sets: tuple = None
+    sets: tuple = _Stack(lambda c: tuple(np.split(c.elements, np.cumsum(c.set_sizes)[:-1])))
     label: str = ""
     parts: InitVar[tuple | None] = None
-    elements: np.ndarray = field(init=False, repr=False)
     set_sizes: tuple = field(init=False)
     pinv_coords: np.ndarray = field(init=False, repr=False)
     singular_values: np.ndarray = field(init=False, repr=False)
+    # Not a field: the constructor takes the sets.  Folded as (sets, elements, d, d) arrays, a
+    # product's parts give its elements set-major.
+    elements = _Stack(lambda c: kron_stack([p.elements.reshape(p.num_sets, -1, p.d, p.d) for p in c.parts])
+                      .reshape(-1, c.d, c.d))
 
     def __post_init__(self, parts):
         if parts is not None:
-            _check_parts(parts, self.sets, PovmCollection, "POVM")
+            parts = _check_parts(parts, self.sets, PovmCollection, "POVM")
             if any(len(set(p.set_sizes)) != 1 for p in parts):
                 raise ValueError("POVM parts need sets of one size")
-            # Folded as (sets, elements, d, d) arrays, the products come out set-major.
-            grid = kron_stack([p.elements.reshape(p.num_sets, p.set_sizes[0], p.d, p.d) for p in parts])
-            elements = grid.reshape(-1, *grid.shape[2:])
-            sizes = (grid.shape[1],) * grid.shape[0]
+            sizes = (math.prod(p.set_sizes[0] for p in parts),) * math.prod(p.num_sets for p in parts)
         else:
             groups = () if self.sets is None else self.sets
             sizes = tuple(len(group) for group in groups)
             elements = square_matrix([p for group in groups for p in group], "POVM elements", stack=True)
-        sets = np.split(elements, np.cumsum(sizes)[:-1])
-        d = elements.shape[-1]
-        if parts is None:
             check_psd(elements, "POVM element", POVM_ATOL)
+            d = elements.shape[-1]
+            sets = np.split(elements, np.cumsum(sizes)[:-1])
             for j, group in enumerate(sets):
                 # In operator norm; the Frobenius norm bounds it and is cheaper, so it screens first.
                 gap = group.sum(axis=0) - np.eye(d)
                 if frob(gap) > POVM_ATOL and np.linalg.norm(gap, 2) > POVM_ATOL:
                     raise ValueError(f"POVM set {j} does not sum to the identity")
-        object.__setattr__(self, "elements", elements)
+            object.__setattr__(self, "elements", elements)
+            object.__setattr__(self, "sets", tuple(sets))
+        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "set_sizes", sizes)
-        object.__setattr__(self, "sets", tuple(sets))
-        error = f"measurement of {len(elements)} elements is not informationally complete (rank deficient C, d^2={d**2})"
+        error = f"measurement of {self.num_elements} elements is not informationally complete (rank deficient C, d^2={self.d**2})"
         # C @ vec(X) is [Tr(P_l^T X)]_l, and P_l^T is the conjugate of the Hermitian P_l.
-        # A part's pseudo-inverse folds as (d^2, sets, elements), set-major like its elements.
-        fold = lambda p: p.pinv_coords.reshape(-1, p.num_sets, p.set_sizes[0])
-        _keep_pinv(self, parts, lambda: herm_coords(elements.conj()), fold, error)
+        _keep_pinv(self, lambda: herm_coords(self.elements.conj()), error)
 
     @property
     def d(self) -> int:
-        return self.elements.shape[-1]
+        return math.prod(p.d for p in self.parts) if self.parts else self.elements.shape[-1]
 
     @property
     def num_sets(self) -> int:
@@ -184,7 +232,7 @@ class PovmCollection:
 
     @property
     def num_elements(self) -> int:
-        return len(self.elements)
+        return sum(self.set_sizes)
 
     def parameterization(self) -> np.ndarray:
         """C: L x d^2 matrix such that C @ vec(rho) = [Tr(P_l rho)]_l."""
@@ -193,10 +241,12 @@ class PovmCollection:
 
     @functools.cached_property
     def born_table(self) -> np.ndarray:
-        """The elements' ``herm_coords`` with the off-diagonal ones doubled, so that
-        ``herm_coords(sigma) @ born_table.T`` is [Tr(P_l sigma)]_l for Hermitian sigma."""
+        """The C-contiguous elements' ``herm_coords``, by ``_herm_rows``, with the off-diagonal
+        ones doubled, so that ``herm_coords(sigma) @ born_table.T`` is [Tr(P_l sigma)]_l for
+        Hermitian sigma."""
         d = self.d
-        return herm_coords(self.elements) * np.where(np.arange(d * d) < d, 1.0, 2.0)
+        rows = _herm_rows(self, lambda c: c.elements)
+        return np.multiply(rows.T, np.where(np.arange(d * d) < d, 1.0, 2.0), order="C")
 
 
 @dataclass(frozen=True)

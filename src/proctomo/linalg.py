@@ -65,18 +65,21 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def frob(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, summed as ``np.linalg.norm`` sums it, bit for bit, without its argument handling:
+    one ``dot`` of the raveled entries, or of their real and of their imaginary parts."""
+    x = np.asarray(a).ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag) if np.iscomplexobj(x) else x.dot(x))
 
 
-def is_hermitian(x: np.ndarray) -> bool:
+def is_hermitian(x: np.ndarray, xt: np.ndarray | None = None) -> bool:
     """Whether ``x``, one matrix or a stack, is Hermitian within tolerance: each matrix
     has ||x - x^dag||_F <= HERMITIAN_RTOL * max(||x||_F, 1).  This is the package's one
-    Hermiticity rule.  A NaN norm fails no comparison, so callers that need finite
-    input check it themselves."""
+    Hermiticity rule; ``xt`` is x^dag, if the caller has it.  A NaN norm fails no comparison,
+    so callers that need finite input check it themselves."""
+    xt = x.conj().swapaxes(-1, -2) if xt is None else xt
     if x.ndim == 2:  # frob, not norm(axis=...), keeps the per-estimate calls cheap
-        return not frob(x - dagger(x)) > HERMITIAN_RTOL * max(frob(x), 1.0)
-    skew = np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
+        return not frob(x - xt) > HERMITIAN_RTOL * max(frob(x), 1.0)
+    skew = np.linalg.norm(x - xt, axis=(-2, -1))
     return not np.any(skew > HERMITIAN_RTOL * np.maximum(np.linalg.norm(x, axis=(-2, -1)), 1.0))
 
 
@@ -209,15 +212,17 @@ def partial_trace_first(x: np.ndarray, d: int) -> np.ndarray:
     return x.reshape(d, d, d, d).trace(axis1=0, axis2=2)
 
 
-def square_matrix(x, what: str = "matrix", stack: bool = False) -> np.ndarray:
+def square_matrix(x, what: str = "matrix", stack: bool | None = False) -> np.ndarray:
     """``x`` as a complex array if it is one finite, non-empty square matrix or, with ``stack``, a
-    non-empty 3-D stack of them, else a ValueError naming ``what``, for ragged or non-numeric input too."""
-    rule = "a stack of square matrices of one size" if stack else "a square matrix"
+    non-empty 3-D stack of them (with ``stack=None``, either), else a ValueError naming ``what``,
+    for ragged or non-numeric input too."""
+    ranks = {False: (2,), True: (3,), None: (2, 3)}[stack]
+    rule = " or ".join(("a square matrix", "a stack of square matrices of one size")[r - 2] for r in ranks)
     try:
         x = np.asarray(x, dtype=complex)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be {rule}, got a ragged or non-numeric array") from None
-    if x.ndim != (3 if stack else 2) or x.shape[-1] != x.shape[-2] or not x.size:
+    if x.ndim not in ranks or x.shape[-1] != x.shape[-2] or not x.size:
         raise ValueError(f"{what} must be {rule}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite, got non-finite entries")
@@ -227,9 +232,10 @@ def square_matrix(x, what: str = "matrix", stack: bool = False) -> np.ndarray:
 def _hermitian(x: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Hermitian part of what :func:`square_matrix` passed, each matrix passing :func:`is_hermitian`,
     else a ValueError naming ``what``: with it, the package's one Hermitian gate."""
-    if not is_hermitian(x):
+    xt = x.conj().swapaxes(-1, -2)  # one conjugate transpose for the test and the part
+    if not is_hermitian(x, xt):
         raise ValueError(f"{what} is not Hermitian")
-    return hermitian_part(x)
+    return (x + xt) * 0.5  # hermitian_part(x), bit for bit
 
 
 def hermitian_eig(x: np.ndarray, check: bool = True):
@@ -254,7 +260,7 @@ def check_psd(x, what: str, atol: float, unit_trace: bool = False) -> np.ndarray
     part), certifies them, as it succeeds exactly when no eigenvalue is below -atol (0).  If
     any matrix fails it, ``eigvalsh`` rules and names the least eigenvalue or the matrix's
     index, so the verdict can differ from eigvalsh's alone only by rounding at exactly -atol (0)."""
-    xh = _hermitian(square_matrix(x, what, stack=np.ndim(x) > 2), what)
+    xh = _hermitian(square_matrix(x, what, stack=None), what)
     diag = np.einsum("...ii->...i", xh)  # a writable view: shifted and restored in place, no eye or copy
     saved = diag.copy()
     diag += 0.0 if unit_trace else atol

@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import CHANNEL_ATOL, KrausChannel, ProcessMatrix
 from .ensembles import POVM_ATOL, STATE_ATOL, InputEnsemble, PovmCollection
-from .linalg import check_int, herm_coords, real_matrix, transfer_matrix
+from .linalg import check_int, real_matrix
 
 # What the constructors let through, to first order: a set's probabilities sum to at most the
 # trace of the state's positive part (at most 1 + STATE_ATOL for any d) scaled by the channel's
@@ -52,7 +52,8 @@ def check_seed(seed) -> int:
 
 @dataclass(eq=False)
 class MeasurementRecord:
-    """Empirical frequency matrix P-hat, which passes ``linalg.real_matrix``, with its sampling metadata."""
+    """Empirical frequency matrix P-hat, which passes ``linalg.real_matrix`` and whose sets each sum to
+    at most 1 + PROB_ATOL, with its sampling metadata."""
 
     freq: np.ndarray
     set_sizes: tuple
@@ -83,6 +84,11 @@ class MeasurementRecord:
             raise ValueError("frequencies must lie in [0, 1]")
         if sum(self.set_sizes) != self.freq.shape[1]:
             raise ValueError("set sizes do not match the number of frequency columns")
+        # One M x J array of set sums, as sample_record bounds the probabilities' sums.
+        sums = np.add.reduceat(self.freq, np.cumsum(self.set_sizes) - self.set_sizes, axis=1)
+        if sums.max() > 1.0 + PROB_ATOL:
+            i, j = np.argwhere(sums > 1.0 + PROB_ATOL)[0]
+            raise ValueError(f"frequencies of state {i}, POVM set {j} sum to {sums[i, j]:.15g}")
         if self.ideal is not None:
             self.ideal = real_matrix(self.ideal, "ideal probability matrix")
             if self.ideal.shape != self.freq.shape:
@@ -123,8 +129,8 @@ class MeasurementRecord:
 def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) -> np.ndarray:
     """M x L matrix of Born probabilities Tr(E(rho_m) P_l).
 
-    The states' ``herm_coords`` go through the channel's ``transfer_matrix`` and
-    the POVM's ``born_table``, all real.  Each factor takes Hermitian parts: the
+    The ensemble's ``herm_coords()`` go through the channel's ``transfer`` matrix
+    and the POVM's ``born_table``, all real.  Each factor takes Hermitian parts: the
     constructors refuse states, elements and channels that are not Hermitian
     within ``linalg.is_hermitian``'s tolerance, so nothing is re-checked here.
     """
@@ -134,7 +140,7 @@ def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) 
         raise ValueError(
             f"dimension mismatch: process d={process.d}, ensemble d={ensemble.d}, povm d={povm.d}"
         )
-    return herm_coords(ensemble.states) @ transfer_matrix(process.mat).T @ povm.born_table.T
+    return ensemble.herm_coords() @ process.transfer.T @ povm.born_table.T
 
 
 def sample_record(

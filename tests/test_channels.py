@@ -176,3 +176,11 @@ def test_kraus_operators_are_one_complex_stack():
     message = "Kraus operators must be a stack of square matrices of one size, got a ragged or non-numeric array"
     with pytest.raises(ValueError, match=f"^{message}$"):
         KrausChannel((np.eye(2), np.eye(3)))
+
+
+@pytest.mark.parametrize("make", [lambda: random_channel(3, tp=False, seed=2), lambda: process_matrix(cnot_channel())])
+def test_a_channel_builds_its_transfer_matrix_once(make):
+    channel = make()
+    assert "transfer" not in vars(channel)
+    t = channel.transfer
+    assert np.array_equal(t, transfer_matrix(channel.mat)) and channel.transfer is t

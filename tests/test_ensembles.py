@@ -1,13 +1,16 @@
-import dataclasses
 import itertools
+import json
 import re
 
 import numpy as np
 import pytest
 
+from proctomo.channels import random_channel
 from proctomo.ensembles import (
     DesignReport,
     InputEnsemble,
+    PovmCollection,
+    cube_povm,
     cube_states,
     design_metrics_C,
     design_metrics_V,
@@ -18,7 +21,10 @@ from proctomo.ensembles import (
     random_states,
     sic_states,
 )
+from proctomo.io import to_dict
 from proctomo.linalg import dagger, herm_coords
+from proctomo.reconstruct import TwoStageReconstructor
+from proctomo.simulate import ideal_probabilities, sample_record
 from proctomo.studies import make_ensemble
 
 
@@ -315,10 +321,85 @@ def test_mismatched_parts_raise(states, parts):
         InputEnsemble(states(), parts=parts())
 
 
-def test_parts_are_not_a_field():
-    e = cube_states(2)
-    assert "parts" not in vars(e)
-    assert "parts" not in {f.name for f in dataclasses.fields(e)}
+# Product designs keep their parts, not their d x d stacks.  What the study path reads from
+# them (the states' coordinates, the Born table, probabilities, records and estimates) is
+# bit-identical to what a plain twin built from the product's stack gives.
+PRODUCT_DESIGNS = {
+    **{f"cube:{m}": (lambda m=m: (cube_states(m), cube_povm(m))) for m in (1, 2, 3, 4)},
+    "mub2xsic2, mub2xcube1": lambda: (InputEnsemble(parts=[mub_states(2), sic_states(2)]),
+                                      PovmCollection(parts=[mub_povm(2), cube_povm(1)])),
+    "mub2xmub4, mub4xcube1": lambda: (InputEnsemble(parts=[mub_states(2), mub_states(4)]),
+                                      PovmCollection(parts=[mub_povm(4), cube_povm(1)])),
+    "sic2xcube2, mub2xmub4": lambda: (InputEnsemble(parts=[sic_states(2), cube_states(2)]),
+                                      PovmCollection(parts=[mub_povm(2), mub_povm(4)])),
+}
+
+
+def plain_twin(design):
+    """The plain design of a product's stack, under the product's label."""
+    if isinstance(design, InputEnsemble):
+        return InputEnsemble(design.states, label=design.label)
+    return PovmCollection(design.sets, label=design.label)
+
+
+def stacks_held(design):
+    """The complex arrays of M d^2 or L d^2 entries that the attributes of ``design`` hold,
+    directly or in tuples."""
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        return [a for v in value for a in arrays(v)] if isinstance(value, tuple) else []
+
+    n = design.pinv_coords.size  # d^2 x N
+    return [a for v in vars(design).values() for a in arrays(v) if np.iscomplexobj(a) and a.size >= n]
+
+
+@pytest.mark.parametrize("name", PRODUCT_DESIGNS)
+def test_products_keep_their_parts_and_no_stack(name):
+    for design in PRODUCT_DESIGNS[name]():
+        assert isinstance(vars(design)["parts"], tuple) and design.parts
+        assert all(type(p) is type(design) for p in design.parts)
+        assert stacks_held(design) == []
+        # a read builds the stack from the parts and keeps none of it
+        assert design.parameterization().size == design.pinv_coords.size
+        assert stacks_held(design) == []
+    assert vars(mub_states(2))["parts"] is None and vars(mub_povm(2))["parts"] is None
+    assert len(stacks_held(mub_states(2))) == len(stacks_held(mub_povm(2))) == 1
+
+
+@pytest.mark.parametrize("name", PRODUCT_DESIGNS)
+def test_products_read_as_their_plain_twins(name):
+    e, p = PRODUCT_DESIGNS[name]()
+    te, tp = plain_twin(e), plain_twin(p)
+    assert np.array_equal(e.herm_coords(), te.herm_coords()) and e.herm_coords().flags.c_contiguous
+    assert np.array_equal(p.born_table, tp.born_table) and p.born_table.flags.c_contiguous
+    channel = random_channel(e.d, tp=False, seed=3)
+    probs, twin_probs = ideal_probabilities(channel, e, p), ideal_probabilities(channel, te, tp)
+    assert np.array_equal(probs, twin_probs)
+    record = sample_record(probs, 100 * p.num_sets, p, seed=4)
+    twin_record = sample_record(twin_probs, 100 * p.num_sets, tp, seed=4)
+    assert np.array_equal(record.freq, twin_record.freq)
+    # A twin's own pseudo-inverse comes from an SVD of the product stack and differs from the
+    # product's herm_kron one by rounding (up to 2e-15 measured); given the product's, it
+    # estimates bit for bit alike.
+    for twin, design in ((te, e), (tp, p)):
+        object.__setattr__(twin, "pinv_coords", design.pinv_coords)
+    x_hat = TwoStageReconstructor(e, p).estimate(record).x_hat
+    assert np.array_equal(x_hat, TwoStageReconstructor(te, tp).estimate(twin_record).x_hat)
+
+
+@pytest.mark.parametrize("name", PRODUCT_DESIGNS)
+def test_products_save_the_documents_of_their_plain_twins(name):
+    for design in PRODUCT_DESIGNS[name]():
+        assert json.dumps(to_dict(design)) == json.dumps(to_dict(plain_twin(design)))
+
+
+def test_a_part_hermitian_only_within_tolerance_differs_from_its_twin_by_rounding():
+    # random_states' Wishart draws are Hermitian to rounding, and herm_coords averages a
+    # matrix with its conjugate transpose: 5.6e-17 measured, in the coordinates and the
+    # probabilities alike.
+    e = InputEnsemble(parts=[random_states(2, 5, seed=1), sic_states(2)])
+    assert np.abs(e.herm_coords() - plain_twin(e).herm_coords()).max() <= 1e-16
 
 
 @pytest.mark.parametrize(

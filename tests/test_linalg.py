@@ -22,6 +22,7 @@ from proctomo.linalg import (
     check_int,
     check_psd,
     dagger,
+    frob,
     from_herm_bilinear,
     from_herm_coords,
     haar_unitary,
@@ -413,6 +414,28 @@ def test_check_psd_single_and_stack():
     assert stack.shape == (3, 2, 2)
     # unit trace is only checked when asked for
     check_psd(2 * rho, "element", 1e-9)
+
+
+def test_check_psd_refuses_a_ragged_list_by_name():
+    message = "state must be a square matrix or a stack of square matrices of one size, got a ragged or non-numeric array"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_psd([np.eye(2) / 2, np.eye(3) / 3], "state", 1e-9)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("special", [None, np.inf, -np.inf, np.nan, 1e200, 1e-200])
+def test_frob_is_numpys_norm_bit_for_bit(dtype, special):
+    rng = np.random.default_rng(12)
+    for shape in [(1, 1), (7, 7), (16, 16), (3, 5, 5)]:
+        x = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal(shape)
+        if special is not None:
+            x.flat[len(x.flat) // 2] = special
+        for a in (x, x.swapaxes(-1, -2), x[..., ::2, :]):  # strided views too
+            with np.errstate(over="ignore"):  # 1e200 squared overflows to inf on both sides
+                got, want = frob(a), np.linalg.norm(a)
+            assert np.array_equal(got, want, equal_nan=True) and type(got) is float
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 
@@ -8,6 +9,7 @@ from proctomo.channels import KrausChannel, cnot_channel, identity_channel, proc
 from proctomo.ensembles import (
     InputEnsemble, PovmCollection, cube_povm, mub_states, natural_basis_states, random_states, sic_povm, sic_states
 )
+from proctomo.io import load_json
 from proctomo.linalg import dagger
 from proctomo.oracle import dense_expansion_matrix, transpose_index
 from proctomo.simulate import (
@@ -270,6 +272,21 @@ def test_record_validation():
     message = "frequency matrix must be 2-D (states x operators), got shape (0, 2)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MeasurementRecord(freq=np.zeros((0, 2)), set_sizes=(2,))
+
+
+def test_record_refuses_sets_summing_above_one_naming_the_state_and_set(tmp_path):
+    freq = [[0.9, 0.9, 0.5, 0.5], [0.3, 0.3, 0.6, 0.4 + 4e-9]]
+    with pytest.raises(ValueError, match="^frequencies of state 0, POVM set 0 sum to 1.8$"):
+        MeasurementRecord(freq=freq, set_sizes=(2, 2), shots_per_set=2)
+    message = "frequencies of state 1, POVM set 1 sum to 1.000000004"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MeasurementRecord(freq=[[0.5] * 4, freq[1]], set_sizes=(2, 2))
+    # within PROB_ATOL, as sample_record allows, is accepted
+    MeasurementRecord(freq=[[0.5, 0.5 + 2e-9]], set_sizes=(2,))
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({"kind": "record", "set_sizes": [2, 2], "shots_per_set": 2, "freq": freq}))
+    with pytest.raises(ValueError, match=f"^record document {re.escape(str(path))}: frequencies of state 0, POVM set 0"):
+        load_json(path)
 
 
 @pytest.mark.parametrize(
