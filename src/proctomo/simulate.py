@@ -10,6 +10,8 @@ outputs and POVM elements each have d^2 real ``linalg.herm_coords``, the channel
 maps a state's to its output's by its ``linalg.transfer_matrix``, and the trace
 is a real dot product.  Hermiticity was decided once, when the states, elements
 and channel were constructed, so no imaginary part is computed or checked here.
+Probabilities and frequencies pass one rule, ``_outcome_matrix``: a ``linalg.real_matrix``
+with a column per set element, entries >= -PROB_ATOL, and each set's clipped sum <= 1 + PROB_ATOL.
 
 A record is drawn from one Philox generator seeded by SeedSequence(seed):
 for each block of 64 states and each group of equally sized sets, one
@@ -50,10 +52,25 @@ def check_seed(seed) -> int:
     return check_int(seed, "seed", 0)
 
 
+def _outcome_matrix(x, what: str, set_sizes: tuple) -> np.ndarray:
+    """``x`` as a float matrix if it passes the module's rule for ``set_sizes``, else a ValueError naming ``what``."""
+    x = real_matrix(x, what)
+    if x.shape[1] != sum(set_sizes):
+        raise ValueError(f"{what} has {x.shape[1]} columns, not {sum(set_sizes)}, one per set element")
+    if (low := x.min()) < -PROB_ATOL:
+        raise ValueError(f"{what} has a negative entry {low:.3e}")
+    # One M x J array of set sums; an M x L clipped copy only when an entry is negative.
+    sums = np.add.reduceat(np.clip(x, 0.0, None) if low < 0 else x, np.cumsum(set_sizes) - set_sizes, axis=1)
+    if sums.max() > 1.0 + PROB_ATOL:
+        i, j = np.argwhere(sums > 1.0 + PROB_ATOL)[0]
+        raise ValueError(f"{what} sums to {sums[i, j]:.15g} over state {i}, POVM set {j}")
+    return x
+
+
 @dataclass(eq=False)
 class MeasurementRecord:
-    """Empirical frequency matrix P-hat, which passes ``linalg.real_matrix`` and whose sets each sum to
-    at most 1 + PROB_ATOL, with its sampling metadata."""
+    """Empirical frequency matrix P-hat and its sampling metadata; ``freq`` and ``ideal`` pass ``_outcome_matrix``
+    and share one shape, and an exact record, whose frequencies are its ideal probabilities, keeps no ``ideal``."""
 
     freq: np.ndarray
     set_sizes: tuple
@@ -79,18 +96,9 @@ class MeasurementRecord:
                     raise ValueError
         except ValueError:
             raise ValueError(f"sampler must be a sampler version 1..{SAMPLER} or None, got {self.sampler!r}") from None
-        self.freq = real_matrix(self.freq, "frequency matrix")
-        if self.freq.min() < -PROB_ATOL or self.freq.max() > 1.0 + PROB_ATOL:
-            raise ValueError("frequencies must lie in [0, 1]")
-        if sum(self.set_sizes) != self.freq.shape[1]:
-            raise ValueError("set sizes do not match the number of frequency columns")
-        # One M x J array of set sums, as sample_record bounds the probabilities' sums.
-        sums = np.add.reduceat(self.freq, np.cumsum(self.set_sizes) - self.set_sizes, axis=1)
-        if sums.max() > 1.0 + PROB_ATOL:
-            i, j = np.argwhere(sums > 1.0 + PROB_ATOL)[0]
-            raise ValueError(f"frequencies of state {i}, POVM set {j} sum to {sums[i, j]:.15g}")
+        self.freq = _outcome_matrix(self.freq, "frequency matrix", self.set_sizes)
         if self.ideal is not None:
-            self.ideal = real_matrix(self.ideal, "ideal probability matrix")
+            self.ideal = _outcome_matrix(self.ideal, "ideal probability matrix", self.set_sizes)
             if self.ideal.shape != self.freq.shape:
                 raise ValueError(f"ideal probability matrix has shape {self.ideal.shape}, not {self.freq.shape}")
 
@@ -154,14 +162,9 @@ def sample_record(
 
     ``copies`` is the number of copies per input state; each of the J sets receives
     floor(copies/J) shots, 1 to MAX_SHOTS = 2^63 - 1.  ``seed`` is a non-negative integer.  The
-    probabilities must pass ``linalg.real_matrix``, be >= -PROB_ATOL, and sum to <= 1 + PROB_ATOL per set.
+    probabilities pass ``_outcome_matrix`` for the POVM's sets.
     """
-    probs = real_matrix(probs, "probability matrix")
-    m, ell = probs.shape
-    if ell != povm.num_elements:
-        raise ValueError("probability columns do not match the POVM elements")
-    if probs.min() < -PROB_ATOL:
-        raise ValueError(f"negative probability {probs.min():.3e}")
+    probs = _outcome_matrix(probs, "probability matrix", povm.set_sizes)
     j = povm.num_sets
     shots = check_int(copies, "copies", 1) // j
     if shots < 1:
@@ -177,20 +180,16 @@ def sample_record(
     groups = []
     # Plain Python: the first np.unique/np.flatnonzero call adds ~0.9 MB of RSS.
     for n in sorted(set(sizes)):
-        sets = np.array([ij for ij, size in enumerate(sizes) if size == n])
-        groups.append((sets, starts[sets, None] + np.arange(n)))
+        groups.append(starts[[ij for ij, size in enumerate(sizes) if size == n], None] + np.arange(n))
 
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     # Counts go straight into the float matrix, cast as counts / shots would cast them.
-    freq = np.empty((m, ell))
-    for start in range(0, m, _STATE_BLOCK):
+    freq = np.empty(probs.shape)
+    for start in range(0, len(probs), _STATE_BLOCK):
         rows = slice(start, start + _STATE_BLOCK)
-        for sets, cols in groups:
+        for cols in groups:
             p = np.clip(probs[rows, cols], 0.0, None)
             total = p.sum(axis=-1, keepdims=True)
-            if total.max() > 1.0 + PROB_ATOL:
-                i, k, _ = np.argwhere(total > 1.0 + PROB_ATOL)[0]
-                raise ValueError(f"probabilities of state {start + i}, POVM set {sets[k]} sum to {total[i, k, 0]:.15g}")
             # each set's elements, then its no-click outcome, normalized per set
             pfull = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
             pfull /= pfull.sum(axis=-1, keepdims=True)
@@ -207,6 +206,6 @@ def sample_record(
 
 
 def exact_record(probs: np.ndarray, povm: PovmCollection) -> MeasurementRecord:
-    """Infinite-shot record: frequencies equal the ideal probabilities."""
-    probs = real_matrix(probs, "probability matrix")
-    return MeasurementRecord(freq=probs.copy(), set_sizes=povm.set_sizes, ideal=probs.copy())
+    """Infinite-shot record: its frequencies are a copy of the ideal probabilities, kept once."""
+    probs = _outcome_matrix(probs, "probability matrix", povm.set_sizes)
+    return MeasurementRecord(freq=probs.copy(), set_sizes=povm.set_sizes)

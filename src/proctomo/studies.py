@@ -80,9 +80,9 @@ def build_spec(spec: str, *kinds: str):
 
     Fields follow ``:`` or spaces (``sic:4`` is ``sic 4``); a path keeps the rest verbatim.
     """
-    parts = [tok for tok in spec.replace(" ", ":").split(":") if tok]
+    parts = [tok for tok in spec.replace(" ", ":").split(":") if tok] if isinstance(spec, str) else []
     if not parts:
-        raise ValueError("empty spec string")
+        raise ValueError(f"{' or '.join(kinds)} spec must be a non-empty string, got {spec!r}")
     name = parts[0].lower()
     entry = next((e for kind in kinds for e in SPECS if e.kind in (kind, None) and name in e.names), None)
     if entry is None:

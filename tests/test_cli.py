@@ -8,7 +8,7 @@ import pytest
 import proctomo.io as pio
 from proctomo.channels import cnot_channel
 from proctomo.cli import main
-from proctomo.simulate import MeasurementRecord
+from proctomo.simulate import MeasurementRecord, ideal_probabilities
 from proctomo.studies import SPECS, make_ensemble, make_povm, run_m_scaling_study
 
 
@@ -137,7 +137,9 @@ def test_simulate_exact_flag(tmp_path):
     ]) == 0
     rec = pio.load_json(rec_path)
     assert rec.shots_per_set is None
-    assert np.array_equal(rec.freq, rec.ideal)
+    # An exact record's frequencies are its ideal probabilities, kept once.
+    assert rec.ideal is None and json.loads(rec_path.read_text())["ideal"] is None
+    assert np.array_equal(rec.freq, ideal_probabilities(cnot_channel(), make_ensemble("mub:4"), make_povm("cube-povm:2")))
 
 
 def test_simulate_rejects_indivisible_copies(tmp_path, capsys):

@@ -106,10 +106,13 @@ def test_a_record_document_with_malformed_ideal_probabilities_is_refused_naming_
     with pytest.raises(ValueError, match=f"^record document {re.escape(str(path))}: ideal probability matrix") as info:
         pio.load_json(path)
     assert "non-finite" in str(info.value)
-    path.write_text(json.dumps({"kind": "record", "freq": [[0.5, 0.5]], "set_sizes": [2], "ideal": [[0.5, 0.5, 0.0]]}))
-    message = "ideal probability matrix has shape (1, 3), not (1, 2)"
-    with pytest.raises(ValueError, match=f"^record document {re.escape(str(path))}: {re.escape(message)}$"):
-        pio.load_json(path)
+    for ideal, message in [
+        ([[0.5, 0.5, 0.0]], "ideal probability matrix has 3 columns, not 2, one per set element"),
+        ([[0.5, 0.5], [0.5, 0.5]], "ideal probability matrix has shape (2, 2), not (1, 2)"),
+    ]:
+        path.write_text(json.dumps({"kind": "record", "freq": [[0.5, 0.5]], "set_sizes": [2], "ideal": ideal}))
+        with pytest.raises(ValueError, match=f"^record document {re.escape(str(path))}: {re.escape(message)}$"):
+            pio.load_json(path)
 
 
 def test_record_sampler_stamp_round_trips(tmp_path):

@@ -1,13 +1,15 @@
 import json
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from proctomo.channels import KrausChannel, cnot_channel, identity_channel, process_matrix, random_channel
 from proctomo.ensembles import (
-    InputEnsemble, PovmCollection, cube_povm, mub_states, natural_basis_states, random_states, sic_povm, sic_states
+    InputEnsemble, PovmCollection, cube_povm, mub_povm, mub_states, natural_basis_states, random_states, sic_povm,
+    sic_states,
 )
 from proctomo.io import load_json
 from proctomo.linalg import dagger
@@ -131,7 +133,7 @@ def test_sample_record_input_validation():
 @pytest.mark.parametrize("value", [0.9, 2.0])
 def test_sample_record_refuses_sets_summing_above_one(value):
     p = cube_povm(1)  # three sets of two elements
-    with pytest.raises(ValueError, match=re.escape(f"probabilities of state 0, POVM set 0 sum to {2 * value:.15g}")):
+    with pytest.raises(ValueError, match=re.escape(f"probability matrix sums to {2 * value:.15g} over state 0, POVM set 0")):
         sample_record(np.full((4, 6), value), 600, p)
 
 
@@ -139,7 +141,7 @@ def test_sample_record_names_the_state_and_set_above_one():
     p = cube_povm(1)
     probs = np.full((70, 6), 0.5)
     probs[66, 5] += 3.5e-9  # state 66 is in the second block of 64, column 5 in set 2
-    with pytest.raises(ValueError, match=re.escape("probabilities of state 66, POVM set 2 sum to 1.0000000035")):
+    with pytest.raises(ValueError, match=re.escape("probability matrix sums to 1.0000000035 over state 66, POVM set 2")):
         sample_record(probs, 600, p)
     probs[66, 5] = 0.5 + 2.5e-9  # within PROB_ATOL = 3e-9 of 1
     sample_record(probs, 600, p)
@@ -197,13 +199,13 @@ def test_probabilities_beyond_the_tolerance_are_refused():
     p = cube_povm(1)
     probs = np.full((4, 6), 0.5)
     probs[1, 2] = -3.5e-9
-    with pytest.raises(ValueError, match="^negative probability -3.500e-09$"):
-        sample_record(probs, 600, p)
-    with pytest.raises(ValueError, match=re.escape("frequencies must lie in [0, 1]")):
-        exact_record(probs, p)
-    probs[1, 2] = 1 + 3.5e-9
-    with pytest.raises(ValueError, match=re.escape("frequencies must lie in [0, 1]")):
-        exact_record(probs, p)
+    for draw in (lambda: sample_record(probs, 600, p), lambda: exact_record(probs, p)):
+        with pytest.raises(ValueError, match="^probability matrix has a negative entry -3.500e-09$"):
+            draw()
+    probs[1, 2:4] = 1 + 3.5e-9, 0.0  # an entry above one bounds its set's sum
+    for draw in (lambda: sample_record(probs, 600, p), lambda: exact_record(probs, p)):
+        with pytest.raises(ValueError, match=f"^{re.escape('probability matrix sums to 1.0000000035 over state 1, POVM set 1')}$"):
+            draw()
 
 
 def with_entry(value):
@@ -276,17 +278,91 @@ def test_record_validation():
 
 def test_record_refuses_sets_summing_above_one_naming_the_state_and_set(tmp_path):
     freq = [[0.9, 0.9, 0.5, 0.5], [0.3, 0.3, 0.6, 0.4 + 4e-9]]
-    with pytest.raises(ValueError, match="^frequencies of state 0, POVM set 0 sum to 1.8$"):
+    with pytest.raises(ValueError, match="^frequency matrix sums to 1.8 over state 0, POVM set 0$"):
         MeasurementRecord(freq=freq, set_sizes=(2, 2), shots_per_set=2)
-    message = "frequencies of state 1, POVM set 1 sum to 1.000000004"
+    message = "frequency matrix sums to 1.000000004 over state 1, POVM set 1"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MeasurementRecord(freq=[[0.5] * 4, freq[1]], set_sizes=(2, 2))
     # within PROB_ATOL, as sample_record allows, is accepted
     MeasurementRecord(freq=[[0.5, 0.5 + 2e-9]], set_sizes=(2,))
     path = tmp_path / "record.json"
     path.write_text(json.dumps({"kind": "record", "set_sizes": [2, 2], "shots_per_set": 2, "freq": freq}))
-    with pytest.raises(ValueError, match=f"^record document {re.escape(str(path))}: frequencies of state 0, POVM set 0"):
+    with pytest.raises(ValueError, match=f"^record document {re.escape(str(path))}: frequency matrix sums to 1.8 over state 0"):
         load_json(path)
+
+
+def cube1_with(index, values):
+    """cube-povm:1 probabilities (4 states, three sets of two) of 0.5, but ``values`` at ``index``."""
+    probs = np.full((4, 6), 0.5)
+    probs[index] = values
+    return probs
+
+
+def mub4_with_first_set(values):
+    """One state's mub-povm:4 probabilities (five sets of four) of 0.25, but ``values`` in set 0."""
+    return np.array([[*values, *[0.25] * 16]])
+
+
+def one_set_of_two():
+    """No informationally complete POVM has two elements; the sampler reads only the set sizes."""
+    return SimpleNamespace(set_sizes=(2,), num_sets=1, num_elements=2)
+
+
+def write_record(path, doc):
+    """A record document, complex entries written as the package writes complex matrices."""
+    encode = lambda m: m.tolist() if not np.iscomplexobj(m) else {"re": m.real.tolist(), "im": m.imag.tolist()}
+    path.write_text(json.dumps({key: encode(value) if isinstance(value, np.ndarray) else value
+                                for key, value in doc.items()}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "povm, probs, accepted",
+    [
+        pytest.param(lambda: mub_povm(4), mub4_with_first_set([0.5 + 2e-9, 0.5 + 2e-9, -2e-9, 0.0]), False,
+                     id="mub-povm-4-set-above-one"),
+        pytest.param(lambda: cube_povm(1), cube1_with((1, 2), -3.5e-9), False, id="negative-entry"),
+        pytest.param(lambda: cube_povm(1), cube1_with((1, slice(2, 4)), (1 + 3.5e-9, 0.0)), False,
+                     id="entry-above-one"),
+        pytest.param(lambda: cube_povm(1), cube1_with((1, slice(2, 4)), (0.5, 0.5 + 2.5e-9)), True,
+                     id="set-sum-within-tolerance"),
+        pytest.param(lambda: cube_povm(1), np.full((4, 5), 0.2), False, id="column-count"),
+        pytest.param(lambda: cube_povm(1), cube1_with((2, 3), np.nan), False, id="nan"),
+        pytest.param(lambda: cube_povm(1), np.full((4, 6), 0.5 + 1e-3j), False, id="complex"),
+        pytest.param(one_set_of_two, np.array([[-5.0, 7.0]]), False, id="ideal-document"),
+    ],
+)
+def test_one_verdict_for_one_matrix_at_every_entry_point(povm, probs, accepted, tmp_path):
+    povm = povm()
+    sizes, valid = povm.set_sizes, np.zeros((len(probs), povm.num_elements))
+    freq_doc = write_record(tmp_path / "freq.json", {"kind": "record", "set_sizes": sizes, "freq": probs})
+    ideal_doc = write_record(tmp_path / "ideal.json", {"kind": "record", "set_sizes": sizes, "freq": valid,
+                                                       "ideal": probs})
+    # entry point -> (call, the start of its refusal, the names of the matrix one of which it holds)
+    entries = {
+        "sample_record": (lambda: sample_record(probs, 100 * povm.num_sets, povm), "", ["probability matrix "]),
+        "exact_record": (lambda: exact_record(probs, povm), "", ["probability matrix "]),
+        "freq": (lambda: MeasurementRecord(freq=probs, set_sizes=sizes), "", ["frequency matrix "]),
+        "ideal": (lambda: MeasurementRecord(freq=valid, set_sizes=sizes, ideal=probs), "",
+                  ["ideal probability matrix "]),
+        # JSON holds no complex number: the complex case fails decoding, naming the field.
+        "freq document": (lambda: load_json(freq_doc), f"record document {freq_doc}",
+                          ["frequency matrix ", "field 'freq'"]),
+        "ideal document": (lambda: load_json(ideal_doc), f"record document {ideal_doc}",
+                           ["ideal probability matrix ", "field 'ideal'"]),
+    }
+    verdicts = {}
+    for entry, (call, start, names) in entries.items():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a complex matrix is refused, never cast
+                call()
+            verdicts[entry] = True
+        except ValueError as exc:
+            verdicts[entry] = False
+            message = str(exc)
+            assert message.startswith(start) and any(name in message for name in names), (entry, message)
+    assert verdicts == dict.fromkeys(entries, accepted)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from proctomo.cli import main  # noqa: E402
-from proctomo.studies import PATH, SPECS, make_channel, make_ensemble, make_povm  # noqa: E402
+from proctomo.studies import (  # noqa: E402
+    PATH, SPECS, design_audit, make_channel, make_ensemble, make_povm, run_m_scaling_study
+)
 
 NAMES = sorted({v for e in SPECS if PATH not in e.fields for n in e.names for v in (n, n.upper())})
 WORDS = sorted({w for e in SPECS for f in e.fields for w in f.words})
@@ -66,6 +68,35 @@ def test_spec_parses_or_raises_value_error(factory, spec):
         factory(spec)
     except ValueError:
         pass
+
+
+# Every entry point that takes a spec, called with one argument; the studies build their
+# channel and POVM before any trial, so a refused spec runs none.
+SPEC_ENTRY_POINTS = {
+    "make_channel": make_channel,
+    "make_ensemble": make_ensemble,
+    "make_povm": make_povm,
+    "design_audit": design_audit,
+    "run_m_scaling_study(povm_spec)": lambda spec: run_m_scaling_study(povm_spec=spec, trials=1),
+    "run_m_scaling_study(channel_spec)": lambda spec: run_m_scaling_study(channel_spec=spec, trials=1),
+}
+NON_STRINGS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=True), st.binary(max_size=5),
+    st.lists(SPEC_STRINGS, max_size=2), st.tuples(st.sampled_from(NAMES), st.integers(-2, 3)),
+)
+
+
+@pytest.mark.parametrize("entry", SPEC_ENTRY_POINTS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@example(spec=3)
+@example(spec=None)
+@example(spec=["x"])
+@example(spec=b"sic:2")
+@given(spec=NON_STRINGS)
+def test_a_spec_that_is_not_a_string_is_refused_naming_it(entry, spec):
+    with pytest.raises(ValueError, match=r"spec must be a non-empty string, got ") as info:
+        SPEC_ENTRY_POINTS[entry](spec)
+    assert str(info.value).endswith(f"got {spec!r}")
 
 
 @FUZZ
