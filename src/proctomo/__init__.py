@@ -38,6 +38,6 @@ from .reconstruct import (
     TwoStageReconstructor,
     nearest_psd,
 )
-from .simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
+from .simulate import MeasurementRecord, exact_record, ideal_outputs, ideal_probabilities, sample_outputs, sample_record
 
 __version__ = "0.1.0"

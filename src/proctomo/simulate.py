@@ -10,8 +10,15 @@ outputs and POVM elements each have d^2 real ``linalg.herm_coords``, the channel
 maps a state's to its output's by its ``linalg.transfer_matrix``, and the trace
 is a real dot product.  Hermiticity was decided once, when the states, elements
 and channel were constructed, so no imaginary part is computed or checked here.
+So p_ml is row m of the output coordinates Y (``ideal_outputs``, M x d^2) times
+row l of the POVM's ``born_table``, and one rule forms the probabilities of a
+block of states: rows [a, b) are ``Y[a:b] @ born_table.T``.  ``ideal_probabilities``
+applies it to every block, and ``sample_outputs`` to one block at a time, so a
+study draws its records from Y without holding the M x L matrix.
 Probabilities and frequencies pass one rule, ``_outcome_matrix``: a ``linalg.real_matrix``
 with a column per set element, entries >= -PROB_ATOL, and each set's clipped sum <= 1 + PROB_ATOL.
+Each matrix is checked once: a record built here from a checked matrix, or drawn
+from one, is not checked again.
 
 A record is drawn from one Philox generator seeded by SeedSequence(seed):
 for each block of 64 states and each group of equally sized sets, one
@@ -41,6 +48,9 @@ MAX_SHOTS = np.iinfo(np.int64).max
 # The most shots per set s whose counts c <= s rint(fl(c / s) * s) recovers: two roundings
 # leave |fl(fl(c / s) * s) - c| <= c (2u + u^2), u = 2^-53, below 1/2 for c < 2^51.
 MAX_EXACT_SHOTS = 2**51 - 1
+# A record's freq * shots_per_set s must be whole counts within COUNT_ATOL + s 2^-50: the two
+# roundings above leave a drawn count within s 2^-51 of a whole one.
+COUNT_ATOL = 1e-6
 # States per block of multinomial draws; bounds their memory.
 _STATE_BLOCK = 64
 # Version of the sampling algorithm stamped on the records sample_record draws.
@@ -52,8 +62,9 @@ def check_seed(seed) -> int:
     return check_int(seed, "seed", 0)
 
 
-def _outcome_matrix(x, what: str, set_sizes: tuple) -> np.ndarray:
-    """``x`` as a float matrix if it passes the module's rule for ``set_sizes``, else a ValueError naming ``what``."""
+def _outcome_matrix(x, what: str, set_sizes: tuple, first: int = 0) -> np.ndarray:
+    """``x`` as a float matrix if it passes the module's rule for ``set_sizes``, else a ValueError naming
+    ``what``, and a state by its row plus ``first``, the index of ``x``'s first state."""
     x = real_matrix(x, what)
     if x.shape[1] != sum(set_sizes):
         raise ValueError(f"{what} has {x.shape[1]} columns, not {sum(set_sizes)}, one per set element")
@@ -63,14 +74,15 @@ def _outcome_matrix(x, what: str, set_sizes: tuple) -> np.ndarray:
     sums = np.add.reduceat(np.clip(x, 0.0, None) if low < 0 else x, np.cumsum(set_sizes) - set_sizes, axis=1)
     if sums.max() > 1.0 + PROB_ATOL:
         i, j = np.argwhere(sums > 1.0 + PROB_ATOL)[0]
-        raise ValueError(f"{what} sums to {sums[i, j]:.15g} over state {i}, POVM set {j}")
+        raise ValueError(f"{what} sums to {sums[i, j]:.15g} over state {first + i}, POVM set {j}")
     return x
 
 
 @dataclass(eq=False)
 class MeasurementRecord:
     """Empirical frequency matrix P-hat and its sampling metadata; ``freq`` and ``ideal`` pass ``_outcome_matrix``
-    and share one shape, and an exact record, whose frequencies are its ideal probabilities, keeps no ``ideal``."""
+    and share one shape, ``freq`` times ``shots_per_set`` is whole counts within COUNT_ATOL + shots_per_set 2^-50,
+    and an exact record, whose frequencies are its ideal probabilities, keeps no ``ideal``."""
 
     freq: np.ndarray
     set_sizes: tuple
@@ -97,6 +109,15 @@ class MeasurementRecord:
         except ValueError:
             raise ValueError(f"sampler must be a sampler version 1..{SAMPLER} or None, got {self.sampler!r}") from None
         self.freq = _outcome_matrix(self.freq, "frequency matrix", self.set_sizes)
+        if (shots := self.shots_per_set) is not None:
+            # Block by block, so that no second M x L array is made.
+            for start in range(0, self.num_states, _STATE_BLOCK):
+                counts = self.freq[start:start + _STATE_BLOCK] * shots
+                off = np.abs(counts - np.rint(counts))
+                if off.max() > COUNT_ATOL + shots * 2.0**-50:
+                    i, l = np.unravel_index(off.argmax(), off.shape)
+                    raise ValueError(f"frequency matrix times {shots} shots per set is {counts[i, l]:.15g} "
+                                     f"at state {start + i}, element {l}, not a whole count")
         if self.ideal is not None:
             self.ideal = _outcome_matrix(self.ideal, "ideal probability matrix", self.set_sizes)
             if self.ideal.shape != self.freq.shape:
@@ -134,37 +155,56 @@ class MeasurementRecord:
         return None if self.shots_per_set is None else self.shots_per_set * self.num_sets
 
 
+def _check_dimensions(process, ensemble: InputEnsemble, *povm: PovmCollection) -> None:
+    """A TypeError unless ``process`` is a channel, and a ValueError naming each d unless all share one."""
+    if not isinstance(process, (KrausChannel, ProcessMatrix)):
+        raise TypeError(f"cannot compute probabilities for {type(process).__name__}")
+    if any(x.d != process.d for x in (ensemble, *povm)):
+        raise ValueError(f"dimension mismatch: process d={process.d}, ensemble d={ensemble.d}"
+                         + "".join(f", povm d={p.d}" for p in povm))
+
+
+def ideal_outputs(process, ensemble: InputEnsemble) -> np.ndarray:
+    """Y, the real M x d^2 ``linalg.herm_coords`` of the outputs E(rho_m): the ensemble's ``herm_coords()``
+    through the channel's ``transfer`` matrix.  Row m of Y times row l of a POVM's ``born_table`` is
+    Tr(E(rho_m) P_l); ``sample_outputs`` draws a record from Y."""
+    _check_dimensions(process, ensemble)
+    return ensemble.herm_coords() @ process.transfer.T
+
+
+def _born_rows(outputs: np.ndarray, povm: PovmCollection, start: int) -> np.ndarray:
+    """The probabilities of the block of states from ``start``: the one rule that forms them from Y."""
+    return outputs[start:start + _STATE_BLOCK] @ povm.born_table.T
+
+
 def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) -> np.ndarray:
     """M x L matrix of Born probabilities Tr(E(rho_m) P_l).
 
-    The ensemble's ``herm_coords()`` go through the channel's ``transfer`` matrix
-    and the POVM's ``born_table``, all real.  Each factor takes Hermitian parts: the
-    constructors refuse states, elements and channels that are not Hermitian
-    within ``linalg.is_hermitian``'s tolerance, so nothing is re-checked here.
+    ``ideal_outputs`` times the POVM's ``born_table``, all real, formed block by block as
+    ``sample_outputs`` forms them, so both give the same probabilities bit for bit.  Each factor
+    takes Hermitian parts: the constructors refuse states, elements and channels that are not
+    Hermitian within ``linalg.is_hermitian``'s tolerance, so nothing is re-checked here.
     """
-    if not isinstance(process, (KrausChannel, ProcessMatrix)):
-        raise TypeError(f"cannot compute probabilities for {type(process).__name__}")
-    if process.d != ensemble.d or process.d != povm.d:
-        raise ValueError(
-            f"dimension mismatch: process d={process.d}, ensemble d={ensemble.d}, povm d={povm.d}"
-        )
-    return ensemble.herm_coords() @ process.transfer.T @ povm.born_table.T
+    _check_dimensions(process, ensemble, povm)
+    outputs = ideal_outputs(process, ensemble)
+    probs = np.empty((len(outputs), povm.num_elements))
+    for start in range(0, len(outputs), _STATE_BLOCK):
+        probs[start:start + _STATE_BLOCK] = _born_rows(outputs, povm, start)
+    return probs
 
 
-def sample_record(
-    probs: np.ndarray,
-    copies: int,
-    povm: PovmCollection,
-    seed: int = 0,
-    keep_ideal: bool = True,
-) -> MeasurementRecord:
-    """Draw a finite-shot record from ideal probabilities.
+def _record(freq, set_sizes, shots_per_set=None, seed=None, ideal=None, sampler=None) -> MeasurementRecord:
+    """A record of matrices that passed ``_outcome_matrix`` for ``set_sizes`` here, or were drawn from one
+    that did, and of metadata already in normal form, built without a second pass over the matrices."""
+    record = object.__new__(MeasurementRecord)
+    vars(record).update(freq=freq, set_sizes=set_sizes, shots_per_set=shots_per_set, seed=seed,
+                        ideal=ideal, sampler=sampler)
+    return record
 
-    ``copies`` is the number of copies per input state; each of the J sets receives
-    floor(copies/J) shots, 1 to MAX_SHOTS = 2^63 - 1.  ``seed`` is a non-negative integer.  The
-    probabilities pass ``_outcome_matrix`` for the POVM's sets.
-    """
-    probs = _outcome_matrix(probs, "probability matrix", povm.set_sizes)
+
+def _draw(block, num_states: int, copies, povm: PovmCollection, seed, ideal=None) -> MeasurementRecord:
+    """The record of ``num_states`` states drawn block by block, as ``sample_record`` describes:
+    ``block(start)`` gives the checked probabilities of the _STATE_BLOCK states from ``start``."""
     j = povm.num_sets
     shots = check_int(copies, "copies", 1) // j
     if shots < 1:
@@ -184,28 +224,56 @@ def sample_record(
 
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     # Counts go straight into the float matrix, cast as counts / shots would cast them.
-    freq = np.empty(probs.shape)
-    for start in range(0, len(probs), _STATE_BLOCK):
-        rows = slice(start, start + _STATE_BLOCK)
+    freq = np.empty((num_states, povm.num_elements))
+    for start in range(0, num_states, _STATE_BLOCK):
+        probs = block(start)
+        rows = slice(start, start + len(probs))
         for cols in groups:
-            p = np.clip(probs[rows, cols], 0.0, None)
+            p = np.clip(probs[:, cols], 0.0, None)
             total = p.sum(axis=-1, keepdims=True)
             # each set's elements, then its no-click outcome, normalized per set
             pfull = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
             pfull /= pfull.sum(axis=-1, keepdims=True)
             freq[rows, cols] = gen.multinomial(shots, pfull)[..., :-1]
     freq /= shots
-    return MeasurementRecord(
-        freq=freq,
-        set_sizes=povm.set_sizes,
-        shots_per_set=shots,
-        seed=seed,
-        ideal=probs.copy() if keep_ideal else None,
-        sampler=SAMPLER,
-    )
+    return _record(freq, sizes, shots, seed, ideal, SAMPLER)
+
+
+def sample_record(
+    probs: np.ndarray,
+    copies: int,
+    povm: PovmCollection,
+    seed: int = 0,
+    keep_ideal: bool = True,
+) -> MeasurementRecord:
+    """Draw a finite-shot record from ideal probabilities.
+
+    ``copies`` is the number of copies per input state; each of the J sets receives
+    floor(copies/J) shots, 1 to MAX_SHOTS = 2^63 - 1.  ``seed`` is a non-negative integer.  The
+    probabilities pass ``_outcome_matrix`` for the POVM's sets.
+    """
+    probs = _outcome_matrix(probs, "probability matrix", povm.set_sizes)
+    return _draw(lambda start: probs[start:start + _STATE_BLOCK], len(probs), copies, povm, seed,
+                 probs.copy() if keep_ideal else None)
+
+
+def sample_outputs(outputs: np.ndarray, copies: int, povm: PovmCollection, seed: int = 0) -> MeasurementRecord:
+    """Draw a finite-shot record from output coordinates Y (``ideal_outputs``), bit for bit the record
+    ``sample_record`` draws from the ``ideal_probabilities`` of the same design, without the M x L matrix.
+
+    Y is a real M x d^2 matrix for the POVM's d.  Each block of states' probabilities is formed
+    and passes ``_outcome_matrix`` before it is drawn; a refusal names the state.  ``copies`` and
+    ``seed`` are as for ``sample_record``, and the record keeps no ``ideal``.
+    """
+    outputs = real_matrix(outputs, "output coordinates")
+    if outputs.shape[1] != povm.d**2:
+        raise ValueError(f"output coordinates have {outputs.shape[1]} columns, not d^2 = {povm.d**2} for the POVM")
+    return _draw(lambda start: _outcome_matrix(_born_rows(outputs, povm, start), "probability matrix",
+                                               povm.set_sizes, start),
+                 len(outputs), copies, povm, seed)
 
 
 def exact_record(probs: np.ndarray, povm: PovmCollection) -> MeasurementRecord:
     """Infinite-shot record: its frequencies are a copy of the ideal probabilities, kept once."""
     probs = _outcome_matrix(probs, "probability matrix", povm.set_sizes)
-    return MeasurementRecord(freq=probs.copy(), set_sizes=povm.set_sizes)
+    return _record(probs.copy(), povm.set_sizes)

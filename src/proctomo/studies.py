@@ -2,8 +2,10 @@
 
 A study is reproducible from (config, global seed): every trial derives its
 sampling seed from (seed, point index, trial index) through a seed sequence,
-so results do not depend on execution order.  Studies emit plot-ready rows;
-no plotting happens here.
+so results do not depend on execution order.  A study holds each ensemble's
+output coordinates (``simulate.ideal_outputs``, M x d^2) and draws its records
+from them with ``simulate.sample_outputs``, never forming the M x L probability
+matrix.  Studies emit plot-ready rows; no plotting happens here.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .ensembles import (
 from .linalg import check_int
 from .metrics import infidelity, loglog_slope, squared_error
 from .reconstruct import TwoStageReconstructor
-from .simulate import MAX_SHOTS, check_seed, ideal_probabilities, sample_record
+from .simulate import MAX_SHOTS, check_seed, ideal_outputs, sample_outputs
 
 
 # A spec field: an integer, a seed (an integer >= 0) or a word, kept verbatim:
@@ -304,12 +306,10 @@ def run_scaling_study(cfg: ExperimentConfig) -> StudyResult:
                           f"ensemble {spec!r}": ensemble.d})
         per_state = {total: copies_per_state(total, ensemble, spec, povm, cfg.povm) for total in cfg.copies}
         rec = TwoStageReconstructor(ensemble, povm)
-        probs = ideal_probabilities(channel, ensemble, povm)
+        outputs = ideal_outputs(channel, ensemble)
 
         def trial(ip, total, it):
-            record = sample_record(
-                probs, per_state[total], povm, seed=trial_seed(cfg.seed, ip, it), keep_ideal=False
-            )
+            record = sample_outputs(outputs, per_state[total], povm, seed=trial_seed(cfg.seed, ip, it))
             est = rec.estimate(record, tp_prior=cfg.tp_prior)
             return squared_error(est.x_hat, x_true), infidelity(est.x_hat, x_true)
 
@@ -350,10 +350,8 @@ def run_m_scaling_study(
 
     def trial(ip, m, it):
         ensemble = random_states(d, m, seed=trial_seed(seed, ip, 2 * it))
-        probs = ideal_probabilities(channel, ensemble, povm)
-        record = sample_record(
-            probs, copies_per_state, povm, seed=trial_seed(seed, ip, 2 * it + 1), keep_ideal=False
-        )
+        outputs = ideal_outputs(channel, ensemble)
+        record = sample_outputs(outputs, copies_per_state, povm, seed=trial_seed(seed, ip, 2 * it + 1))
         return (squared_error(TwoStageReconstructor(ensemble, povm).estimate(record).x_hat, x_true),)
 
     config = {

@@ -10,7 +10,8 @@ natural_basis_states random_states sic_states
 error_scaling_functional fidelity infidelity loglog_slope squared_error
 PovmCollection cube_povm design_metrics_C mub_povm projective_povm sic_povm
 ProcessEstimate TwoStageReconstructor nearest_psd
-MeasurementRecord exact_record ideal_probabilities sample_record
+MeasurementRecord exact_record ideal_outputs ideal_probabilities sample_outputs
+sample_record
 """.split()
 
 

@@ -14,10 +14,12 @@ from proctomo.ensembles import (
 from proctomo.io import load_json
 from proctomo.linalg import dagger
 from proctomo.oracle import dense_expansion_matrix, transpose_index
+import proctomo.simulate as simulate
 from proctomo.simulate import (
-    MAX_EXACT_SHOTS, SAMPLER, MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
+    MAX_EXACT_SHOTS, SAMPLER, MeasurementRecord, check_seed, exact_record, ideal_outputs, ideal_probabilities,
+    sample_outputs, sample_record,
 )
-from proctomo.studies import run_m_scaling_study
+from proctomo.studies import make_channel, make_ensemble, make_povm, run_m_scaling_study
 
 
 def set_slices(povm):
@@ -613,3 +615,138 @@ def test_ideal_probabilities_of_a_process_matrix_match_the_per_state_loop():
     x = process_matrix(random_channel(4, tp=False, seed=2))
     e, p = random_states(4, 130, seed=8), cube_povm(2)
     assert np.abs(ideal_probabilities(x, e, p) - ideal_probabilities_loop(x, e, p)).max() <= 1e-14
+
+
+# (channel, ensemble, POVM) specs of the benchmark workloads' designs; the state-count sweep's at each M.
+WORKLOAD_DESIGNS = [
+    ("random:16:nontp:5", "cube-states:4", "cube-povm:4"),
+    ("random:8:tp:3", "cube-states:3", "cube-povm:3"),
+    *[("random:4:tp:7", f"random:4:{m}:{m}", "cube-povm:2") for m in (16, 32, 64, 128)],
+]
+
+
+@pytest.mark.parametrize("specs", WORKLOAD_DESIGNS, ids=lambda specs: specs[1])
+def test_ideal_probabilities_are_the_one_real_product_bit_for_bit(specs):
+    ch, e, p = make_channel(specs[0]), make_ensemble(specs[1]), make_povm(specs[2])
+    probs = ideal_probabilities(ch, e, p)
+    assert np.array_equal(ideal_outputs(ch, e), e.herm_coords() @ ch.transfer.T)
+    assert np.array_equal(probs, e.herm_coords() @ ch.transfer.T @ p.born_table.T)
+
+
+OUTPUT_CASES = {
+    "m-below-64": lambda: (random_channel(2, tp=False, seed=3), mub_states(2), cube_povm(1)),
+    "m-130-three-blocks": lambda: (random_channel(4, tp=True, seed=4), random_states(4, 130, seed=5), cube_povm(2)),
+    "d8-products": lambda: (random_channel(8, tp=True, seed=3), make_ensemble("cube-states:3"), cube_povm(3)),
+    "sic-sic-povm": lambda: (cnot_channel(), sic_states(4), sic_povm(4)),
+    "unequal-sets": lambda: (random_channel(2, tp=False, seed=11), random_states(2, 70, seed=6), unequal_sets_povm()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+def test_records_drawn_from_outputs_equal_records_drawn_from_probabilities(case):
+    ch, e, p = OUTPUT_CASES[case]()
+    copies = 90 * p.num_sets
+    for seed in (0, 7):
+        drawn = sample_outputs(ideal_outputs(ch, e), copies, p, seed=seed)
+        want = sample_record(ideal_probabilities(ch, e, p), copies, p, seed=seed, keep_ideal=False)
+        assert np.array_equal(drawn.freq, want.freq)
+        assert (drawn.set_sizes, drawn.shots_per_set, drawn.seed, drawn.ideal, drawn.sampler) == (
+            want.set_sizes, want.shots_per_set, want.seed, None, SAMPLER)
+
+
+def qubit_outputs(m):
+    """The output coordinates of m random qubit states through the identity channel, and a POVM for them."""
+    return ideal_outputs(identity_channel(2), random_states(2, m, seed=9)), cube_povm(1)
+
+
+def test_sample_outputs_names_the_state_of_a_set_above_one():
+    outputs, p = qubit_outputs(70)
+    outputs[66] *= 2  # every set of state 66, in the second block of 64, sums to 2
+    with pytest.raises(ValueError, match=re.escape("probability matrix sums to 2 over state 66, POVM set 0")):
+        sample_outputs(outputs, 600, p)
+    outputs[66] /= 2
+    outputs[66, 0] = -1.0  # the negative entry of the second block
+    with pytest.raises(ValueError, match="^probability matrix has a negative entry"):
+        sample_outputs(outputs, 600, p)
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        (lambda y: y + 1e-3j, "output coordinates must be real"),
+        (lambda y: np.where(np.arange(4) == 2, np.nan, y), "output coordinates contains non-finite entries"),
+        (lambda y: np.where(np.arange(4) == 1, np.inf, y), "output coordinates contains non-finite entries"),
+        (lambda y: y[0], "output coordinates must be 2-D"),
+        (lambda y: y[None], "output coordinates must be 2-D"),
+        (lambda y: y[:0], "output coordinates must be 2-D"),
+        (lambda y: y[:, :3], "output coordinates have 3 columns, not d^2 = 4 for the POVM"),
+        (lambda y: ideal_outputs(identity_channel(4), mub_states(4)),
+         "output coordinates have 16 columns, not d^2 = 4 for the POVM"),
+    ],
+)
+def test_sample_outputs_refuses_outputs_that_are_not_a_real_matrix_for_the_povm(outputs, message):
+    y, p = qubit_outputs(5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_outputs(outputs(y), 600, p)
+
+
+def test_sample_outputs_takes_the_copies_and_seed_rules_of_sample_record():
+    y, p = qubit_outputs(5)
+    probs = ideal_probabilities(identity_channel(2), random_states(2, 5, seed=9), p)
+    for bad in ({"copies": 2}, {"copies": 0}, {"copies": 600.0}, {"copies": True}, {"copies": 2**64 * 3},
+                {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": None}):
+        kwargs = {"copies": 600, "seed": 0, **bad}
+        with pytest.raises(ValueError) as want:
+            sample_record(probs, povm=p, **kwargs)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            sample_outputs(y, povm=p, **kwargs)
+    drawn = sample_outputs(y, 600, p, seed=np.int64(3))
+    assert type(drawn.seed) is int and drawn.seed == 3 and drawn.shots_per_set == 200
+
+
+def counting_outcome_checks(monkeypatch):
+    """The calls of ``simulate._outcome_matrix`` made after this one, one name per call."""
+    calls, check = [], simulate._outcome_matrix
+    monkeypatch.setattr(simulate, "_outcome_matrix", lambda x, what, *args: calls.append(what) or check(x, what, *args))
+    return calls
+
+
+def test_each_matrix_is_checked_once(monkeypatch):
+    ch, e, p = OUTPUT_CASES["m-130-three-blocks"]()
+    probs = ideal_probabilities(ch, e, p)
+    calls = counting_outcome_checks(monkeypatch)
+    exact = exact_record(probs, p)
+    assert calls == ["probability matrix"] and np.array_equal(exact.freq, probs) and exact.freq is not probs
+    calls.clear()
+    kept = sample_record(probs, 900, p, seed=1)
+    assert calls == ["probability matrix"] and np.array_equal(kept.ideal, probs) and kept.ideal is not probs
+    calls.clear()
+    sample_outputs(ideal_outputs(ch, e), 900, p, seed=1)
+    assert calls == ["probability matrix"] * 3  # one per block of 64 states
+    calls.clear()
+    MeasurementRecord(freq=kept.freq, set_sizes=p.set_sizes, shots_per_set=kept.shots_per_set, ideal=kept.ideal)
+    assert calls == ["frequency matrix", "ideal probability matrix"]
+
+
+def test_a_record_whose_frequencies_are_not_whole_counts_is_refused(tmp_path):
+    with pytest.raises(ValueError, match=re.escape(
+            "frequency matrix times 2 shots per set is 0.6 at state 0, element 0, not a whole count")):
+        MeasurementRecord(freq=[[0.3, 0.3]], set_sizes=(2,), shots_per_set=2)
+    freq = np.full((130, 2), 0.5)
+    freq[100, 1] = 0.25 + 1e-4  # in the second block of 64
+    with pytest.raises(ValueError, match="is 200.08 at state 100, element 1, not a whole count"):
+        MeasurementRecord(freq=freq, set_sizes=(2,), shots_per_set=800)
+    path = write_record(tmp_path / "r.json", {"kind": "record", "set_sizes": [2], "shots_per_set": 800, "freq": freq})
+    with pytest.raises(ValueError, match=f"^record document {re.escape(str(path))}: frequency matrix times 800"):
+        load_json(path)
+    freq[100, 1] = 0.25 + 1e-9 / 800  # within COUNT_ATOL = 1e-6 of a count
+    MeasurementRecord(freq=freq, set_sizes=(2,), shots_per_set=800)
+    MeasurementRecord(freq=freq, set_sizes=(2,))  # an exact record has no counts to check
+
+
+def test_records_of_drawn_counts_are_whole_at_every_shot_count():
+    gen = np.random.default_rng(4)
+    for shots in (1, 3, 100, 10**9 + 7, MAX_EXACT_SHOTS, 2**62 + 1):
+        counts = gen.integers(0, shots, size=(70, 2), endpoint=True)
+        counts[:, 1] = shots - counts[:, 0]
+        MeasurementRecord(freq=counts / shots, set_sizes=(2,), shots_per_set=shots)

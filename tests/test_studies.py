@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import proctomo.io as pio
+import proctomo.simulate as simulate
+import proctomo.studies as studies
 from proctomo.channels import cnot_channel, process_matrix, random_channel
 from proctomo.ensembles import cube_povm, mub_states
 from proctomo.studies import (
@@ -17,6 +19,7 @@ from proctomo.studies import (
     run_scaling_study,
     trial_seed,
 )
+from proctomo.simulate import ideal_probabilities, sample_outputs, sample_record
 
 
 def test_trial_seed_deterministic_and_distinct():
@@ -302,3 +305,54 @@ def test_experiment_config_keeps_integer_copies():
     cfg = ExperimentConfig(copies=[np.int64(600), 1200], trials=np.int64(2), seed=np.int64(3))
     assert cfg.copies == (600, 1200) and all(type(n) is int for n in (*cfg.copies, cfg.trials, cfg.seed))
     assert cfg.to_meta() == ExperimentConfig(copies=(600, 1200), trials=2, seed=3).to_meta()
+
+
+def test_neither_study_forms_the_probability_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study formed the M x L probability matrix")
+
+    monkeypatch.setattr(studies, "ideal_probabilities", refuse, raising=False)
+    monkeypatch.setattr(simulate, "ideal_probabilities", refuse)
+    monkeypatch.setattr(simulate, "sample_record", refuse)
+    rows = []  # the row count of each block of probabilities formed
+    born_rows = simulate._born_rows
+    monkeypatch.setattr(simulate, "_born_rows", lambda *args: rows.append(len(block := born_rows(*args))) or block)
+    run_scaling_study(ExperimentConfig(channel="identity:2", ensembles=("mub:2", "random:2:70:1"), povm="cube-povm:1",
+                                       copies=(4200,), trials=2))
+    run_m_scaling_study(2, (4, 70), 30, povm_spec="cube-povm:1", channel_spec="identity:2", trials=2)
+    assert rows == [6, 6, 64, 6, 64, 6] + [4, 4, 64, 6, 64, 6]
+
+
+def capture_draws(monkeypatch):
+    """The (copies, seed, record) of each record the studies draw after this call."""
+    draws = []
+
+    def draw(outputs, copies, povm, seed):
+        draws.append((copies, seed, sample_outputs(outputs, copies, povm, seed)))
+        return draws[-1][-1]
+
+    monkeypatch.setattr(studies, "sample_outputs", draw)
+    return draws
+
+
+def test_study_records_equal_records_drawn_from_the_probability_matrix(monkeypatch):
+    draws = capture_draws(monkeypatch)
+    cfg = ExperimentConfig(channel="random:4:nontp:2", ensembles=("random:4:130:3",), povm="cube-povm:2",
+                           copies=(130 * 90, 130 * 900), trials=2)
+    run_scaling_study(cfg)
+    channel, povm = make_channel(cfg.channel), make_povm(cfg.povm)
+    probs = ideal_probabilities(channel, make_ensemble("random:4:130:3"), povm)
+    assert len(draws) == 4
+    for copies, seed, record in draws:
+        assert np.array_equal(record.freq, sample_record(probs, copies, povm, seed=seed, keep_ideal=False).freq)
+    draws.clear()
+    ensembles = []
+    random_states = studies.random_states
+    monkeypatch.setattr(studies, "random_states", lambda *a, **k: ensembles.append(random_states(*a, **k))
+                        or ensembles[-1])
+    run_m_scaling_study(4, (16, 130), 900, povm_spec="cube-povm:2", channel_spec="random:4:tp:7", trials=2)
+    channel = make_channel("random:4:tp:7")
+    assert len(draws) == len(ensembles) == 4
+    for (copies, seed, record), ensemble in zip(draws, ensembles):
+        want = sample_record(ideal_probabilities(channel, ensemble, povm), copies, povm, seed=seed, keep_ideal=False)
+        assert np.array_equal(record.freq, want.freq)
