@@ -11,10 +11,9 @@ maps a state's to its output's by its ``linalg.transfer_matrix``, and the trace
 is a real dot product.  Hermiticity was decided once, when the states, elements
 and channel were constructed, so no imaginary part is computed or checked here.
 So p_ml is row m of the output coordinates Y (``ideal_outputs``, M x d^2) times
-row l of the POVM's ``born_table``, and one rule forms the probabilities of a
-block of states: rows [a, b) are ``Y[a:b] @ born_table.T``.  ``ideal_probabilities``
-applies it to every block, and ``sample_outputs`` to one block at a time, so a
-study draws its records from Y without holding the M x L matrix.
+row l of the POVM's ``born_table``: ``ideal_probabilities`` is the one product
+``Y @ born_table.T``, and ``sample_outputs`` forms it as the record's frequency
+matrix and draws it in place, so a study holds no second M x L array.
 Probabilities and frequencies pass one rule, ``_outcome_matrix``: a ``linalg.real_matrix``
 with a column per set element, entries >= -PROB_ATOL, and each set's clipped sum <= 1 + PROB_ATOL.
 Each matrix is checked once: a record built here from a checked matrix, or drawn
@@ -22,11 +21,11 @@ from one, is not checked again.
 
 A record is drawn from one Philox generator seeded by SeedSequence(seed):
 for each block of 64 states and each group of equally sized sets, one
-broadcast ``multinomial`` call draws every cell of the block.  A record is
-reproducible from (seed, probabilities), but a cell's counts depend on the
-cells drawn before it, so cells cannot be drawn separately.  Records carry
-``sampler=2``; records of the earlier per-cell sampler (version 1) are
-reproduced only by releases before it was replaced.
+broadcast ``multinomial`` call draws every cell, and the counts overwrite the
+cells' probabilities.  A record is reproducible from (seed, probabilities), but
+a cell's counts depend on the cells drawn before it, so cells cannot be drawn
+separately.  Records carry ``sampler=2``; records of the earlier per-cell
+sampler (version 1) are reproduced only by releases before it was replaced.
 """
 
 from __future__ import annotations
@@ -172,25 +171,16 @@ def ideal_outputs(process, ensemble: InputEnsemble) -> np.ndarray:
     return ensemble.herm_coords() @ process.transfer.T
 
 
-def _born_rows(outputs: np.ndarray, povm: PovmCollection, start: int) -> np.ndarray:
-    """The probabilities of the block of states from ``start``: the one rule that forms them from Y."""
-    return outputs[start:start + _STATE_BLOCK] @ povm.born_table.T
-
-
 def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) -> np.ndarray:
     """M x L matrix of Born probabilities Tr(E(rho_m) P_l).
 
-    ``ideal_outputs`` times the POVM's ``born_table``, all real, formed block by block as
-    ``sample_outputs`` forms them, so both give the same probabilities bit for bit.  Each factor
+    ``ideal_outputs`` times the POVM's ``born_table``, all real: the one product that
+    ``sample_outputs`` forms too, so both give the same probabilities bit for bit.  Each factor
     takes Hermitian parts: the constructors refuse states, elements and channels that are not
     Hermitian within ``linalg.is_hermitian``'s tolerance, so nothing is re-checked here.
     """
     _check_dimensions(process, ensemble, povm)
-    outputs = ideal_outputs(process, ensemble)
-    probs = np.empty((len(outputs), povm.num_elements))
-    for start in range(0, len(outputs), _STATE_BLOCK):
-        probs[start:start + _STATE_BLOCK] = _born_rows(outputs, povm, start)
-    return probs
+    return ideal_outputs(process, ensemble) @ povm.born_table.T
 
 
 def _record(freq, set_sizes, shots_per_set=None, seed=None, ideal=None, sampler=None) -> MeasurementRecord:
@@ -202,9 +192,9 @@ def _record(freq, set_sizes, shots_per_set=None, seed=None, ideal=None, sampler=
     return record
 
 
-def _draw(block, num_states: int, copies, povm: PovmCollection, seed, ideal=None) -> MeasurementRecord:
-    """The record of ``num_states`` states drawn block by block, as ``sample_record`` describes:
-    ``block(start)`` gives the checked probabilities of the _STATE_BLOCK states from ``start``."""
+def _draw(freq: np.ndarray, copies, povm: PovmCollection, seed, check: bool, ideal=None) -> MeasurementRecord:
+    """The record drawn, as ``sample_record`` describes, from the probabilities in ``freq``, which it
+    overwrites with the frequencies; with ``check``, each block passes ``_outcome_matrix`` first."""
     j = povm.num_sets
     shots = check_int(copies, "copies", 1) // j
     if shots < 1:
@@ -223,18 +213,21 @@ def _draw(block, num_states: int, copies, povm: PovmCollection, seed, ideal=None
         groups.append(starts[[ij for ij, size in enumerate(sizes) if size == n], None] + np.arange(n))
 
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    # Counts go straight into the float matrix, cast as counts / shots would cast them.
-    freq = np.empty((num_states, povm.num_elements))
-    for start in range(0, num_states, _STATE_BLOCK):
-        probs = block(start)
-        rows = slice(start, start + len(probs))
-        for cols in groups:
-            p = np.clip(probs[:, cols], 0.0, None)
-            total = p.sum(axis=-1, keepdims=True)
-            # each set's elements, then its no-click outcome, normalized per set
-            pfull = np.concatenate([p, np.maximum(1.0 - total, 0.0)], axis=-1)
+    # One (states, sets, size + 1) buffer per group: each set's elements, then its no-click
+    # outcome.  Column-major, so every sum over a cell's outcomes is taken left to right.
+    bufs = [np.empty((min(len(freq), _STATE_BLOCK), len(cols), cols.shape[1] + 1), order="F") for cols in groups]
+    for start in range(0, len(freq), _STATE_BLOCK):
+        block = freq[start:start + _STATE_BLOCK]
+        if check:
+            _outcome_matrix(block, "probability matrix", sizes, start)
+        np.clip(block, 0.0, None, out=block)
+        for cols, pfull in zip(groups, bufs):
+            pfull = pfull[:len(block)]
+            pfull[..., :-1] = block[:, cols]
+            np.maximum(1.0 - pfull[..., :-1].sum(axis=-1), 0.0, out=pfull[..., -1])
             pfull /= pfull.sum(axis=-1, keepdims=True)
-            freq[rows, cols] = gen.multinomial(shots, pfull)[..., :-1]
+            # Counts go straight into the float matrix, cast as counts / shots would cast them.
+            block[:, cols] = gen.multinomial(shots, pfull)[..., :-1]
     freq /= shots
     return _record(freq, sizes, shots, seed, ideal, SAMPLER)
 
@@ -253,24 +246,22 @@ def sample_record(
     probabilities pass ``_outcome_matrix`` for the POVM's sets.
     """
     probs = _outcome_matrix(probs, "probability matrix", povm.set_sizes)
-    return _draw(lambda start: probs[start:start + _STATE_BLOCK], len(probs), copies, povm, seed,
-                 probs.copy() if keep_ideal else None)
+    return _draw(probs.copy(), copies, povm, seed, check=False, ideal=probs.copy() if keep_ideal else None)
 
 
 def sample_outputs(outputs: np.ndarray, copies: int, povm: PovmCollection, seed: int = 0) -> MeasurementRecord:
     """Draw a finite-shot record from output coordinates Y (``ideal_outputs``), bit for bit the record
-    ``sample_record`` draws from the ``ideal_probabilities`` of the same design, without the M x L matrix.
+    ``sample_record`` draws from the ``ideal_probabilities`` of the same design, with no second M x L matrix.
 
-    Y is a real M x d^2 matrix for the POVM's d.  Each block of states' probabilities is formed
-    and passes ``_outcome_matrix`` before it is drawn; a refusal names the state.  ``copies`` and
-    ``seed`` are as for ``sample_record``, and the record keeps no ``ideal``.
+    Y is a real M x d^2 matrix for the POVM's d.  The one product ``Y @ born_table.T`` becomes the
+    record's frequency matrix, and each block of states' probabilities passes ``_outcome_matrix``
+    before it is drawn in place; a refusal names the state.  ``copies`` and ``seed`` are as for
+    ``sample_record``, and the record keeps no ``ideal``.
     """
     outputs = real_matrix(outputs, "output coordinates")
     if outputs.shape[1] != povm.d**2:
         raise ValueError(f"output coordinates have {outputs.shape[1]} columns, not d^2 = {povm.d**2} for the POVM")
-    return _draw(lambda start: _outcome_matrix(_born_rows(outputs, povm, start), "probability matrix",
-                                               povm.set_sizes, start),
-                 len(outputs), copies, povm, seed)
+    return _draw(outputs @ povm.born_table.T, copies, povm, seed, check=True)
 
 
 def exact_record(probs: np.ndarray, povm: PovmCollection) -> MeasurementRecord:

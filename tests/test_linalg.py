@@ -19,6 +19,7 @@ from proctomo.ensembles import (
 from proctomo.linalg import (
     HERMITIAN_RTOL,
     NEGATIVE_EIG_RTOL,
+    _herm_index,
     check_int,
     check_psd,
     dagger,
@@ -645,6 +646,16 @@ def test_from_herm_bilinear_is_the_basis_on_both_sides(d):
     # Each row of z is the coordinates of a Hermitian matrix, and so is each column of z B^T.
     rows = from_herm_coords(z).reshape(d * d, d * d)
     assert np.array_equal(from_herm_bilinear(z), basis.T @ rows)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_from_herm_bilinear_in_place_equals_its_expression(d):
+    # The two gathers and B z B^T's arithmetic as one expression of fresh temporaries.
+    z = np.random.default_rng(d).standard_normal((d * d, d * d))
+    _, _, _, back, back_sign = _herm_index(d)
+    y = (z.take(back, axis=1) * back_sign).view(complex)
+    want = y.take(back[::2], axis=0) + 1j * back_sign[1::2, None] * y.take(back[1::2], axis=0)
+    assert np.array_equal(from_herm_bilinear(z), want)
 
 
 def test_from_herm_coords_rejects_a_non_square_count():

@@ -431,6 +431,9 @@ SAMPLER_CASES = {
     "nontp-cube2": lambda: (random_channel(4, tp=False, seed=5), mub_states(4), cube_povm(2)),
     "sic-povm": lambda: (cnot_channel(), sic_states(4), sic_povm(4)),
     "unequal-sets": lambda: (random_channel(2, tp=False, seed=11), mub_states(2), unequal_sets_povm()),
+    # Three blocks of 64 states, and two blocks of three size groups.
+    "m-130-three-blocks": lambda: (random_channel(4, tp=True, seed=4), random_states(4, 130, seed=5), cube_povm(2)),
+    "unequal-sets-70": lambda: (random_channel(2, tp=False, seed=11), random_states(2, 70, seed=6), unequal_sets_povm()),
 }
 
 
@@ -475,6 +478,8 @@ def test_sampler_matches_per_cell_reference(case, seed):
     assert np.array_equal(rec.counts, counts)
     assert np.array_equal(rec.lost_counts, lost)
     assert np.array_equal(rec.freq, freq)
+    # Drawn in place over the probabilities it forms from Y, one size group after another in each block.
+    assert np.array_equal(sample_outputs(ideal_outputs(ch, e), copies, p, seed=seed).freq, freq)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,13 +315,30 @@ def test_neither_study_forms_the_probability_matrix(monkeypatch):
     monkeypatch.setattr(studies, "ideal_probabilities", refuse, raising=False)
     monkeypatch.setattr(simulate, "ideal_probabilities", refuse)
     monkeypatch.setattr(simulate, "sample_record", refuse)
-    rows = []  # the row count of each block of probabilities formed
-    born_rows = simulate._born_rows
-    monkeypatch.setattr(simulate, "_born_rows", lambda *args: rows.append(len(block := born_rows(*args))) or block)
     run_scaling_study(ExperimentConfig(channel="identity:2", ensembles=("mub:2", "random:2:70:1"), povm="cube-povm:1",
                                        copies=(4200,), trials=2))
     run_m_scaling_study(2, (4, 70), 30, povm_spec="cube-povm:1", channel_spec="identity:2", trials=2)
-    assert rows == [6, 6, 64, 6, 64, 6] + [4, 4, 64, 6, 64, 6]
+
+    # A draw holds its record's M x L frequency matrix and a few blocks of 64 states, no second M x L matrix.
+    excess = []  # traced bytes above the record's freq, in blocks of 64 states
+
+    def traced(outputs, copies, povm, seed):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            record = sample_outputs(outputs, copies, povm, seed)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        excess.append((peak - record.freq.nbytes) / (64 * povm.num_elements * 8))
+        return record
+
+    monkeypatch.setattr(studies, "sample_outputs", traced)
+    run_scaling_study(ExperimentConfig(channel="random:4:nontp:2", ensembles=("random:4:130:3",), povm="cube-povm:2",
+                                       copies=(130 * 90,), trials=2))
+    # About 4.5 blocks (the probability buffer, multinomial's copy of it and its counts); the
+    # M = 130 matrix is 2 blocks, so a second one would exceed the bound.
+    assert len(excess) == 2 and max(excess) <= 5.5, excess
 
 
 def capture_draws(monkeypatch):
