@@ -13,9 +13,9 @@ import dataclasses
 import inspect
 import os
 import sys
-from pathlib import Path
 
 from . import io as pio
+from .linalg import check_dimensions
 from .metrics import fidelity, squared_error
 from .oracle import oracle_check
 from .reconstruct import TwoStageReconstructor
@@ -23,7 +23,6 @@ from .simulate import MeasurementRecord, exact_record, ideal_probabilities, samp
 from .studies import (
     SPECS,
     ExperimentConfig,
-    check_dimensions,
     copies_per_state,
     design_audit,
     make_channel,
@@ -50,8 +49,6 @@ def _cmd_simulate(args) -> int:
     probs = ideal_probabilities(channel, ensemble, povm)
     record = exact_record(probs, povm) if args.exact else sample_record(probs, per_state, povm, seed=args.seed)
     pio.save_json(record, args.output)
-    if args.text:
-        Path(args.text).write_text(pio.record_to_text(record))
     print(
         f"simulated {record.num_states} states x {record.num_operators} operators"
         f" -> {args.output}"
@@ -139,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true", help="write ideal probabilities instead of sampling")
     p.add_argument("--output", required=True, help="record JSON path")
-    p.add_argument("--text", default=None, help="also write a delimited-text copy")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="run the two-stage estimator on a record")

@@ -1,4 +1,4 @@
-"""Serialization: a shared JSON document format plus delimited-text tables.
+"""Serialization: a shared JSON document format plus delimited-text study tables.
 
 One table, ``KINDS``, gives each document kind its class, whether it writes
 the dimension ``d`` (never read back) and its fields: an attribute name, a
@@ -9,8 +9,7 @@ and a section (top level, or an estimate's ``diagnostics`` or
 document becomes a ValueError naming the path, the kind and the field (or,
 when the class's own checks refuse the decoded fields, the class's message).
 Complex matrices are stored as real/imaginary nested lists and JSON writes
-doubles via repr, so round trips are bit-exact.  Records also export as
-tab-separated text for plotting tools, never read back; JSON is the lossless form.
+doubles via repr, so round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ KINDS = {
         Field("set_sizes"),
         *(Field(n, default=None) for n in ("shots_per_set", "seed")),
         Field("sampler", default=1),  # records written before the field existed came from sampler 1
-        # Older files also carry counts and lost_counts, which the record derives from freq.
+        # Older files also carry counts and lost_counts, which are not read: freq times shots_per_set holds them.
         Field("freq", REAL),
         Field("ideal", REAL, None),
     )),
@@ -138,18 +137,6 @@ def load_json(path, kinds: tuple = (object,)):
     if not isinstance(obj, kinds):
         raise ValueError(f"{path} does not contain a {' or '.join(k.__name__ for k in kinds)}")
     return obj
-
-
-def record_to_text(r: MeasurementRecord) -> str:
-    """Delimited-text export: commented header, then the frequency matrix."""
-    header = {
-        "states": r.num_states, "operators": r.num_operators, "sets": r.num_sets,
-        "set_sizes": ",".join(str(n) for n in r.set_sizes), "copies_per_state": r.copies_per_state,
-        "shots_per_set": r.shots_per_set, "seed": r.seed, "sampler": r.sampler,
-    }
-    lines = [f"# {key}\t{'' if value is None else value}" for key, value in header.items()]
-    lines += ["\t".join(repr(float(v)) for v in row) for row in r.freq]
-    return "\n".join(lines) + "\n"
 
 
 def write_table(path, header_meta: dict, columns: list, rows: list) -> None:

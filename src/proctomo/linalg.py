@@ -9,6 +9,7 @@ Conventions fixed here and relied on everywhere else:
   factor, so that ``Tr_1(vec(S) vec(T)^dag) = S T^dag``.
 * ``check_int`` is the one rule for every count, dimension and seed a caller supplies
   (an integer, not a bool, of at least a floor; a fraction is refused, never truncated),
+  ``check_dimensions`` for every set of objects that must share one dimension d,
   ``real_matrix`` for every probability and frequency matrix (real, 2-D, non-empty, finite),
   ``square_matrix`` for every matrix and stack of matrices that must be square (and finite).
 
@@ -40,6 +41,13 @@ def check_int(value, what: str, least: int) -> int:
         floor = "non-negative" if least == 0 else f"at least {least}"
         raise ValueError(f"{what} must be {floor}, got {int(value)}")
     return int(value)
+
+
+def check_dimensions(dims: dict) -> None:
+    """Refuse ``dims``, each name (an object, spec or flag) mapped to the dimension of what it gives,
+    unless they share one d; the message names each."""
+    if len(set(dims.values())) > 1:
+        raise ValueError("dimension mismatch: " + "; ".join(f"{name}: d={d}" for name, d in dims.items()))
 
 
 def real_matrix(x, what: str) -> np.ndarray:

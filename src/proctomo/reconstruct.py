@@ -33,7 +33,8 @@ import numpy as np
 
 from .ensembles import InputEnsemble, PovmCollection
 from .linalg import (
-    check_int, dagger, from_herm_bilinear, hermitian_eig, hermitian_part, is_hermitian, partial_trace_first, real_matrix
+    check_dimensions, check_int, dagger, from_herm_bilinear, hermitian_eig, hermitian_part, is_hermitian,
+    partial_trace_first, real_matrix,
 )
 from .simulate import MeasurementRecord
 
@@ -81,8 +82,7 @@ class TwoStageReconstructor:
     """The two-stage estimator of one (ensemble, POVM) pair, from the pseudo-inverses the designs keep."""
 
     def __init__(self, ensemble: InputEnsemble, povm: PovmCollection):
-        if ensemble.d != povm.d:
-            raise ValueError(f"ensemble d={ensemble.d} does not match POVM d={povm.d}")
+        check_dimensions({"ensemble": ensemble.d, "POVM": povm.d})
         self.ensemble = ensemble
         self.povm = povm
         self.d = check_int(ensemble.d, "dimension", 2)

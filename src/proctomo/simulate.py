@@ -36,7 +36,7 @@ import numpy as np
 
 from .channels import CHANNEL_ATOL, KrausChannel, ProcessMatrix
 from .ensembles import POVM_ATOL, STATE_ATOL, InputEnsemble, PovmCollection
-from .linalg import check_int, real_matrix
+from .linalg import check_dimensions, check_int, real_matrix
 
 # What the constructors let through, to first order: a set's probabilities sum to at most the
 # trace of the state's positive part (at most 1 + STATE_ATOL for any d) scaled by the channel's
@@ -44,11 +44,8 @@ from .linalg import check_int, real_matrix
 PROB_ATOL = STATE_ATOL + POVM_ATOL + CHANNEL_ATOL
 # The most shots per set: the most one multinomial draw takes.
 MAX_SHOTS = np.iinfo(np.int64).max
-# The most shots per set s whose counts c <= s rint(fl(c / s) * s) recovers: two roundings
-# leave |fl(fl(c / s) * s) - c| <= c (2u + u^2), u = 2^-53, below 1/2 for c < 2^51.
-MAX_EXACT_SHOTS = 2**51 - 1
-# A record's freq * shots_per_set s must be whole counts within COUNT_ATOL + s 2^-50: the two
-# roundings above leave a drawn count within s 2^-51 of a whole one.
+# A record's freq * shots_per_set s must be whole counts within COUNT_ATOL + s 2^-50: the two roundings
+# of fl(fl(c / s) * s) leave a drawn count c <= s within c (2u + u^2) <= s 2^-51 of c, u = 2^-53.
 COUNT_ATOL = 1e-6
 # States per block of multinomial draws; bounds their memory.
 _STATE_BLOCK = 64
@@ -123,21 +120,6 @@ class MeasurementRecord:
                 raise ValueError(f"ideal probability matrix has shape {self.ideal.shape}, not {self.freq.shape}")
 
     @property
-    def counts(self) -> np.ndarray | None:
-        """The int64 M x L counts rint(freq * shots_per_set), exact up to MAX_EXACT_SHOTS shots per set
-        and a ValueError above it; None for an exact record."""
-        if (shots := self.shots_per_set) is not None and shots > MAX_EXACT_SHOTS:
-            raise ValueError(f"counts are exact only up to {MAX_EXACT_SHOTS} shots per set, not {shots}")
-        return None if shots is None else np.rint(self.freq * shots).astype(np.int64)
-
-    @property
-    def lost_counts(self) -> np.ndarray | None:
-        """The M x J no-click counts: shots per set minus each set's counts; None for an exact record."""
-        if (counts := self.counts) is None:
-            return None
-        return self.shots_per_set - np.add.reduceat(counts, np.cumsum(self.set_sizes) - self.set_sizes, axis=1)
-
-    @property
     def num_states(self) -> int:
         return self.freq.shape[0]
 
@@ -155,12 +137,10 @@ class MeasurementRecord:
 
 
 def _check_dimensions(process, ensemble: InputEnsemble, *povm: PovmCollection) -> None:
-    """A TypeError unless ``process`` is a channel, and a ValueError naming each d unless all share one."""
+    """A TypeError unless ``process`` is a channel, then ``linalg.check_dimensions`` on every d given."""
     if not isinstance(process, (KrausChannel, ProcessMatrix)):
         raise TypeError(f"cannot compute probabilities for {type(process).__name__}")
-    if any(x.d != process.d for x in (ensemble, *povm)):
-        raise ValueError(f"dimension mismatch: process d={process.d}, ensemble d={ensemble.d}"
-                         + "".join(f", povm d={p.d}" for p in povm))
+    check_dimensions({"process": process.d, "ensemble": ensemble.d} | {"POVM": p.d for p in povm})
 
 
 def ideal_outputs(process, ensemble: InputEnsemble) -> np.ndarray:
@@ -174,13 +154,13 @@ def ideal_outputs(process, ensemble: InputEnsemble) -> np.ndarray:
 def ideal_probabilities(process, ensemble: InputEnsemble, povm: PovmCollection) -> np.ndarray:
     """M x L matrix of Born probabilities Tr(E(rho_m) P_l).
 
-    ``ideal_outputs`` times the POVM's ``born_table``, all real: the one product that
-    ``sample_outputs`` forms too, so both give the same probabilities bit for bit.  Each factor
-    takes Hermitian parts: the constructors refuse states, elements and channels that are not
-    Hermitian within ``linalg.is_hermitian``'s tolerance, so nothing is re-checked here.
+    ``ideal_outputs``'s product times the POVM's ``born_table``, all real, after one dimension check:
+    the one product that ``sample_outputs`` forms too, so both give the same probabilities bit for bit.
+    Each factor takes Hermitian parts: the constructors refuse states, elements and channels that are
+    not Hermitian within ``linalg.is_hermitian``'s tolerance, so nothing is re-checked here.
     """
     _check_dimensions(process, ensemble, povm)
-    return ideal_outputs(process, ensemble) @ povm.born_table.T
+    return ensemble.herm_coords() @ process.transfer.T @ povm.born_table.T
 
 
 def _record(freq, set_sizes, shots_per_set=None, seed=None, ideal=None, sampler=None) -> MeasurementRecord:

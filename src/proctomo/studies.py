@@ -40,7 +40,7 @@ from .ensembles import (
     sic_povm,
     sic_states,
 )
-from .linalg import check_int
+from .linalg import check_dimensions, check_int
 from .metrics import infidelity, loglog_slope, squared_error
 from .reconstruct import TwoStageReconstructor
 from .simulate import MAX_SHOTS, check_seed, ideal_outputs, sample_outputs
@@ -168,13 +168,6 @@ def check_shots(per_state: int, povm: PovmCollection, povm_spec: str, given: str
     if (shots := per_state // povm.num_sets) > MAX_SHOTS:  # which sample_record would refuse
         raise ValueError(f"{given} give {shots} shots to each of the {povm.num_sets} sets of POVM "
                          f"{povm_spec!r}, above {MAX_SHOTS}")
-
-
-def check_dimensions(dims: dict) -> None:
-    """Refuse ``dims``, each spec or flag mapped to the dimension of what it gives,
-    unless they share one d; the message names each."""
-    if len(set(dims.values())) > 1:
-        raise ValueError("dimension mismatch: " + "; ".join(f"{name}: d={d}" for name, d in dims.items()))
 
 
 def _check_sweep(trials, grid, name: str, seed) -> tuple:

@@ -87,7 +87,7 @@ def test_simulate_then_reconstruct(tmp_path, capsys):
     assert main([
         "simulate", "--channel", "random:2:tp:5", "--ensemble", "mub:2",
         "--povm", "cube-povm:1", "--copies", "18000", "--seed", "9",
-        "--output", str(rec_path), "--text", str(tmp_path / "rec.tsv"),
+        "--output", str(rec_path),
     ]) == 0
     assert main([
         "reconstruct", "--record", str(rec_path), "--ensemble", "mub:2",
@@ -98,7 +98,15 @@ def test_simulate_then_reconstruct(tmp_path, capsys):
     assert "fidelity" in out
     est = pio.load_json(est_path)
     assert est.x_hat.shape == (4, 4)
-    assert (tmp_path / "rec.tsv").read_bytes() == pio.record_to_text(pio.load_json(rec_path)).encode()
+
+
+def test_simulate_refuses_the_retired_text_flag(tmp_path, capsys):
+    # The record's JSON document is its one output; argparse refuses --text before anything runs.
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--text", str(tmp_path / "x.tsv"), "--output", str(tmp_path / "x.json")])
+    err = capsys.readouterr().err
+    assert info.value.code == 2 and "error: unrecognized arguments: --text" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reconstruct_refuses_a_truth_of_another_dimension(tmp_path, capsys):

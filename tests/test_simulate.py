@@ -14,9 +14,10 @@ from proctomo.ensembles import (
 from proctomo.io import load_json
 from proctomo.linalg import dagger
 from proctomo.oracle import dense_expansion_matrix, transpose_index
+from proctomo.reconstruct import TwoStageReconstructor
 import proctomo.simulate as simulate
 from proctomo.simulate import (
-    MAX_EXACT_SHOTS, SAMPLER, MeasurementRecord, check_seed, exact_record, ideal_outputs, ideal_probabilities,
+    SAMPLER, MeasurementRecord, check_seed, exact_record, ideal_outputs, ideal_probabilities,
     sample_outputs, sample_record,
 )
 from proctomo.studies import make_channel, make_ensemble, make_povm, run_m_scaling_study
@@ -26,6 +27,18 @@ def set_slices(povm):
     """The frequency columns of each POVM set, as slices, from its set sizes."""
     ends = np.cumsum(povm.set_sizes)
     return [slice(e - n, e) for n, e in zip(povm.set_sizes, ends)]
+
+
+# The most shots per set s whose counts c <= s rint(fl(c / s) * s) recovers: two roundings
+# leave |fl(fl(c / s) * s) - c| <= c (2u + u^2), u = 2^-53, below 1/2 for c < 2^51.
+EXACT_SHOTS = 2**51 - 1
+
+
+def drawn_counts(rec):
+    """A sampled record's int64 M x L counts rint(freq * shots_per_set), exact up to EXACT_SHOTS shots
+    per set, and its M x J no-click counts: shots per set minus each set's counts."""
+    counts = np.rint(rec.freq * rec.shots_per_set).astype(np.int64)
+    return counts, rec.shots_per_set - np.add.reduceat(counts, np.cumsum(rec.set_sizes) - rec.set_sizes, axis=1)
 
 
 def test_born_rule_row_for_computational_state():
@@ -102,9 +115,9 @@ def test_sampling_deterministic_by_seed():
     probs = ideal_probabilities(ch, e, p)
     a = sample_record(probs, 3000, p, seed=5)
     b = sample_record(probs, 3000, p, seed=5)
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(drawn_counts(a)[0], drawn_counts(b)[0])
     c = sample_record(probs, 3000, p, seed=6)
-    assert not np.array_equal(a.counts, c.counts)
+    assert not np.array_equal(drawn_counts(a)[0], drawn_counts(c)[0])
 
 
 def test_record_counts_are_consistent():
@@ -112,12 +125,12 @@ def test_record_counts_are_consistent():
     e, p = mub_states(2), cube_povm(1)
     probs = ideal_probabilities(ch, e, p)
     rec = sample_record(probs, 3000, p, seed=9)
-    shots = rec.shots_per_set
+    shots, (counts, lost) = rec.shots_per_set, drawn_counts(rec)
     # counts plus lost no-click events account for every shot
     for j, sl in enumerate(set_slices(p)):
-        total = rec.counts[:, sl].sum(axis=1) + rec.lost_counts[:, j]
+        total = counts[:, sl].sum(axis=1) + lost[:, j]
         assert np.all(total == shots)
-    np.testing.assert_allclose(rec.freq, rec.counts / shots)
+    np.testing.assert_allclose(rec.freq, counts / shots)
     assert rec.copies_per_state == shots * p.num_sets
 
 
@@ -159,7 +172,7 @@ def test_states_the_constructors_accept_are_sampled_and_recorded(first):
     probs = ideal_probabilities(identity_channel(2), e, p)
     assert probs[0, 4:].sum() > 1 or probs.min() < 0
     record = sample_record(probs, 600, p, seed=3)
-    assert record.counts[0, 4:].tolist() == [200, 0]  # set z of |0><0|
+    assert drawn_counts(record)[0][0, 4:].tolist() == [200, 0]  # set z of |0><0|
     assert np.array_equal(exact_record(probs, p).freq, probs)
 
 
@@ -175,7 +188,7 @@ def test_a_state_whose_positive_part_exceeds_the_tolerance_is_refused_at_constru
     p = cube_povm(2)
     probs = ideal_probabilities(KrausChannel((np.diag([1.0, 0.0, 0.0, 0.0]),)), InputEnsemble(states=states), p)
     assert probs[0, -4:].sum() > 1  # set z x z, the last
-    assert sample_record(probs, 900, p, seed=3).counts[0, -4:].tolist() == [100, 0, 0, 0]
+    assert drawn_counts(sample_record(probs, 900, p, seed=3))[0][0, -4:].tolist() == [100, 0, 0, 0]
     assert np.array_equal(exact_record(probs, p).freq, probs)
 
 
@@ -193,7 +206,7 @@ def test_a_povm_set_beyond_the_tolerance_in_operator_norm_is_refused_at_construc
     p = PovmCollection((*xy, (np.diag([1 + 0.9e-9, 0.0]), np.diag([0.0, 1.0]))))
     probs = ideal_probabilities(channel, e, p)
     assert probs[0, 4:].sum() > 1 + 2.6e-9
-    assert sample_record(probs, 600, p, seed=3).counts[0, 4:].tolist() == [200, 0]
+    assert drawn_counts(sample_record(probs, 600, p, seed=3))[0][0, 4:].tolist() == [200, 0]
     assert np.array_equal(exact_record(probs, p).freq, probs)
 
 
@@ -238,30 +251,26 @@ def test_sample_record_takes_shots_up_to_the_int64_maximum_and_refuses_more():
     probs = np.full((4, 6), 0.5)
     rec = sample_record(probs, 3 * most, p)
     assert rec.shots_per_set == most
-    # A float frequency cannot hold every count of 2^63 - 1 shots; the counts say so.
-    message = f"counts are exact only up to {MAX_EXACT_SHOTS} shots per set, not {most}"
-    for derived in ("counts", "lost_counts"):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            getattr(rec, derived)
     message = f"{3 * most + 3} copies per state give {most + 1} shots to each of 3 POVM sets, above {most}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sample_record(probs, 3 * most + 3, p)
 
 
 def test_counts_are_exact_at_the_largest_shot_count_the_bound_serves():
-    p, most = cube_povm(1), MAX_EXACT_SHOTS  # three sets of two elements
+    p, most = cube_povm(1), EXACT_SHOTS  # three sets of two elements
     assert most == 2**51 - 1
     # Counts within a few of the bound, and small ones beside them, in every set.
     counts = np.array([[most - 3, 1, most, 0, 2, most - 7], [most // 2, most // 2 + 1, 0, 0, most - 1, 1]])
-    rec = MeasurementRecord(counts / most, p.set_sizes, shots_per_set=most)
-    assert np.array_equal(rec.counts, counts)
-    assert rec.counts.dtype == np.int64 and np.array_equal(rec.lost_counts, [[2, 0, 5], [0, most, 0]])
-    assert np.all(rec.counts.reshape(2, 3, 2).sum(axis=-1) + rec.lost_counts == most)
+    got, lost = drawn_counts(MeasurementRecord(counts / most, p.set_sizes, shots_per_set=most))
+    assert np.array_equal(got, counts)
+    assert got.dtype == np.int64 and np.array_equal(lost, [[2, 0, 5], [0, most, 0]])
+    assert np.all(got.reshape(2, 3, 2).sum(axis=-1) + lost == most)
     # Sampled there, counts and no-click counts account for every shot.
     sampled = sample_record(np.full((4, 6), 0.3), 3 * most, p, seed=4)
     assert sampled.shots_per_set == most
-    assert np.all(sampled.counts.reshape(4, 3, 2).sum(axis=-1) + sampled.lost_counts == most)
-    assert sampled.lost_counts.min() > 0
+    got, lost = drawn_counts(sampled)
+    assert np.all(got.reshape(4, 3, 2).sum(axis=-1) + lost == most)
+    assert lost.min() > 0
 
 
 def test_record_validation():
@@ -407,9 +416,20 @@ def test_record_accepts_numpy_integer_metadata():
     assert rec.set_sizes == (2,) and isinstance(rec.set_sizes, tuple)
 
 
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        ideal_probabilities(identity_channel(2), mub_states(4), cube_povm(1))
+@pytest.mark.parametrize(
+    "refuse, named",
+    [
+        (lambda: ideal_outputs(identity_channel(2), mub_states(4)), "process: d=2; ensemble: d=4"),
+        (lambda: ideal_probabilities(identity_channel(2), mub_states(4), cube_povm(1)),
+         "process: d=2; ensemble: d=4; POVM: d=2"),
+        (lambda: TwoStageReconstructor(mub_states(4), cube_povm(1)), "ensemble: d=4; POVM: d=2"),
+    ],
+    ids=["ideal_outputs", "ideal_probabilities", "TwoStageReconstructor"],
+)
+def test_dimension_mismatch_rejected(refuse, named):
+    # One rule, linalg.check_dimensions, names each object's d.
+    with pytest.raises(ValueError, match=f"^dimension mismatch: {re.escape(named)}$"):
+        refuse()
 
 
 def real_line_povm(n):
@@ -475,8 +495,9 @@ def test_sampler_matches_per_cell_reference(case, seed):
     copies = 90 * p.num_sets
     rec = sample_record(probs, copies, p, seed=seed)
     counts, lost, freq = reference_record(probs, copies, p, seed)
-    assert np.array_equal(rec.counts, counts)
-    assert np.array_equal(rec.lost_counts, lost)
+    drawn, drawn_lost = drawn_counts(rec)
+    assert np.array_equal(drawn, counts)
+    assert np.array_equal(drawn_lost, lost)
     assert np.array_equal(rec.freq, freq)
     # Drawn in place over the probabilities it forms from Y, one size group after another in each block.
     assert np.array_equal(sample_outputs(ideal_outputs(ch, e), copies, p, seed=seed).freq, freq)
@@ -490,16 +511,17 @@ def test_sampler_accounts_for_every_shot(case, seed):
     copies = 90 * p.num_sets
     rec = sample_record(probs, copies, p, seed=seed)
     assert rec.shots_per_set == 90 and rec.sampler == SAMPLER
+    counts, lost = drawn_counts(rec)
     for j, sl in enumerate(set_slices(p)):
         # the no-click column holds exactly the shots the set's elements missed
-        assert np.array_equal(rec.lost_counts[:, j], 90 - rec.counts[:, sl].sum(axis=1))
-    assert rec.counts.min() >= 0 and rec.lost_counts.min() >= 0
+        assert np.array_equal(lost[:, j], 90 - counts[:, sl].sum(axis=1))
+    assert counts.min() >= 0 and lost.min() >= 0
     if np.linalg.norm(ch.contraction() - np.eye(ch.d)) <= 1e-9 * ch.d:  # trace preserving
-        assert not rec.lost_counts.any()
-    np.testing.assert_array_equal(rec.freq, rec.counts / 90)
-    again = sample_record(probs, copies, p, seed=seed)
-    assert np.array_equal(again.counts, rec.counts)
-    assert np.array_equal(again.lost_counts, rec.lost_counts)
+        assert not lost.any()
+    np.testing.assert_array_equal(rec.freq, counts / 90)
+    again = drawn_counts(sample_record(probs, copies, p, seed=seed))
+    assert np.array_equal(again[0], counts)
+    assert np.array_equal(again[1], lost)
 
 
 def test_counts_have_multinomial_moments():
@@ -515,7 +537,7 @@ def test_counts_have_multinomial_moments():
     order = np.concatenate(
         [np.r_[np.arange(sl.start, sl.stop), p.num_elements + j] for j, sl in enumerate(set_slices(p))]
     )
-    full = np.concatenate([rec.counts, rec.lost_counts], axis=1)[:, order]
+    full = np.concatenate(drawn_counts(rec), axis=1)[:, order]
     for k in range(e.num_states):
         x = full[k * reps : (k + 1) * reps]
         qs = [np.append(probs[k, sl], 1.0 - probs[k, sl].sum()) for sl in set_slices(p)]
@@ -540,16 +562,16 @@ def test_records_cross_the_state_block_boundary(m):
     # would repeat the first block's counts
     ch, p = random_channel(2, tp=False, seed=9), cube_povm(1)
     probs = np.repeat(ideal_probabilities(ch, mub_states(2), p)[:1], m, axis=0)
-    rec = sample_record(probs, 300, p, seed=2**40 + m)
+    counts, lost = drawn_counts(sample_record(probs, 300, p, seed=2**40 + m))
     for j, sl in enumerate(set_slices(p)):
-        assert np.array_equal(rec.counts[:, sl].sum(axis=1) + rec.lost_counts[:, j], np.full(m, 100))
-    again = sample_record(probs, 300, p, seed=2**40 + m)
-    assert np.array_equal(again.counts, rec.counts)
-    assert np.array_equal(again.lost_counts, rec.lost_counts)
-    assert not np.array_equal(sample_record(probs, 300, p, seed=m).counts, rec.counts)
+        assert np.array_equal(counts[:, sl].sum(axis=1) + lost[:, j], np.full(m, 100))
+    again = drawn_counts(sample_record(probs, 300, p, seed=2**40 + m))
+    assert np.array_equal(again[0], counts)
+    assert np.array_equal(again[1], lost)
+    assert not np.array_equal(drawn_counts(sample_record(probs, 300, p, seed=m))[0], counts)
     if m > 64:
         tail = m - 64
-        assert not np.array_equal(rec.counts[64:], rec.counts[:tail])
+        assert not np.array_equal(counts[64:], counts[:tail])
 
 
 def test_sampler_rejects_non_integer_seeds():
@@ -584,7 +606,8 @@ def test_one_seed_rule_refuses_what_is_not_a_non_negative_integer_naming_it(entr
 def test_one_seed_rule_accepts_numpy_integers_as_plain_ints():
     entries = seed_entries()
     assert entries["check_seed"](np.int64(3)) == 3 and type(entries["check_seed"](np.int64(3))) is int
-    assert np.array_equal(entries["sample_record"](np.int64(3)).counts, entries["sample_record"](3).counts)
+    assert np.array_equal(drawn_counts(entries["sample_record"](np.int64(3)))[0],
+                          drawn_counts(entries["sample_record"](3))[0])
     study = entries["run_m_scaling_study"](np.int64(3))
     assert study.rows[0][1:3] == entries["run_m_scaling_study"](3).rows[0][1:3]
     assert type(study.meta["seed"]) is int and study.meta["seed"] == 3
@@ -751,7 +774,7 @@ def test_a_record_whose_frequencies_are_not_whole_counts_is_refused(tmp_path):
 
 def test_records_of_drawn_counts_are_whole_at_every_shot_count():
     gen = np.random.default_rng(4)
-    for shots in (1, 3, 100, 10**9 + 7, MAX_EXACT_SHOTS, 2**62 + 1):
+    for shots in (1, 3, 100, 10**9 + 7, EXACT_SHOTS, 2**62 + 1):
         counts = gen.integers(0, shots, size=(70, 2), endpoint=True)
         counts[:, 1] = shots - counts[:, 0]
         MeasurementRecord(freq=counts / shots, set_sizes=(2,), shots_per_set=shots)
