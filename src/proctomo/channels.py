@@ -82,13 +82,12 @@ class ProcessMatrix(_Channel):
     label: str = ""
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
+        m = square_matrix(self.mat, "process matrix")
         object.__setattr__(self, "mat", m)
-        d = math.isqrt(m.shape[0]) if m.ndim == 2 else 0
-        if m.shape != (d * d, d * d) or not d:
+        if math.isqrt(len(m)) ** 2 != len(m):
             raise ValueError(f"process matrix must be d^2 x d^2, got {m.shape}")
         check_psd(m, "process matrix", CHANNEL_ATOL * max(frob(m), 1.0))
-        check_psd(np.eye(d) - self.success_operator(), "identity minus the partial trace Tr_1 X", CHANNEL_ATOL)
+        check_psd(np.eye(self.d) - self.success_operator(), "identity minus the partial trace Tr_1 X", CHANNEL_ATOL)
 
     @property
     def d(self) -> int:
@@ -109,8 +108,8 @@ def identity_channel(d: int) -> KrausChannel:
 
 
 def unitary_channel(u: np.ndarray, label: str = "") -> KrausChannel:
-    u = np.asarray(u, dtype=complex)
-    if frob(u @ dagger(u) - np.eye(u.shape[0])) > CHANNEL_ATOL:
+    u = square_matrix(u, "unitary")
+    if frob(u @ dagger(u) - np.eye(len(u))) > CHANNEL_ATOL:
         raise ValueError("matrix is not unitary")
     return KrausChannel((u,), label=label)
 
@@ -130,10 +129,10 @@ def random_channel(d: int, tp: bool = True, seed=None) -> KrausChannel:
 
     Two operators are random rotations of small fixed diagonals; the third
     completes sum A^dag A to the identity (``tp=True``) or to a random
-    rotation of d uniform draws in [0.4, 1].
+    rotation of d uniform draws in [0.4, 1].  ``seed`` is None or a non-negative integer.
     """
     d = check_int(d, "dimension", 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed if seed is None else check_int(seed, "seed", 0))
     diags = [np.pad(diag, (0, d - len(diag))).astype(complex) for diag in _SEED_DIAGS]
     partial = [haar_unitary(d, rng) @ np.diag(g) for g in diags]
     u3 = haar_unitary(d, rng)

@@ -380,9 +380,9 @@ def natural_basis_states(d: int) -> InputEnsemble:
 
 
 def random_states(d: int, m: int, seed=None) -> InputEnsemble:
-    """M random full-rank density matrices (normalized Wishart draws)."""
+    """M random full-rank density matrices (normalized Wishart draws); ``seed`` is None or a non-negative integer."""
     d, m = check_int(d, "dimension", 1), check_int(m, "number of states M", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed if seed is None else check_int(seed, "seed", 0))
     # The same normals, in the same order, as a real then an imaginary
     # (d, d) draw per state.
     z = rng.standard_normal((m, 2, d, d))

@@ -11,7 +11,8 @@ Conventions fixed here and relied on everywhere else:
   (an integer, not a bool, of at least a floor; a fraction is refused, never truncated),
   ``check_dimensions`` for every set of objects that must share one dimension d,
   ``real_matrix`` for every probability and frequency matrix (real, 2-D, non-empty, finite),
-  ``square_matrix`` for every matrix and stack of matrices that must be square (and finite).
+  ``square_matrix`` for every matrix and stack of matrices that must be square (and finite);
+  both coerce through one core, which refuses ragged and non-numeric input by name.
 
 Everything is a pure function of its inputs and safe to share across threads.
 """
@@ -50,16 +51,29 @@ def check_dimensions(dims: dict) -> None:
         raise ValueError("dimension mismatch: " + "; ".join(f"{name}: d={d}" for name, d in dims.items()))
 
 
+def _matrix(x, what: str, dtype, ranks: tuple, rule: str, square: bool = False) -> np.ndarray:
+    """``x`` as a ``dtype`` array of one of ``ranks``, non-empty, with ``square`` square, and finite, else a ValueError
+    naming ``what`` and ``rule``, for ragged or non-numeric input too: the one coercion of both matrix rules below."""
+    try:
+        x = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be {rule}, got a ragged or non-numeric array") from None
+    if x.ndim not in ranks or not x.size or square and x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"{what} must be {rule}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite, got non-finite entries")
+    return x
+
+
 def real_matrix(x, what: str) -> np.ndarray:
     """``x`` as a float array if it is a real, non-empty, finite 2-D matrix, else a ValueError naming ``what``."""
-    if np.iscomplexobj(x):
+    try:  # np.iscomplexobj reads a list through np.asarray, which refuses a ragged one; _matrix names it
+        complex_input = np.iscomplexobj(x)
+    except ValueError:
+        complex_input = False
+    if complex_input:
         raise ValueError(f"{what} must be real")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or not x.size:
-        raise ValueError(f"{what} must be 2-D (states x operators), got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} contains non-finite entries")
-    return x
+    return _matrix(x, what, float, (2,), "2-D (states x operators)")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -232,15 +246,7 @@ def square_matrix(x, what: str = "matrix", stack: bool | None = False) -> np.nda
     for ragged or non-numeric input too."""
     ranks = {False: (2,), True: (3,), None: (2, 3)}[stack]
     rule = " or ".join(("a square matrix", "a stack of square matrices of one size")[r - 2] for r in ranks)
-    try:
-        x = np.asarray(x, dtype=complex)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be {rule}, got a ragged or non-numeric array") from None
-    if x.ndim not in ranks or x.shape[-1] != x.shape[-2] or not x.size:
-        raise ValueError(f"{what} must be {rule}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} must be finite, got non-finite entries")
-    return x
+    return _matrix(x, what, complex, ranks, rule, square=True)
 
 
 def _hermitian(x: np.ndarray, what: str = "matrix") -> np.ndarray:

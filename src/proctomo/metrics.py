@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import check_psd, dagger, frob, psd_factor, psd_tolerance
+from .linalg import check_psd, dagger, frob, psd_factor, psd_tolerance, square_matrix
 
 
-def _same_shape(x_hat, x_true, dtype=None) -> tuple:
+def _same_shape(x_hat, x_true) -> tuple:
     """Both arguments as arrays, refused with ValueError unless they share one shape."""
-    a, b = np.asarray(x_hat, dtype=dtype), np.asarray(x_true, dtype=dtype)
+    a, b = np.asarray(x_hat), np.asarray(x_true)
     if a.shape != b.shape:
         raise ValueError(f"cannot compare an estimate of shape {a.shape} with a truth of shape {b.shape}")
     return a, b
@@ -46,9 +46,7 @@ def fidelity(x_hat: np.ndarray, x_true: np.ndarray) -> float:
     at ``linalg.psd_tolerance``.  A Gram matrix too ill-conditioned to give F within GRAM_ATOL
     is the one guard: it factors the other argument too and takes the singular values of K_a^dag K_b.
     """
-    a, b = _same_shape(x_hat, x_true, complex)
-    if a.ndim != 2:  # a stack would pass check_psd
-        raise ValueError(f"fidelity compares two matrices, got shape {a.shape}")
+    a, b = _same_shape(square_matrix(x_hat, "estimate"), square_matrix(x_true, "truth"))  # a stack would pass check_psd
     ta, tb = np.trace(a).real, np.trace(b).real
     if ta <= 0 or tb <= 0:
         raise ValueError("fidelity requires positive-trace arguments")

@@ -58,6 +58,18 @@ def check_seed(seed) -> int:
     return check_int(seed, "seed", 0)
 
 
+def check_shots(copies: int, povm: PovmCollection, povm_spec: str, given: str, states: int = 1) -> int:
+    """The shots per set of ``copies`` copies per state, from the value ``given`` for ``states`` states, or a
+    ValueError if they leave a set of the POVM ``povm_spec`` without a shot or give one more than MAX_SHOTS."""
+    if copies < povm.num_sets:
+        raise ValueError(f"{given} leave no shot for some of the {povm.num_sets} sets of POVM {povm_spec!r}; "
+                         f"choose at least {povm.num_sets * states}")
+    if (shots := copies // povm.num_sets) > MAX_SHOTS:
+        raise ValueError(f"{given} give {shots} shots to each of the {povm.num_sets} sets of POVM "
+                         f"{povm_spec!r}, above {MAX_SHOTS}")
+    return shots
+
+
 def _outcome_matrix(x, what: str, set_sizes: tuple, first: int = 0) -> np.ndarray:
     """``x`` as a float matrix if it passes the module's rule for ``set_sizes``, else a ValueError naming
     ``what``, and a state by its row plus ``first``, the index of ``x``'s first state."""
@@ -174,13 +186,9 @@ def _record(freq, set_sizes, shots_per_set=None, seed=None, ideal=None, sampler=
 
 def _draw(freq: np.ndarray, copies, povm: PovmCollection, seed, check: bool, ideal=None) -> MeasurementRecord:
     """The record drawn, as ``sample_record`` describes, from the probabilities in ``freq``, which it
-    overwrites with the frequencies; with ``check``, each block passes ``_outcome_matrix`` first."""
-    j = povm.num_sets
-    shots = check_int(copies, "copies", 1) // j
-    if shots < 1:
-        raise ValueError(f"{copies} copies leave no shots for {j} POVM sets")
-    if shots > MAX_SHOTS:
-        raise ValueError(f"{copies} copies per state give {shots} shots to each of {j} POVM sets, above {MAX_SHOTS}")
+    overwrites with the frequencies; with ``check``, each block passes ``_outcome_matrix`` first.  The
+    copies become shots per set through ``check_shots``, whose refusal names the POVM by its label."""
+    shots = check_shots(check_int(copies, "copies", 1), povm, povm.label, f"{copies} copies per state")
     seed = check_seed(seed)
 
     # Sets of equal size share one (sets, size) slab of columns, drawn by one
@@ -222,8 +230,8 @@ def sample_record(
     """Draw a finite-shot record from ideal probabilities.
 
     ``copies`` is the number of copies per input state; each of the J sets receives
-    floor(copies/J) shots, 1 to MAX_SHOTS = 2^63 - 1.  ``seed`` is a non-negative integer.  The
-    probabilities pass ``_outcome_matrix`` for the POVM's sets.
+    floor(copies/J) shots, 1 to MAX_SHOTS = 2^63 - 1, by ``check_shots``.  ``seed`` is a non-negative
+    integer.  The probabilities pass ``_outcome_matrix`` for the POVM's sets.
     """
     probs = _outcome_matrix(probs, "probability matrix", povm.set_sizes)
     return _draw(probs.copy(), copies, povm, seed, check=False, ideal=probs.copy() if keep_ideal else None)

@@ -43,7 +43,7 @@ from .ensembles import (
 from .linalg import check_dimensions, check_int
 from .metrics import infidelity, loglog_slope, squared_error
 from .reconstruct import TwoStageReconstructor
-from .simulate import MAX_SHOTS, check_seed, ideal_outputs, sample_outputs
+from .simulate import check_seed, check_shots, ideal_outputs, sample_outputs
 
 
 # A spec field: an integer, a seed (an integer >= 0) or a word, kept verbatim:
@@ -145,7 +145,7 @@ def trial_seed(global_seed: int, point: int, trial: int) -> int:
 
 def copies_per_state(total: int, ensemble: InputEnsemble, spec: str, povm: PovmCollection, povm_spec: str) -> int:
     """Copies per state of ``total`` spread evenly; total must be a positive multiple of M
-    that gives every set of the POVM from 1 to MAX_SHOTS shots (see :func:`check_shots`)."""
+    that gives every set of the POVM from 1 to ``simulate.MAX_SHOTS`` shots, by ``simulate.check_shots``."""
     # Any integer passes the integer rule; the sign is refused with the divisibility below.
     total, m = check_int(total, "total copies", -np.inf), ensemble.num_states
     if total < 1 or total % m:
@@ -155,19 +155,6 @@ def copies_per_state(total: int, ensemble: InputEnsemble, spec: str, povm: PovmC
         )
     check_shots(total // m, povm, povm_spec, f"total copies {total} ({total // m} per state of {spec!r})", m)
     return total // m
-
-
-def check_shots(per_state: int, povm: PovmCollection, povm_spec: str, given: str, states: int = 1) -> None:
-    """Refuse ``per_state`` copies per state, from the value ``given`` for ``states`` states, if
-    they leave a set of the POVM ``povm_spec`` without a shot or give one more than MAX_SHOTS."""
-    if per_state < povm.num_sets:
-        raise ValueError(
-            f"{given} leave no shot for some of the {povm.num_sets} sets of POVM {povm_spec!r}; "
-            f"choose at least {povm.num_sets * states}"
-        )
-    if (shots := per_state // povm.num_sets) > MAX_SHOTS:  # which sample_record would refuse
-        raise ValueError(f"{given} give {shots} shots to each of the {povm.num_sets} sets of POVM "
-                         f"{povm_spec!r}, above {MAX_SHOTS}")
 
 
 def _check_sweep(trials, grid, name: str, seed) -> tuple:

@@ -144,9 +144,11 @@ def test_process_matrix_rejects_invalid():
         ProcessMatrix(np.diag([1.0, 1.0, 1.0, -0.5]))
     with pytest.raises(ValueError):
         ProcessMatrix(2.0 * process_matrix(identity_channel(2)).mat)  # Tr_1 = 2I
-    for shape in [(), (4,), (0, 0), (3, 3), (4, 5)]:  # not d^2 x d^2 for a d >= 1
-        with pytest.raises(ValueError, match="d\\^2 x d\\^2"):
+    for shape in [(), (4,), (0, 0), (4, 5)]:  # not one non-empty square matrix: linalg.square_matrix refuses it
+        with pytest.raises(ValueError, match=f"^process matrix must be a square matrix, got shape {re.escape(str(shape))}$"):
             ProcessMatrix(np.zeros(shape))
+    with pytest.raises(ValueError, match=r"^process matrix must be d\^2 x d\^2, got \(3, 3\)$"):  # square, not d^2 x d^2
+        ProcessMatrix(np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from proctomo.channels import (
     identity_channel,
     process_matrix,
     random_channel,
+    unitary_channel,
 )
 from proctomo.ensembles import (
     POVM_ATOL, InputEnsemble, PovmCollection, cube_povm, cube_states, mub_povm, mub_states, natural_basis_states,
@@ -37,12 +38,14 @@ from proctomo.linalg import (
     partial_trace_first,
     psd_factor,
     psd_root,
+    real_matrix,
     square_matrix,
     transfer_matrix,
 )
+from proctomo.metrics import fidelity
 from proctomo.oracle import reshuffle_index, transpose_index
 from proctomo.reconstruct import TwoStageReconstructor, nearest_psd
-from proctomo.simulate import MeasurementRecord, check_seed, sample_record
+from proctomo.simulate import MeasurementRecord, check_seed, exact_record, sample_outputs, sample_record
 from proctomo.studies import ExperimentConfig, copies_per_state, run_m_scaling_study
 
 
@@ -162,9 +165,11 @@ def count_entries():
         "sic_povm": (sic_povm, 2, "dimension", 4),
         "random_states d": (lambda n: random_states(n, 4, seed=0), 1, "dimension", 2),
         "random_states M": (lambda n: random_states(2, n, seed=0), 1, "number of states M", 4),
+        "random_states seed": (lambda n: random_states(2, 4, seed=n), 0, "seed", 3),
         "cube_states": (cube_states, 1, "number of qubits", 1),
         "cube_povm": (cube_povm, 1, "number of qubits", 1),
         "random_channel": (random_channel, 2, "dimension", 2),
+        "random_channel seed": (lambda n: random_channel(2, seed=n), 0, "seed", 3),
         "identity_channel": (identity_channel, 1, "dimension", 2),
         "transpose_index rows": (lambda n: transpose_index(n, 3), 1, "rows", 2),
         "transpose_index columns": (lambda n: transpose_index(2, n), 1, "columns", 3),
@@ -187,6 +192,17 @@ def test_one_integer_rule_accepts_numpy_integers(entry):
     call(np.int64(valid))
     if entry.startswith("check"):
         assert type(call(np.int64(valid))) is int and call(np.int64(valid)) == valid
+
+
+@pytest.mark.parametrize("build", [lambda seed: random_states(2, 4, seed=seed).states,
+                                   lambda seed: random_channel(3, tp=False, seed=seed).kraus],
+                         ids=["random_states", "random_channel"])
+def test_random_designs_take_their_seed_through_the_integer_rule(build):
+    for bad in (True, "3", [3]):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(bad))}$"):
+            build(bad)
+    assert np.array_equal(build(np.int64(5)), build(5))
+    assert build(None).shape == build(0).shape  # None, the default, still draws a design
 
 
 def test_transpose_permutation_trivial():
@@ -415,6 +431,31 @@ def test_check_psd_single_and_stack():
     assert stack.shape == (3, 2, 2)
     # unit trace is only checked when asked for
     check_psd(2 * rho, "element", 1e-9)
+
+
+# Every entry point that takes a caller's matrix, the name its refusals give it, and the call.
+MATRIX_ENTRIES = {
+    "real_matrix": ("frequency matrix", lambda x: real_matrix(x, "frequency matrix")),
+    "square_matrix": ("matrix", square_matrix),
+    "sample_record": ("probability matrix", lambda x: sample_record(x, 600, cube_povm(1))),
+    "sample_outputs": ("output coordinates", lambda x: sample_outputs(x, 600, cube_povm(1))),
+    "exact_record": ("probability matrix", lambda x: exact_record(x, cube_povm(1))),
+    "MeasurementRecord": ("frequency matrix", lambda x: MeasurementRecord(freq=x, set_sizes=(2,))),
+    "estimate": ("frequency matrix", lambda x: TwoStageReconstructor(mub_states(2), cube_povm(1)).estimate(x)),
+    "ProcessMatrix": ("process matrix", ProcessMatrix),
+    "fidelity estimate": ("estimate", lambda x: fidelity(x, np.eye(2))),
+    "fidelity truth": ("truth", lambda x: fidelity(np.eye(2), x)),
+    "unitary_channel": ("unitary", unitary_channel),
+    "KrausChannel": ("Kraus operators", KrausChannel),  # refused by name before the rules shared a coercion
+}
+
+
+@pytest.mark.parametrize("x", [{}, object(), [[1, 2], [3]], "abc"], ids=["dict", "object", "ragged", "string"])
+@pytest.mark.parametrize("entry", list(MATRIX_ENTRIES))
+def test_ragged_or_non_numeric_matrices_are_refused_by_name(entry, x):
+    what, call = MATRIX_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{what} must be .*, got a ragged or non-numeric array$"):
+        call(x)
 
 
 def test_check_psd_refuses_a_ragged_list_by_name():

@@ -87,7 +87,7 @@ def test_fidelity_keeps_the_negative_eigenvalue_refusal():
 def test_fidelity_refuses_stacks_before_factoring_either(d):
     # psd_factor and hermitian_eig take one matrix; check_psd would take a stack.
     stack = np.stack([np.eye(d)] * 3)
-    with pytest.raises(ValueError, match=rf"^fidelity compares two matrices, got shape \(3, {d}, {d}\)$"):
+    with pytest.raises(ValueError, match=rf"^estimate must be a square matrix, got shape \(3, {d}, {d}\)$"):
         fidelity(stack, stack)
 
 
@@ -148,10 +148,17 @@ def test_loglog_slope_recovers_power_law():
 @pytest.mark.parametrize("metric", [squared_error, fidelity])
 @pytest.mark.parametrize("other", [np.eye(16) / 16, np.eye(4)[:1] / 4, np.full(4, 0.25)], ids=["16x16", "1x4", "4"])
 def test_metrics_refuse_arguments_of_different_shapes(metric, other):
-    # (1, 4) and (4,) broadcast against (4, 4): squared_error must not.
-    a = np.eye(4) / 4
-    shapes = rf"\(4, 4\).*{re.escape(str(other.shape))}"
-    with pytest.raises(ValueError, match=shapes):
-        metric(a, other)
-    with pytest.raises(ValueError, match=rf"{re.escape(str(other.shape))}.*\(4, 4\)"):
-        metric(other, a)
+    # (1, 4) and (4,) broadcast against (4, 4): squared_error must not.  fidelity reads each
+    # argument through linalg.square_matrix first, which names a shape that is not square.
+    a, shape = np.eye(4) / 4, re.escape(str(other.shape))
+    square = metric is fidelity and other.ndim == 2 and other.shape[0] == other.shape[1]
+    if metric is squared_error or square:
+        with pytest.raises(ValueError, match=rf"\(4, 4\).*{shape}"):
+            metric(a, other)
+        with pytest.raises(ValueError, match=rf"{shape}.*\(4, 4\)"):
+            metric(other, a)
+    else:
+        with pytest.raises(ValueError, match=rf"^truth must be a square matrix, got shape {shape}$"):
+            metric(a, other)
+        with pytest.raises(ValueError, match=rf"^estimate must be a square matrix, got shape {shape}$"):
+            metric(other, a)

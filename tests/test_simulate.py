@@ -232,7 +232,8 @@ def with_entry(value):
 @pytest.mark.parametrize(
     "probs, message",
     [
-        *(pytest.param(with_entry(v), "contains non-finite entries", id=str(v)) for v in (np.nan, np.inf, -np.inf)),
+        *(pytest.param(with_entry(v), "must be finite, got non-finite entries", id=str(v))
+          for v in (np.nan, np.inf, -np.inf)),
         pytest.param(np.full((4, 6), 0.5 + 1e-3j), "must be real", id="complex"),
         pytest.param(np.full(6, 0.5), "must be 2-D (states x operators), got shape (6,)", id="1-D"),
         pytest.param(np.zeros((0, 6)), "must be 2-D (states x operators), got shape (0, 6)", id="empty"),
@@ -251,7 +252,7 @@ def test_sample_record_takes_shots_up_to_the_int64_maximum_and_refuses_more():
     probs = np.full((4, 6), 0.5)
     rec = sample_record(probs, 3 * most, p)
     assert rec.shots_per_set == most
-    message = f"{3 * most + 3} copies per state give {most + 1} shots to each of 3 POVM sets, above {most}"
+    message = f"{3 * most + 3} copies per state give {most + 1} shots to each of the 3 sets of POVM 'cube-1', above {most}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sample_record(probs, 3 * most + 3, p)
 
@@ -702,8 +703,8 @@ def test_sample_outputs_names_the_state_of_a_set_above_one():
     "outputs, message",
     [
         (lambda y: y + 1e-3j, "output coordinates must be real"),
-        (lambda y: np.where(np.arange(4) == 2, np.nan, y), "output coordinates contains non-finite entries"),
-        (lambda y: np.where(np.arange(4) == 1, np.inf, y), "output coordinates contains non-finite entries"),
+        (lambda y: np.where(np.arange(4) == 2, np.nan, y), "output coordinates must be finite, got non-finite entries"),
+        (lambda y: np.where(np.arange(4) == 1, np.inf, y), "output coordinates must be finite, got non-finite entries"),
         (lambda y: y[0], "output coordinates must be 2-D"),
         (lambda y: y[None], "output coordinates must be 2-D"),
         (lambda y: y[:0], "output coordinates must be 2-D"),
