@@ -12,7 +12,8 @@ Conventions fixed here and relied on everywhere else:
   ``check_dimensions`` for every set of objects that must share one dimension d,
   ``real_matrix`` for every probability and frequency matrix (real, 2-D, non-empty, finite),
   ``square_matrix`` for every matrix and stack of matrices that must be square (and finite);
-  both coerce through one core, which refuses ragged and non-numeric input by name.
+  both coerce through ``numeric_array``, which also reads ``metrics.squared_error``'s arrays of any shape
+  and refuses ragged and non-numeric input by name.
 
 Everything is a pure function of its inputs and safe to share across threads.
 """
@@ -51,13 +52,18 @@ def check_dimensions(dims: dict) -> None:
         raise ValueError("dimension mismatch: " + "; ".join(f"{name}: d={d}" for name, d in dims.items()))
 
 
-def _matrix(x, what: str, dtype, ranks: tuple, rule: str, square: bool = False) -> np.ndarray:
-    """``x`` as a ``dtype`` array of one of ``ranks``, non-empty, with ``square`` square, and finite, else a ValueError
-    naming ``what`` and ``rule``, for ragged or non-numeric input too: the one coercion of both matrix rules below."""
+def numeric_array(x, what: str, rule: str = "an array of numbers", dtype=None, ranks=None, square=False) -> np.ndarray:
+    """``x`` as an array of numbers, of ``dtype`` if given (an array that already is one is not copied), and with
+    ``ranks`` one of those ranks, non-empty, with ``square`` square, and finite; else a ValueError naming ``what`` and
+    ``rule``, for ragged or non-numeric input too: the one coercion of both matrix rules below and of squared_error."""
     try:
         x = np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be {rule}, got a ragged or non-numeric array") from None
+    except (TypeError, ValueError):  # a ragged list, or entries that are not numbers
+        x = None
+    if x is None or x.dtype.kind not in "iufc":
+        raise ValueError(f"{what} must be {rule}, got a ragged or non-numeric array")
+    if ranks is None:
+        return x
     if x.ndim not in ranks or not x.size or square and x.shape[-1] != x.shape[-2]:
         raise ValueError(f"{what} must be {rule}, got shape {x.shape}")
     if not np.isfinite(x).all():
@@ -67,13 +73,13 @@ def _matrix(x, what: str, dtype, ranks: tuple, rule: str, square: bool = False) 
 
 def real_matrix(x, what: str) -> np.ndarray:
     """``x`` as a float array if it is a real, non-empty, finite 2-D matrix, else a ValueError naming ``what``."""
-    try:  # np.iscomplexobj reads a list through np.asarray, which refuses a ragged one; _matrix names it
+    try:  # np.iscomplexobj reads a list through np.asarray, which refuses a ragged one; numeric_array names it
         complex_input = np.iscomplexobj(x)
     except ValueError:
         complex_input = False
     if complex_input:
         raise ValueError(f"{what} must be real")
-    return _matrix(x, what, float, (2,), "2-D (states x operators)")
+    return numeric_array(x, what, "2-D (states x operators)", float, (2,))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -246,7 +252,7 @@ def square_matrix(x, what: str = "matrix", stack: bool | None = False) -> np.nda
     for ragged or non-numeric input too."""
     ranks = {False: (2,), True: (3,), None: (2, 3)}[stack]
     rule = " or ".join(("a square matrix", "a stack of square matrices of one size")[r - 2] for r in ranks)
-    return _matrix(x, what, complex, ranks, rule, square=True)
+    return numeric_array(x, what, rule, complex, ranks, square=True)
 
 
 def _hermitian(x: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import check_psd, dagger, frob, psd_factor, psd_tolerance, square_matrix
+from .linalg import check_psd, dagger, frob, numeric_array, psd_factor, psd_tolerance, square_matrix
 
 
 def _same_shape(x_hat, x_true) -> tuple:
-    """Both arguments as arrays, refused with ValueError unless they share one shape."""
-    a, b = np.asarray(x_hat), np.asarray(x_true)
+    """Both arguments as arrays of numbers (``linalg.numeric_array``) of one shape, else a ValueError naming either."""
+    a, b = numeric_array(x_hat, "estimate"), numeric_array(x_true, "truth")
     if a.shape != b.shape:
         raise ValueError(f"cannot compare an estimate of shape {a.shape} with a truth of shape {b.shape}")
     return a, b

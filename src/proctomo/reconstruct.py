@@ -88,16 +88,12 @@ class TwoStageReconstructor:
         self.d = check_int(ensemble.d, "dimension", 2)
 
     def output_coefficients(self, freq: np.ndarray) -> np.ndarray:
-        """Step 1: the real M x d^2 ``herm_coords`` of the output states' transposes (their
-        conjugates), one real product with the POVM's d^2 x L pinv(C), which BLAS reads transposed."""
-        freq = np.asarray(freq)
-        if np.iscomplexobj(freq):
-            raise ValueError("frequency matrix must be real")
-        if freq.shape != (self.ensemble.num_states, self.povm.num_elements):
-            raise ValueError(
-                f"frequency matrix has shape {freq.shape}, expected "
-                f"({self.ensemble.num_states}, {self.povm.num_elements})"
-            )
+        """Step 1: the real M x d^2 ``herm_coords`` of the output states' transposes (their conjugates): ``freq``,
+        read by ``linalg.real_matrix``, times the POVM's d^2 x L pinv(C) in one real product that BLAS reads transposed."""
+        freq = real_matrix(freq, "frequency matrix")
+        expected = (self.ensemble.num_states, self.povm.num_elements)
+        if freq.shape != expected:
+            raise ValueError(f"frequency matrix has shape {freq.shape}, expected {expected}")
         return freq @ self.povm.pinv_coords.T
 
     def process_least_squares(self, coords: np.ndarray) -> np.ndarray:
@@ -140,14 +136,11 @@ class TwoStageReconstructor:
 
     def estimate(self, record, tp_prior: bool = False) -> ProcessEstimate:
         """Run all four steps on a record or a raw frequency matrix."""
+        freq, copies = record, None
         if isinstance(record, MeasurementRecord):
             if record.set_sizes != self.povm.set_sizes:
                 raise ValueError(f"record set sizes {record.set_sizes} do not match the POVM's {self.povm.set_sizes}")
-            freq = record.freq
-            copies = record.copies_per_state
-        else:
-            freq = real_matrix(record, "frequency matrix")
-            copies = None
+            freq, copies = record.freq, record.copies_per_state
         coords = self.output_coefficients(freq)
         d_hat = self.process_least_squares(coords)
         g_hat, clipped = nearest_psd(d_hat)

@@ -1,11 +1,11 @@
 """Configuration-driven simulation/reconstruction studies.
 
-A study is reproducible from (config, global seed): every trial derives its
-sampling seed from (seed, point index, trial index) through a seed sequence,
-so results do not depend on execution order.  A study holds each ensemble's
-output coordinates (``simulate.ideal_outputs``, M x d^2) and draws its records
-from them with ``simulate.sample_outputs``, never forming the M x L probability
-matrix.  Studies emit plot-ready rows; no plotting happens here.
+A study is reproducible from (config, global seed): every trial derives its sampling seed from (seed,
+point index, trial index) through a seed sequence, so results do not depend on execution order.  Both
+sweeps run their trials through one loop, ``_run_study``: a sweep gives each trial's design, a reconstructor,
+output coordinates (``simulate.ideal_outputs``, M x d^2), copies per state and a seed, and the loop draws the
+record with ``simulate.sample_outputs``, never forming the M x L probability matrix, then estimates and
+scores it.  Studies emit plot-ready rows; no plotting happens here.
 """
 
 from __future__ import annotations
@@ -239,21 +239,30 @@ class StudyResult:
         return lines
 
 
-def _run_study(meta, columns, scores, grid, trials, series, output) -> StudyResult:
-    """The study loop shared by the copy sweep and the state-count sweep.
+SCORES = {"mse": squared_error, "infidelity": infidelity}
 
-    ``series`` yields one ``(tag, prefix, trial)`` per swept curve, where
-    ``trial(ip, point, it)`` returns one value per name in ``scores``.  Rows
-    are ``[*prefix, point, mean, std, *other_means, seconds]`` for the first
-    score's mean and std and the other scores' means.  With two or more grid
-    points each score's means get a log-log slope, keyed ``score[tag]``.
+
+def _run_study(meta, columns, scores, grid, trials, series, x_true, tp_prior, output) -> StudyResult:
+    """The one study loop: every trial of either sweep is drawn, estimated and scored here, and nowhere else.
+
+    ``series`` yields one ``(tag, prefix, design)`` per swept curve, and ``design(ip, point, it)`` gives each trial's
+    ``(reconstructor, output coordinates, copies per state, sampling seed)``: its record is drawn by ``sample_outputs``,
+    estimated with ``tp_prior`` and scored against ``x_true`` by each name in ``scores`` (see ``SCORES``).  Rows are
+    ``[*prefix, point, mean, std, *other_means, seconds]``, the first score's mean and std and the others' means; with
+    two or more grid points each score's means get a log-log slope, keyed ``score[tag]``.
     """
     rows, slopes = [], {}
-    for tag, prefix, trial in series:
+    for tag, prefix, design in series:
         curve = []
         for ip, point in enumerate(grid):
             t0 = time.perf_counter()
-            per_trial = [trial(ip, point, it) for it in range(trials)]
+            per_trial = []
+            for it in range(trials):
+                rec, outputs, copies, seed = design(ip, point, it)
+                # Only x_hat outlives the estimate, so the record (13.4 MB at d = 16) is freed before scoring.
+                x_hat = rec.estimate(sample_outputs(outputs, copies, rec.povm, seed=seed), tp_prior=tp_prior).x_hat
+                per_trial.append([SCORES[name](x_hat, x_true) for name in scores])
+                del rec, outputs  # so that the next trial's design is built without this one's
             elapsed = time.perf_counter() - t0
             # One 1-D reduction per score keeps the summation order of a plain list.
             means = [float(np.mean(v)) for v in zip(*per_trial)]
@@ -287,20 +296,13 @@ def run_scaling_study(cfg: ExperimentConfig) -> StudyResult:
         per_state = {total: copies_per_state(total, ensemble, spec, povm, cfg.povm) for total in cfg.copies}
         rec = TwoStageReconstructor(ensemble, povm)
         outputs = ideal_outputs(channel, ensemble)
-
-        def trial(ip, total, it):
-            # Only x_hat outlives the estimate, so the record (13.4 MB at d = 16) is freed before scoring.
-            x_hat = rec.estimate(sample_outputs(outputs, per_state[total], povm, seed=trial_seed(cfg.seed, ip, it)),
-                                 tp_prior=cfg.tp_prior).x_hat
-            return squared_error(x_hat, x_true), infidelity(x_hat, x_true)
-
         label = ensemble.label or spec
-        return label, [label], trial
+        return label, [label], lambda ip, total, it: (rec, outputs, per_state[total], trial_seed(cfg.seed, ip, it))
 
     columns = ["ensemble", "total_copies", "mean_mse", "std_mse", "mean_infidelity", "runtime_s"]
     return _run_study(
         cfg.to_meta(), columns, ("mse", "infidelity"), cfg.copies, cfg.trials,
-        [series(spec) for spec in cfg.ensembles], cfg.output,  # every spec checked before any trial
+        [series(spec) for spec in cfg.ensembles], x_true, cfg.tp_prior, cfg.output,  # every spec checked first
     )
 
 
@@ -327,13 +329,11 @@ def run_m_scaling_study(
     check_dimensions({"random ensembles (d, --dim)": d, f"channel {channel_spec!r}": channel.d,
                       f"POVM {povm_spec!r}": povm.d})
     check_shots(copies_per_state, povm, povm_spec, f"copies_per_state (--copies-per-state) {copies_per_state}")
-    x_true = channel.mat
 
-    def trial(ip, m, it):
+    def design(ip, m, it):
         ensemble = random_states(d, m, seed=trial_seed(seed, ip, 2 * it))
-        outputs = ideal_outputs(channel, ensemble)
-        record = sample_outputs(outputs, copies_per_state, povm, seed=trial_seed(seed, ip, 2 * it + 1))
-        return (squared_error(TwoStageReconstructor(ensemble, povm).estimate(record).x_hat, x_true),)
+        rec, outputs = TwoStageReconstructor(ensemble, povm), ideal_outputs(channel, ensemble)
+        return rec, outputs, copies_per_state, trial_seed(seed, ip, 2 * it + 1)
 
     config = {
         "d": d,
@@ -345,7 +345,8 @@ def run_m_scaling_study(
     }
     columns = ["num_states", "mean_mse", "std_mse", "runtime_s"]
     return _run_study(
-        _meta(config, seed), columns, ("mse",), num_states, trials, [("num_states", [], trial)], output
+        _meta(config, seed), columns, ("mse",), num_states, trials, [("num_states", [], design)],
+        channel.mat, False, output,  # the state-count sweep estimates without the TP prior
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from proctomo.channels import process_matrix, random_channel, unitary_channel
 from proctomo.ensembles import design_metrics_C, design_metrics_V, mub_povm, sic_states
-from proctomo.linalg import dagger, haar_unitary, psd_root
+from proctomo.linalg import dagger, haar_unitary, numeric_array, psd_root
 from proctomo.metrics import (
     error_scaling_functional,
     fidelity,
@@ -162,3 +162,20 @@ def test_metrics_refuse_arguments_of_different_shapes(metric, other):
             metric(a, other)
         with pytest.raises(ValueError, match=rf"^estimate must be a square matrix, got shape {shape}$"):
             metric(other, a)
+
+
+@pytest.mark.parametrize("position", [0, 1], ids=["estimate", "truth"])
+@pytest.mark.parametrize("x", [{}, object(), [[1, 2], [3]], "abc"], ids=["dict", "object", "ragged", "string"])
+def test_squared_error_refuses_ragged_or_non_numeric_arguments_by_name(x, position):
+    args = [np.eye(2) / 2, np.eye(2) / 2]
+    args[position] = x
+    what = ("estimate", "truth")[position]
+    with pytest.raises(ValueError, match=f"^{what} must be an array of numbers, got a ragged or non-numeric array$"):
+        squared_error(*args)
+
+
+def test_squared_error_takes_any_shape_and_copies_no_array():
+    assert squared_error([1.0, 2.0], [1.0, 4.0]) == 4.0
+    assert squared_error(np.ones((2, 2, 4)), np.zeros((2, 2, 4))) == 16.0
+    x = np.eye(4, dtype=complex)
+    assert numeric_array(x, "estimate") is x

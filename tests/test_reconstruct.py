@@ -281,6 +281,10 @@ def test_reconstructor_validates_shapes():
     rec = TwoStageReconstructor(e, p)
     with pytest.raises(ValueError):
         rec.output_coefficients(np.zeros((3, 6)))
+    # Step 1 reads a caller's matrix by linalg.real_matrix, which names a ragged one.
+    ragged = r"^frequency matrix must be 2-D \(states x operators\), got a ragged or non-numeric array$"
+    with pytest.raises(ValueError, match=ragged):
+        rec.output_coefficients([[1, 2], [3]])
     with pytest.raises(ValueError):
         TwoStageReconstructor(mub_states(4), cube_povm(1))
 

@@ -10,6 +10,8 @@ import proctomo.simulate as simulate
 import proctomo.studies as studies
 from proctomo.channels import cnot_channel, process_matrix, random_channel
 from proctomo.ensembles import cube_povm, mub_states
+from proctomo.metrics import infidelity, squared_error
+from proctomo.reconstruct import TwoStageReconstructor
 from proctomo.studies import (
     ExperimentConfig,
     copies_per_state,
@@ -374,3 +376,37 @@ def test_study_records_equal_records_drawn_from_the_probability_matrix(monkeypat
     for (copies, seed, record), ensemble in zip(draws, ensembles):
         want = sample_record(ideal_probabilities(channel, ensemble, povm), copies, povm, seed=seed, keep_ideal=False)
         assert np.array_equal(record.freq, want.freq)
+
+
+def test_study_rows_are_the_mean_scores_of_the_estimates_of_the_records_drawn(monkeypatch):
+    # Each row is scored from exactly the records its study drew.  The copy sweep estimates them with
+    # its tp_prior, the state-count sweep always without; on these non-TP channels the prior moves every mean.
+    draws = capture_draws(monkeypatch)
+    cfg = ExperimentConfig(channel="random:2:nontp:4", ensembles=("mub:2", "sic:2"), povm="cube-povm:1",
+                           copies=(1200, 2400), trials=3, tp_prior=True)
+    result = run_scaling_study(cfg)
+    x_true, povm = make_channel(cfg.channel).mat, make_povm(cfg.povm)
+    assert len(draws) == len(result.rows) * cfg.trials
+    for k, row in enumerate(result.rows):
+        rec = TwoStageReconstructor(make_ensemble(cfg.ensembles[k // len(cfg.copies)]), povm)
+        records = [record for _, _, record in draws[k * cfg.trials:(k + 1) * cfg.trials]]
+        x_hats = [rec.estimate(record, tp_prior=True).x_hat for record in records]
+        mses, infids = [squared_error(x, x_true) for x in x_hats], [infidelity(x, x_true) for x in x_hats]
+        assert row[2:5] == [float(np.mean(mses)), float(np.std(mses)), float(np.mean(infids))]
+        assert float(np.mean([squared_error(rec.estimate(record).x_hat, x_true) for record in records])) != row[2]
+
+    draws.clear()
+    ensembles = []
+    random_states = studies.random_states
+    monkeypatch.setattr(studies, "random_states", lambda *a, **k: ensembles.append(random_states(*a, **k))
+                        or ensembles[-1])
+    result = run_m_scaling_study(2, (6, 10), 300, povm_spec="cube-povm:1", channel_spec="random:2:nontp:5", trials=3)
+    x_true = make_channel("random:2:nontp:5").mat
+    assert len(draws) == len(ensembles) == 6
+    for k, row in enumerate(result.rows):
+        trials = [(TwoStageReconstructor(ensemble, povm), record)
+                  for ensemble, (_, _, record) in zip(ensembles[3 * k:3 * k + 3], draws[3 * k:3 * k + 3])]
+        mses = [squared_error(rec.estimate(record).x_hat, x_true) for rec, record in trials]
+        assert row[1:3] == [float(np.mean(mses)), float(np.std(mses))]
+        prior = [squared_error(rec.estimate(record, tp_prior=True).x_hat, x_true) for rec, record in trials]
+        assert float(np.mean(prior)) != row[1]
