@@ -4,8 +4,9 @@ A channel is held either as a Kraus family {A_i} with sum A_i^dag A_i <= I, or
 as its d^2 x d^2 process matrix X in the natural (elementary-matrix) operator
 basis.  The two representations are interchangeable: the coordinate vector of
 a Kraus operator in the natural basis is its row-major flattening, and
-X = sum_i c_i c_i^dag.  Both hold X as ``mat`` and act through its real
-``linalg.transfer_matrix``, built on first use and kept as ``transfer``.
+X = sum_i c_i c_i^dag.  Both hold X as ``mat`` (a Kraus family builds it on
+first use and keeps it) and act through its real ``linalg.transfer_matrix``,
+built on first use and kept as ``transfer``.
 Trace-preserving channels have Tr_1(X) = I exactly; general channels satisfy
 Tr_1(X) <= I, and F = Tr_1(X) acts as the success operator of the process.
 """
@@ -67,9 +68,10 @@ class KrausChannel(_Channel):
         """sum_i A_i^dag A_i (equals the identity iff trace preserving)."""
         return sum(dagger(a) @ a for a in self.kraus)
 
-    @property
+    @functools.cached_property
     def mat(self) -> np.ndarray:
-        """Process matrix sum_i c_i c_i^dag, c_i = vec(A_i^T); PSD by construction, so not re-validated."""
+        """Process matrix sum_i c_i c_i^dag, c_i = vec(A_i^T), built on first read and kept; PSD by
+        construction, so not re-validated."""
         coeffs = self.kraus.reshape(len(self.kraus), -1)
         return coeffs.T @ coeffs.conj()
 

@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Subcommands: simulate, reconstruct, scaling-study, m-scaling-study,
-design-audit, oracle-check.  scaling-study accepts a JSON config file and/or
+design-audit.  scaling-study accepts a JSON config file and/or
 flags (flags win).  Exit code 0 on success, 2 on validation errors, 141 when the reader of
 stdout closed it early (``| head``).
 """
@@ -17,7 +17,6 @@ import sys
 from . import io as pio
 from .linalg import check_dimensions
 from .metrics import fidelity, squared_error
-from .oracle import oracle_check
 from .reconstruct import TwoStageReconstructor
 from .simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 from .studies import (
@@ -114,13 +113,6 @@ def _cmd_design_audit(args) -> int:
     return 0
 
 
-def _cmd_oracle_check(args) -> int:
-    results = oracle_check(seed=args.seed)
-    for name, passed, detail in results:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
-    return 0 if all(passed for _, passed, _ in results) else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proctomo",
@@ -174,10 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design-audit", help="cost/cond/eigenvalues of a state or measurement design")
     _spec_arg(p, "spec", "ensemble", "POVM", help="e.g. 'sic 4'; ", nargs="+")
     p.set_defaults(func=_cmd_design_audit)
-
-    p = sub.add_parser("oracle-check", help="verify the structured solver against dense brute force")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_oracle_check)
 
     return parser
 

@@ -26,7 +26,7 @@ the products of theirs, so no SVD of the product runs, and the real
 coordinates that the Born probabilities read (``InputEnsemble.herm_coords``,
 ``PovmCollection.born_table``) are ``herm_kron`` of theirs too.  Its complex
 stack is built from the parts only when something reads it (documents, the
-dense oracle), and not kept.  The design metrics read the spectrum of
+tests' dense oracle), and not kept.  The design metrics read the spectrum of
 A^dag A as the squares of the kept singular values.
 """
 

@@ -6,11 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import random_channel
-from .ensembles import InputEnsemble, PovmCollection, cube_povm, mub_states, random_states, sic_states
-from .linalg import check_int, dagger, frob
-from .reconstruct import TwoStageReconstructor
-from .simulate import MeasurementRecord, check_seed, exact_record, ideal_probabilities, sample_record
+from proctomo.ensembles import InputEnsemble, PovmCollection
+from proctomo.linalg import check_int, dagger
+from proctomo.simulate import MeasurementRecord
 
 _DENSE_MAX_D = 3
 
@@ -85,40 +83,3 @@ def dense_estimates(record, ensemble: InputEnsemble, povm: PovmCollection):
         @ data
     ).reshape(d * d, d * d, order="F")
     return two_step, global_ls
-
-
-def oracle_check(seed: int = 0) -> list:
-    """Cross-checks of the structured solver against dense brute force.
-
-    Returns (name, passed, detail) triples; all should pass on a healthy
-    installation.
-    """
-    check_seed(seed)
-    results = []
-
-    # Dense coefficient matrix equals the structured factorization, d=2 and 3.
-    for d, ensemble in ((2, sic_states(2)), (3, random_states(3, 9, seed=seed))):
-        v = ensemble.parameterization()
-        b_dense = dense_expansion_matrix(ensemble)
-        b_struct = np.kron(np.eye(d * d), v.T) @ np.eye(d**4)[reshuffle_index(d)]
-        err = frob(b_dense - b_struct)
-        results.append((f"coefficient-factorization-d{d}", err <= 1e-12, f"max dev {err:.2e}"))
-
-    # Structured two-step equals its dense evaluation on noisy data, and both
-    # recover the exact process on noiseless data.
-    channel = random_channel(2, tp=True, seed=seed)
-    ensemble, povm = mub_states(2), cube_povm(1)
-    probs = ideal_probabilities(channel, ensemble, povm)
-    noisy = sample_record(probs, 3_000, povm, seed=seed + 1)
-    rec = TwoStageReconstructor(ensemble, povm)
-    d_struct = rec.process_least_squares(rec.output_coefficients(noisy.freq))
-    d_dense, _ = dense_estimates(noisy, ensemble, povm)
-    err = frob(d_struct - d_dense)
-    results.append(("structured-vs-dense-noisy", err <= 1e-10, f"dev {err:.2e}"))
-
-    x_true = channel.mat
-    clean = exact_record(probs, povm)
-    two_step, global_ls = dense_estimates(clean, ensemble, povm)
-    err = max(frob(two_step - x_true), frob(global_ls - x_true))
-    results.append(("noiseless-exact-recovery", err <= 1e-9, f"dev {err:.2e}"))
-    return results

@@ -18,8 +18,8 @@ from proctomo.linalg import (
     partial_trace_first,
 )
 from proctomo.metrics import loglog_slope
-from proctomo.oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
 from proctomo.studies import ExperimentConfig, run_m_scaling_study, run_scaling_study
+from dense_oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> bool:

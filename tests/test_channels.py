@@ -171,6 +171,13 @@ def test_kraus_mat_is_the_process_matrix_bit_for_bit():
         assert np.array_equal(ch.mat, process_matrix(ch).mat)
 
 
+def test_a_kraus_channel_builds_its_process_matrix_once():
+    ch = random_channel(3, tp=False, seed=2)
+    assert "mat" not in vars(ch)
+    x = ch.mat
+    assert ch.mat is x and np.array_equal(ch.transfer, transfer_matrix(x))
+
+
 def test_kraus_operators_are_one_complex_stack():
     ch = random_channel(3, seed=2)
     assert isinstance(ch.kraus, np.ndarray) and ch.kraus.dtype == complex

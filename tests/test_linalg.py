@@ -43,10 +43,10 @@ from proctomo.linalg import (
     transfer_matrix,
 )
 from proctomo.metrics import fidelity
-from proctomo.oracle import reshuffle_index, transpose_index
 from proctomo.reconstruct import TwoStageReconstructor, nearest_psd
 from proctomo.simulate import MeasurementRecord, check_seed, exact_record, sample_outputs, sample_record
 from proctomo.studies import ExperimentConfig, copies_per_state, run_m_scaling_study
+from dense_oracle import reshuffle_index, transpose_index
 
 
 def random_complex(rng, shape):
@@ -254,7 +254,7 @@ def test_reshuffle_factorizes_coefficient_matrix(d):
     # Oracle: build the stacked coefficient matrix entry by entry from its
     # definition and compare against (I kron V^T) R.
     from proctomo.ensembles import random_states, sic_states
-    from proctomo.oracle import dense_expansion_matrix
+    from dense_oracle import dense_expansion_matrix
 
     ensemble = sic_states(2) if d == 2 else random_states(3, 9, seed=7)
     v = ensemble.parameterization()

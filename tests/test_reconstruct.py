@@ -14,10 +14,10 @@ from proctomo.linalg import (
     is_hermitian,
     partial_trace_first,
 )
-from proctomo.oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
 from proctomo.reconstruct import ProcessEstimate, TraceCorrection, TwoStageReconstructor, nearest_psd
 from proctomo.simulate import MeasurementRecord, exact_record, ideal_probabilities, sample_record
 from proctomo.linalg import haar_unitary
+from dense_oracle import dense_estimates, dense_expansion_matrix, reshuffle_index
 from test_ensembles import assert_matches_numpys_pinv
 
 

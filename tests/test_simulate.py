@@ -13,7 +13,6 @@ from proctomo.ensembles import (
 )
 from proctomo.io import load_json
 from proctomo.linalg import dagger
-from proctomo.oracle import dense_expansion_matrix, transpose_index
 from proctomo.reconstruct import TwoStageReconstructor
 import proctomo.simulate as simulate
 from proctomo.simulate import (
@@ -21,6 +20,7 @@ from proctomo.simulate import (
     sample_outputs, sample_record,
 )
 from proctomo.studies import make_channel, make_ensemble, make_povm, run_m_scaling_study
+from dense_oracle import dense_expansion_matrix, transpose_index
 
 
 def set_slices(povm):
